@@ -293,6 +293,8 @@ def _result_record(cfg, name, source, model, result, traj_path) -> dict:
         "violation": model.violation(result.best_x),
         "best_x": [int(b) for b in result.best_x],
         "wall_time_s": result.wall_time,
+        "decode_flips": result.decode_flips,
+        "decode_gain": result.decode_gain,
         # sibling file name, so a results directory can be relocated wholesale
         "trajectory_path": Path(traj_path).name if traj_path else None,
     }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import finite_array, finite_float
 from .graph import Graph
 
 KINDS = ("mis", "mcl", "mcut", "qubo")
@@ -48,7 +49,7 @@ class EnergyModel:
             raise ValueError(f"unknown problem kind {kind!r}, expected one of {KINDS}")
         self.kind = kind
         self.graph = graph
-        self.beta = float(beta)
+        self.beta = finite_float("beta", beta)
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {beta}")
         if kind in ("mis", "mcl") and self.beta <= 1.0:
@@ -59,13 +60,13 @@ class EnergyModel:
         if kind == "qubo":
             if linear is None or quad_scale is None:
                 raise ValueError("qubo models require both 'linear' and 'quad_scale'")
-            self.linear = np.asarray(linear, dtype=np.float64)
+            self.linear = finite_array("linear", linear)
             if self.linear.shape != (graph.num_nodes,):
                 raise ValueError(
                     f"linear coefficients have shape {self.linear.shape}, "
                     f"expected ({graph.num_nodes},)"
                 )
-            self.quad_scale = float(quad_scale)
+            self.quad_scale = finite_float("quad_scale", quad_scale)
             self._A = _weighted_csr(graph, edge_weights)
         else:
             if linear is not None or quad_scale is not None or edge_weights is not None:
@@ -74,6 +75,8 @@ class EnergyModel:
             self.quad_scale = None
             self._A = graph.adjacency_csr()
         self._deg = graph.degrees().astype(np.float64)
+        # Whether _flip_ax may add columns of A; unit weights always qualify.
+        self._exact_updates = edge_weights is None or _exact_row_sums(self._A)
 
     @property
     def num_nodes(self) -> int:
@@ -96,7 +99,7 @@ class EnergyModel:
     def delta(self, x):
         """Flip-drop vector: delta_i = (2x_i - 1) * grad_i = H(x) - H(flip_i(x))."""
         X, single = self._as_batch(x)
-        d = (2.0 * X - 1.0) * self._gradient(X)
+        d = self._delta(X)
         return d[0] if single else d
 
     def objective(self, x):
@@ -150,6 +153,22 @@ class EnergyModel:
         # result independent of the batch size.
         return (self._A @ X.T).T
 
+    def _flip_ax(self, ax, x, i):
+        """Bring ``ax == self._ax(x)`` up to date in place after bit ``i`` of
+        the single solution ``x`` flipped, touching only i's neighbours.
+
+        The result is bit-identical to the full product: columns of A are
+        added only when ``_exact_row_sums`` holds, otherwise the neighbour
+        rows are recomputed in the full product's CSR order.
+        """
+        A = self._A
+        lo, hi = A.indptr[i], A.indptr[i + 1]
+        nbrs = A.indices[lo:hi]  # A is symmetric: row i lists column i
+        if self._exact_updates:
+            ax[nbrs] += (2.0 * x[i] - 1.0) * A.data[lo:hi]
+        else:
+            ax[nbrs] = A[nbrs] @ x
+
     def _energy(self, X):
         if self.kind == "mis":
             s = X.sum(axis=1)
@@ -166,8 +185,14 @@ class EnergyModel:
         quad = (X * self._ax(X)).sum(axis=1)
         return s + self.quad_scale * quad
 
-    def _gradient(self, X):
-        ax = self._ax(X)
+    def _delta(self, X, ax=None):
+        return (2.0 * X - 1.0) * self._gradient(X, ax)
+
+    def _gradient(self, X, ax=None):
+        # ``ax`` is a caller-maintained copy of self._ax(X); it must equal the
+        # full product exactly for the result to match.
+        if ax is None:
+            ax = self._ax(X)
         if self.kind == "mis":
             return self.beta * ax - 1.0
         if self.kind == "mcl":
@@ -196,11 +221,25 @@ class EnergyModel:
         return f"EnergyModel(kind={self.kind!r}, graph={self.graph!r}, beta={self.beta})"
 
 
+def _exact_row_sums(A) -> bool:
+    """True when every partial sum of a row of ``A @ x``, x binary, is exact.
+
+    That holds for integer weights whose row sums of |w| stay below 2**53:
+    every partial sum is then an integer a float64 represents exactly, so
+    adding or subtracting one column of A keeps ``A @ x`` bit-identical to
+    the full product.
+    """
+    w = A.data
+    if not np.array_equal(w, np.round(w)):
+        return False
+    return w.size == 0 or bool(abs(A).sum(axis=1).max() < 2.0 ** 53)
+
+
 def _weighted_csr(graph: Graph, edge_weights):
     """CSR adjacency with one weight per undirected edge (default all ones)."""
     if edge_weights is None:
         return graph.adjacency_csr()
-    w = np.asarray(edge_weights, dtype=np.float64)
+    w = finite_array("edge_weights", edge_weights)
     if w.shape != (graph.num_edges,):
         raise ValueError(
             f"edge_weights has shape {w.shape}, expected ({graph.num_edges},) "

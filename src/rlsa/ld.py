@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .sampler import RunResult, _anneal, _empty_result, _flip_rule
+from ._checks import finite_float, integer
+from .sampler import RunResult, _anneal, _flip_rule
 
 
 @dataclass
@@ -32,16 +31,15 @@ class LDConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.alpha = finite_float("alpha", self.alpha)
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
+        self.tau0 = finite_float("tau0", self.tau0)
         if self.tau0 <= 0:
             raise ValueError(f"tau0 must be positive, got {self.tau0}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
-        if self.chains < 1:
-            raise ValueError(f"chains must be at least 1, got {self.chains}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        self.steps = integer("steps", self.steps, 1)
+        self.chains = integer("chains", self.chains, 1)
+        self.seed = integer("seed", self.seed, 0)
 
 
 def ld_flip_probabilities(delta, alpha: float, tau: float):
@@ -55,8 +53,6 @@ def ld_flip_probabilities(delta, alpha: float, tau: float):
 
 def run_ld(model, cfg: LDConfig, init=None, workers: int = 1) -> RunResult:
     """Run the fixed-alpha baseline under the same loop structure as run_rlsa."""
-    if model.num_nodes == 0:
-        return _empty_result(model)
 
     def flip(D, tau):
         return ld_flip_probabilities(D, cfg.alpha, tau)

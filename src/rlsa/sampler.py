@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
+from ._checks import finite_float, integer
 from .postprocess import greedy_decode
 
 KERNELS = ("regularized", "normalized")
@@ -51,19 +52,16 @@ class SamplerConfig:
     kernel: str = "regularized"
 
     def __post_init__(self):
+        self.tau0 = finite_float("tau0", self.tau0)
         if self.tau0 <= 0:
             raise ValueError(f"tau0 must be positive, got {self.tau0}")
-        if float(self.d) != int(self.d) or int(self.d) < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d}")
-        self.d = int(self.d)
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
-        if self.chains < 1:
-            raise ValueError(f"chains must be at least 1, got {self.chains}")
+        self.d = integer("d", self.d, 1)
+        self.steps = integer("steps", self.steps, 1)
+        self.chains = integer("chains", self.chains, 1)
+        self.epsilon = finite_float("epsilon", self.epsilon)
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        self.seed = integer("seed", self.seed, 0)
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
 
@@ -94,13 +92,20 @@ class Trajectory:
 
 @dataclass
 class RunResult:
-    """Outcome of a run: decoded global best plus per-step trajectory."""
+    """Outcome of a run: decoded global best plus per-step trajectory.
+
+    ``decode_flips`` and ``decode_gain`` say how much greedy decode changed
+    the sampler's best solution: the bits it flipped and the energy it
+    removed (nonnegative).
+    """
 
     best_x: np.ndarray
     best_energy: float
     objective: int | None
     trajectory: Trajectory
     wall_time: float
+    decode_flips: int
+    decode_gain: float
 
 
 def chain_rng(seed: int, chain_id: int) -> np.random.Generator:
@@ -255,16 +260,20 @@ def _empty_result(model) -> RunResult:
                       best_energy=empty.copy(), mean_energy=empty.copy())
     objective = None if model.kind == "qubo" else model.objective(x)
     return RunResult(best_x=x, best_energy=float(model.energy(x)),
-                     objective=objective, trajectory=traj, wall_time=0.0)
+                     objective=objective, trajectory=traj, wall_time=0.0,
+                     decode_flips=0, decode_gain=0.0)
 
 
 def _anneal(model, *, tau0, steps, chains, seed, flip_fn, init, workers):
+    workers = integer("workers", workers, 1)
+    if model.num_nodes == 0:
+        return _empty_result(model)
     start = time.perf_counter()
     if init is not None:
         init = np.asarray(init)
         model._as_batch(init)  # validates length and binary entries
     ids = np.arange(chains)
-    blocks = np.array_split(ids, max(1, min(int(workers), chains)))
+    blocks = np.array_split(ids, min(workers, chains))
 
     def run_block(block):
         return _run_chain_block(model, flip_fn, tau0, steps, block, seed, init)
@@ -289,7 +298,8 @@ def _anneal(model, *, tau0, steps, chains, seed, flip_fn, init, workers):
     )
 
     winner = int(np.argmin(best_E))  # lowest chain id on ties
-    decoded = greedy_decode(model, best_X[winner].astype(np.int8))
+    sampled = best_X[winner].astype(np.int8)
+    decoded = greedy_decode(model, sampled)
     best_energy = float(model.energy(decoded))
     objective = None if model.kind == "qubo" else model.objective(decoded)
     return RunResult(
@@ -298,6 +308,8 @@ def _anneal(model, *, tau0, steps, chains, seed, flip_fn, init, workers):
         objective=objective,
         trajectory=trajectory,
         wall_time=time.perf_counter() - start,
+        decode_flips=int(np.count_nonzero(sampled != decoded)),
+        decode_gain=float(best_E[winner]) - best_energy,
     )
 
 
@@ -306,11 +318,10 @@ def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResul
 
     Chains start from independent uniform-random binary vectors unless
     ``init`` supplies a common starting solution. The result is a pure
-    function of (model, cfg, init) for any ``workers`` count.
+    function of (model, cfg, init) for any ``workers`` count (an integer of
+    at least 1).
     """
-    if model.num_nodes == 0:
-        return _empty_result(model)
-    if cfg.d > model.num_nodes:
+    if 0 < model.num_nodes < cfg.d:
         raise ValueError(
             f"d={cfg.d} exceeds the {model.num_nodes}-node solution length"
         )

@@ -65,3 +65,28 @@ def random_small_graph(rng, n_min=2, n_max=12):
         return generate_ba(n, m, seed)
     p = float(rng.uniform(0.1, 0.9))
     return generate_er(n, p, seed)
+
+
+def reference_decode(model, x):
+    """Greedy decode with one full flip-drop evaluation per round: flip the
+    lowest-index argmax while its drop is positive."""
+    arr = np.asarray(x)
+    single = arr.ndim == 1
+    X = np.atleast_2d(arr).astype(np.float64)
+    active = np.ones(X.shape[0], dtype=bool)
+    limit = 1000 + 10 * (model.num_nodes + model.graph.num_edges)
+    rounds = 0
+    while active.any():
+        rows = np.flatnonzero(active)
+        D = model.delta(X[rows])
+        best = np.argmax(D, axis=1)
+        gains = D[np.arange(rows.size), best]
+        improving = gains > 0
+        flip_rows = rows[improving]
+        X[flip_rows, best[improving]] = 1.0 - X[flip_rows, best[improving]]
+        active[rows[~improving]] = False
+        rounds += 1
+        if rounds > limit:
+            raise RuntimeError("greedy decode did not converge; check model coefficients")
+    out = X.astype(np.int8)
+    return out[0] if single else out

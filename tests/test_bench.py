@@ -70,6 +70,8 @@ def test_result_record_validates_against_model(tmp_path):
                  "--d", "2", "--steps", "50", "--chains", "8", "--out", str(out)]) == 0
     record = read_record(out, "k3")
     verify_record(record, read_instance(instance))
+    assert isinstance(record["decode_flips"], int) and record["decode_flips"] >= 0
+    assert record["decode_gain"] >= 0.0
 
 
 def test_trajectory_csv(tmp_path):

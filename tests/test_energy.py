@@ -234,6 +234,37 @@ def test_constructor_validation():
     EnergyModel("mcut", triangle(), beta=0.5)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(kind="mis", beta=float("nan")),
+    dict(kind="mis", beta=float("inf")),
+    dict(kind="mcut", beta=float("nan")),
+    dict(kind="qubo", linear=[0.0, 1.0, 2.0], quad_scale=float("nan")),
+    dict(kind="qubo", linear=[0.0, 1.0, 2.0], quad_scale=float("inf")),
+    dict(kind="qubo", linear=[0.0, float("nan"), 2.0], quad_scale=1.0),
+    dict(kind="qubo", linear=[0.0, 1.0, 2.0], quad_scale=1.0,
+         edge_weights=[1.0, float("inf"), 1.0]),
+])
+def test_constructor_rejects_non_finite_coefficients(bad):
+    kind = bad.pop("kind")
+    with pytest.raises(ValueError, match="finite"):
+        EnergyModel(kind, triangle(), **bad)
+
+
+def test_exact_update_rule_follows_the_weights():
+    g = triangle()
+    for kind in ("mis", "mcl", "mcut"):
+        assert EnergyModel(kind, g, beta=1.02)._exact_updates
+    lin = np.zeros(3)
+    assert EnergyModel("qubo", g, linear=lin, quad_scale=0.3)._exact_updates
+    assert EnergyModel("qubo", g, linear=lin, quad_scale=1.0,
+                       edge_weights=[3.0, -7.0, 2.0])._exact_updates
+    assert not EnergyModel("qubo", g, linear=lin, quad_scale=1.0,
+                           edge_weights=[0.5, 1.0, 1.0])._exact_updates
+    # each row sums two weights of 2**52: integer, but past the exact range
+    assert not EnergyModel("qubo", g, linear=lin, quad_scale=1.0,
+                           edge_weights=[2.0 ** 52] * 3)._exact_updates
+
+
 def test_solution_validation():
     m = EnergyModel("mis", triangle(), beta=1.02)
     with pytest.raises(ValueError, match="length 2"):

@@ -65,6 +65,16 @@ def test_ld_config_validation():
         LDConfig(alpha=0.1, tau0=-1, steps=10, chains=2)
     with pytest.raises(ValueError):
         LDConfig(alpha=0.1, tau0=0.1, steps=0, chains=2)
+    with pytest.raises(ValueError):
+        LDConfig(alpha=float("nan"), tau0=0.1, steps=10, chains=2)
+
+
+def test_run_ld_rejects_bad_worker_count():
+    m = EnergyModel("mcut", single_edge())
+    cfg = LDConfig(alpha=0.1, tau0=0.01, steps=5, chains=2)
+    for workers in (0, 2.0, False):
+        with pytest.raises(ValueError, match="workers"):
+            run_ld(m, cfg, workers=workers)
 
 
 def test_run_ld_single_edge_maxcut():

@@ -16,6 +16,7 @@ from oracles import (
     all_bitvectors,
     exhaustive_min_energy,
     random_small_graph,
+    reference_decode,
     triangle,
 )
 
@@ -66,6 +67,40 @@ def test_decode_batch_matches_single():
     batch = greedy_decode(m, X)
     for i in range(15):
         assert np.array_equal(batch[i], greedy_decode(m, X[i]))
+
+
+def _parity_model(case, g, rng):
+    if case in ("mis", "mcl", "mcut"):
+        return EnergyModel(case, g, beta=1.02)
+    n, e = g.num_nodes, g.num_edges
+    if case == "qubo":
+        return EnergyModel("qubo", g, linear=rng.normal(size=n), quad_scale=0.7)
+    if case == "qubo-normal-weights":
+        return EnergyModel("qubo", g, linear=rng.normal(size=n), quad_scale=0.7,
+                           edge_weights=rng.normal(size=e))
+    # weights and linear terms on a 0.1 grid: many flips tie at an exact
+    # zero gain, where any rounding difference in A @ x changes the decode
+    return EnergyModel("qubo", g, linear=np.round(rng.normal(size=n), 1), quad_scale=1.0,
+                       edge_weights=np.round(rng.normal(size=e), 1))
+
+
+PARITY_CASES = ["mis", "mcl", "mcut", "qubo", "qubo-normal-weights", "qubo-rounded-weights"]
+
+
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_decode_matches_reference_bit_for_bit(case):
+    rng = np.random.default_rng(PARITY_CASES.index(case))
+    for _ in range(20):
+        g = random_small_graph(rng, n_min=2, n_max=40)
+        m = _parity_model(case, g, rng)
+        X = rng.integers(0, 2, size=(6, g.num_nodes)).astype(np.int8)
+        batch = greedy_decode(m, X)
+        assert np.array_equal(batch, reference_decode(m, X))
+        for row, y in zip(X, batch):
+            single = greedy_decode(m, row)
+            assert np.array_equal(single, reference_decode(m, row))
+            assert np.array_equal(single, y)
+            assert m.delta(single).max() <= 0
 
 
 # -- primal gap ------------------------------------------------------------------

@@ -9,6 +9,7 @@ from rlsa import (
     flip_probabilities,
     from_edge_list,
     generate_er,
+    greedy_decode,
     kth_largest,
     make_chain_state,
     normalized_flip_probabilities,
@@ -185,6 +186,22 @@ def test_sampler_config_validation():
         small_cfg(kernel="cauchy")
 
 
+@pytest.mark.parametrize("bad", [
+    dict(tau0=float("nan")), dict(tau0=float("inf")), dict(epsilon=float("nan")),
+    dict(steps=2.5), dict(chains=2.5), dict(seed=True), dict(d=True),
+])
+def test_sampler_config_rejects_non_finite_and_non_integer(bad):
+    with pytest.raises(ValueError):
+        small_cfg(**bad)
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+def test_run_rlsa_rejects_bad_worker_count(workers):
+    m = EnergyModel("mis", triangle(), beta=1.02)
+    with pytest.raises(ValueError, match="workers"):
+        run_rlsa(m, small_cfg(), workers=workers)
+
+
 # -- single chain step -----------------------------------------------------------
 
 def test_rlsa_step_is_pure_and_repeatable():
@@ -344,3 +361,23 @@ def test_run_rlsa_empty_graph():
     assert res.best_energy == 0.0
     assert res.objective == 0
     assert len(res.trajectory) == 0
+    assert res.decode_flips == 0 and res.decode_gain == 0.0
+
+
+def test_run_result_reports_what_decode_changed(monkeypatch):
+    import rlsa.sampler as sampler
+
+    seen = []
+
+    def recording_decode(model, x):
+        seen.append(np.array(x, copy=True))
+        return greedy_decode(model, x)
+
+    monkeypatch.setattr(sampler, "greedy_decode", recording_decode)
+    m = EnergyModel("mis", generate_er(60, 0.2, seed=8), beta=1.02)
+    res = run_rlsa(m, small_cfg(d=5, steps=2, chains=2))
+    (sampled,) = seen
+    assert res.decode_flips == int((sampled != res.best_x).sum()) > 0
+    assert res.decode_gain == res.trajectory.best_energy[-1] - res.best_energy
+    assert res.decode_gain == pytest.approx(m.energy(sampled) - res.best_energy, abs=1e-12)
+    assert res.decode_gain > 0
