@@ -2,8 +2,9 @@
 
 Solvers for maximum independent set, maximum clique, maximum cut, and
 generic QUBO energies on undirected graphs: parallel annealed chains with
-gradient-guided Bernoulli flips, a fixed-step-size Langevin baseline, greedy
-feasibility decoding, and a primal-gap benchmark harness.
+gradient-guided Bernoulli flips under one table of flip rules (regularized,
+normalized, and the fixed-step-size Langevin baseline), greedy feasibility
+decoding, and a primal-gap benchmark harness.
 """
 
 from .energy import EnergyModel
@@ -16,7 +17,6 @@ from .graph import (
     read_instance,
     write_instance,
 )
-from .ld import LDConfig, ld_flip_probabilities, run_ld
 from .postprocess import (
     GapRecord,
     Summary,
@@ -27,28 +27,23 @@ from .postprocess import (
     summarize,
 )
 from .sampler import (
-    ChainState,
     RunResult,
     SamplerConfig,
     Trajectory,
     chain_rng,
     flip_probabilities,
     kth_largest,
-    make_chain_state,
+    ld_flip_probabilities,
     normalized_flip_probabilities,
-    rlsa_step,
     run_rlsa,
-    temperature,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainState",
     "EnergyModel",
     "GapRecord",
     "Graph",
-    "LDConfig",
     "RunResult",
     "SamplerConfig",
     "Summary",
@@ -63,15 +58,11 @@ __all__ = [
     "greedy_decode",
     "kth_largest",
     "ld_flip_probabilities",
-    "make_chain_state",
     "normalized_flip_probabilities",
     "parse_instance",
     "primal_gap",
     "read_instance",
-    "rlsa_step",
-    "run_ld",
     "run_rlsa",
     "summarize",
-    "temperature",
     "write_instance",
 ]

@@ -1,27 +1,30 @@
 """Benchmark runner: load or generate instances, solve, and emit artifacts.
 
-For each instance the runner builds the energy model, runs the selected
-solver, and writes a self-describing result JSON (plus an optional per-step
-trajectory CSV). Directories of instances are processed sequentially and
-also produce a summary JSON. Identical configs and seeds reproduce
-byte-identical artifacts up to the recorded wall time.
+For each instance the runner builds the energy model, runs the sampler
+with the selected kernel, and writes a self-describing result JSON (plus an
+optional per-step trajectory CSV). Directories of instances are processed
+sequentially and also produce a summary JSON. Artifacts are renamed into
+place whole. Identical configs and seeds reproduce byte-identical artifacts
+up to the recorded wall time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from ._checks import integer
 from .energy import EnergyModel
 from .graph import Graph, generate_ba, generate_er, read_instance
-from .ld import LDConfig, run_ld
 from .postprocess import gap_curve, summarize
-from .sampler import RunResult, SamplerConfig, run_rlsa
+from .sampler import KERNELS, RunResult, SamplerConfig, run_rlsa
 
 # One preset per benchmark family: (tau0, d, chains, steps, beta).
 PRESETS = {
@@ -36,13 +39,11 @@ PRESETS = {
 }
 
 PROBLEMS = ("mis", "mcl", "mcut", "qubo")
-SOLVERS = ("rlsa", "ld")
 
 
 @dataclass
 class ExperimentConfig:
     problem: str
-    solver: str = "rlsa"
     instance: str | None = None
     generate: str | None = None
     tau0: float | None = None
@@ -64,48 +65,36 @@ class ExperimentConfig:
     def validate(self):
         if self.problem not in PROBLEMS:
             raise ValueError(f"problem must be one of {PROBLEMS}, got {self.problem!r}")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
+        if self.kernel not in KERNELS:
+            raise ValueError(f"kernel must be one of {tuple(KERNELS)}, got {self.kernel!r}")
         if (self.instance is None) == (self.generate is None):
             raise ValueError("exactly one of --instance and --generate is required")
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
+        self.threads = integer("threads", self.threads, 1)
         if self.problem == "qubo" and self.qubo_linear is None:
             raise ValueError("--qubo-linear FILE is required for --problem qubo")
         missing = [
             name
-            for name in ("tau0", "steps", "chains")
+            for name in ("tau0", "steps", "chains", *KERNELS[self.kernel][0])
             if getattr(self, name) is None
         ]
-        if self.solver == "rlsa" and self.d is None:
-            missing.append("d")
-        if self.solver == "ld" and self.alpha is None:
-            missing.append("alpha")
         if missing:
             raise ValueError(
                 "missing hyperparameters (set flags or use --preset): "
                 + ", ".join(f"--{m}" for m in missing)
             )
-        # Constructing the configs validates ranges before any solving.
-        self.solver_config()
+        # Constructing the config validates ranges before any solving.
+        self.sampler_config()
 
-    def solver_config(self):
-        if self.solver == "rlsa":
-            return SamplerConfig(
-                tau0=self.tau0,
-                d=self.d,
-                steps=self.steps,
-                chains=self.chains,
-                seed=self.seed,
-                epsilon=self.epsilon,
-                kernel=self.kernel,
-            )
-        return LDConfig(
-            alpha=self.alpha,
+    def sampler_config(self) -> SamplerConfig:
+        return SamplerConfig(
             tau0=self.tau0,
             steps=self.steps,
             chains=self.chains,
+            d=self.d,
+            alpha=self.alpha,
             seed=self.seed,
+            epsilon=self.epsilon,
+            kernel=self.kernel,
         )
 
     def config_echo(self) -> dict:
@@ -114,11 +103,9 @@ class ExperimentConfig:
             steps=self.steps,
             chains=self.chains,
             beta=self.beta,
+            kernel=self.kernel,
         )
-        if self.solver == "rlsa":
-            echo.update(d=self.d, epsilon=self.epsilon, kernel=self.kernel)
-        else:
-            echo.update(alpha=self.alpha)
+        echo.update((name, getattr(self, name)) for name in KERNELS[self.kernel][0])
         if self.problem == "qubo":
             echo.update(qubo_linear=self.qubo_linear, qubo_scale=self.qubo_scale)
         return echo
@@ -133,18 +120,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--instance", help="instance file, or a directory for batch mode")
     ap.add_argument("--generate", metavar="SPEC",
                     help="generate an instance in place of a file: er:N:P or ba:N:M")
-    ap.add_argument("--solver", choices=SOLVERS, default="rlsa")
     ap.add_argument("--preset", choices=sorted(PRESETS),
                     help="named hyperparameter preset; explicit flags override")
     ap.add_argument("--tau0", type=float, help="initial temperature")
-    ap.add_argument("--d", type=int, help="regularized step size (expected flips per step)")
-    ap.add_argument("--alpha", type=float, help="step size for the ld solver")
+    ap.add_argument("--d", type=int, help="flips per step (regularized, normalized kernels)")
+    ap.add_argument("--alpha", type=float, help="fixed step size for the ld kernel")
     ap.add_argument("--steps", type=int, help="annealing steps per chain")
     ap.add_argument("--chains", type=int, help="independent chains")
     ap.add_argument("--beta", type=float, help="constraint penalty coefficient")
     ap.add_argument("--epsilon", type=float, default=1e-6,
                     help="threshold offset in the regularized flip rule")
-    ap.add_argument("--kernel", choices=("regularized", "normalized"), default="regularized")
+    ap.add_argument("--kernel", choices=tuple(KERNELS), default="regularized",
+                    help="flip rule; ld is the fixed-step Langevin baseline")
     ap.add_argument("--seed", type=int, default=0, help="master seed")
     ap.add_argument("--ref-energies", metavar="FILE",
                     help="reference energies, lines of 'instance_name energy'")
@@ -174,11 +161,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
     cfg = ExperimentConfig(
         problem=problem,
-        solver=args.solver,
         instance=args.instance,
         generate=args.generate,
         tau0=pick("tau0"),
-        d=pick("d"),
+        # presets carry d; a kernel that takes no d only sees an explicit --d
+        d=pick("d") if "d" in KERNELS[args.kernel][0] else args.d,
         alpha=args.alpha,
         steps=pick("steps"),
         chains=pick("chains"),
@@ -260,6 +247,28 @@ def _build_model(cfg: ExperimentConfig, graph: Graph) -> EnergyModel:
     return EnergyModel(cfg.problem, graph, beta=cfg.beta)
 
 
+@contextmanager
+def _replacing(path):
+    """Text file handle for ``path`` that only ever shows a whole file.
+
+    Writes go to a temporary file in the same directory, which replaces
+    ``path`` once the block completes and is removed if the block raises.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(path, data) -> None:
+    with _replacing(path) as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def emit_trajectory(result: RunResult, path, ref_energy: float | None = None) -> str:
     """Write the per-step trajectory CSV; adds a primal_gap column when a
     reference energy is available."""
@@ -276,7 +285,8 @@ def emit_trajectory(result: RunResult, path, ref_energy: float | None = None) ->
         if gaps is not None:
             row.append(repr(float(gaps[i])))
         lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _replacing(Path(path)) as fh:
+        fh.write("\n".join(lines) + "\n")
     return str(path)
 
 
@@ -285,7 +295,6 @@ def _result_record(cfg, name, source, model, result, traj_path) -> dict:
         "problem": cfg.problem,
         "instance": name,
         "instance_source": source,
-        "solver": cfg.solver,
         "seed": cfg.seed,
         "config": cfg.config_echo(),
         "best_energy": result.best_energy,
@@ -335,28 +344,23 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        solver_cfg = cfg.solver_config()
+        sampler_cfg = cfg.sampler_config()
 
         results = []
         references = []
         for name, source, graph in instances:
             model = _build_model(cfg, graph)
-            scfg = solver_cfg
-            if cfg.solver == "rlsa":
-                if 0 < graph.num_nodes < scfg.d:
-                    # presets carry a fixed d; cap it at the instance size
-                    scfg = replace(scfg, d=graph.num_nodes)
-                result = run_rlsa(model, scfg, workers=cfg.threads)
-            else:
-                result = run_ld(model, scfg, workers=cfg.threads)
+            scfg = sampler_cfg
+            if scfg.d is not None and 0 < graph.num_nodes < scfg.d:
+                # presets carry a fixed d; cap it at the instance size
+                scfg = replace(scfg, d=graph.num_nodes)
+            result = run_rlsa(model, scfg, workers=cfg.threads)
             ref = refs.get(name)
             traj_path = None
             if cfg.trajectory:
                 traj_path = emit_trajectory(result, outdir / f"{name}.trajectory.csv", ref)
             record = _result_record(cfg, name, source, model, result, traj_path)
-            with open(outdir / f"{name}.result.json", "w", encoding="utf-8") as fh:
-                json.dump(record, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(outdir / f"{name}.result.json", record)
             results.append(result)
             references.append(ref)
             obj = "-" if result.objective is None else result.objective
@@ -367,9 +371,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             summary = summarize(
                 results, references if any(r is not None for r in references) else None
             )
-            with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-                json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(outdir / "summary.json", summary.to_dict())
             mean_obj = summary.mean_objective
             print(f"summary: n={summary.count} mean_objective="
                   f"{'-' if mean_obj is None else f'{mean_obj:.4f}'} "

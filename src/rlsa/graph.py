@@ -77,7 +77,9 @@ def from_edge_list(num_nodes: int, edges) -> Graph:
     n = int(num_nodes)
     if n < 0:
         raise ValueError(f"num_nodes must be nonnegative, got {num_nodes}")
-    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)  # accepts any iterable of pairs, generators included
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     u, v = pairs[:, 0], pairs[:, 1]
     if pairs.size:
         bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
@@ -91,10 +93,13 @@ def from_edge_list(num_nodes: int, edges) -> Graph:
             i = int(np.flatnonzero(loops)[0])
             raise ValueError(f"self loop ({u[i]}, {v[i]}) is not allowed")
     # Both directions, deduplicated and sorted via integer keys: src-major
-    # order makes each neighbor list ascending by construction.
+    # order makes each neighbor list ascending by construction. Sorting and
+    # dropping repeats (keys are >= 0) gives np.unique's output without its
+    # slower hash path.
     src = np.concatenate((u, v))
     dst = np.concatenate((v, u))
-    keys = np.unique(src * n + dst)
+    keys = np.sort(src * n + dst)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     src = keys // n
     dst = (keys % n).astype(np.int32)
     offsets = np.zeros(n + 1, dtype=np.int64)

@@ -1,6 +1,7 @@
 """Independent brute-force oracles and small-graph builders shared by tests."""
 
 import numpy as np
+from scipy.special import expit
 
 from rlsa import EnergyModel, from_edge_list, generate_ba, generate_er
 
@@ -90,3 +91,40 @@ def reference_decode(model, x):
             raise RuntimeError("greedy decode did not converge; check model coefficients")
     out = X.astype(np.int8)
     return out[0] if single else out
+
+
+def reference_chain(model, cfg, chain_id):
+    """One chain of the annealing engine as a plain loop on a single vector:
+    (best_x, best_energy, energy per step, best energy per step).
+
+    Shares no code with rlsa.sampler: the chain's stream is derived here,
+    the d-th largest Delta comes from a full sort, and each flip rule is
+    written out in the engine's order of operations, so results can be
+    compared bit for bit.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chain_id,)))
+    n = model.num_nodes
+    x = rng.integers(0, 2, size=n).astype(np.float64)
+    best_x, best_e = x.copy(), model.energy(x)
+    energies, bests = [], []
+    for t in range(1, cfg.steps + 1):
+        tau = cfg.tau0 * (1.0 - (t - 1) / cfg.steps)
+        delta = model.delta(x)
+        if cfg.kernel == "regularized":
+            dth = np.sort(delta)[n - cfg.d]
+            p = expit((delta - (dth - cfg.epsilon)) / (2.0 * tau))
+        elif cfg.kernel == "normalized":
+            sig = expit(delta / (2.0 * tau))
+            p = np.clip(cfg.d * sig / sig.sum(), 0.0, 1.0)
+        elif cfg.kernel == "ld":
+            p = expit((delta - tau / cfg.alpha) / (2.0 * tau))
+        else:
+            raise ValueError(f"no reference for kernel {cfg.kernel!r}")
+        u = rng.random(n)
+        x = np.where(u < p, 1.0 - x, x)
+        e = model.energy(x)
+        if e < best_e:
+            best_x, best_e = x.copy(), e
+        energies.append(e)
+        bests.append(best_e)
+    return best_x, best_e, np.array(energies), np.array(bests)

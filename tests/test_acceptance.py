@@ -15,7 +15,6 @@ import pytest
 
 from rlsa import (
     EnergyModel,
-    LDConfig,
     SamplerConfig,
     flip_probabilities,
     generate_ba,
@@ -23,7 +22,6 @@ from rlsa import (
     greedy_decode,
     kth_largest,
     primal_gap,
-    run_ld,
     run_rlsa,
 )
 from rlsa.bench import main as bench_main
@@ -109,7 +107,8 @@ def test_criterion_3_ablation_ordering():
         BENCHMARK_VIOLATIONS.append(m.violation(res.best_x))
         rlsa_energies.append(res.best_energy)
         for a in alphas:
-            res = run_ld(m, LDConfig(alpha=a, tau0=0.01, steps=300, chains=50, seed=i))
+            res = run_rlsa(m, SamplerConfig(kernel="ld", alpha=a, tau0=0.01, steps=300,
+                                            chains=50, seed=i))
             BENCHMARK_VIOLATIONS.append(m.violation(res.best_x))
             ld_energies[a].append(res.best_energy)
 

@@ -6,9 +6,11 @@ import pytest
 from rlsa import read_instance, write_instance
 from rlsa.bench import (
     PRESETS,
+    ExperimentConfig,
     load_reference_energies,
     main,
     parse_generate_spec,
+    run_experiment,
     verify_record,
 )
 
@@ -232,6 +234,12 @@ def test_missing_hyperparameters_fail_before_solving(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "--tau0" in err and "--d" in err
+    # the kernel's row of the flip-rule table says which rate it needs
+    code = main(["--instance", str(instance), "--problem", "mis", "--kernel", "ld",
+                 "--tau0", "0.01", "--steps", "10", "--chains", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--alpha" in err and "--d" not in err
 
 
 def test_invalid_hyperparameters_fail_before_solving(tmp_path):
@@ -258,10 +266,45 @@ def test_qubo_requires_linear_file(tmp_path):
 def test_ld_solver_via_cli(tmp_path):
     instance = write_k3(tmp_path)
     out = tmp_path / "out"
-    assert main(["--instance", str(instance), "--problem", "mis", "--solver", "ld",
+    assert main(["--instance", str(instance), "--problem", "mis", "--kernel", "ld",
                  "--alpha", "0.1", "--tau0", "0.01", "--steps", "60",
                  "--chains", "8", "--out", str(out)]) == 0
     record = read_record(out, "k3")
-    assert record["solver"] == "ld"
+    assert record["config"]["kernel"] == "ld"
     assert record["config"]["alpha"] == 0.1
+    assert "d" not in record["config"] and "solver" not in record
     assert record["objective"] == 1
+    # a preset's d is left out for ld; an explicit --d is rejected
+    preset = ["--instance", str(instance), "--preset", "mis-rb-small", "--kernel", "ld",
+              "--alpha", "0.1", "--steps", "20", "--chains", "4"]
+    assert main(preset + ["--out", str(tmp_path / "preset")]) == 0
+    assert main(preset + ["--d", "2", "--out", str(tmp_path / "d")]) == 2
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("threads", [1.5, True, 0])
+def test_bad_thread_count_fails_before_writing(tmp_path, threads):
+    instance = write_k3(tmp_path)
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(problem="mis", instance=str(instance), tau0=0.01, d=2,
+                           steps=10, chains=2, out=str(out), threads=threads)
+    assert run_experiment(cfg) != 0
+    assert not out.exists()
+
+
+def test_interrupted_write_leaves_whole_artifacts(tmp_path, monkeypatch):
+    instance = write_k3(tmp_path)
+    out = tmp_path / "out"
+    args = ["--instance", str(instance), "--problem", "mis", "--tau0", "0.01",
+            "--d", "2", "--steps", "20", "--chains", "4", "--out", str(out)]
+    assert main(args) == 0
+    whole = (out / "k3.result.json").read_text()
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"problem": ')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    assert main(args + ["--seed", "5"]) == 1
+    assert (out / "k3.result.json").read_text() == whole
+    assert sorted(p.name for p in out.iterdir()) == ["k3.result.json"]

@@ -55,6 +55,32 @@ def test_zero_node_graph():
     assert g.num_edges == 0
 
 
+def unique_reference_csr(n, pairs):
+    """(offsets, neighbors) through np.unique on both orientations' keys."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    u, v = pairs[:, 0], pairs[:, 1]
+    keys = np.unique(np.concatenate((u * n + v, v * n + u)))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
+    return offsets, keys % n
+
+
+def test_from_edge_list_matches_unique_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(0, 3 * n))
+        u = rng.integers(0, n, m)
+        v = (u + rng.integers(1, n, m)) % n  # no self loops
+        pairs = np.column_stack((u, v))
+        pairs = np.vstack((pairs, pairs[: m // 3, ::-1], pairs[: m // 4]))  # repeats both ways
+        offsets, neighbors = unique_reference_csr(n, pairs)
+        for edges in (pairs, pairs.tolist(), map(tuple, pairs.tolist())):
+            g = from_edge_list(n, edges)
+            assert np.array_equal(g.offsets, offsets)
+            assert np.array_equal(g.neighbors, neighbors)
+            assert g.neighbors.dtype == np.int32
+
+
 # -- Erdos-Renyi -------------------------------------------------------------
 
 def test_er_forced_inclusion_and_exclusion():

@@ -1,16 +1,22 @@
+"""The fixed-step Langevin baseline: the "ld" kernel of the annealing engine."""
+
 import numpy as np
 import pytest
 
 from rlsa import (
     EnergyModel,
-    LDConfig,
+    SamplerConfig,
     flip_probabilities,
     generate_er,
     ld_flip_probabilities,
-    run_ld,
+    run_rlsa,
 )
 
 from oracles import single_edge
+
+
+def ld_cfg(**overrides):
+    return SamplerConfig(kernel="ld", **overrides)
 
 
 def test_ld_flip_probability_at_zero_drop():
@@ -60,35 +66,39 @@ def test_ld_flip_monotone_in_alpha():
 
 def test_ld_config_validation():
     with pytest.raises(ValueError):
-        LDConfig(alpha=0.0, tau0=0.1, steps=10, chains=2)
+        ld_cfg(alpha=0.0, tau0=0.1, steps=10, chains=2)
     with pytest.raises(ValueError):
-        LDConfig(alpha=0.1, tau0=-1, steps=10, chains=2)
+        ld_cfg(alpha=0.1, tau0=-1, steps=10, chains=2)
     with pytest.raises(ValueError):
-        LDConfig(alpha=0.1, tau0=0.1, steps=0, chains=2)
+        ld_cfg(alpha=0.1, tau0=0.1, steps=0, chains=2)
     with pytest.raises(ValueError):
-        LDConfig(alpha=float("nan"), tau0=0.1, steps=10, chains=2)
+        ld_cfg(alpha=float("nan"), tau0=0.1, steps=10, chains=2)
+    with pytest.raises(ValueError, match="requires alpha"):
+        ld_cfg(tau0=0.1, steps=10, chains=2)
+    with pytest.raises(ValueError, match="does not take d"):
+        ld_cfg(alpha=0.1, d=2, tau0=0.1, steps=10, chains=2)
 
 
 def test_run_ld_rejects_bad_worker_count():
     m = EnergyModel("mcut", single_edge())
-    cfg = LDConfig(alpha=0.1, tau0=0.01, steps=5, chains=2)
+    cfg = ld_cfg(alpha=0.1, tau0=0.01, steps=5, chains=2)
     for workers in (0, 2.0, False):
         with pytest.raises(ValueError, match="workers"):
-            run_ld(m, cfg, workers=workers)
+            run_rlsa(m, cfg, workers=workers)
 
 
 def test_run_ld_single_edge_maxcut():
     m = EnergyModel("mcut", single_edge())
-    res = run_ld(m, LDConfig(alpha=0.1, tau0=0.01, steps=50, chains=4, seed=1))
+    res = run_rlsa(m, ld_cfg(alpha=0.1, tau0=0.01, steps=50, chains=4, seed=1))
     assert res.objective == 1
 
 
 def test_run_ld_deterministic_and_worker_independent():
     g = generate_er(30, 0.2, seed=2)
     m = EnergyModel("mis", g, beta=1.02)
-    cfg = LDConfig(alpha=0.01, tau0=0.01, steps=60, chains=8, seed=5)
-    r1 = run_ld(m, cfg)
-    r2 = run_ld(m, cfg, workers=4)
+    cfg = ld_cfg(alpha=0.01, tau0=0.01, steps=60, chains=8, seed=5)
+    r1 = run_rlsa(m, cfg)
+    r2 = run_rlsa(m, cfg, workers=4)
     assert np.array_equal(r1.best_x, r2.best_x)
     assert np.array_equal(r1.trajectory.mean_energy, r2.trajectory.mean_energy)
     assert len(r1.trajectory) == 60

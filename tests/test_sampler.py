@@ -1,25 +1,25 @@
-import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rlsa import (
     EnergyModel,
     SamplerConfig,
+    chain_rng,
     flip_probabilities,
     from_edge_list,
+    generate_ba,
     generate_er,
     greedy_decode,
     kth_largest,
-    make_chain_state,
     normalized_flip_probabilities,
-    rlsa_step,
     run_rlsa,
-    temperature,
 )
-from rlsa.sampler import _rlsa_flip_fn, _run_chain_block, linear_temperature
+from rlsa.sampler import KERNELS, _run_chain_block, linear_temperature
 
-from oracles import single_edge, triangle
+from oracles import reference_chain, single_edge, triangle
 
 
 def small_cfg(**overrides):
@@ -28,12 +28,33 @@ def small_cfg(**overrides):
     return SamplerConfig(**params)
 
 
+def one_engine_step(model, cfg, chain_id, init=None):
+    """One engine step on a block of one chain at tau = cfg.tau0.
+
+    Returns (state before, state after, block outputs); the states are the
+    rows the engine passes to ``model.energy``.
+    """
+    states = []
+    energy = model.energy
+
+    def recording(X):
+        states.append(np.array(X[0], copy=True))
+        return energy(X)
+
+    model.energy = recording
+    try:
+        out = _run_chain_block(model, replace(cfg, steps=1), [chain_id], init)
+    finally:
+        del model.energy
+    before, after = states
+    return before, after, out
+
+
 # -- temperature schedule ------------------------------------------------------
 
 def test_temperature_schedule_endpoints():
-    cfg = small_cfg(tau0=0.5, steps=10)
-    assert temperature(1, cfg) == 0.5
-    assert temperature(10, cfg) == pytest.approx(0.05)
+    assert linear_temperature(1, 0.5, 10) == 0.5
+    assert linear_temperature(10, 0.5, 10) == pytest.approx(0.05)
 
 
 def test_temperature_midpoint():
@@ -41,16 +62,14 @@ def test_temperature_midpoint():
 
 
 def test_temperature_rejects_out_of_range_steps():
-    cfg = small_cfg(steps=10)
     with pytest.raises(ValueError):
-        temperature(0, cfg)
+        linear_temperature(0, 0.01, 10)
     with pytest.raises(ValueError):
-        temperature(11, cfg)
+        linear_temperature(11, 0.01, 10)
 
 
 def test_temperature_stays_positive():
-    cfg = small_cfg(tau0=0.01, steps=500)
-    taus = [temperature(t, cfg) for t in range(1, 501)]
+    taus = [linear_temperature(t, 0.01, 500) for t in range(1, 501)]
     assert min(taus) > 0
     assert min(taus) == pytest.approx(0.01 / 500)
 
@@ -70,6 +89,9 @@ def test_kth_largest_matches_sort_oracle():
         v = rng.normal(size=n)
         d = int(rng.integers(1, n + 1))
         assert kth_largest(v, d) == np.sort(v)[::-1][d - 1]
+        # along the last axis: one value per row of a batch
+        V = rng.normal(size=(3, n))
+        assert np.array_equal(kth_largest(V, d), np.sort(V, axis=1)[:, n - d])
 
 
 def test_kth_largest_rejects_bad_rank():
@@ -123,24 +145,25 @@ def test_indicator_limit_flips_exactly_top_d():
 # -- normalized kernel -----------------------------------------------------------
 
 def test_normalized_kernel_uniform_scores():
-    p = normalized_flip_probabilities(np.zeros(10), np.zeros(10), 2)
+    p = normalized_flip_probabilities(np.zeros(10), 0.3, 2)
     assert np.allclose(p, 0.2, atol=1e-12)
 
 
 def test_normalized_kernel_sums_to_d_without_clamping():
     rng = np.random.default_rng(3)
-    s = rng.uniform(-0.5, 0.5, 30)
-    x = rng.integers(0, 2, 30)
-    p = normalized_flip_probabilities(s, x, 3)
+    delta = rng.uniform(-0.5, 0.5, 30)
+    p = normalized_flip_probabilities(delta, 0.5, 3)
     assert p.sum() == pytest.approx(3.0, abs=1e-9)
     assert (p < 1).all()
+    # rows of a batch are normalized independently
+    P = normalized_flip_probabilities(np.stack([delta, -delta]), 0.5, 3)
+    assert np.allclose(P.sum(axis=1), 3.0, atol=1e-9)
 
 
 def test_normalized_kernel_clamps_dominant_coordinate():
-    s = np.zeros(6)
-    s[0] = 80.0  # sigmoid ~ 1 vs sigmoid(0) = 0.5 elsewhere
-    x = np.zeros(6)
-    p = normalized_flip_probabilities(s, x, 5)
+    delta = np.zeros(6)
+    delta[0] = 80.0  # sigmoid ~ 1 vs sigmoid(0) = 0.5 elsewhere
+    p = normalized_flip_probabilities(delta, 0.5, 5)
     raw = 5 * 1.0 / (1.0 + 5 * 0.5)
     assert raw > 1
     assert p[0] == 1.0
@@ -149,20 +172,22 @@ def test_normalized_kernel_clamps_dominant_coordinate():
 
 def test_normalized_kernel_rejects_bad_d():
     with pytest.raises(ValueError):
-        normalized_flip_probabilities(np.zeros(4), np.zeros(4), 5)
+        normalized_flip_probabilities(np.zeros(4), 0.5, 5)
+    with pytest.raises(ValueError):
+        normalized_flip_probabilities(np.zeros(4), 0.0, 2)
 
 
 def test_normalized_kernel_matches_engine_form():
-    # the engine evaluates the kernel via delta/(2 tau) = s_i (1 - 2 x_i) / 2
+    # the kernel on Delta equals the score form: delta/(2 tau) = s_i (1 - 2 x_i) / 2
     rng = np.random.default_rng(4)
     g = generate_er(12, 0.4, seed=4)
     m = EnergyModel("mis", g, beta=1.02)
     x = rng.integers(0, 2, 12).astype(np.int8)
     tau = 0.7
-    cfg = small_cfg(d=3, kernel="normalized")
-    engine_p = _rlsa_flip_fn(cfg)(m.delta(x)[None, :], tau)[0]
     score = -m.gradient(x) / tau
-    assert np.allclose(engine_p, normalized_flip_probabilities(score, x, 3), atol=1e-12)
+    sig = expit(0.5 * score * (1.0 - 2.0 * x))
+    score_p = np.clip(3 * sig / sig.sum(), 0.0, 1.0)
+    assert np.allclose(normalized_flip_probabilities(m.delta(x), tau, 3), score_p, atol=1e-12)
 
 
 # -- config validation -----------------------------------------------------------
@@ -184,6 +209,25 @@ def test_sampler_config_validation():
         small_cfg(seed=-1)
     with pytest.raises(ValueError):
         small_cfg(kernel="cauchy")
+    # of d and alpha, exactly the one the kernel takes is set
+    with pytest.raises(ValueError, match="requires d"):
+        small_cfg(d=None)
+    with pytest.raises(ValueError, match="does not take alpha"):
+        small_cfg(alpha=0.1)
+    with pytest.raises(ValueError, match="does not take alpha"):
+        small_cfg(kernel="normalized", alpha=0.1)
+    with pytest.raises(ValueError, match="does not take d"):
+        small_cfg(kernel="ld", alpha=0.1)
+    with pytest.raises(TypeError):
+        SamplerConfig(0.01, 100, 8, 2)  # keyword-only: no silent field shifts
+
+
+def test_kernel_table_names_the_fields_each_rule_takes():
+    assert {name: params for name, (params, _) in KERNELS.items()} == {
+        "regularized": ("d", "epsilon"),
+        "normalized": ("d",),
+        "ld": ("alpha",),
+    }
 
 
 @pytest.mark.parametrize("bad", [
@@ -208,45 +252,44 @@ def test_rlsa_step_is_pure_and_repeatable():
     g = generate_er(20, 0.3, seed=5)
     m = EnergyModel("mis", g, beta=1.02)
     cfg = small_cfg(d=3)
-    state = make_chain_state(m, cfg, chain_id=0)
-    before = copy.deepcopy(state.rng.bit_generator.state)
-    s1 = rlsa_step(state, m, 0.01, cfg)
-    s2 = rlsa_step(state, m, 0.01, cfg)
-    assert np.array_equal(s1.x, s2.x)
-    assert s1.energy == s2.energy
-    assert state.rng.bit_generator.state == before  # input untouched
+    x0 = chain_rng(cfg.seed, 0).integers(0, 2, size=20)
+    before1, after1, out1 = one_engine_step(m, cfg, 0)
+    before2, after2, out2 = one_engine_step(m, cfg, 0)
+    assert np.array_equal(before1, x0) and np.array_equal(before2, x0)
+    assert np.array_equal(after1, after2)
+    for a, b in zip(out1, out2):
+        assert np.array_equal(a, b)
+    assert out1[2][0, 0] == m.energy(after1)
+    init = x0.astype(np.int8)
+    one_engine_step(m, cfg, 0, init)
+    assert np.array_equal(init, x0)  # input untouched
 
 
 def test_rlsa_step_best_tracking_monotone():
     g = generate_er(16, 0.4, seed=6)
     m = EnergyModel("mis", g, beta=1.02)
     cfg = small_cfg(d=2, steps=50)
-    state = make_chain_state(m, cfg, chain_id=1)
-    for t in range(1, 51):
-        nxt = rlsa_step(state, m, temperature(t, cfg), cfg)
-        assert nxt.best_energy <= state.best_energy
-        assert nxt.best_energy == m.energy(nxt.best_x)
-        state = nxt
+    best_X, best_E, energy_traj, best_traj = _run_chain_block(m, cfg, [1], None)
+    energies, bests = energy_traj[:, 0], best_traj[:, 0]
+    assert (np.diff(bests) <= 0).all()
+    assert bests[0] <= energies[0]
+    assert np.array_equal(bests[1:], np.minimum(bests[:-1], energies[1:]))
+    assert best_E[0] == bests[-1] == m.energy(best_X[0])
 
 
 def test_rlsa_step_flips_exactly_top_d_at_tiny_tau():
     g = generate_er(24, 0.3, seed=7)
     m = EnergyModel("mis", g, beta=1.02)
-    cfg = small_cfg(d=4, steps=10)
-    state = make_chain_state(m, cfg, chain_id=2)
-    delta = m.delta(state.x)
-    assert np.unique(delta).size == delta.size or True  # ties unlikely; top-d by value below
+    cfg = small_cfg(d=4, tau0=1e-8)
+    x0 = chain_rng(cfg.seed, 2).integers(0, 2, size=24)
+    delta = m.delta(x0)
+    ranked = np.sort(delta)[::-1]
+    assert ranked[3] > ranked[4]  # strict gap at rank d: the top d are well defined
     top_d = np.argsort(delta)[::-1][:4]
-    nxt = rlsa_step(state, m, 1e-8, cfg)
-    flipped = np.flatnonzero(nxt.x != state.x)
+    before, after, _ = one_engine_step(m, cfg, 2)
+    assert np.array_equal(before, x0)
+    flipped = np.flatnonzero(after != before)
     assert set(flipped.tolist()) == set(top_d.tolist())
-
-
-def test_rlsa_step_rejects_d_above_n():
-    m = EnergyModel("mis", triangle(), beta=1.02)
-    state = make_chain_state(m, small_cfg(d=2), chain_id=0)
-    with pytest.raises(ValueError):
-        rlsa_step(state, m, 0.01, small_cfg(d=4))
 
 
 # -- full runs --------------------------------------------------------------------
@@ -296,27 +339,39 @@ def test_chains_are_independent_of_grouping():
     g = generate_er(25, 0.3, seed=10)
     m = EnergyModel("mis", g, beta=1.02)
     cfg = small_cfg(d=2, steps=30, chains=5)
-    flip = _rlsa_flip_fn(cfg)
-    joint = _run_chain_block(m, flip, cfg.tau0, cfg.steps, list(range(5)), cfg.seed, None)
+    joint = _run_chain_block(m, cfg, list(range(5)), None)
     for k in range(5):
-        alone = _run_chain_block(m, flip, cfg.tau0, cfg.steps, [k], cfg.seed, None)
+        alone = _run_chain_block(m, cfg, [k], None)
         assert np.array_equal(joint[0][k], alone[0][0])
         assert joint[1][k] == alone[1][0]
         assert np.array_equal(joint[2][:, k], alone[2][:, 0])
         assert np.array_equal(joint[3][:, k], alone[3][:, 0])
 
 
-def test_engine_agrees_with_stepwise_chain():
-    g = generate_er(18, 0.3, seed=11)
-    m = EnergyModel("mis", g, beta=1.02)
-    cfg = small_cfg(d=2, steps=25, chains=1, seed=13)
-    res = run_rlsa(m, cfg)
-    state = make_chain_state(m, cfg, chain_id=0)
-    bests = []
-    for t in range(1, cfg.steps + 1):
-        state = rlsa_step(state, m, temperature(t, cfg), cfg)
-        bests.append(state.best_energy)
-    assert np.array_equal(res.trajectory.best_energy, np.array(bests))
+def _oracle_models():
+    rng = np.random.default_rng(11)
+    yield EnergyModel("mis", generate_er(18, 0.3, seed=11), beta=1.02)
+    yield EnergyModel("mcl", generate_er(14, 0.6, seed=12), beta=1.02)
+    yield EnergyModel("mcut", generate_ba(20, 2, seed=13))
+    g = generate_er(16, 0.3, seed=14)
+    yield EnergyModel("qubo", g, linear=rng.normal(size=16), quad_scale=0.7,
+                      edge_weights=rng.normal(size=g.num_edges))
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_engine_matches_reference_chain(kernel):
+    # every chain of a jointly run block equals the plain single-vector loop
+    rate = dict(alpha=0.05) if kernel == "ld" else dict(d=3)
+    for m in _oracle_models():
+        tau0 = 0.5 if m.kind in ("mcut", "qubo") else 0.05
+        cfg = SamplerConfig(tau0=tau0, steps=25, chains=5, seed=13, kernel=kernel, **rate)
+        best_X, best_E, energy_traj, best_traj = _run_chain_block(m, cfg, range(5), None)
+        for k in range(5):
+            x, e, energies, bests = reference_chain(m, cfg, k)
+            assert np.array_equal(best_X[k], x), (m.kind, k)
+            assert best_E[k] == e
+            assert np.array_equal(energy_traj[:, k], energies)
+            assert np.array_equal(best_traj[:, k], bests)
 
 
 def test_trajectory_best_energy_non_increasing():
