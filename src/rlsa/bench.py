@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import integer
-from .energy import EnergyModel
+from ._checks import finite_float, integer
+from .energy import EnergyModel, check_beta
 from .graph import Graph, generate_ba, generate_er, read_instance
 from .postprocess import gap_curve, summarize
 from .sampler import KERNELS, RunResult, SamplerConfig, run_rlsa
@@ -70,6 +70,8 @@ class ExperimentConfig:
         if (self.instance is None) == (self.generate is None):
             raise ValueError("exactly one of --instance and --generate is required")
         self.threads = integer("threads", self.threads, 1)
+        check_beta(self.problem, self.beta)
+        finite_float("qubo_scale", self.qubo_scale)
         if self.problem == "qubo" and self.qubo_linear is None:
             raise ValueError("--qubo-linear FILE is required for --problem qubo")
         missing = [
@@ -273,7 +275,7 @@ def emit_trajectory(result: RunResult, path, ref_energy: float | None = None) ->
     """Write the per-step trajectory CSV; adds a primal_gap column when a
     reference energy is available."""
     traj = result.trajectory
-    columns = ["step", "tau", "best_energy", "mean_energy"]
+    columns = ["step", "tau", "best_energy", "mean_energy", "mean_flips"]
     gaps = None
     if ref_energy is not None:
         columns.append("primal_gap")
@@ -281,7 +283,8 @@ def emit_trajectory(result: RunResult, path, ref_energy: float | None = None) ->
     lines = [",".join(columns)]
     for i in range(len(traj)):
         row = [str(int(traj.step[i])), repr(float(traj.tau[i])),
-               repr(float(traj.best_energy[i])), repr(float(traj.mean_energy[i]))]
+               repr(float(traj.best_energy[i])), repr(float(traj.mean_energy[i])),
+               repr(float(traj.mean_flips[i]))]
         if gaps is not None:
             row.append(repr(float(gaps[i])))
         lines.append(",".join(row))

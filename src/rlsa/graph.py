@@ -44,11 +44,15 @@ class Graph:
         return self._edges
 
     def adjacency_csr(self):
-        """Adjacency matrix as a scipy CSR matrix with unit float weights (cached)."""
+        """Adjacency matrix as a scipy CSR matrix with unit weights (cached).
+
+        The weights are float32: ones are exact in any float type, and the
+        value array takes half the bytes of float64.
+        """
         if self._csr is None:
             from scipy.sparse import csr_matrix
 
-            data = np.ones(self.neighbors.size, dtype=np.float64)
+            data = np.ones(self.neighbors.size, dtype=np.float32)
             self._csr = csr_matrix(
                 (data, self.neighbors, self.offsets),
                 shape=(self.num_nodes, self.num_nodes),

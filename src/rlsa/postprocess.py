@@ -21,10 +21,11 @@ def greedy_decode(model, x):
     round. Each round rebuilds Delta for the still-active rows from the
     cached product, and each flip of node ``i`` refreshes the product only
     on ``i``'s neighbours. That refresh is exact, so every Delta equals the
-    one a full product would give, bit for bit: with integer weights whose
-    row sums of ``|w|`` stay below 2**53 (always so for mis, mcl, mcut and
-    unweighted qubo) it adds column ``i``; otherwise it recomputes the
-    neighbour rows of the product in the same CSR order as the full one.
+    one a full product would give, bit for bit: when the model multiplies
+    in float32 (integer weights whose row sums of ``|w|`` stay below 2**24,
+    always so for mis, mcl, mcut and unweighted qubo) it adds column ``i``;
+    otherwise it recomputes the neighbour rows of the product in the same
+    CSR order as the full one.
 
     Accepts a single solution of shape (N,) or a batch (B, N); rows are
     decoded independently.

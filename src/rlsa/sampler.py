@@ -183,6 +183,7 @@ class Trajectory:
     tau: np.ndarray
     best_energy: np.ndarray  # global best across chains, running minimum
     mean_energy: np.ndarray  # mean current energy over chains
+    mean_flips: np.ndarray  # bits flipped in the step, mean over chains
 
     def __len__(self) -> int:
         return self.step.size
@@ -211,7 +212,9 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init):
     running each chain alone with its derived stream.
 
     Each step makes one ``model.delta`` and one ``model.energy`` call on the
-    whole block and consumes N uniforms per chain.
+    whole block and consumes N uniforms per chain. Returns the best states
+    and energies and, per step and chain, the energy, the running best and
+    the number of bits flipped.
     """
     rule = KERNELS[cfg.kernel][1]
     k = len(chain_ids)
@@ -226,25 +229,29 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init):
     best_E = E.copy()
     energy_traj = np.empty((cfg.steps, k))
     best_traj = np.empty((cfg.steps, k))
+    flips_traj = np.empty((cfg.steps, k), dtype=np.int64)
     for t in range(1, cfg.steps + 1):
         tau = linear_temperature(t, cfg.tau0, cfg.steps)
         P = rule(cfg, model.delta(X), tau)
         U = np.stack([rng.random(n) for rng in rngs])
-        X = np.where(U < P, 1.0 - X, X)
+        flip = U < P
+        X = np.where(flip, 1.0 - X, X)
         E = model.energy(X)
         improved = E < best_E
         best_X[improved] = X[improved]
         best_E[improved] = E[improved]
         energy_traj[t - 1] = E
         best_traj[t - 1] = best_E
-    return best_X, best_E, energy_traj, best_traj
+        flips_traj[t - 1] = np.count_nonzero(flip, axis=1)
+    return best_X, best_E, energy_traj, best_traj, flips_traj
 
 
 def _empty_result(model) -> RunResult:
     x = np.zeros(0, dtype=np.int8)
     empty = np.empty(0)
     traj = Trajectory(step=np.empty(0, dtype=np.int64), tau=empty,
-                      best_energy=empty.copy(), mean_energy=empty.copy())
+                      best_energy=empty.copy(), mean_energy=empty.copy(),
+                      mean_flips=empty.copy())
     objective = None if model.kind == "qubo" else model.objective(x)
     return RunResult(best_x=x, best_energy=float(model.energy(x)),
                      objective=objective, trajectory=traj, wall_time=0.0,
@@ -282,6 +289,7 @@ def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResul
     best_E = np.concatenate([o[1] for o in outputs])
     energy_traj = np.hstack([o[2] for o in outputs])
     best_traj = np.hstack([o[3] for o in outputs])
+    flips_traj = np.hstack([o[4] for o in outputs])
 
     steps = cfg.steps
     taus = np.array([linear_temperature(t, cfg.tau0, steps) for t in range(1, steps + 1)])
@@ -290,6 +298,7 @@ def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResul
         tau=taus,
         best_energy=best_traj.min(axis=1),
         mean_energy=energy_traj.mean(axis=1),
+        mean_flips=flips_traj.mean(axis=1),
     )
 
     winner = int(np.argmin(best_E))  # lowest chain id on ties

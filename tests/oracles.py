@@ -1,6 +1,7 @@
 """Independent brute-force oracles and small-graph builders shared by tests."""
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 from rlsa import EnergyModel, from_edge_list, generate_ba, generate_er
@@ -68,6 +69,19 @@ def random_small_graph(rng, n_min=2, n_max=12):
     return generate_er(n, p, seed)
 
 
+def reference_product(graph, X, weights=None):
+    """``A @ X`` per row of X, in float64, from a CSR built here from the
+    edge list and the per-edge weights (default all ones)."""
+    n = graph.num_nodes
+    dense = np.zeros((n, n))
+    u, v = graph.edge_array().T
+    w = 1.0 if weights is None else np.asarray(weights, dtype=np.float64)
+    dense[u, v] = w
+    dense[v, u] = w
+    X = np.atleast_2d(np.asarray(X)).astype(np.float64)
+    return (csr_matrix(dense) @ X.T).T
+
+
 def reference_decode(model, x):
     """Greedy decode with one full flip-drop evaluation per round: flip the
     lowest-index argmax while its drop is positive."""
@@ -95,7 +109,8 @@ def reference_decode(model, x):
 
 def reference_chain(model, cfg, chain_id):
     """One chain of the annealing engine as a plain loop on a single vector:
-    (best_x, best_energy, energy per step, best energy per step).
+    (best_x, best_energy, energy per step, best energy per step, bits
+    flipped per step).
 
     Shares no code with rlsa.sampler: the chain's stream is derived here,
     the d-th largest Delta comes from a full sort, and each flip rule is
@@ -106,7 +121,7 @@ def reference_chain(model, cfg, chain_id):
     n = model.num_nodes
     x = rng.integers(0, 2, size=n).astype(np.float64)
     best_x, best_e = x.copy(), model.energy(x)
-    energies, bests = [], []
+    energies, bests, flips = [], [], []
     for t in range(1, cfg.steps + 1):
         tau = cfg.tau0 * (1.0 - (t - 1) / cfg.steps)
         delta = model.delta(x)
@@ -121,10 +136,12 @@ def reference_chain(model, cfg, chain_id):
         else:
             raise ValueError(f"no reference for kernel {cfg.kernel!r}")
         u = rng.random(n)
-        x = np.where(u < p, 1.0 - x, x)
+        flipped = np.where(u < p, 1.0 - x, x)
+        flips.append(int((flipped != x).sum()))
+        x = flipped
         e = model.energy(x)
         if e < best_e:
             best_x, best_e = x.copy(), e
         energies.append(e)
         bests.append(best_e)
-    return best_x, best_e, np.array(energies), np.array(bests)
+    return best_x, best_e, np.array(energies), np.array(bests), np.array(flips)

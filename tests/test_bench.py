@@ -83,7 +83,7 @@ def test_trajectory_csv(tmp_path):
                  "--d", "1", "--steps", "40", "--chains", "4", "--out", str(out),
                  "--trajectory"]) == 0
     lines = (out / "k3.trajectory.csv").read_text().splitlines()
-    assert lines[0] == "step,tau,best_energy,mean_energy"
+    assert lines[0] == "step,tau,best_energy,mean_energy,mean_flips"
     assert len(lines) == 41
     first = lines[1].split(",")
     assert first[0] == "1"
@@ -101,8 +101,8 @@ def test_trajectory_gap_column_with_references(tmp_path):
                  "--d", "1", "--steps", "30", "--chains", "8", "--out", str(out),
                  "--trajectory", "--ref-energies", str(refs)]) == 0
     lines = (out / "k3.trajectory.csv").read_text().splitlines()
-    assert lines[0] == "step,tau,best_energy,mean_energy,primal_gap"
-    gaps = [float(line.split(",")[4]) for line in lines[1:]]
+    assert lines[0] == "step,tau,best_energy,mean_energy,mean_flips,primal_gap"
+    gaps = [float(line.split(",")[5]) for line in lines[1:]]
     assert all(0.0 <= g <= 1.0 for g in gaps)
     assert gaps[-1] == 0.0
 
@@ -289,6 +289,25 @@ def test_bad_thread_count_fails_before_writing(tmp_path, threads):
     cfg = ExperimentConfig(problem="mis", instance=str(instance), tau0=0.01, d=2,
                            steps=10, chains=2, out=str(out), threads=threads)
     assert run_experiment(cfg) != 0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--problem", "mis", "--beta", "0.9"],
+    ["--problem", "mcl", "--beta", "1.0"],
+    ["--problem", "mis", "--beta", "nan"],
+    ["--problem", "mcut", "--beta", "-1"],
+    ["--problem", "mcut", "--beta", "inf"],
+    ["--problem", "qubo", "--qubo-scale", "nan"],
+], ids=["mis-below-1", "mcl-at-1", "nan", "negative", "inf", "qubo-scale-nan"])
+def test_bad_beta_fails_before_writing(tmp_path, flags):
+    instance = write_k3(tmp_path)
+    linear = tmp_path / "linear.txt"
+    linear.write_text("0.5\n-1.0\n0.25\n")
+    out = tmp_path / "out"
+    args = ["--instance", str(instance), "--tau0", "0.01", "--d", "2", "--steps", "10",
+            "--chains", "2", "--qubo-linear", str(linear), "--out", str(out)]
+    assert main(args + flags) == 2
     assert not out.exists()
 
 

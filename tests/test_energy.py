@@ -8,6 +8,7 @@ from oracles import (
     flip_drop_oracle,
     path3,
     random_small_graph,
+    reference_product,
     single_edge,
     triangle,
 )
@@ -263,6 +264,63 @@ def test_exact_update_rule_follows_the_weights():
     # each row sums two weights of 2**52: integer, but past the exact range
     assert not EnergyModel("qubo", g, linear=lin, quad_scale=1.0,
                            edge_weights=[2.0 ** 52] * 3)._exact_updates
+
+
+def _random_weights(case, rng, size):
+    if case == "unweighted":
+        return None
+    if case == "integer-weights":
+        return rng.integers(-9, 10, size=size).astype(np.float64)
+    return rng.normal(size=size)
+
+
+@pytest.mark.parametrize("case, dtype", [
+    ("unweighted", np.float32),
+    ("integer-weights", np.float32),
+    ("normal-weights", np.float64),
+])
+def test_products_match_a_float64_reference_bit_for_bit(case, dtype):
+    # Whichever dtype the model multiplies in, A @ X and everything computed
+    # from it equal the float64 product of a CSR built here from the edges.
+    rng = np.random.default_rng(["unweighted", "integer-weights", "normal-weights"].index(case))
+    for _ in range(20):
+        g = random_small_graph(rng, n_min=2, n_max=40)
+        n = g.num_nodes
+        w = _random_weights(case, rng, g.num_edges)
+        lin, q = rng.normal(size=n), 0.7
+        m = EnergyModel("qubo", g, linear=lin, quad_scale=q, edge_weights=w)
+        assert m._A.dtype == dtype
+        for X in (rng.integers(0, 2, size=(7, n)), rng.integers(0, 2, size=(1, n))):
+            X = X.astype(np.float64)
+            ref = reference_product(g, X, w)
+            ax = m._ax(X)
+            assert ax.dtype == np.float64 and np.array_equal(ax, ref)
+            assert np.array_equal(m.delta(X), (2.0 * X - 1.0) * (2.0 * q * ref + lin))
+            energy = (X * lin).sum(axis=1) + q * (X * ref).sum(axis=1)
+            assert np.array_equal(m.energy(X), energy)
+            assert np.array_equal(m.delta(X[0]), m.delta(X)[0])
+            assert m.energy(X[0]) == energy[0]
+        for kind in ("mis", "mcl", "mcut"):
+            ax = EnergyModel(kind, g, beta=1.02)._ax(X)
+            assert ax.dtype == np.float64 and np.array_equal(ax, reference_product(g, X))
+
+
+@pytest.mark.parametrize("weights, dtype", [
+    ([2.0 ** 23, 2.0 ** 23 - 1, 1.0], np.float32),  # row 0 sums to 2**24 - 1
+    ([2.0 ** 23, 2.0 ** 23, 1.0], np.float64),  # row 0 sums to 2**24
+    ([-(2.0 ** 23), 2.0 ** 23, 1.0], np.float64),  # |w| counts: 2**24, signed sum 0
+    ([2.0 ** 24, 1.0, 1.0], np.float64),  # float32 would round 2**24 + 1
+], ids=["below", "at", "abs", "above"])
+def test_float32_products_stop_below_row_sum_2_24(weights, dtype):
+    # triangle edges (0, 1), (0, 2), (1, 2): row 0 sums the first two weights
+    g = triangle()
+    m = EnergyModel("qubo", g, linear=np.zeros(3), quad_scale=0.7, edge_weights=weights)
+    assert m._A.dtype == dtype
+    assert m._exact_updates == (dtype == np.float32)
+    X = all_bitvectors(3).astype(np.float64)
+    ref = reference_product(g, X, weights)
+    assert np.array_equal(m._ax(X), ref)
+    assert np.array_equal(m.delta(X), (2.0 * X - 1.0) * (2.0 * 0.7 * ref))
 
 
 def test_solution_validation():

@@ -78,13 +78,21 @@ def _parity_model(case, g, rng):
     if case == "qubo-normal-weights":
         return EnergyModel("qubo", g, linear=rng.normal(size=n), quad_scale=0.7,
                            edge_weights=rng.normal(size=e))
-    # weights and linear terms on a 0.1 grid: many flips tie at an exact
-    # zero gain, where any rounding difference in A @ x changes the decode
-    return EnergyModel("qubo", g, linear=np.round(rng.normal(size=n), 1), quad_scale=1.0,
-                       edge_weights=np.round(rng.normal(size=e), 1))
+    if case == "qubo-rounded-weights":
+        # weights and linear terms on a 0.1 grid: many flips tie at an exact
+        # zero gain, where any rounding difference in A @ x changes the decode
+        return EnergyModel("qubo", g, linear=np.round(rng.normal(size=n), 1), quad_scale=1.0,
+                           edge_weights=np.round(rng.normal(size=e), 1))
+    # small integers tie at zero gain too; scaled by 2**24 + 1 their row
+    # sums pass 2**24, so the product stays float64 and decode recomputes
+    # neighbour rows instead of adding columns
+    scale = 1.0 if case == "qubo-integer-weights" else 2.0 ** 24 + 1
+    return EnergyModel("qubo", g, linear=scale * rng.integers(-3, 4, size=n), quad_scale=1.0,
+                       edge_weights=scale * rng.integers(-3, 4, size=e))
 
 
-PARITY_CASES = ["mis", "mcl", "mcut", "qubo", "qubo-normal-weights", "qubo-rounded-weights"]
+PARITY_CASES = ["mis", "mcl", "mcut", "qubo", "qubo-normal-weights", "qubo-rounded-weights",
+                "qubo-integer-weights", "qubo-big-integer-weights"]
 
 
 @pytest.mark.parametrize("case", PARITY_CASES)

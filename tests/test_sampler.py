@@ -269,7 +269,7 @@ def test_rlsa_step_best_tracking_monotone():
     g = generate_er(16, 0.4, seed=6)
     m = EnergyModel("mis", g, beta=1.02)
     cfg = small_cfg(d=2, steps=50)
-    best_X, best_E, energy_traj, best_traj = _run_chain_block(m, cfg, [1], None)
+    best_X, best_E, energy_traj, best_traj, _ = _run_chain_block(m, cfg, [1], None)
     energies, bests = energy_traj[:, 0], best_traj[:, 0]
     assert (np.diff(bests) <= 0).all()
     assert bests[0] <= energies[0]
@@ -333,6 +333,7 @@ def test_worker_count_does_not_change_results():
     assert r1.best_energy == r4.best_energy
     assert np.array_equal(r1.trajectory.best_energy, r4.trajectory.best_energy)
     assert np.array_equal(r1.trajectory.mean_energy, r4.trajectory.mean_energy)
+    assert np.array_equal(r1.trajectory.mean_flips, r4.trajectory.mean_flips)
 
 
 def test_chains_are_independent_of_grouping():
@@ -346,6 +347,7 @@ def test_chains_are_independent_of_grouping():
         assert joint[1][k] == alone[1][0]
         assert np.array_equal(joint[2][:, k], alone[2][:, 0])
         assert np.array_equal(joint[3][:, k], alone[3][:, 0])
+        assert np.array_equal(joint[4][:, k], alone[4][:, 0])
 
 
 def _oracle_models():
@@ -365,13 +367,15 @@ def test_engine_matches_reference_chain(kernel):
     for m in _oracle_models():
         tau0 = 0.5 if m.kind in ("mcut", "qubo") else 0.05
         cfg = SamplerConfig(tau0=tau0, steps=25, chains=5, seed=13, kernel=kernel, **rate)
-        best_X, best_E, energy_traj, best_traj = _run_chain_block(m, cfg, range(5), None)
+        best_X, best_E, energy_traj, best_traj, flips_traj = _run_chain_block(
+            m, cfg, range(5), None)
         for k in range(5):
-            x, e, energies, bests = reference_chain(m, cfg, k)
+            x, e, energies, bests, flips = reference_chain(m, cfg, k)
             assert np.array_equal(best_X[k], x), (m.kind, k)
             assert best_E[k] == e
             assert np.array_equal(energy_traj[:, k], energies)
             assert np.array_equal(best_traj[:, k], bests)
+            assert np.array_equal(flips_traj[:, k], flips)
 
 
 def test_trajectory_best_energy_non_increasing():
@@ -416,7 +420,33 @@ def test_run_rlsa_empty_graph():
     assert res.best_energy == 0.0
     assert res.objective == 0
     assert len(res.trajectory) == 0
+    assert res.trajectory.mean_flips.shape == (0,)
     assert res.decode_flips == 0 and res.decode_gain == 0.0
+
+
+def test_mean_flips_averages_the_flip_mask_over_all_chains():
+    # blocks of 3 and 2 chains combine by chain count, not by block
+    g = generate_er(30, 0.2, seed=15)
+    m = EnergyModel("mis", g, beta=1.02)
+    cfg = small_cfg(d=3, steps=20, chains=5)
+    res = run_rlsa(m, cfg, workers=2)
+    flips = np.column_stack([reference_chain(m, cfg, k)[4] for k in range(5)])
+    assert np.array_equal(res.trajectory.mean_flips, flips.mean(axis=1))
+
+
+def test_mean_flips_tends_to_d_at_tiny_tau():
+    # At tau -> 0 the regularized rule flips exactly the coordinates whose
+    # Delta reaches the d-th largest: d of them when Delta has no ties
+    # (continuous qubo weights), at least d when integer Deltas tie at rank d.
+    rng = np.random.default_rng(16)
+    g = generate_er(60, 0.1, seed=16)
+    qubo = EnergyModel("qubo", g, linear=rng.normal(size=60), quad_scale=0.7,
+                       edge_weights=rng.normal(size=g.num_edges))
+    res = run_rlsa(qubo, small_cfg(d=5, tau0=1e-8, steps=60, chains=16))
+    assert np.array_equal(res.trajectory.mean_flips[-30:], np.full(30, 5.0))
+    mis = EnergyModel("mis", g, beta=1.02)
+    res = run_rlsa(mis, small_cfg(d=5, tau0=1e-8, steps=60, chains=16))
+    assert (res.trajectory.mean_flips >= 5.0).all()
 
 
 def test_run_result_reports_what_decode_changed(monkeypatch):
