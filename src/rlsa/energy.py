@@ -12,9 +12,22 @@ sum is an integer that float32 holds exactly, so the float32 product cast
 back to float64 equals the float64 product bit for bit, in half the bytes.
 Unit weights (mis, mcl, mcut, unweighted qubo) qualify whenever every
 degree is below 2**24; non-integer weights always take float64.
+
+Each thread's last product is remembered. An annealing step needs the
+energy of the new state and, at the start of the next step, its Delta;
+both come from the same ``A @ X``, so the second call reuses the first's
+product and a step costs one sparse product, not two. The memo is keyed on
+the batch's content, not its identity: a bool copy of the last batch is
+compared entry by entry, so a batch changed in place, or of another shape,
+is multiplied afresh, and a hit returns exactly the product a fresh model
+would compute. It is per thread (``threading.local``) because worker
+threads run chain blocks on one shared model. The stored product is
+read-only; callers that update it copy it first.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -99,6 +112,7 @@ class EnergyModel:
         # _flip_ax are exact under the same row-sum condition.
         self._exact_updates = bool(exact)
         self._A = A.astype(np.float32 if exact else np.float64, copy=False)
+        self._memo = threading.local()  # this thread's last batch and its product
 
     @property
     def num_nodes(self) -> int:
@@ -171,11 +185,21 @@ class EnergyModel:
         return arr.astype(np.float64, copy=False), single
 
     def _ax(self, X):
-        # (B, N) -> (B, N) float64; per-column CSR accumulation keeps each
-        # row's result independent of the batch size. The cast back matters:
-        # a float32 result would turn the callers' arithmetic float32 too.
+        # (B, N) binary -> (B, N) float64, read-only; per-column CSR
+        # accumulation keeps each row's result independent of the batch size.
+        # The cast back matters: a float32 result would turn the callers'
+        # arithmetic float32 too. A batch equal to this thread's last one
+        # returns the stored product (see the module docstring).
+        memo = self._memo
+        key = getattr(memo, "key", None)
+        if key is not None and np.array_equal(key, X):  # same shape and entries
+            return memo.ax
         A = self._A
-        return (A @ np.ascontiguousarray(X.T, dtype=A.dtype)).T.astype(np.float64, copy=False)
+        ax = (A @ np.ascontiguousarray(X.T, dtype=A.dtype)).T.astype(np.float64, copy=False)
+        ax.flags.writeable = False
+        memo.key = X.astype(bool)  # exact: X is binary
+        memo.ax = ax
+        return ax
 
     def _flip_ax(self, ax, x, i):
         """Bring ``ax == self._ax(x)`` up to date in place after bit ``i`` of

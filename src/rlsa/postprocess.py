@@ -32,7 +32,7 @@ def greedy_decode(model, x):
     """
     X, single = model._as_batch(x)
     X = X.copy()
-    AX = model._ax(X)
+    AX = model._ax(X).copy()  # the model's product is read-only
     active = np.ones(X.shape[0], dtype=bool)
     # Strict improvement bounds total flips; the cap only guards degenerate
     # user-supplied qubo coefficients.

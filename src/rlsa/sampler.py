@@ -94,7 +94,8 @@ def normalized_flip_probabilities(delta, tau: float, d: int):
 
     For an energy model, delta_i / (2 tau) = s_i (1 - 2 x_i) / 2 with the
     score s = -grad H / tau. Outputs are clamped to [0, 1]; absent clamping
-    the probabilities sum to d exactly.
+    the probabilities sum to d exactly. A row whose sigmoids all underflow
+    to 0 takes the limit of that rescaling, d * softmax(delta / (2 tau)).
     """
     D = np.asarray(delta, dtype=np.float64)
     n = D.shape[-1]
@@ -102,8 +103,17 @@ def normalized_flip_probabilities(delta, tau: float, d: int):
         raise ValueError(f"d must be in 1..{n}, got {d}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    sig = expit(D / (2.0 * tau))
-    return np.clip(d * sig / sig.sum(axis=-1, keepdims=True), 0.0, 1.0)
+    z = D / (2.0 * tau)
+    sig = expit(z)
+    total = sig.sum(axis=-1, keepdims=True)
+    dead = total == 0
+    if dead.any():
+        # Every sigmoid of the row underflowed. There sigmoid(z) ~ exp(z), so
+        # the rescaled scores tend to d * softmax(z); only such rows take it.
+        soft = np.exp(z - z.max(axis=-1, keepdims=True))
+        sig = np.where(dead, soft, sig)
+        total = np.where(dead, soft.sum(axis=-1, keepdims=True), total)
+    return np.clip(d * sig / total, 0.0, 1.0)
 
 
 def ld_flip_probabilities(delta, alpha: float, tau: float):
@@ -212,9 +222,13 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init):
     running each chain alone with its derived stream.
 
     Each step makes one ``model.delta`` and one ``model.energy`` call on the
-    whole block and consumes N uniforms per chain. Returns the best states
-    and energies and, per step and chain, the energy, the running best and
-    the number of bits flipped.
+    whole block and consumes N uniforms per chain, drawn into one reused
+    buffer. It costs one sparse product per step: ``model.energy`` on the
+    new state computes ``A @ X`` and the next step's ``model.delta`` on the
+    same state reuses it through the model's per-thread memo, so a block
+    makes ``steps + 1`` products. Returns the best states and energies and,
+    per step and chain, the energy, the running best and the number of bits
+    flipped.
     """
     rule = KERNELS[cfg.kernel][1]
     k = len(chain_ids)
@@ -230,10 +244,12 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init):
     energy_traj = np.empty((cfg.steps, k))
     best_traj = np.empty((cfg.steps, k))
     flips_traj = np.empty((cfg.steps, k), dtype=np.int64)
+    U = np.empty((k, n))
     for t in range(1, cfg.steps + 1):
         tau = linear_temperature(t, cfg.tau0, cfg.steps)
         P = rule(cfg, model.delta(X), tau)
-        U = np.stack([rng.random(n) for rng in rngs])
+        for rng, row in zip(rngs, U):
+            rng.random(out=row)
         flip = U < P
         X = np.where(flip, 1.0 - X, X)
         E = model.energy(X)

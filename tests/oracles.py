@@ -1,10 +1,33 @@
 """Independent brute-force oracles and small-graph builders shared by tests."""
 
+import threading
+
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 from rlsa import EnergyModel, from_edge_list, generate_ba, generate_er
+
+
+class CountingMatrix:
+    """Stands in for a model's sparse matrix and counts the products taken
+    with it, per thread."""
+
+    def __init__(self, A):
+        self.A = A
+        self.dtype = A.dtype
+        self.calls = {}
+        self._lock = threading.Lock()
+
+    def __matmul__(self, other):
+        with self._lock:
+            me = threading.get_ident()
+            self.calls[me] = self.calls.get(me, 0) + 1
+        return self.A @ other
+
+    @property
+    def total(self):
+        return sum(self.calls.values())
 
 
 def triangle():

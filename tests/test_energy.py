@@ -1,9 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 
 from rlsa import EnergyModel, from_edge_list, generate_er
 
 from oracles import (
+    CountingMatrix,
     all_bitvectors,
     flip_drop_oracle,
     path3,
@@ -346,3 +349,105 @@ def test_batch_matches_single_evaluation():
             assert m.energy(X[i]) == E[i]
             assert np.array_equal(m.delta(X[i]), D[i])
             assert m.violation(X[i]) == V[i]
+
+
+# -- the per-thread product memo ----------------------------------------------
+
+def _memo_models(rng):
+    g = generate_er(30, 0.2, seed=21)
+    yield lambda: EnergyModel("mis", g, beta=1.02)
+    yield lambda: EnergyModel("mcl", g, beta=1.02)
+    yield lambda: EnergyModel("mcut", g)
+    lin, w = rng.normal(size=30), rng.normal(size=g.num_edges)
+    yield lambda: EnergyModel("qubo", g, linear=lin, quad_scale=0.7, edge_weights=w)
+
+
+def _assert_like_fresh(make, m, X):
+    # every public evaluation equals the one of a model with an empty memo
+    for method in ("energy", "delta", "gradient"):
+        got = getattr(m, method)(X)
+        want = getattr(make(), method)(X)
+        assert np.array_equal(got, want), method
+
+
+def test_memo_follows_in_place_changes_of_one_batch():
+    rng = np.random.default_rng(22)
+    for make in _memo_models(rng):
+        m = make()
+        X = rng.integers(0, 2, size=(6, 30)).astype(np.float64)
+        for _ in range(15):
+            _assert_like_fresh(make, m, X)
+            i, j = rng.integers(0, 6), rng.integers(0, 30, size=3)
+            X[i, j] = 1.0 - X[i, j]  # same object, new content
+            _assert_like_fresh(make, m, X)
+            _assert_like_fresh(make, m, X[int(rng.integers(0, 6))])
+
+
+def test_memo_follows_shape_changes():
+    rng = np.random.default_rng(23)
+    for make in _memo_models(rng):
+        m = make()
+        X = rng.integers(0, 2, size=(6, 30)).astype(np.float64)
+        for batch in (X, X[:3], X, X[0], X[:1], X[::2], X[::-1], np.asfortranarray(X)):
+            _assert_like_fresh(make, m, batch)
+
+
+def test_memo_reuses_the_product_of_an_equal_batch():
+    m = EnergyModel("mis", generate_er(30, 0.2, seed=24), beta=1.02)
+    m._A = counter = CountingMatrix(m._A)
+    X = np.random.default_rng(24).integers(0, 2, size=(5, 30)).astype(np.float64)
+    m.energy(X)
+    m.delta(X.copy())
+    m.gradient(X.astype(np.int8))
+    assert counter.total == 1
+    m.delta(X[:4])
+    assert counter.total == 2
+
+
+def test_memo_product_is_read_only():
+    m = EnergyModel("mcut", generate_er(30, 0.2, seed=25))
+    X = np.random.default_rng(25).integers(0, 2, size=(4, 30)).astype(np.float64)
+    for ax in (m._ax(X), m._ax(X)):  # computed, then remembered
+        assert not ax.flags.writeable
+        with pytest.raises(ValueError):
+            ax[0, 0] = 1.0
+    # public results are the callers' own arrays
+    assert m.delta(X).flags.writeable and m.gradient(X).flags.writeable
+
+
+def test_memo_is_kept_per_thread():
+    # Two threads take strict turns on one model, each with its own batches
+    # of the same shape: energy(A), energy(B), delta(A), delta(B), ... Each
+    # thread's delta reuses the product of its own last energy call, and
+    # every value equals a fresh model's.
+    rng = np.random.default_rng(26)
+    for make in _memo_models(rng):
+        m = make()
+        m._A = counter = CountingMatrix(m._A)
+        rounds = 8
+        batches = rng.integers(0, 2, size=(2, rounds, 4, 30)).astype(np.float64)
+        turn = [0]
+        cond = threading.Condition()
+        results = [[], []]
+
+        def worker(who):
+            for call in range(2 * rounds):
+                with cond:
+                    cond.wait_for(lambda: turn[0] % 2 == who)
+                method = ("energy", "delta")[call % 2]
+                results[who].append(getattr(m, method)(batches[who, call // 2]))
+                with cond:
+                    turn[0] += 1
+                    cond.notify_all()
+
+        threads = [threading.Thread(target=worker, args=(w,)) for w in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert sorted(counter.calls.values()) == [rounds, rounds]
+        for who in (0, 1):
+            for r in range(rounds):
+                X = batches[who, r]
+                assert np.array_equal(results[who][2 * r], make().energy(X))
+                assert np.array_equal(results[who][2 * r + 1], make().delta(X))

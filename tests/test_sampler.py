@@ -1,8 +1,9 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, softmax
 
 from rlsa import (
     EnergyModel,
@@ -19,7 +20,7 @@ from rlsa import (
 )
 from rlsa.sampler import KERNELS, _run_chain_block, linear_temperature
 
-from oracles import reference_chain, single_edge, triangle
+from oracles import CountingMatrix, reference_chain, single_edge, triangle
 
 
 def small_cfg(**overrides):
@@ -168,6 +169,24 @@ def test_normalized_kernel_clamps_dominant_coordinate():
     assert raw > 1
     assert p[0] == 1.0
     assert np.allclose(p[1:], 5 * 0.5 / 3.5, atol=1e-9)
+
+
+def test_normalized_kernel_takes_the_softmax_limit_when_every_sigmoid_underflows():
+    # every expit(delta / (2 tau)) of these rows is 0: the rows used to be NaN
+    tau, d = 0.5, 2
+    dead = np.array([[-5000.0, -6000, -7000, -8000], [-5000.0, -5000.5, -5001, -7000]])
+    live = np.array([-0.3, 0.2, -1.0, 0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        P = normalized_flip_probabilities(np.vstack([dead, live]), tau, d)
+        single = normalized_flip_probabilities(dead[0], tau, d)
+    assert np.array_equal(P[0], [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(single, P[0])
+    assert np.allclose(P[1], np.clip(d * softmax(dead[1] / (2 * tau)), 0, 1), rtol=1e-12)
+    assert 0 < P[1, 1] < 1
+    # rows with a positive sigmoid sum keep the plain rescaling, bit for bit
+    sig = expit(live / (2 * tau))
+    assert np.array_equal(P[2], np.clip(d * sig / sig.sum(), 0.0, 1.0))
 
 
 def test_normalized_kernel_rejects_bad_d():
@@ -376,6 +395,19 @@ def test_engine_matches_reference_chain(kernel):
             assert np.array_equal(energy_traj[:, k], energies)
             assert np.array_equal(best_traj[:, k], bests)
             assert np.array_equal(flips_traj[:, k], flips)
+
+
+def test_engine_makes_one_sparse_product_per_step():
+    # Per block: the initial energy, then one product per step, because the
+    # next step's delta(X_t) reuses the product that energy(X_t) computed.
+    # Decode takes one more, and the final energy one unless decode changed
+    # nothing.
+    cfg = small_cfg(steps=30, chains=6)
+    for workers in (1, 2):
+        m = EnergyModel("mis", generate_er(25, 0.2, seed=15), beta=1.02)
+        m._A = counter = CountingMatrix(m._A)
+        res = run_rlsa(m, cfg, workers=workers)
+        assert counter.total == workers * (cfg.steps + 1) + 1 + (res.decode_flips > 0)
 
 
 def test_trajectory_best_energy_non_increasing():
