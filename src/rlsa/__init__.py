@@ -18,10 +18,8 @@ from .graph import (
     write_instance,
 )
 from .postprocess import (
-    GapRecord,
     Summary,
     gap_curve,
-    gap_records,
     greedy_decode,
     primal_gap,
     summarize,
@@ -42,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EnergyModel",
-    "GapRecord",
     "Graph",
     "RunResult",
     "SamplerConfig",
@@ -52,7 +49,6 @@ __all__ = [
     "flip_probabilities",
     "from_edge_list",
     "gap_curve",
-    "gap_records",
     "generate_ba",
     "generate_er",
     "greedy_decode",

@@ -275,7 +275,7 @@ def emit_trajectory(result: RunResult, path, ref_energy: float | None = None) ->
     """Write the per-step trajectory CSV; adds a primal_gap column when a
     reference energy is available."""
     traj = result.trajectory
-    columns = ["step", "tau", "best_energy", "mean_energy", "mean_flips"]
+    columns = ["step", "tau", "best_energy", "mean_energy", "mean_flips", "improved"]
     gaps = None
     if ref_energy is not None:
         columns.append("primal_gap")
@@ -284,7 +284,7 @@ def emit_trajectory(result: RunResult, path, ref_energy: float | None = None) ->
     for i in range(len(traj)):
         row = [str(int(traj.step[i])), repr(float(traj.tau[i])),
                repr(float(traj.best_energy[i])), repr(float(traj.mean_energy[i])),
-               repr(float(traj.mean_flips[i]))]
+               repr(float(traj.mean_flips[i])), str(int(traj.improved[i]))]
         if gaps is not None:
             row.append(repr(float(gaps[i])))
         lines.append(",".join(row))

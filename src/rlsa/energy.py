@@ -182,7 +182,8 @@ class EnergyModel:
             )
         if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("solution entries must all be 0 or 1")
-        return arr.astype(np.float64, copy=False), single
+        # C order: row sums then run in one order whatever the caller's layout
+        return np.ascontiguousarray(arr, dtype=np.float64), single
 
     def _ax(self, X):
         # (B, N) binary -> (B, N) float64, read-only; per-column CSR

@@ -74,18 +74,6 @@ def gap_curve(best_energies, h_star: float) -> np.ndarray:
 
 
 @dataclass
-class GapRecord:
-    step: int
-    gap: float
-
-
-def gap_records(trajectory, h_star: float) -> list[GapRecord]:
-    """Per-step primal-gap records for a run trajectory."""
-    gaps = gap_curve(trajectory.best_energy, h_star)
-    return [GapRecord(step=int(s), gap=float(g)) for s, g in zip(trajectory.step, gaps)]
-
-
-@dataclass
 class Summary:
     count: int
     mean_objective: float | None

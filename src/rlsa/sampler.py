@@ -7,7 +7,9 @@ in parallel. The temperature decays linearly from tau0 to tau0/T, and each
 chain tracks the best (lowest-energy) solution it has visited.
 
 Kernels. ``KERNELS`` maps each kernel name to the parameters it takes and
-its rule on a (chains, N) Delta at temperature tau:
+its rule. A rule receives a (chains, N) Delta, the temperature tau and the
+step's uniforms U, and returns the flip mask ``U < P`` for its
+probabilities P:
 
 * ``"regularized"`` (``d``, ``epsilon``), the paper's rule, thresholds Delta
   at its d-th largest entry,
@@ -30,6 +32,20 @@ its rule on a (chains, N) Delta at temperature tau:
   Delta_(d) threshold in ablations. Near a local optimum every Delta_i is
   negative and a fixed alpha drives all flip probabilities to zero as tau
   decays, so this kernel tends to stall where the regularized one escapes.
+
+Sparse flip masks. The regularized and ld rules evaluate the sigmoid only
+where a flip can happen, and their mask stays bit-identical to ``U < P``.
+``Generator.random`` returns multiples of 2**-53, and expit(z) < 2**-53 for
+every z <= -37, so on such an entry ``U < P`` can hold only when U == 0.
+An entry is live when its argument z = (Delta - a) / (2 tau) exceeds -40
+(a is the rule's threshold, Delta_(d) - epsilon or tau / alpha), a test made
+in Delta units as Delta > a - 80 tau, with no division over the matrix; the
+three units of margin cover its rounding, and a per-row check falls back
+to the dense mask should rounding ever eat that margin. The sigmoid runs
+on the live entries and on those with U == 0, and every other entry of the
+mask is False. When more than a quarter of the entries are live, the dense
+``U < P`` is cheaper and is used instead. The normalized rule needs every
+sigmoid for its row sums, so it is always dense.
 
 Reproducibility: chain k draws from an independent stream derived from the
 master seed, ``default_rng(SeedSequence(seed, spawn_key=(k,)))``. A chain
@@ -125,20 +141,60 @@ def ld_flip_probabilities(delta, alpha: float, tau: float):
     return expit((np.asarray(delta, dtype=np.float64) - tau / alpha) / (2.0 * tau))
 
 
-def _regularized(cfg, D, tau):
-    # resolves flip_probabilities at call time, so a tracer can swap it
-    return flip_probabilities(D, kth_largest(D, cfg.d)[..., None], cfg.epsilon, tau)
+# expit(z) < 2**-53, the smallest positive uniform, for every z <= _DEAD_Z
+_DEAD_Z = -37.0
+# entries whose sigmoid argument exceeds this are live (see the module docstring)
+_LIVE_Z = -40.0
+# above this share of live entries the dense mask is the cheaper one
+_DENSE_SHARE = 0.25
 
 
-def _normalized(cfg, D, tau):
-    return normalized_flip_probabilities(D, tau, cfg.d)
+def _flip_mask(D, U, a, tau, probabilities):
+    """``U < P`` for a rule with P = expit((D - a) / (2 tau)), evaluating P
+    only on the entries where a flip can happen.
+
+    ``a`` is a scalar or a (K, 1) column of per-row thresholds, computed as
+    the rule computes it. ``probabilities(part, at)`` returns the rule's P on
+    the entries ``part`` of D; ``at`` indexes a (K, 1) per-row column so that
+    it lines up with ``part``. Either way P has the same argument values, so
+    the mask is bit-identical to the dense one.
+    """
+    cut = a + 2.0 * tau * _LIVE_Z
+    live = D > cut
+    # Dead entries have D - a <= cut - a; rounding is monotone, so their z
+    # is at most (cut - a) / (2 tau) computed the rule's way.
+    if (np.count_nonzero(live) > _DENSE_SHARE * D.size
+            or not np.all((cut - a) / (2.0 * tau) <= _DEAD_Z)):
+        return U < probabilities(D, slice(None))
+    if not U.all():
+        live |= U == 0
+    idx = np.flatnonzero(live)
+    flip = np.zeros(D.size, dtype=bool)
+    flip[idx] = U.ravel()[idx] < probabilities(D.ravel()[idx], (idx // D.shape[1], 0))
+    return flip.reshape(D.shape)
 
 
-def _ld(cfg, D, tau):
-    return ld_flip_probabilities(D, cfg.alpha, tau)
+# The rules resolve flip_probabilities and ld_flip_probabilities through this
+# module at call time, so a tracer can swap them.
+
+def _regularized(cfg, D, tau, U):
+    dth = kth_largest(D, cfg.d)[:, None]
+    return _flip_mask(D, U, dth - cfg.epsilon, tau,
+                      lambda part, at: flip_probabilities(part, dth[at], cfg.epsilon, tau))
 
 
-# kernel -> (the SamplerConfig fields its rule reads, rule(cfg, Delta, tau) -> P)
+def _normalized(cfg, D, tau, U):
+    return U < normalized_flip_probabilities(D, tau, cfg.d)
+
+
+def _ld(cfg, D, tau, U):
+    return _flip_mask(D, U, tau / cfg.alpha, tau,
+                      lambda part, at: ld_flip_probabilities(part, cfg.alpha, tau))
+
+
+# kernel -> (the SamplerConfig fields its rule reads,
+#            rule(cfg, Delta, tau, U) -> flip mask, bit-identical to U < P).
+# The regularized and ld masks are sparse: see the module docstring.
 KERNELS = {
     "regularized": (("d", "epsilon"), _regularized),
     "normalized": (("d",), _normalized),
@@ -194,6 +250,7 @@ class Trajectory:
     best_energy: np.ndarray  # global best across chains, running minimum
     mean_energy: np.ndarray  # mean current energy over chains
     mean_flips: np.ndarray  # bits flipped in the step, mean over chains
+    improved: np.ndarray  # chains whose best improved in the step
 
     def __len__(self) -> int:
         return self.step.size
@@ -217,18 +274,22 @@ class RunResult:
     decode_gain: float
 
 
-def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init):
+def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, improved=None):
     """Run a block of chains jointly; per-chain results are identical to
     running each chain alone with its derived stream.
 
     Each step makes one ``model.delta`` and one ``model.energy`` call on the
     whole block and consumes N uniforms per chain, drawn into one reused
-    buffer. It costs one sparse product per step: ``model.energy`` on the
-    new state computes ``A @ X`` and the next step's ``model.delta`` on the
-    same state reuses it through the model's per-thread memo, so a block
-    makes ``steps + 1`` products. Returns the best states and energies and,
-    per step and chain, the energy, the running best and the number of bits
-    flipped.
+    buffer before the flip rule runs. The rule, ``rule(cfg, Delta, tau, U)``,
+    returns the flip mask; the regularized and ld rules evaluate their
+    sigmoid only where a flip can happen (see the module docstring). It
+    costs one sparse product per step: ``model.energy`` on the new state
+    computes ``A @ X`` and the next step's ``model.delta`` on the same state
+    reuses it through the model's per-thread memo, so a block makes
+    ``steps + 1`` products. Returns the best states and energies and, per
+    step and chain, the energy, the running best and the number of bits
+    flipped. ``improved``, when given, is a (steps,) integer array that
+    receives the number of chains whose best improved at each step.
     """
     rule = KERNELS[cfg.kernel][1]
     k = len(chain_ids)
@@ -244,21 +305,24 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init):
     energy_traj = np.empty((cfg.steps, k))
     best_traj = np.empty((cfg.steps, k))
     flips_traj = np.empty((cfg.steps, k), dtype=np.int64)
+    if improved is None:
+        improved = np.empty(cfg.steps, dtype=np.int64)
     U = np.empty((k, n))
     for t in range(1, cfg.steps + 1):
         tau = linear_temperature(t, cfg.tau0, cfg.steps)
-        P = rule(cfg, model.delta(X), tau)
+        D = model.delta(X)
         for rng, row in zip(rngs, U):
             rng.random(out=row)
-        flip = U < P
-        X = np.where(flip, 1.0 - X, X)
+        flip = rule(cfg, D, tau, U)
+        X = (X != flip).astype(np.float64)  # exact: X is 0/1, so no -0.0 arises
         E = model.energy(X)
-        improved = E < best_E
-        best_X[improved] = X[improved]
-        best_E[improved] = E[improved]
+        better = E < best_E
+        best_X[better] = X[better]
+        best_E[better] = E[better]
         energy_traj[t - 1] = E
         best_traj[t - 1] = best_E
         flips_traj[t - 1] = np.count_nonzero(flip, axis=1)
+        improved[t - 1] = np.count_nonzero(better)
     return best_X, best_E, energy_traj, best_traj, flips_traj
 
 
@@ -267,7 +331,7 @@ def _empty_result(model) -> RunResult:
     empty = np.empty(0)
     traj = Trajectory(step=np.empty(0, dtype=np.int64), tau=empty,
                       best_energy=empty.copy(), mean_energy=empty.copy(),
-                      mean_flips=empty.copy())
+                      mean_flips=empty.copy(), improved=np.empty(0, dtype=np.int64))
     objective = None if model.kind == "qubo" else model.objective(x)
     return RunResult(best_x=x, best_energy=float(model.energy(x)),
                      objective=objective, trajectory=traj, wall_time=0.0,
@@ -295,11 +359,13 @@ def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResul
         init = np.asarray(init)
         model._as_batch(init)  # validates length and binary entries
     blocks = np.array_split(np.arange(cfg.chains), min(workers, cfg.chains))
+    improved = np.zeros((len(blocks), cfg.steps), dtype=np.int64)
     if len(blocks) == 1:
-        outputs = [_run_chain_block(model, cfg, blocks[0], init)]
+        outputs = [_run_chain_block(model, cfg, blocks[0], init, improved[0])]
     else:
         with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            outputs = list(pool.map(lambda b: _run_chain_block(model, cfg, b, init), blocks))
+            outputs = list(pool.map(
+                lambda b, out: _run_chain_block(model, cfg, b, init, out), blocks, improved))
 
     best_X = np.vstack([o[0] for o in outputs])
     best_E = np.concatenate([o[1] for o in outputs])
@@ -315,6 +381,7 @@ def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResul
         best_energy=best_traj.min(axis=1),
         mean_energy=energy_traj.mean(axis=1),
         mean_flips=flips_traj.mean(axis=1),
+        improved=improved.sum(axis=0),
     )
 
     winner = int(np.argmin(best_E))  # lowest chain id on ties

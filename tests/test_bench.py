@@ -83,13 +83,15 @@ def test_trajectory_csv(tmp_path):
                  "--d", "1", "--steps", "40", "--chains", "4", "--out", str(out),
                  "--trajectory"]) == 0
     lines = (out / "k3.trajectory.csv").read_text().splitlines()
-    assert lines[0] == "step,tau,best_energy,mean_energy,mean_flips"
+    assert lines[0] == "step,tau,best_energy,mean_energy,mean_flips,improved"
     assert len(lines) == 41
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) == 0.5
     best = [float(line.split(",")[2]) for line in lines[1:]]
     assert (np.diff(best) <= 0).all()
+    improved = [int(line.split(",")[5]) for line in lines[1:]]
+    assert all(0 <= c <= 4 for c in improved)
 
 
 def test_trajectory_gap_column_with_references(tmp_path):
@@ -101,8 +103,8 @@ def test_trajectory_gap_column_with_references(tmp_path):
                  "--d", "1", "--steps", "30", "--chains", "8", "--out", str(out),
                  "--trajectory", "--ref-energies", str(refs)]) == 0
     lines = (out / "k3.trajectory.csv").read_text().splitlines()
-    assert lines[0] == "step,tau,best_energy,mean_energy,mean_flips,primal_gap"
-    gaps = [float(line.split(",")[5]) for line in lines[1:]]
+    assert lines[0] == "step,tau,best_energy,mean_energy,mean_flips,improved,primal_gap"
+    gaps = [float(line.split(",")[6]) for line in lines[1:]]
     assert all(0.0 <= g <= 1.0 for g in gaps)
     assert gaps[-1] == 0.0
 

@@ -451,3 +451,13 @@ def test_memo_is_kept_per_thread():
                 X = batches[who, r]
                 assert np.array_equal(results[who][2 * r], make().energy(X))
                 assert np.array_equal(results[who][2 * r + 1], make().delta(X))
+
+
+def test_evaluation_does_not_depend_on_memory_layout():
+    # a Fortran-ordered batch sums its rows in the same order as a C-ordered one
+    rng = np.random.default_rng(25)
+    for make in _memo_models(rng):
+        X = rng.integers(0, 2, size=(7, 30)).astype(np.float64)
+        F = np.asfortranarray(X)
+        for method in ("energy", "delta", "gradient"):
+            assert np.array_equal(getattr(make(), method)(F), getattr(make(), method)(X)), method

@@ -5,7 +5,6 @@ from rlsa import (
     EnergyModel,
     SamplerConfig,
     gap_curve,
-    gap_records,
     greedy_decode,
     primal_gap,
     run_rlsa,
@@ -139,13 +138,13 @@ def test_gap_curve_non_increasing_for_best_energy_trajectory():
     assert gaps[0] == 1.0
 
 
-def test_gap_records_from_run():
+def test_gap_curve_from_run():
     m = EnergyModel("mis", triangle(), beta=1.02)
     res = run_rlsa(m, SamplerConfig(tau0=0.01, d=1, steps=40, chains=4, seed=0))
-    records = gap_records(res.trajectory, -1.0)
-    assert len(records) == 40
-    assert records[-1].gap == 0.0
-    assert all(0.0 <= r.gap <= 1.0 for r in records)
+    gaps = gap_curve(res.trajectory.best_energy, -1.0)
+    assert len(gaps) == 40
+    assert gaps[-1] == 0.0
+    assert all(0.0 <= g <= 1.0 for g in gaps)
 
 
 def test_converged_run_gap_reaches_zero_against_enumeration():

@@ -15,9 +15,11 @@ from rlsa import (
     generate_er,
     greedy_decode,
     kth_largest,
+    ld_flip_probabilities,
     normalized_flip_probabilities,
     run_rlsa,
 )
+import rlsa.sampler as sampler
 from rlsa.sampler import KERNELS, _run_chain_block, linear_temperature
 
 from oracles import CountingMatrix, reference_chain, single_edge, triangle
@@ -209,6 +211,136 @@ def test_normalized_kernel_matches_engine_form():
     assert np.allclose(normalized_flip_probabilities(m.delta(x), tau, 3), score_p, atol=1e-12)
 
 
+# -- sparse flip masks -----------------------------------------------------------
+
+ULP = 2.0 ** -53  # spacing of Generator.random's outputs
+
+
+def test_uniforms_are_multiples_of_2_to_the_minus_53():
+    # the premise of the sparse masks: a nonzero U is at least 2**-53, and
+    # expit(z) is below that for every z <= -37
+    buf = np.empty(4096)
+    for c in range(4):
+        chain_rng(c, 7).random(out=buf)
+        scaled = buf * 2.0 ** 53  # exact: a power-of-two scaling
+        assert np.array_equal(scaled, np.floor(scaled))
+        assert ((buf >= 0) & (buf < 1)).all()
+    assert expit(-37.0) < ULP <= expit(-36.0)
+    z = np.linspace(-745.0, -37.0, 10001)
+    assert (expit(z) < ULP).all()
+
+
+def _recording_rules(monkeypatch):
+    """Sizes of the Delta arrays the sampler's rules pass to the public
+    probability functions, per function name."""
+    sizes = {"flip_probabilities": [], "ld_flip_probabilities": []}
+    for name, log in sizes.items():
+        fn = getattr(sampler, name)
+        monkeypatch.setattr(sampler, name,
+                            lambda delta, *a, fn=fn, log=log: log.append(np.size(delta)) or fn(delta, *a))
+    return sizes
+
+
+def _dense_mask(cfg, D, tau, U):
+    if cfg.kernel == "regularized":
+        return U < flip_probabilities(D, kth_largest(D, cfg.d)[:, None], cfg.epsilon, tau)
+    return U < ld_flip_probabilities(D, cfg.alpha, tau)
+
+
+def _threshold(cfg, tau):
+    """The rule's a in z = (Delta - a) / (2 tau); _hand_built puts the d-th
+    largest Delta at 5.0."""
+    return 5.0 - cfg.epsilon if cfg.kernel == "regularized" else tau / cfg.alpha
+
+
+def _hand_built(kernel, live_share, rng, tau=0.5, shape=(12, 64)):
+    """(cfg, Delta, tau, U), each sigmoid argument z = (Delta - a) / (2 tau)
+    placed around the cutoffs: z near -40 and -37, far in the tail, and at
+    -745 and beyond, where expit underflows to 0. Row 0 is dead but for the
+    regularized rule's top d, row 1 all live; about ``live_share`` of the
+    other entries are live. U holds zeros, the smallest uniforms and plain
+    draws."""
+    k, n = shape
+    if kernel == "regularized":
+        cfg = SamplerConfig(tau0=1.0, steps=1, chains=k, d=2)
+    else:
+        cfg = SamplerConfig(tau0=1.0, steps=1, chains=k, kernel="ld", alpha=0.05)
+    a = _threshold(cfg, tau)
+    live_z = np.array([-40.0 + 1e-9, -39.0, -37.0 - 1e-9, -37.0, -36.5, -35.0, -30.0, -5.0, 0.0])
+    dead_z = np.array([-40.0, -40.0 - 1e-9, -41.0, -100.0, -700.0, -744.0, -800.0, -1e6])
+    z = np.where(rng.random(shape) < live_share, rng.choice(live_z, shape), rng.choice(dead_z, shape))
+    z[0] = rng.choice(dead_z, n)
+    z[1] = rng.choice(live_z, n)
+    D = a + 2.0 * tau * z
+    if kernel == "regularized":
+        D[:, :cfg.d] = 5.0
+    U = rng.random(shape)
+    pick = rng.random(shape)
+    U[pick < 0.1] = ULP * rng.integers(1, 9, shape)[pick < 0.1]
+    U[pick < 0.03] = 0.0
+    U[1, ::4] = ULP
+    return cfg, D, tau, U
+
+
+@pytest.mark.parametrize("kernel", ["regularized", "ld"])
+@pytest.mark.parametrize("live_share, path", [(0.02, "sparse"), (0.1, "sparse"), (0.6, "dense")])
+def test_sparse_flip_mask_equals_the_dense_mask(kernel, live_share, path, monkeypatch):
+    rng = np.random.default_rng(17)
+    sizes = _recording_rules(monkeypatch)
+    name = "flip_probabilities" if kernel == "regularized" else "ld_flip_probabilities"
+    for _ in range(20):
+        cfg, D, tau, U = _hand_built(kernel, live_share, rng)
+        got = KERNELS[kernel][1](cfg, D, tau, U)
+        assert got.dtype == bool and got.shape == D.shape
+        assert np.array_equal(got, _dense_mask(cfg, D, tau, U))
+        # the hand-built entries that the zero and the smallest uniforms flip
+        assert got[U == 0].any() and got[(U > 0) & (U <= 8 * ULP)].any()
+    calls = sizes[name]  # the rule's calls; the reference calls the functions directly
+    assert len(calls) == 20
+    if path == "sparse":
+        assert all(c < D.size for c in calls)
+    else:
+        assert all(c == D.size for c in calls)
+
+
+@pytest.mark.parametrize("kernel", ["regularized", "ld"])
+def test_sparse_flip_mask_on_all_dead_and_all_live_matrices(kernel):
+    rng = np.random.default_rng(18)
+    cfg, D, tau, U = _hand_built(kernel, 0.0, rng)
+    dead, live = D.copy(), D.copy()
+    dead[1:] = D[0]  # every row dead but for the regularized rule's top d
+    dead[:, 5] = _threshold(cfg, tau) + 2.0 * tau * -100.0
+    live[:] = D[1]  # every row live: the dense mask
+    U[:, 5] = 0.0
+    for M in (dead, live):
+        got = KERNELS[kernel][1](cfg, M, tau, U)
+        assert np.array_equal(got, _dense_mask(cfg, M, tau, U))
+    assert KERNELS[kernel][1](cfg, dead, tau, U)[:, 5].all()  # U == 0 beats P ~ 1e-44
+
+
+@pytest.mark.parametrize("kernel", ["regularized", "ld"])
+def test_sparse_flip_mask_stays_exact_when_tau_underflows_the_cutoff(kernel, monkeypatch):
+    # tau so small that a - 80 tau rounds back to the threshold a: an entry
+    # equal to a has z = 0 yet fails the live test, so the dense mask is used
+    tau = 1e-20
+    if kernel == "regularized":
+        cfg = SamplerConfig(tau0=1.0, steps=1, chains=3, d=1)
+    else:
+        cfg = SamplerConfig(tau0=1.0, steps=1, chains=3, kernel="ld", alpha=1e-19)
+    a = _threshold(cfg, tau)
+    assert a + 2.0 * tau * sampler._LIVE_Z == a
+    D = np.full((3, 16), a - 1.0)
+    D[:, -4:] = a
+    if kernel == "regularized":
+        D[:, 0] = 5.0
+    U = np.full(D.shape, 0.25)
+    sizes = _recording_rules(monkeypatch)
+    got = KERNELS[kernel][1](cfg, D, tau, U)
+    assert got[:, -4:].all()  # P = 1/2 there
+    assert np.array_equal(got, _dense_mask(cfg, D, tau, U))
+    assert sum(sizes.values(), []) == [D.size]
+
+
 # -- config validation -----------------------------------------------------------
 
 def test_sampler_config_validation():
@@ -353,6 +485,7 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(r1.trajectory.best_energy, r4.trajectory.best_energy)
     assert np.array_equal(r1.trajectory.mean_energy, r4.trajectory.mean_energy)
     assert np.array_equal(r1.trajectory.mean_flips, r4.trajectory.mean_flips)
+    assert np.array_equal(r1.trajectory.improved, r4.trajectory.improved)
 
 
 def test_chains_are_independent_of_grouping():
@@ -395,6 +528,34 @@ def test_engine_matches_reference_chain(kernel):
             assert np.array_equal(energy_traj[:, k], energies)
             assert np.array_equal(best_traj[:, k], bests)
             assert np.array_equal(flips_traj[:, k], flips)
+
+
+@pytest.mark.parametrize("kernel", ["regularized", "ld"])
+def test_engine_matches_reference_chain_on_the_sparse_path(kernel, monkeypatch):
+    # at a small tau0 most sigmoid arguments are far below -40, so the rules
+    # take their sparse masks (the small integer-Delta models, whose Deltas
+    # tie, often stay dense), and every chain still equals the plain loop
+    sizes = _recording_rules(monkeypatch)
+    name = "flip_probabilities" if kernel == "regularized" else "ld_flip_probabilities"
+    rate = dict(alpha=0.05) if kernel == "ld" else dict(d=3)
+    paths = {"sparse": 0, "dense": 0}
+    for m in _oracle_models():
+        cfg = SamplerConfig(tau0=1e-3, steps=25, chains=5, seed=13, kernel=kernel, **rate)
+        best_X, best_E, energy_traj, best_traj, flips_traj = _run_chain_block(
+            m, cfg, range(5), None)
+        for k in range(5):
+            x, e, energies, bests, flips = reference_chain(m, cfg, k)
+            assert np.array_equal(best_X[k], x), (m.kind, k)
+            assert best_E[k] == e
+            assert np.array_equal(energy_traj[:, k], energies)
+            assert np.array_equal(best_traj[:, k], bests)
+            assert np.array_equal(flips_traj[:, k], flips)
+        calls = sizes[name]
+        assert len(calls) == cfg.steps
+        for c in calls:
+            paths["sparse" if c < 5 * m.num_nodes else "dense"] += 1
+        calls.clear()
+    assert paths["sparse"] >= 20 and paths["dense"] >= 20, paths
 
 
 def test_engine_makes_one_sparse_product_per_step():
@@ -453,6 +614,7 @@ def test_run_rlsa_empty_graph():
     assert res.objective == 0
     assert len(res.trajectory) == 0
     assert res.trajectory.mean_flips.shape == (0,)
+    assert res.trajectory.improved.shape == (0,)
     assert res.decode_flips == 0 and res.decode_gain == 0.0
 
 
@@ -464,6 +626,28 @@ def test_mean_flips_averages_the_flip_mask_over_all_chains():
     res = run_rlsa(m, cfg, workers=2)
     flips = np.column_stack([reference_chain(m, cfg, k)[4] for k in range(5)])
     assert np.array_equal(res.trajectory.mean_flips, flips.mean(axis=1))
+
+
+def test_improved_counts_the_chains_whose_best_improved():
+    # oracle per chain: its best before each step is the previous step's
+    # best, or the energy of its initial state
+    g = generate_er(30, 0.2, seed=17)
+    m = EnergyModel("mis", g, beta=1.02)
+    cfg = small_cfg(d=3, tau0=0.5, steps=30, chains=5)
+    better = []
+    for k in range(cfg.chains):
+        e0 = m.energy(chain_rng(cfg.seed, k).integers(0, 2, size=30))
+        bests = reference_chain(m, cfg, k)[3]
+        better.append(bests < np.concatenate(([e0], bests[:-1])))
+    better = np.column_stack(better)
+    for block in ([0, 1, 2], [3, 4]):
+        out = np.full(cfg.steps, -1, dtype=np.int64)
+        _run_chain_block(m, cfg, block, None, out)
+        assert np.array_equal(out, better[:, block].sum(axis=1))
+    res = run_rlsa(m, cfg, workers=2)
+    assert np.array_equal(res.trajectory.improved, better.sum(axis=1))
+    assert res.trajectory.improved.dtype == np.int64
+    assert res.trajectory.improved.sum() > cfg.chains  # the oracle is not vacuous
 
 
 def test_mean_flips_tends_to_d_at_tiny_tau():
