@@ -5,13 +5,28 @@ gradient, and the flip-drop vector Delta with Delta_i = (2x_i - 1) * grad_i.
 All four energies are multilinear in the binary coordinates, so Delta_i is
 exactly the energy decrease from flipping coordinate i.
 
-Every evaluation goes through one sparse product ``A @ X``. It runs in
-float32 when that is provably exact and in float64 otherwise: with X binary
-and integer weights whose row sums of |w| stay below 2**24, every partial
-sum is an integer that float32 holds exactly, so the float32 product cast
-back to float64 equals the float64 product bit for bit, in half the bytes.
-Unit weights (mis, mcl, mcut, unweighted qubo) qualify whenever every
-degree is below 2**24; non-integer weights always take float64.
+Solutions may come in any numeric or bool dtype. A bool batch is binary by
+type and is used as it is (made C-ordered); every other dtype is checked to
+hold only 0 and 1 and converted to float64. Every result is the same for a
+bool batch as for the equal float64 batch, bit for bit: bool entries enter
+the arithmetic as exactly 0.0 and 1.0.
+
+Every evaluation goes through one sparse product ``A @ X``, run in the
+narrowest of three dtypes that is provably exact. The rule rests on one
+bound, the largest row sum of |w| (infinite for non-integer weights): with
+X binary, every partial sum of a row is then an integer no larger than the
+bound in magnitude.
+
+* Below 2**15 the product runs in int16, which holds every such sum.
+* Below 2**24 it runs in float32, which holds every integer up to 2**24.
+* Otherwise it runs in float64.
+
+So the int16 or float32 product cast back to float64 equals the float64
+product bit for bit, in a quarter or half the bytes. Unit weights (mis,
+mcl, mcut, unweighted qubo) bound their row sums by the largest degree;
+non-integer weights always take float64. The product is returned
+C-ordered, as the solution batch is, so the elementwise work that follows
+it runs on contiguous rows.
 
 Each thread's last product is remembered. An annealing step needs the
 energy of the new state and, at the start of the next step, its Delta;
@@ -104,14 +119,20 @@ class EnergyModel:
         if edge_weights is None:
             # unit weights: the row sums of |w| are the degrees, no scan needed
             A = graph.adjacency_csr()
-            exact = self._deg.max(initial=0.0) < _EXACT_FLOAT32
+            bound = self._deg.max(initial=0.0)
         else:
             A = _weighted_csr(graph, edge_weights)
-            exact = _exact_row_sums(A)
-        # One decision: float32 products and the column-adding updates of
-        # _flip_ax are exact under the same row-sum condition.
-        self._exact_updates = bool(exact)
-        self._A = A.astype(np.float32 if exact else np.float64, copy=False)
+            bound = _row_sum_bound(A)
+        # One bound decides the product dtype and whether the column-adding
+        # updates of _flip_ax are exact (see the module docstring).
+        self._exact_updates = bool(bound < _EXACT_FLOAT32)
+        if bound < _EXACT_INT16:
+            dtype = np.int16
+        elif self._exact_updates:
+            dtype = np.float32
+        else:
+            dtype = np.float64
+        self._A = A.astype(dtype, copy=False)
         self._memo = threading.local()  # this thread's last batch and its product
 
     @property
@@ -180,25 +201,30 @@ class EnergyModel:
                 f"solution length {arr.shape[1]} does not match graph with "
                 f"{self.num_nodes} nodes"
             )
+        # C order: row sums then run in one order whatever the caller's layout
+        if arr.dtype == bool:  # binary by type: no check, no conversion
+            return np.ascontiguousarray(arr), single
         if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("solution entries must all be 0 or 1")
-        # C order: row sums then run in one order whatever the caller's layout
         return np.ascontiguousarray(arr, dtype=np.float64), single
 
     def _ax(self, X):
-        # (B, N) binary -> (B, N) float64, read-only; per-column CSR
-        # accumulation keeps each row's result independent of the batch size.
-        # The cast back matters: a float32 result would turn the callers'
-        # arithmetic float32 too. A batch equal to this thread's last one
-        # returns the stored product (see the module docstring).
+        # (B, N) binary -> (B, N) float64, C-ordered and read-only; per-column
+        # CSR accumulation keeps each row's result independent of the batch
+        # size. The cast back matters: an int16 or float32 result would turn
+        # the callers' arithmetic narrow too. A batch equal to this thread's
+        # last one returns the stored product (see the module docstring).
         memo = self._memo
         key = getattr(memo, "key", None)
         if key is not None and np.array_equal(key, X):  # same shape and entries
             return memo.ax
         A = self._A
-        ax = (A @ np.ascontiguousarray(X.T, dtype=A.dtype)).T.astype(np.float64, copy=False)
+        # transpose in X's own dtype, then cast: casting a strided bool
+        # transpose directly is several times slower
+        P = A @ np.ascontiguousarray(X.T).astype(A.dtype, copy=False)
+        ax = np.ascontiguousarray(P.T, dtype=np.float64)
         ax.flags.writeable = False
-        memo.key = X.astype(bool)  # exact: X is binary
+        memo.key = X.astype(bool)  # a copy, exact since X is binary
         memo.ax = ax
         return ax
 
@@ -207,8 +233,9 @@ class EnergyModel:
         the single solution ``x`` flipped, touching only i's neighbours.
 
         The result is bit-identical to the full product: columns of A are
-        added only when ``_exact_row_sums`` holds, otherwise the neighbour
-        rows are recomputed in the full product's CSR order.
+        added only when ``_exact_updates`` holds (row sums of |w| below
+        2**24), otherwise the neighbour rows are recomputed in the full
+        product's CSR order.
         """
         A = self._A
         lo, hi = A.indptr[i], A.indptr[i + 1]
@@ -270,24 +297,23 @@ class EnergyModel:
         return f"EnergyModel(kind={self.kind!r}, graph={self.graph!r}, beta={self.beta})"
 
 
-# float32 holds every integer of magnitude up to 2**24 exactly
+# int16 holds every integer below 2**15 in magnitude, float32 every one up to 2**24
+_EXACT_INT16 = 2.0 ** 15
 _EXACT_FLOAT32 = 2.0 ** 24
 
 
-def _exact_row_sums(A) -> bool:
-    """True when every partial sum of a row of ``A @ x``, x binary, is exact
-    in float32.
+def _row_sum_bound(A) -> float:
+    """Largest row sum of |w| in ``A``, or inf when a weight is not an integer.
 
-    That holds for integer weights whose row sums of |w| stay below 2**24:
-    every partial sum is then an integer that float32 (and float64)
-    represents exactly. So a float32 product cast to float64 is
-    bit-identical to the float64 product, and adding or subtracting one
-    column of A keeps ``A @ x`` bit-identical to the full product.
+    For integer weights and x binary, every partial sum of a row of
+    ``A @ x`` is an integer no larger in magnitude than this bound, so a
+    dtype that holds every integer up to the bound computes the product,
+    and adds or subtracts columns of A, exactly.
     """
     w = A.data
     if not np.array_equal(w, np.round(w)):
-        return False
-    return w.size == 0 or bool(abs(A).sum(axis=1).max() < _EXACT_FLOAT32)
+        return np.inf
+    return 0.0 if w.size == 0 else float(abs(A).sum(axis=1).max())
 
 
 def _weighted_csr(graph: Graph, edge_weights):

@@ -22,8 +22,9 @@ def greedy_decode(model, x):
     cached product, and each flip of node ``i`` refreshes the product only
     on ``i``'s neighbours. That refresh is exact, so every Delta equals the
     one a full product would give, bit for bit: when the model multiplies
-    in float32 (integer weights whose row sums of ``|w|`` stay below 2**24,
-    always so for mis, mcl, mcut and unweighted qubo) it adds column ``i``;
+    in int16 or float32 (integer weights whose row sums of ``|w|`` stay
+    below 2**24, always so for mis, mcl, mcut and unweighted qubo) it adds
+    column ``i``;
     otherwise it recomputes the neighbour rows of the product in the same
     CSR order as the full one.
 
@@ -31,7 +32,7 @@ def greedy_decode(model, x):
     decoded independently.
     """
     X, single = model._as_batch(x)
-    X = X.copy()
+    X = X.astype(np.float64)  # a copy, flipped in place below
     AX = model._ax(X).copy()  # the model's product is read-only
     active = np.ones(X.shape[0], dtype=bool)
     # Strict improvement bounds total flips; the cap only guards degenerate

@@ -47,6 +47,12 @@ mask is False. When more than a quarter of the entries are live, the dense
 ``U < P`` is cheaper and is used instead. The normalized rule needs every
 sigmoid for its row sums, so it is always dense.
 
+Chain state. The engine holds a block's states as a bool (K, N) array and
+applies a step's flips in place as ``X ^= flip``. A bool batch is binary by
+type, so the energy model uses it without a per-entry check or a float
+copy, and every energy and Delta equals that of the equal float64 batch
+bit for bit.
+
 Reproducibility: chain k draws from an independent stream derived from the
 master seed, ``default_rng(SeedSequence(seed, spawn_key=(k,)))``. A chain
 consumes one vector of N uniforms per step in coordinate order (plus one
@@ -286,8 +292,10 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, improved=None):
     costs one sparse product per step: ``model.energy`` on the new state
     computes ``A @ X`` and the next step's ``model.delta`` on the same state
     reuses it through the model's per-thread memo, so a block makes
-    ``steps + 1`` products. Returns the best states and energies and, per
-    step and chain, the energy, the running best and the number of bits
+    ``steps + 1`` products. The states are a bool (K, N) array flipped in
+    place with ``X ^= flip``; the memo keeps a copy of the batch it saw, so
+    it notices the change. Returns the best states (bool) and energies and,
+    per step and chain, the energy, the running best and the number of bits
     flipped. ``improved``, when given, is a (steps,) integer array that
     receives the number of chains whose best improved at each step.
     """
@@ -296,9 +304,9 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, improved=None):
     n = model.num_nodes
     rngs = [chain_rng(cfg.seed, int(c)) for c in chain_ids]
     if init is None:
-        X = np.stack([rng.integers(0, 2, size=n) for rng in rngs]).astype(np.float64)
+        X = np.stack([rng.integers(0, 2, size=n) for rng in rngs]).astype(bool)
     else:
-        X = np.tile(np.asarray(init, dtype=np.float64), (k, 1))
+        X = np.tile(np.asarray(init).astype(bool), (k, 1))
     E = model.energy(X)
     best_X = X.copy()
     best_E = E.copy()
@@ -314,7 +322,7 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, improved=None):
         for rng, row in zip(rngs, U):
             rng.random(out=row)
         flip = rule(cfg, D, tau, U)
-        X = (X != flip).astype(np.float64)  # exact: X is 0/1, so no -0.0 arises
+        X ^= flip
         E = model.energy(X)
         better = E < best_E
         best_X[better] = X[better]
@@ -343,7 +351,8 @@ def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResul
     global best.
 
     Chains start from independent uniform-random binary vectors unless
-    ``init`` supplies a common starting solution. The result is a pure
+    ``init``, a single binary solution of shape (N,), supplies a common
+    starting solution; any other shape raises ValueError. The result is a pure
     function of (model, cfg, init) for any ``workers`` count (an integer of
     at least 1).
     """
@@ -357,6 +366,11 @@ def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResul
     start = time.perf_counter()
     if init is not None:
         init = np.asarray(init)
+        if init.ndim != 1:
+            raise ValueError(
+                f"init must be one solution of shape ({model.num_nodes},), "
+                f"got shape {init.shape}"
+            )
         model._as_batch(init)  # validates length and binary entries
     blocks = np.array_split(np.arange(cfg.chains), min(workers, cfg.chains))
     improved = np.zeros((len(blocks), cfg.steps), dtype=np.int64)

@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from rlsa import EnergyModel, from_edge_list, generate_er
+from rlsa import EnergyModel, from_edge_list, generate_er, greedy_decode
 
 from oracles import (
     CountingMatrix,
@@ -11,6 +11,7 @@ from oracles import (
     flip_drop_oracle,
     path3,
     random_small_graph,
+    reference_decode,
     reference_product,
     single_edge,
     triangle,
@@ -278,8 +279,8 @@ def _random_weights(case, rng, size):
 
 
 @pytest.mark.parametrize("case, dtype", [
-    ("unweighted", np.float32),
-    ("integer-weights", np.float32),
+    ("unweighted", np.int16),
+    ("integer-weights", np.int16),
     ("normal-weights", np.float64),
 ])
 def test_products_match_a_float64_reference_bit_for_bit(case, dtype):
@@ -308,6 +309,20 @@ def test_products_match_a_float64_reference_bit_for_bit(case, dtype):
             assert ax.dtype == np.float64 and np.array_equal(ax, reference_product(g, X))
 
 
+def _assert_exact_on_triangle(weights, dtype):
+    # triangle edges (0, 1), (0, 2), (1, 2): row 0 sums the first two weights
+    g = triangle()
+    lin = np.array([-1.0, 2.0, -3.0])
+    m = EnergyModel("qubo", g, linear=lin, quad_scale=0.7, edge_weights=weights)
+    assert m._A.dtype == dtype
+    assert m._exact_updates == (dtype != np.float64)
+    X = all_bitvectors(3).astype(np.float64)
+    ref = reference_product(g, X, weights)
+    assert np.array_equal(m._ax(X), ref)
+    assert np.array_equal(m.delta(X), (2.0 * X - 1.0) * (2.0 * 0.7 * ref + lin))
+    assert np.array_equal(greedy_decode(m, X), reference_decode(m, X))
+
+
 @pytest.mark.parametrize("weights, dtype", [
     ([2.0 ** 23, 2.0 ** 23 - 1, 1.0], np.float32),  # row 0 sums to 2**24 - 1
     ([2.0 ** 23, 2.0 ** 23, 1.0], np.float64),  # row 0 sums to 2**24
@@ -315,15 +330,17 @@ def test_products_match_a_float64_reference_bit_for_bit(case, dtype):
     ([2.0 ** 24, 1.0, 1.0], np.float64),  # float32 would round 2**24 + 1
 ], ids=["below", "at", "abs", "above"])
 def test_float32_products_stop_below_row_sum_2_24(weights, dtype):
-    # triangle edges (0, 1), (0, 2), (1, 2): row 0 sums the first two weights
-    g = triangle()
-    m = EnergyModel("qubo", g, linear=np.zeros(3), quad_scale=0.7, edge_weights=weights)
-    assert m._A.dtype == dtype
-    assert m._exact_updates == (dtype == np.float32)
-    X = all_bitvectors(3).astype(np.float64)
-    ref = reference_product(g, X, weights)
-    assert np.array_equal(m._ax(X), ref)
-    assert np.array_equal(m.delta(X), (2.0 * X - 1.0) * (2.0 * 0.7 * ref))
+    _assert_exact_on_triangle(weights, dtype)
+
+
+@pytest.mark.parametrize("weights, dtype", [
+    ([2.0 ** 14, 2.0 ** 14 - 1, 1.0], np.int16),  # row 0 sums to 2**15 - 1
+    ([2.0 ** 14, 2.0 ** 14, 1.0], np.float32),  # row 0 sums to 2**15
+    ([-(2.0 ** 14), 2.0 ** 14, 1.0], np.float32),  # |w| counts: 2**15, signed sum 0
+    ([-(2.0 ** 15 - 1), 0.0, 0.0], np.int16),  # the most negative weight of the int16 rung
+], ids=["below", "at", "abs", "negative"])
+def test_int16_products_stop_below_row_sum_2_15(weights, dtype):
+    _assert_exact_on_triangle(weights, dtype)
 
 
 def test_solution_validation():
@@ -334,6 +351,37 @@ def test_solution_validation():
         m.energy([0, 2, 0])
     with pytest.raises(ValueError, match="0 or 1"):
         m.delta([0.5, 0, 0])
+    # arrays of every non-bool dtype are checked entry by entry
+    for bad in (np.array([[0, 1, 0], [0, 2, 0]]), np.array([-1, 0, 0], dtype=np.int8),
+                np.array([[1.0, 0.0, 0.5]]), np.array([0.0, np.nan, 1.0])):
+        for method in ("energy", "delta", "gradient", "violation", "objective"):
+            with pytest.raises(ValueError, match="0 or 1"):
+                getattr(m, method)(bad)
+    with pytest.raises(ValueError, match="length 2"):
+        m.energy(np.ones((4, 2), dtype=bool))
+
+
+def test_bool_batches_evaluate_like_float64_batches():
+    # a bool batch skips the 0/1 check and the float64 copy, and every
+    # public result equals that of the same batch in float64, bit for bit,
+    # whatever the memory layout
+    rng = np.random.default_rng(27)
+    for make in _memo_models(rng):
+        kind = make().kind
+        X = rng.integers(0, 2, size=(9, 30)).astype(np.float64)
+        # objective needs feasible rows for mis and mcl
+        F = reference_decode(make(), X).astype(np.float64)
+        for batch in (X, F, X[0]):
+            methods = ["energy", "delta", "gradient", "violation"]
+            if kind == "mcut" or kind in ("mis", "mcl") and batch is F:
+                methods.append("objective")
+            for method in methods:
+                want = getattr(make(), method)(batch)
+                for layout in (np.ascontiguousarray, np.asfortranarray):
+                    got = getattr(make(), method)(layout(batch.astype(bool)))
+                    assert type(got) is type(want), method
+                    assert np.asarray(got).dtype == np.asarray(want).dtype, method
+                    assert np.array_equal(got, want), method
 
 
 def test_batch_matches_single_evaluation():
@@ -383,6 +431,18 @@ def test_memo_follows_in_place_changes_of_one_batch():
             _assert_like_fresh(make, m, X[int(rng.integers(0, 6))])
 
 
+def test_memo_follows_in_place_flips_of_a_bool_batch():
+    # the engine's update: a bool state flipped in place with X ^= flip
+    rng = np.random.default_rng(28)
+    for make in _memo_models(rng):
+        m = make()
+        X = rng.integers(0, 2, size=(6, 30)).astype(bool)
+        for _ in range(15):
+            _assert_like_fresh(make, m, X)
+            X ^= rng.random(X.shape) < 0.1
+            _assert_like_fresh(make, m, X)
+
+
 def test_memo_follows_shape_changes():
     rng = np.random.default_rng(23)
     for make in _memo_models(rng):
@@ -413,6 +473,25 @@ def test_memo_product_is_read_only():
             ax[0, 0] = 1.0
     # public results are the callers' own arrays
     assert m.delta(X).flags.writeable and m.gradient(X).flags.writeable
+
+
+def test_product_is_c_ordered_read_only_float64():
+    # whichever dtype the product runs in and whatever the batch's dtype
+    # and layout, _ax returns a C-ordered, read-only float64 array
+    rng = np.random.default_rng(29)
+    g = generate_er(30, 0.2, seed=29)
+    cases = [(np.int16, None), (np.float32, np.full(g.num_edges, 2.0 ** 12)),
+             (np.float64, rng.normal(size=g.num_edges))]
+    X = rng.integers(0, 2, size=(5, 30))
+    for dtype, w in cases:
+        m = EnergyModel("qubo", g, linear=np.zeros(30), quad_scale=0.7, edge_weights=w)
+        assert m._A.dtype == dtype
+        ref = reference_product(g, X, w)
+        for batch in (X.astype(bool), np.asfortranarray(X.astype(bool)), X.astype(np.float64)):
+            ax = m._ax(m._as_batch(batch)[0])
+            assert ax.dtype == np.float64 and ax.flags.c_contiguous
+            assert not ax.flags.writeable
+            assert np.array_equal(ax, ref)
 
 
 def test_memo_is_kept_per_thread():

@@ -594,6 +594,18 @@ def test_common_init_is_used_by_all_chains():
         run_rlsa(m, cfg, init=np.zeros(19, dtype=np.int8))
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_init_must_be_one_solution(rows):
+    # a batch of starting solutions is refused before any chain runs, even
+    # one whose single row would be a valid init
+    m = EnergyModel("mis", generate_er(30, 0.2, seed=14), beta=1.02)
+    m._A = counter = CountingMatrix(m._A)
+    cfg = small_cfg(steps=5, chains=8)
+    with pytest.raises(ValueError, match=r"init must be one solution of shape \(30,\)"):
+        run_rlsa(m, cfg, init=np.zeros((rows, 30), dtype=np.int8), workers=2)
+    assert counter.total == 0
+
+
 def test_normalized_kernel_run_smoke():
     m = EnergyModel("mis", triangle(), beta=1.02)
     res = run_rlsa(m, small_cfg(kernel="normalized", steps=200))
