@@ -209,7 +209,7 @@ def parse_generate_spec(spec: str, seed: int) -> tuple[str, Graph]:
 
 
 def load_reference_energies(path) -> dict[str, float]:
-    """Parse a reference file of lines 'instance_name energy'."""
+    """Parse a reference file of lines 'instance_name energy', each energy finite."""
     refs: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -220,7 +220,7 @@ def load_reference_energies(path) -> dict[str, float]:
             if len(tokens) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected 'instance_name energy'")
             try:
-                refs[tokens[0]] = float(tokens[1])
+                refs[tokens[0]] = finite_float("energy", float(tokens[1]))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad energy {tokens[1]!r}") from None
     return refs
@@ -267,7 +267,7 @@ def _replacing(path):
 
 def _write_json(path, data) -> None:
     with _replacing(path) as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -2,8 +2,27 @@
 
 Every model exposes the penalized energy H(x) to minimize, its closed-form
 gradient, and the flip-drop vector Delta with Delta_i = (2x_i - 1) * grad_i.
-All four energies are multilinear in the binary coordinates, so Delta_i is
-exactly the energy decrease from flipping coordinate i.
+All four kinds share one multilinear form, so Delta_i is exactly the energy
+decrease from flipping coordinate i:
+
+    H(x) = c . x + q * (x^T W x - r * (s^2 - s)),   s = 1 . x,  r in {0, 1}
+    grad = c + 2q * (W x - r * (s - x))
+
+    kind  c                  q           r  W
+    mis   -1 (integer)       beta / 2    0  adjacency
+    mcl   -1 (integer)       -beta / 2   1  adjacency
+    mcut  -deg (per node)    1           0  adjacency
+    qubo  linear (per node)  quad_scale  0  weighted adjacency
+
+x^T W x counts each selected edge twice and s^2 - s each selected pair, so
+the violation of mis and mcl is |x^T W x - r (s^2 - s)| / 2, mcl never
+builds the complement graph, and mcut's -H is the cut size. Each kind's
+results are bit-identical to its own formula written out: mcl's factored
+(-beta/2) * (x^T W x - (s^2 - s)) equals (beta/2) * ((s^2 - s) - x^T W x)
+since negation is exact, where r = beta/2 would round beta/2 twice; the
+integer c = -1 multiplies integer row sums, which makes no float pass over
+the batch and keeps the empty set's energy +0.0 (a float c gives -0.0 for
+mcl); and r enters as a subtraction under ``if r``, never as a multiply.
 
 Solutions may come in any numeric or bool dtype. A bool batch is binary by
 type and is used as it is (made C-ordered); every other dtype is checked to
@@ -68,14 +87,14 @@ def check_beta(kind: str, beta) -> float:
 class EnergyModel:
     """Problem kind + graph + coefficients; all evaluation methods are pure.
 
-    Kinds:
+    Kinds, each a row (c, q, r, W) of the table in the module docstring,
+    built once here for H(x) = c . x + q * (x^T W x - r * (s^2 - s)):
       * ``mis``  -- minus the selected-set size plus ``beta`` per selected
         adjacent pair; requires ``beta > 1`` so every local optimum is an
         independent set.
       * ``mcl``  -- minus the selected-set size plus ``beta`` per selected
-        NON-adjacent pair (max clique); computed via the complement identity
-        on the selected-pair count, never materializing the complement graph;
-        requires ``beta > 1``.
+        NON-adjacent pair (max clique); requires ``beta > 1``. Its q = -beta/2
+        and r = 1 are factored so the penalty rounds beta/2 only once.
       * ``mcut`` -- minus the cut size; ``beta`` is accepted but unused.
       * ``qubo`` -- ``linear . x + quad_scale * x^T A x`` with optional
         per-edge weights on A; ``beta`` is unused.
@@ -103,23 +122,28 @@ class EnergyModel:
         if kind == "qubo":
             if linear is None or quad_scale is None:
                 raise ValueError("qubo models require both 'linear' and 'quad_scale'")
-            self.linear = finite_array("linear", linear)
-            if self.linear.shape != (graph.num_nodes,):
+            linear = finite_array("linear", linear)
+            if linear.shape != (graph.num_nodes,):
                 raise ValueError(
-                    f"linear coefficients have shape {self.linear.shape}, "
+                    f"linear coefficients have shape {linear.shape}, "
                     f"expected ({graph.num_nodes},)"
                 )
-            self.quad_scale = finite_float("quad_scale", quad_scale)
+            quad_scale = finite_float("quad_scale", quad_scale)
         elif linear is not None or quad_scale is not None or edge_weights is not None:
             raise ValueError(f"linear/quad_scale/edge_weights only apply to qubo, not {kind}")
-        else:
-            self.linear = None
-            self.quad_scale = None
-        self._deg = graph.degrees().astype(np.float64)
+        deg = graph.degrees()
+        # (c, q, r) of H(x) = c . x + q (x^T W x - r (s^2 - s)); see the module docstring
+        self._c, self._q, self._r = {
+            "mis": (-1, 0.5 * self.beta, 0),
+            "mcl": (-1, -0.5 * self.beta, 1),
+            "mcut": (-deg.astype(np.float64), 1.0, 0),
+            "qubo": (linear, quad_scale, 0),
+        }[kind]
+        self._penalized = kind in ("mis", "mcl")  # the quadratic term counts violations
         if edge_weights is None:
             # unit weights: the row sums of |w| are the degrees, no scan needed
             A = graph.adjacency_csr()
-            bound = self._deg.max(initial=0.0)
+            bound = deg.max(initial=0)
         else:
             A = _weighted_csr(graph, edge_weights)
             bound = _row_sum_bound(A)
@@ -160,22 +184,17 @@ class EnergyModel:
         return d[0] if single else d
 
     def objective(self, x):
-        """Problem objective (set/clique/cut size). Errors on infeasible mis/mcl and on qubo."""
+        """Set, clique or cut size (-H of a feasible x); raises on infeasible mis/mcl and qubo."""
         if self.kind == "qubo":
             raise ValueError("qubo models have no canonical objective")
         X, single = self._as_batch(x)
-        if self.kind == "mcut":
-            u, v = self._edge_cols()
-            B = X.astype(np.int64)
-            obj = (B[:, u] != B[:, v]).sum(axis=1)
-        else:
-            viol = self._violation(X)
-            if (viol > 0).any():
-                raise ValueError(
-                    f"objective is undefined for infeasible {self.kind} solutions "
-                    f"(violation={int(viol.max())})"
-                )
-            obj = X.sum(axis=1).astype(np.int64)
+        viol = self._violation(X)
+        if (viol > 0).any():
+            raise ValueError(
+                f"objective is undefined for infeasible {self.kind} solutions "
+                f"(violation={int(viol.max())})"
+            )
+        obj = (-self._energy(X)).astype(np.int64)  # the penalty is 0: exact integers
         return int(obj[0]) if single else obj
 
     def violation(self, x):
@@ -246,20 +265,20 @@ class EnergyModel:
             ax[nbrs] = A[nbrs] @ x
 
     def _energy(self, X):
-        if self.kind == "mis":
-            s = X.sum(axis=1)
-            quad = (X * self._ax(X)).sum(axis=1)
-            return -s + 0.5 * self.beta * quad
-        if self.kind == "mcl":
-            s = X.sum(axis=1)
-            quad = (X * self._ax(X)).sum(axis=1)
-            return -s + 0.5 * self.beta * (s * s - s - quad)
-        if self.kind == "mcut":
-            quad = (X * self._ax(X)).sum(axis=1)
-            return quad - (X * self._deg).sum(axis=1)
-        s = (X * self.linear).sum(axis=1)
+        c = self._c
+        if np.ndim(c):  # one coefficient per node
+            return (X * c).sum(axis=1) + self._q * self._pairs(X)
+        s = X.sum(axis=1, dtype=np.int64)  # uniform c: integer row sums, no float pass
+        return c * s + self._q * self._pairs(X, s)
+
+    def _pairs(self, X, s=None):
+        # x^T W x - r (s^2 - s) per row; ``s`` is X's integer row sums, if known
         quad = (X * self._ax(X)).sum(axis=1)
-        return s + self.quad_scale * quad
+        if self._r:
+            if s is None:
+                s = X.sum(axis=1, dtype=np.int64)
+            quad = quad - (s * s - s)
+        return quad
 
     def _delta(self, X, ax=None):
         return (2.0 * X - 1.0) * self._gradient(X, ax)
@@ -269,29 +288,15 @@ class EnergyModel:
         # full product exactly for the result to match.
         if ax is None:
             ax = self._ax(X)
-        if self.kind == "mis":
-            return self.beta * ax - 1.0
-        if self.kind == "mcl":
-            s = X.sum(axis=1)
-            return self.beta * (s[:, None] - X - ax) - 1.0
-        if self.kind == "mcut":
-            return 2.0 * ax - self._deg
-        return 2.0 * self.quad_scale * ax + self.linear
-
-    def _edge_cols(self):
-        edges = self.graph.edge_array()
-        return edges[:, 0], edges[:, 1]
+        if self._r:
+            ax = ax - (X.sum(axis=1)[:, None] - X)
+        return self._c + 2.0 * self._q * ax
 
     def _violation(self, X):
-        B = X.astype(np.int64)
-        if self.kind == "mis":
-            u, v = self._edge_cols()
-            return (B[:, u] * B[:, v]).sum(axis=1)
-        if self.kind == "mcl":
-            u, v = self._edge_cols()
-            s = B.sum(axis=1)
-            return s * (s - 1) // 2 - (B[:, u] * B[:, v]).sum(axis=1)
-        return np.zeros(X.shape[0], dtype=np.int64)
+        if not self._penalized:
+            return np.zeros(X.shape[0], dtype=np.int64)
+        # every violated pair is counted twice; the count is an exact integer
+        return (np.abs(self._pairs(X)) / 2).astype(np.int64)
 
     def __repr__(self) -> str:
         return f"EnergyModel(kind={self.kind!r}, graph={self.graph!r}, beta={self.beta})"

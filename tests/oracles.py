@@ -6,7 +6,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import expit
 
-from rlsa import EnergyModel, from_edge_list, generate_ba, generate_er
+from rlsa import from_edge_list, generate_ba, generate_er
 
 
 class CountingMatrix:
@@ -68,17 +68,44 @@ def exhaustive_min_energy(model):
     return float(energies[i]), bits[i]
 
 
-def mis_optimum_size(graph, beta=1.02):
-    model = EnergyModel("mis", graph, beta=beta)
+def selected_adjacent_pairs(graph, X):
+    """Per row of X, the edges with both ends selected (mis violations)."""
+    X = np.atleast_2d(np.asarray(X)).astype(np.int64)
+    count = np.zeros(X.shape[0], dtype=np.int64)
+    for u, v in graph.edge_array():
+        count += X[:, u] * X[:, v]
+    return count
+
+
+def selected_non_adjacent_pairs(graph, X):
+    """Per row of X, the selected pairs that are not edges (mcl violations)."""
+    X = np.atleast_2d(np.asarray(X)).astype(np.int64)
+    edges = set(map(tuple, graph.edge_array().tolist()))
+    count = np.zeros(X.shape[0], dtype=np.int64)
+    for u in range(graph.num_nodes):
+        for v in range(u + 1, graph.num_nodes):
+            if (u, v) not in edges:
+                count += X[:, u] * X[:, v]
+    return count
+
+
+def cut_edges(graph, X):
+    """Per row of X, the edges with exactly one end selected (the cut size)."""
+    X = np.atleast_2d(np.asarray(X)).astype(np.int64)
+    count = np.zeros(X.shape[0], dtype=np.int64)
+    for u, v in graph.edge_array():
+        count += X[:, u] != X[:, v]
+    return count
+
+
+def mis_optimum_size(graph):
     bits = all_bitvectors(graph.num_nodes)
-    feasible = model.violation(bits) == 0
+    feasible = selected_adjacent_pairs(graph, bits) == 0
     return int(bits.sum(axis=1)[feasible].max())
 
 
 def maxcut_optimum_size(graph):
-    model = EnergyModel("mcut", graph)
-    bits = all_bitvectors(graph.num_nodes)
-    return int(model.objective(bits).max())
+    return int(cut_edges(graph, all_bitvectors(graph.num_nodes)).max())
 
 
 def random_small_graph(rng, n_min=2, n_max=12):
@@ -103,6 +130,32 @@ def reference_product(graph, X, weights=None):
     dense[v, u] = w
     X = np.atleast_2d(np.asarray(X)).astype(np.float64)
     return (csr_matrix(dense) @ X.T).T
+
+
+def per_kind_energy(kind, graph, X, beta=1.02, linear=None, quad_scale=None, weights=None):
+    """(energy, gradient, delta) of each row of X, with each kind's energy
+    written out on its own in the order of operations of the per-kind code
+    the shared form replaced. X keeps its dtype (bool or float64), as the
+    model's batches do, and the product comes from ``reference_product``."""
+    X = np.ascontiguousarray(X)
+    ax = np.ascontiguousarray(reference_product(graph, X, weights))
+    quad = (X * ax).sum(axis=1)
+    if kind == "mis":
+        s = X.sum(axis=1)
+        energy = -s + 0.5 * beta * quad
+        grad = beta * ax - 1.0
+    elif kind == "mcl":
+        s = X.sum(axis=1)
+        energy = -s + 0.5 * beta * (s * s - s - quad)
+        grad = beta * (s[:, None] - X - ax) - 1.0
+    elif kind == "mcut":
+        deg = graph.degrees().astype(np.float64)
+        energy = quad - (X * deg).sum(axis=1)
+        grad = 2.0 * ax - deg
+    else:
+        energy = (X * linear).sum(axis=1) + quad_scale * quad
+        grad = 2.0 * quad_scale * ax + linear
+    return energy, grad, (2.0 * X - 1.0) * grad
 
 
 def reference_decode(model, x):

@@ -7,6 +7,7 @@ from rlsa import read_instance, write_instance
 from rlsa.bench import (
     PRESETS,
     ExperimentConfig,
+    _write_json,
     load_reference_energies,
     main,
     parse_generate_spec,
@@ -116,6 +117,29 @@ def test_reference_file_parsing(tmp_path):
     refs.write_text("a\n")
     with pytest.raises(ValueError, match="line 1"):
         load_reference_energies(refs)
+
+
+@pytest.mark.parametrize("energy", ["nan", "inf"])
+def test_non_finite_reference_energy_fails_before_writing(tmp_path, capsys, energy):
+    instance = write_k3(tmp_path)
+    refs = tmp_path / "refs.txt"
+    refs.write_text(f"# optimal energies\nk3 {energy}\n")
+    out = tmp_path / "out"
+    assert main(["--instance", str(instance), "--problem", "mis", "--tau0", "0.01",
+                 "--d", "1", "--steps", "10", "--chains", "2", "--out", str(out),
+                 "--trajectory", "--ref-energies", str(refs)]) == 1
+    assert not out.exists()
+    assert f"refs.txt: line 2: bad energy '{energy}'" in capsys.readouterr().err
+    refs.write_text("a -inf\n")
+    with pytest.raises(ValueError, match="line 1"):
+        load_reference_energies(refs)
+
+
+def test_json_artifacts_refuse_nan(tmp_path):
+    path = tmp_path / "summary.json"
+    with pytest.raises(ValueError):
+        _write_json(path, {"mean_primal_gap": float("nan")})
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- determinism ------------------------------------------------------------------

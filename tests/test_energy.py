@@ -8,11 +8,17 @@ from rlsa import EnergyModel, from_edge_list, generate_er, greedy_decode
 from oracles import (
     CountingMatrix,
     all_bitvectors,
+    cut_edges,
     flip_drop_oracle,
+    maxcut_optimum_size,
+    mis_optimum_size,
     path3,
+    per_kind_energy,
     random_small_graph,
     reference_decode,
     reference_product,
+    selected_adjacent_pairs,
+    selected_non_adjacent_pairs,
     single_edge,
     triangle,
 )
@@ -141,6 +147,36 @@ def test_violation_examples():
     assert EnergyModel("mcl", triangle(), beta=1.02).violation([1, 1, 1]) == 0
     assert EnergyModel("mcl", path3(), beta=1.02).violation([1, 0, 1]) == 1
     assert EnergyModel("mcut", triangle()).violation([1, 1, 1]) == 0
+
+
+def test_violation_and_objective_match_edge_list_counts():
+    # every bit-vector of random small graphs, against plain loops over the
+    # edge list that share no code with the model
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        g = random_small_graph(rng, n_min=2, n_max=10)
+        bits = all_bitvectors(g.num_nodes)
+        adjacent = selected_adjacent_pairs(g, bits)
+        non_adjacent = selected_non_adjacent_pairs(g, bits)
+        size = bits.sum(axis=1)
+        mis = EnergyModel("mis", g, beta=1.02)
+        mcl = EnergyModel("mcl", g, beta=1.02)
+        mcut = EnergyModel("mcut", g)
+        for X in (bits, bits.astype(bool)):
+            for m, violations in ((mis, adjacent), (mcl, non_adjacent)):
+                got = m.violation(X)
+                assert got.dtype == np.int64 and np.array_equal(got, violations)
+                feasible = violations == 0
+                got = m.objective(X[feasible])
+                assert got.dtype == np.int64 and np.array_equal(got, size[feasible])
+                if not feasible.all():
+                    with pytest.raises(ValueError, match="infeasible"):
+                        m.objective(X[~feasible][0])
+            assert np.array_equal(mcut.violation(X), np.zeros(len(bits), dtype=np.int64))
+            got = mcut.objective(X)
+            assert got.dtype == np.int64 and np.array_equal(got, cut_edges(g, bits))
+        assert mis.objective(bits[adjacent == 0]).max() == mis_optimum_size(g)
+        assert mcut.objective(bits).max() == maxcut_optimum_size(g)
 
 
 def test_feasible_energy_is_minus_objective():
@@ -307,6 +343,52 @@ def test_products_match_a_float64_reference_bit_for_bit(case, dtype):
         for kind in ("mis", "mcl", "mcut"):
             ax = EnergyModel(kind, g, beta=1.02)._ax(X)
             assert ax.dtype == np.float64 and np.array_equal(ax, reference_product(g, X))
+
+
+_QUBO_WEIGHTS = {  # edge weights that put a qubo model on each rung
+    np.int16: lambda rng, size: rng.integers(-9, 10, size=size).astype(np.float64),
+    np.float32: lambda rng, size: rng.integers(2 ** 15, 2 ** 16, size=size).astype(np.float64),
+    np.float64: lambda rng, size: rng.normal(size=size),
+}
+
+
+@pytest.mark.parametrize("rung", [np.int16, np.float32, np.float64],
+                         ids=["int16", "float32", "float64"])
+@pytest.mark.parametrize("kind", ["mis", "mcl", "mcut", "qubo"])
+def test_shared_form_matches_per_kind_formulas_byte_for_byte(kind, rung):
+    # Energy, gradient and Delta equal each kind's own formula in its own
+    # order of operations, signed zeros included. Unit-weight models reach
+    # the float rungs by re-typing their matrix, which keeps every product
+    # exact, so the result must not depend on the rung.
+    rng = np.random.default_rng([31, ["mis", "mcl", "mcut", "qubo"].index(kind)])
+    checked = 0
+    while checked < 8:
+        g = random_small_graph(rng, n_min=2, n_max=30)
+        if g.num_edges == 0:
+            continue
+        n = g.num_nodes
+        beta = float(rng.uniform(1.01, 3.0))
+        coefficients, weights = {}, None
+        if kind == "qubo":
+            weights = _QUBO_WEIGHTS[rung](rng, g.num_edges)
+            # rounding leaves -0.0 among the linear terms
+            coefficients = dict(linear=np.round(rng.normal(size=n)),
+                                quad_scale=float(rng.uniform(-2, 2)))
+            m = EnergyModel("qubo", g, edge_weights=weights, **coefficients)
+            assert m._A.dtype == rung
+        else:
+            m = EnergyModel(kind, g, beta=beta)
+            m._A = m._A.astype(rung)
+        X = rng.integers(0, 2, size=(6, n))
+        X[0], X[1] = 0, 1
+        for batch in (X.astype(bool), X.astype(np.float64)):
+            want = per_kind_energy(kind, g, batch, beta, weights=weights, **coefficients)
+            for method, w in zip(("energy", "gradient", "delta"), want):
+                assert getattr(m, method)(batch).tobytes() == w.tobytes(), method
+                for i in (0, 1):
+                    got = np.asarray(getattr(m, method)(batch[i]), dtype=np.float64)
+                    assert got.tobytes() == w[i].tobytes(), (method, i)
+        checked += 1
 
 
 def _assert_exact_on_triangle(weights, dtype):
