@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._checks import finite_float, integer
-from .energy import EnergyModel, check_beta
+from .energy import KINDS, EnergyModel, check_beta
 from .graph import Graph, generate_ba, generate_er, read_instance
 from .postprocess import gap_curve, summarize
 from .sampler import KERNELS, RunResult, SamplerConfig, run_rlsa
@@ -37,8 +37,6 @@ PRESETS = {
     "mcut-ba-small": dict(problem="mcut", tau0=5.0, d=20, chains=200, steps=200, beta=1.02),
     "mcut-ba-large": dict(problem="mcut", tau0=5.0, d=20, chains=200, steps=500, beta=1.02),
 }
-
-PROBLEMS = ("mis", "mcl", "mcut", "qubo")
 
 
 @dataclass
@@ -63,8 +61,8 @@ class ExperimentConfig:
     qubo_scale: float = 1.0
 
     def validate(self):
-        if self.problem not in PROBLEMS:
-            raise ValueError(f"problem must be one of {PROBLEMS}, got {self.problem!r}")
+        if self.problem not in KINDS:
+            raise ValueError(f"problem must be one of {KINDS}, got {self.problem!r}")
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {tuple(KERNELS)}, got {self.kernel!r}")
         if (self.instance is None) == (self.generate is None):
@@ -118,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rlsa-bench",
         description="Solve binary graph optimization instances and emit result artifacts.",
     )
-    ap.add_argument("--problem", choices=PROBLEMS, help="objective to optimize")
+    ap.add_argument("--problem", choices=KINDS, help="objective to optimize")
     ap.add_argument("--instance", help="instance file, or a directory for batch mode")
     ap.add_argument("--generate", metavar="SPEC",
                     help="generate an instance in place of a file: er:N:P or ba:N:M")
@@ -209,8 +207,10 @@ def parse_generate_spec(spec: str, seed: int) -> tuple[str, Graph]:
 
 
 def load_reference_energies(path) -> dict[str, float]:
-    """Parse a reference file of lines 'instance_name energy', each energy finite."""
+    """Parse a reference file of lines 'instance_name energy', each energy
+    finite and each name given once."""
     refs: dict[str, float] = {}
+    seen: dict[str, int] = {}  # name -> line number
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -219,10 +219,14 @@ def load_reference_energies(path) -> dict[str, float]:
             tokens = line.split()
             if len(tokens) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected 'instance_name energy'")
+            name, energy = tokens
+            if name in seen:
+                raise ValueError(f"{path}: line {lineno}: {name!r} repeats line {seen[name]}")
+            seen[name] = lineno
             try:
-                refs[tokens[0]] = finite_float("energy", float(tokens[1]))
+                refs[name] = finite_float("energy", float(energy))
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad energy {tokens[1]!r}") from None
+                raise ValueError(f"{path}: line {lineno}: bad energy {energy!r}") from None
     return refs
 
 
@@ -344,6 +348,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         cfg.validate()
         refs = load_reference_energies(cfg.ref_energies) if cfg.ref_energies else {}
         instances = _resolve_instances(cfg)
+        unknown = set(refs) - {name for name, _, _ in instances}
+        if unknown:
+            raise ValueError(f"{cfg.ref_energies}: no instance named {', '.join(sorted(unknown))}")
 
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)

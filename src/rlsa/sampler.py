@@ -27,18 +27,23 @@ probabilities P:
 
       p_i = sigmoid(Delta_i / (2 * tau) - 1 / (2 * alpha)).
 
-  With the substitution 1/alpha = (Delta_(d) - epsilon) / tau this reduces
-  to the regularized rule, so the two kernels isolate the effect of the
-  Delta_(d) threshold in ablations. Near a local optimum every Delta_i is
-  negative and a fixed alpha drives all flip probabilities to zero as tau
-  decays, so this kernel tends to stall where the regularized one escapes.
+  It is the regularized rule at the threshold tau / alpha in place of
+  Delta_(d), with epsilon = 0, and is computed as exactly that:
+  ``flip_probabilities(delta, tau / alpha, 0.0, tau)``. So the two kernels
+  share one sigmoid and isolate the effect of the Delta_(d) threshold in
+  ablations. Near a local optimum every Delta_i is negative and a fixed
+  alpha drives all flip probabilities to zero as tau decays, so this kernel
+  tends to stall where the regularized one escapes.
 
-Sparse flip masks. The regularized and ld rules evaluate the sigmoid only
-where a flip can happen, and their mask stays bit-identical to ``U < P``.
+Sparse flip masks. The regularized and ld rules share one mask function,
+which calls ``flip_probabilities`` with a (K, 1) column of thresholds:
+Delta_(d) per row with epsilon, or tau / alpha in every row with
+epsilon = 0. It evaluates the sigmoid only where a flip can happen, and
+the mask stays bit-identical to ``U < P``.
 ``Generator.random`` returns multiples of 2**-53, and expit(z) < 2**-53 for
 every z <= -37, so on such an entry ``U < P`` can hold only when U == 0.
 An entry is live when its argument z = (Delta - a) / (2 tau) exceeds -40
-(a is the rule's threshold, Delta_(d) - epsilon or tau / alpha), a test made
+(a = threshold - epsilon, Delta_(d) - epsilon or tau / alpha), a test made
 in Delta units as Delta > a - 80 tau, with no division over the matrix; the
 three units of margin cover its rounding, and a per-row check falls back
 to the dense mask should rounding ever eat that margin. The sigmoid runs
@@ -139,12 +144,13 @@ def normalized_flip_probabilities(delta, tau: float, d: int):
 
 
 def ld_flip_probabilities(delta, alpha: float, tau: float):
-    """Fixed-step Langevin flip probabilities sigmoid(delta_i / (2 tau) - 1 / (2 alpha))."""
+    """Fixed-step Langevin flip probabilities sigmoid(delta_i / (2 tau) - 1 / (2 alpha)),
+    computed as the regularized rule at threshold tau / alpha with epsilon = 0."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    return expit((np.asarray(delta, dtype=np.float64) - tau / alpha) / (2.0 * tau))
+    return flip_probabilities(delta, tau / alpha, 0.0, tau)
 
 
 # expit(z) < 2**-53, the smallest positive uniform, for every z <= _DEAD_Z
@@ -155,38 +161,39 @@ _LIVE_Z = -40.0
 _DENSE_SHARE = 0.25
 
 
-def _flip_mask(D, U, a, tau, probabilities):
-    """``U < P`` for a rule with P = expit((D - a) / (2 tau)), evaluating P
-    only on the entries where a flip can happen.
+def _flip_mask(D, U, dth, epsilon, tau):
+    """``U < flip_probabilities(D, dth, epsilon, tau)`` for a (K, 1) column
+    ``dth`` of per-row thresholds, evaluating the sigmoid only on the
+    entries where a flip can happen.
 
-    ``a`` is a scalar or a (K, 1) column of per-row thresholds, computed as
-    the rule computes it. ``probabilities(part, at)`` returns the rule's P on
-    the entries ``part`` of D; ``at`` indexes a (K, 1) per-row column so that
-    it lines up with ``part``. Either way P has the same argument values, so
-    the mask is bit-identical to the dense one.
+    The sparse path passes ``flip_probabilities`` the gathered entries of D
+    and of ``dth``, so every argument keeps its value and the mask is
+    bit-identical to the dense one.
     """
+    a = dth - epsilon
     cut = a + 2.0 * tau * _LIVE_Z
     live = D > cut
     # Dead entries have D - a <= cut - a; rounding is monotone, so their z
     # is at most (cut - a) / (2 tau) computed the rule's way.
     if (np.count_nonzero(live) > _DENSE_SHARE * D.size
             or not np.all((cut - a) / (2.0 * tau) <= _DEAD_Z)):
-        return U < probabilities(D, slice(None))
+        return U < flip_probabilities(D, dth, epsilon, tau)
     if not U.all():
         live |= U == 0
     idx = np.flatnonzero(live)
     flip = np.zeros(D.size, dtype=bool)
-    flip[idx] = U.ravel()[idx] < probabilities(D.ravel()[idx], (idx // D.shape[1], 0))
+    flip[idx] = U.ravel()[idx] < flip_probabilities(
+        D.ravel()[idx], dth[idx // D.shape[1], 0], epsilon, tau)
     return flip.reshape(D.shape)
 
 
-# The rules resolve flip_probabilities and ld_flip_probabilities through this
-# module at call time, so a tracer can swap them.
+# _flip_mask resolves flip_probabilities through this module at call time,
+# so a tracer can swap it. ld is the regularized rule at threshold
+# tau / alpha with epsilon = 0, so the benchmark's sampler.flip_rule_s
+# times the sigmoid of both rules.
 
 def _regularized(cfg, D, tau, U):
-    dth = kth_largest(D, cfg.d)[:, None]
-    return _flip_mask(D, U, dth - cfg.epsilon, tau,
-                      lambda part, at: flip_probabilities(part, dth[at], cfg.epsilon, tau))
+    return _flip_mask(D, U, kth_largest(D, cfg.d)[:, None], cfg.epsilon, tau)
 
 
 def _normalized(cfg, D, tau, U):
@@ -194,8 +201,7 @@ def _normalized(cfg, D, tau, U):
 
 
 def _ld(cfg, D, tau, U):
-    return _flip_mask(D, U, tau / cfg.alpha, tau,
-                      lambda part, at: ld_flip_probabilities(part, cfg.alpha, tau))
+    return _flip_mask(D, U, np.full((len(D), 1), tau / cfg.alpha), 0.0, tau)
 
 
 # kernel -> (the SamplerConfig fields its rule reads,
@@ -280,9 +286,10 @@ class RunResult:
     decode_gain: float
 
 
-def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, improved=None):
-    """Run a block of chains jointly; per-chain results are identical to
-    running each chain alone with its derived stream.
+def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus):
+    """Run a block of chains jointly under the temperature schedule
+    ``taus``; per-chain results are identical to running each chain alone
+    with its derived stream.
 
     Each step makes one ``model.delta`` and one ``model.energy`` call on the
     whole block and consumes N uniforms per chain, drawn into one reused
@@ -294,10 +301,10 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, improved=None):
     reuses it through the model's per-thread memo, so a block makes
     ``steps + 1`` products. The states are a bool (K, N) array flipped in
     place with ``X ^= flip``; the memo keeps a copy of the batch it saw, so
-    it notices the change. Returns the best states (bool) and energies and,
-    per step and chain, the energy, the running best and the number of bits
-    flipped. ``improved``, when given, is a (steps,) integer array that
-    receives the number of chains whose best improved at each step.
+    it notices the change. Returns the best states (bool) and energies, per
+    step and chain the energy and the number of bits flipped, and the
+    running best, whose first row is the initial energies: a chain's best
+    improved at step t exactly where ``best_traj[t] < best_traj[t - 1]``.
     """
     rule = KERNELS[cfg.kernel][1]
     k = len(chain_ids)
@@ -310,14 +317,12 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, improved=None):
     E = model.energy(X)
     best_X = X.copy()
     best_E = E.copy()
-    energy_traj = np.empty((cfg.steps, k))
-    best_traj = np.empty((cfg.steps, k))
-    flips_traj = np.empty((cfg.steps, k), dtype=np.int64)
-    if improved is None:
-        improved = np.empty(cfg.steps, dtype=np.int64)
+    energy_traj = np.empty((len(taus), k))
+    best_traj = np.empty((len(taus) + 1, k))
+    best_traj[0] = E
+    flips_traj = np.empty((len(taus), k), dtype=np.int64)
     U = np.empty((k, n))
-    for t in range(1, cfg.steps + 1):
-        tau = linear_temperature(t, cfg.tau0, cfg.steps)
+    for t, tau in enumerate(taus):
         D = model.delta(X)
         for rng, row in zip(rngs, U):
             rng.random(out=row)
@@ -327,10 +332,9 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, improved=None):
         better = E < best_E
         best_X[better] = X[better]
         best_E[better] = E[better]
-        energy_traj[t - 1] = E
-        best_traj[t - 1] = best_E
-        flips_traj[t - 1] = np.count_nonzero(flip, axis=1)
-        improved[t - 1] = np.count_nonzero(better)
+        energy_traj[t] = E
+        best_traj[t + 1] = best_E
+        flips_traj[t] = np.count_nonzero(flip, axis=1)
     return best_X, best_E, energy_traj, best_traj, flips_traj
 
 
@@ -372,30 +376,25 @@ def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResul
                 f"got shape {init.shape}"
             )
         model._as_batch(init)  # validates length and binary entries
+    taus = np.array([linear_temperature(t, cfg.tau0, cfg.steps) for t in range(1, cfg.steps + 1)])
     blocks = np.array_split(np.arange(cfg.chains), min(workers, cfg.chains))
-    improved = np.zeros((len(blocks), cfg.steps), dtype=np.int64)
     if len(blocks) == 1:
-        outputs = [_run_chain_block(model, cfg, blocks[0], init, improved[0])]
+        outputs = [_run_chain_block(model, cfg, blocks[0], init, taus)]
     else:
         with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            outputs = list(pool.map(
-                lambda b, out: _run_chain_block(model, cfg, b, init, out), blocks, improved))
+            outputs = list(pool.map(lambda b: _run_chain_block(model, cfg, b, init, taus), blocks))
 
-    best_X = np.vstack([o[0] for o in outputs])
-    best_E = np.concatenate([o[1] for o in outputs])
-    energy_traj = np.hstack([o[2] for o in outputs])
-    best_traj = np.hstack([o[3] for o in outputs])
-    flips_traj = np.hstack([o[4] for o in outputs])
+    parts = list(zip(*outputs))
+    best_X, best_E = np.concatenate(parts[0]), np.concatenate(parts[1])
+    energy_traj, best_traj, flips_traj = (np.hstack(p) for p in parts[2:])
 
-    steps = cfg.steps
-    taus = np.array([linear_temperature(t, cfg.tau0, steps) for t in range(1, steps + 1)])
     trajectory = Trajectory(
-        step=np.arange(1, steps + 1, dtype=np.int64),
+        step=np.arange(1, cfg.steps + 1, dtype=np.int64),
         tau=taus,
-        best_energy=best_traj.min(axis=1),
+        best_energy=best_traj[1:].min(axis=1),
         mean_energy=energy_traj.mean(axis=1),
         mean_flips=flips_traj.mean(axis=1),
-        improved=improved.sum(axis=0),
+        improved=np.count_nonzero(best_traj[1:] < best_traj[:-1], axis=1),
     )
 
     winner = int(np.argmin(best_E))  # lowest chain id on ties

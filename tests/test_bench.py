@@ -135,6 +135,39 @@ def test_non_finite_reference_energy_fails_before_writing(tmp_path, capsys, ener
         load_reference_energies(refs)
 
 
+def _solve_k3_with_references(tmp_path, text):
+    instance = write_k3(tmp_path)
+    refs = tmp_path / "refs.txt"
+    refs.write_text(text)
+    out = tmp_path / "out"
+    status = main(["--instance", str(instance), "--problem", "mis", "--tau0", "0.01",
+                   "--d", "1", "--steps", "10", "--chains", "2", "--out", str(out),
+                   "--trajectory", "--ref-energies", str(refs)])
+    return status, out
+
+
+def test_reference_name_given_twice_fails_before_writing(tmp_path, capsys):
+    status, out = _solve_k3_with_references(tmp_path, "k3x -1.0\nk3 -1\nk3 -2\n")
+    assert status == 1
+    assert not out.exists()
+    assert "refs.txt: line 3: 'k3' repeats line 2" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="line 3: 'k3' repeats line 2"):
+        load_reference_energies(tmp_path / "refs.txt")
+
+
+def test_reference_name_matching_no_instance_fails_before_writing(tmp_path, capsys, monkeypatch):
+    import rlsa.bench as bench
+
+    def no_solving(*args, **kwargs):
+        raise AssertionError("solved despite an unknown reference name")
+
+    monkeypatch.setattr(bench, "run_rlsa", no_solving)
+    status, out = _solve_k3_with_references(tmp_path, "k3x -1.0\n")
+    assert status == 1
+    assert not out.exists()
+    assert "refs.txt: no instance named k3x" in capsys.readouterr().err
+
+
 def test_json_artifacts_refuse_nan(tmp_path):
     path = tmp_path / "summary.json"
     with pytest.raises(ValueError):

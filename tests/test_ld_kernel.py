@@ -55,6 +55,9 @@ def test_ld_equals_regularized_rule_under_substitution():
         a = ld_flip_probabilities(delta, alpha, tau)
         b = flip_probabilities(delta, dth, eps, tau)
         assert np.abs(a - b).max() < 1e-12
+        # at threshold tau / alpha with epsilon = 0 the two rules agree bit for bit
+        assert np.array_equal(ld_flip_probabilities(delta, alpha, tau),
+                              flip_probabilities(delta, tau / alpha, 0.0, tau))
 
 
 def test_ld_flip_monotone_in_alpha():

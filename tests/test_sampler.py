@@ -15,7 +15,6 @@ from rlsa import (
     generate_er,
     greedy_decode,
     kth_largest,
-    ld_flip_probabilities,
     normalized_flip_probabilities,
     run_rlsa,
 )
@@ -29,6 +28,15 @@ def small_cfg(**overrides):
     params = dict(tau0=0.01, d=2, steps=100, chains=8, seed=3)
     params.update(overrides)
     return SamplerConfig(**params)
+
+
+def schedule(cfg):
+    """The temperature schedule that run_rlsa passes to every block."""
+    return np.array([linear_temperature(t, cfg.tau0, cfg.steps) for t in range(1, cfg.steps + 1)])
+
+
+def run_block(model, cfg, chain_ids, init=None):
+    return _run_chain_block(model, cfg, chain_ids, init, schedule(cfg))
 
 
 def one_engine_step(model, cfg, chain_id, init=None):
@@ -46,7 +54,7 @@ def one_engine_step(model, cfg, chain_id, init=None):
 
     model.energy = recording
     try:
-        out = _run_chain_block(model, replace(cfg, steps=1), [chain_id], init)
+        out = run_block(model, replace(cfg, steps=1), [chain_id], init)
     finally:
         del model.energy
     before, after = states
@@ -231,20 +239,19 @@ def test_uniforms_are_multiples_of_2_to_the_minus_53():
 
 
 def _recording_rules(monkeypatch):
-    """Sizes of the Delta arrays the sampler's rules pass to the public
-    probability functions, per function name."""
-    sizes = {"flip_probabilities": [], "ld_flip_probabilities": []}
-    for name, log in sizes.items():
-        fn = getattr(sampler, name)
-        monkeypatch.setattr(sampler, name,
-                            lambda delta, *a, fn=fn, log=log: log.append(np.size(delta)) or fn(delta, *a))
+    """Sizes of the Delta arrays that the regularized and ld rules pass to
+    ``flip_probabilities``, their one sigmoid, in call order."""
+    sizes = []
+    fn = sampler.flip_probabilities
+    monkeypatch.setattr(sampler, "flip_probabilities",
+                        lambda delta, *a: sizes.append(np.size(delta)) or fn(delta, *a))
     return sizes
 
 
 def _dense_mask(cfg, D, tau, U):
     if cfg.kernel == "regularized":
         return U < flip_probabilities(D, kth_largest(D, cfg.d)[:, None], cfg.epsilon, tau)
-    return U < ld_flip_probabilities(D, cfg.alpha, tau)
+    return U < expit((D - tau / cfg.alpha) / (2.0 * tau))
 
 
 def _threshold(cfg, tau):
@@ -286,8 +293,7 @@ def _hand_built(kernel, live_share, rng, tau=0.5, shape=(12, 64)):
 @pytest.mark.parametrize("live_share, path", [(0.02, "sparse"), (0.1, "sparse"), (0.6, "dense")])
 def test_sparse_flip_mask_equals_the_dense_mask(kernel, live_share, path, monkeypatch):
     rng = np.random.default_rng(17)
-    sizes = _recording_rules(monkeypatch)
-    name = "flip_probabilities" if kernel == "regularized" else "ld_flip_probabilities"
+    calls = _recording_rules(monkeypatch)
     for _ in range(20):
         cfg, D, tau, U = _hand_built(kernel, live_share, rng)
         got = KERNELS[kernel][1](cfg, D, tau, U)
@@ -295,7 +301,7 @@ def test_sparse_flip_mask_equals_the_dense_mask(kernel, live_share, path, monkey
         assert np.array_equal(got, _dense_mask(cfg, D, tau, U))
         # the hand-built entries that the zero and the smallest uniforms flip
         assert got[U == 0].any() and got[(U > 0) & (U <= 8 * ULP)].any()
-    calls = sizes[name]  # the rule's calls; the reference calls the functions directly
+    # the rule's calls; the reference calls flip_probabilities directly
     assert len(calls) == 20
     if path == "sparse":
         assert all(c < D.size for c in calls)
@@ -338,7 +344,7 @@ def test_sparse_flip_mask_stays_exact_when_tau_underflows_the_cutoff(kernel, mon
     got = KERNELS[kernel][1](cfg, D, tau, U)
     assert got[:, -4:].all()  # P = 1/2 there
     assert np.array_equal(got, _dense_mask(cfg, D, tau, U))
-    assert sum(sizes.values(), []) == [D.size]
+    assert sizes == [D.size]
 
 
 # -- config validation -----------------------------------------------------------
@@ -420,11 +426,12 @@ def test_rlsa_step_best_tracking_monotone():
     g = generate_er(16, 0.4, seed=6)
     m = EnergyModel("mis", g, beta=1.02)
     cfg = small_cfg(d=2, steps=50)
-    best_X, best_E, energy_traj, best_traj, _ = _run_chain_block(m, cfg, [1], None)
+    best_X, best_E, energy_traj, best_traj, _ = run_block(m, cfg, [1])
     energies, bests = energy_traj[:, 0], best_traj[:, 0]
+    assert len(bests) == cfg.steps + 1
+    assert bests[0] == m.energy(chain_rng(cfg.seed, 1).integers(0, 2, size=16))
     assert (np.diff(bests) <= 0).all()
-    assert bests[0] <= energies[0]
-    assert np.array_equal(bests[1:], np.minimum(bests[:-1], energies[1:]))
+    assert np.array_equal(bests[1:], np.minimum(bests[:-1], energies))
     assert best_E[0] == bests[-1] == m.energy(best_X[0])
 
 
@@ -492,9 +499,9 @@ def test_chains_are_independent_of_grouping():
     g = generate_er(25, 0.3, seed=10)
     m = EnergyModel("mis", g, beta=1.02)
     cfg = small_cfg(d=2, steps=30, chains=5)
-    joint = _run_chain_block(m, cfg, list(range(5)), None)
+    joint = run_block(m, cfg, list(range(5)))
     for k in range(5):
-        alone = _run_chain_block(m, cfg, [k], None)
+        alone = run_block(m, cfg, [k])
         assert np.array_equal(joint[0][k], alone[0][0])
         assert joint[1][k] == alone[1][0]
         assert np.array_equal(joint[2][:, k], alone[2][:, 0])
@@ -519,14 +526,13 @@ def test_engine_matches_reference_chain(kernel):
     for m in _oracle_models():
         tau0 = 0.5 if m.kind in ("mcut", "qubo") else 0.05
         cfg = SamplerConfig(tau0=tau0, steps=25, chains=5, seed=13, kernel=kernel, **rate)
-        best_X, best_E, energy_traj, best_traj, flips_traj = _run_chain_block(
-            m, cfg, range(5), None)
+        best_X, best_E, energy_traj, best_traj, flips_traj = run_block(m, cfg, range(5))
         for k in range(5):
             x, e, energies, bests, flips = reference_chain(m, cfg, k)
             assert np.array_equal(best_X[k], x), (m.kind, k)
             assert best_E[k] == e
             assert np.array_equal(energy_traj[:, k], energies)
-            assert np.array_equal(best_traj[:, k], bests)
+            assert np.array_equal(best_traj[1:, k], bests)
             assert np.array_equal(flips_traj[:, k], flips)
 
 
@@ -535,22 +541,19 @@ def test_engine_matches_reference_chain_on_the_sparse_path(kernel, monkeypatch):
     # at a small tau0 most sigmoid arguments are far below -40, so the rules
     # take their sparse masks (the small integer-Delta models, whose Deltas
     # tie, often stay dense), and every chain still equals the plain loop
-    sizes = _recording_rules(monkeypatch)
-    name = "flip_probabilities" if kernel == "regularized" else "ld_flip_probabilities"
+    calls = _recording_rules(monkeypatch)
     rate = dict(alpha=0.05) if kernel == "ld" else dict(d=3)
     paths = {"sparse": 0, "dense": 0}
     for m in _oracle_models():
         cfg = SamplerConfig(tau0=1e-3, steps=25, chains=5, seed=13, kernel=kernel, **rate)
-        best_X, best_E, energy_traj, best_traj, flips_traj = _run_chain_block(
-            m, cfg, range(5), None)
+        best_X, best_E, energy_traj, best_traj, flips_traj = run_block(m, cfg, range(5))
         for k in range(5):
             x, e, energies, bests, flips = reference_chain(m, cfg, k)
             assert np.array_equal(best_X[k], x), (m.kind, k)
             assert best_E[k] == e
             assert np.array_equal(energy_traj[:, k], energies)
-            assert np.array_equal(best_traj[:, k], bests)
+            assert np.array_equal(best_traj[1:, k], bests)
             assert np.array_equal(flips_traj[:, k], flips)
-        calls = sizes[name]
         assert len(calls) == cfg.steps
         for c in calls:
             paths["sparse" if c < 5 * m.num_nodes else "dense"] += 1
@@ -651,15 +654,12 @@ def test_improved_counts_the_chains_whose_best_improved():
         e0 = m.energy(chain_rng(cfg.seed, k).integers(0, 2, size=30))
         bests = reference_chain(m, cfg, k)[3]
         better.append(bests < np.concatenate(([e0], bests[:-1])))
-    better = np.column_stack(better)
-    for block in ([0, 1, 2], [3, 4]):
-        out = np.full(cfg.steps, -1, dtype=np.int64)
-        _run_chain_block(m, cfg, block, None, out)
-        assert np.array_equal(out, better[:, block].sum(axis=1))
-    res = run_rlsa(m, cfg, workers=2)
-    assert np.array_equal(res.trajectory.improved, better.sum(axis=1))
-    assert res.trajectory.improved.dtype == np.int64
-    assert res.trajectory.improved.sum() > cfg.chains  # the oracle is not vacuous
+    better = np.column_stack(better).sum(axis=1)
+    assert better.sum() > cfg.chains  # the oracle is not vacuous
+    for workers in (1, 2, 3):  # blocks of 5; 3 and 2; 2, 2 and 1 chains
+        improved = run_rlsa(m, cfg, workers=workers).trajectory.improved
+        assert np.array_equal(improved, better)
+        assert improved.dtype == np.int64
 
 
 def test_mean_flips_tends_to_d_at_tiny_tau():
