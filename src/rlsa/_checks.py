@@ -1,7 +1,8 @@
-"""Construction-time checks shared by the configs and the energy model.
+"""Construction-time checks shared by the configs, the graph constructors and
+the energy model.
 
-Bad numbers must fail when a config or model is built, never surface later
-as a NaN energy or a crash inside the annealing loop.
+Bad numbers must fail when a config, graph or model is built, never
+surface later as a NaN energy or a crash inside the annealing loop.
 """
 
 from __future__ import annotations

@@ -6,6 +6,13 @@ optional per-step trajectory CSV). Directories of instances are processed
 sequentially and also produce a summary JSON. Artifacts are renamed into
 place whole. Identical configs and seeds reproduce byte-identical artifacts
 up to the recorded wall time.
+
+Flags and presets merge in one step: every flag given on the command line
+wins, a ``--preset`` fills the fields no flag set, and ``ExperimentConfig``'s
+defaults fill the rest. Presets carry ``d``, which a kernel that takes no
+``d`` ignores; only an explicit ``--d`` reaches it. A ``d`` larger than an
+instance is capped at the instance's node count, and the result record
+echoes the capped value that ran.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +57,9 @@ class ExperimentConfig:
     steps: int | None = None
     chains: int | None = None
     beta: float = 1.02
-    epsilon: float = 1e-6
-    kernel: str = "regularized"
-    seed: int = 0
+    epsilon: float = SamplerConfig.epsilon
+    kernel: str = SamplerConfig.kernel
+    seed: int = SamplerConfig.seed
     out: str = "."
     trajectory: bool = False
     ref_energies: str | None = None
@@ -86,16 +93,7 @@ class ExperimentConfig:
         self.sampler_config()
 
     def sampler_config(self) -> SamplerConfig:
-        return SamplerConfig(
-            tau0=self.tau0,
-            steps=self.steps,
-            chains=self.chains,
-            d=self.d,
-            alpha=self.alpha,
-            seed=self.seed,
-            epsilon=self.epsilon,
-            kernel=self.kernel,
-        )
+        return SamplerConfig(**{f.name: getattr(self, f.name) for f in fields(SamplerConfig)})
 
     def config_echo(self) -> dict:
         echo = dict(
@@ -128,58 +126,33 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--steps", type=int, help="annealing steps per chain")
     ap.add_argument("--chains", type=int, help="independent chains")
     ap.add_argument("--beta", type=float, help="constraint penalty coefficient")
-    ap.add_argument("--epsilon", type=float, default=1e-6,
+    ap.add_argument("--epsilon", type=float,
                     help="threshold offset in the regularized flip rule")
-    ap.add_argument("--kernel", choices=tuple(KERNELS), default="regularized",
+    ap.add_argument("--kernel", choices=tuple(KERNELS),
                     help="flip rule; ld is the fixed-step Langevin baseline")
-    ap.add_argument("--seed", type=int, default=0, help="master seed")
+    ap.add_argument("--seed", type=int, help="master seed")
     ap.add_argument("--ref-energies", metavar="FILE",
                     help="reference energies, lines of 'instance_name energy'")
-    ap.add_argument("--out", default=".", help="output directory")
+    ap.add_argument("--out", help="output directory")
     ap.add_argument("--trajectory", action="store_true",
                     help="write a per-step trajectory CSV next to each result")
-    ap.add_argument("--threads", type=int, default=1,
+    ap.add_argument("--threads", type=int,
                     help="worker threads for chain blocks (results are identical for any count)")
     ap.add_argument("--qubo-linear", metavar="FILE",
                     help="per-node linear coefficients for --problem qubo")
-    ap.add_argument("--qubo-scale", type=float, default=1.0,
+    ap.add_argument("--qubo-scale", type=float,
                     help="scalar on the quadratic adjacency term for --problem qubo")
     return ap
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    preset = dict(PRESETS[args.preset]) if args.preset else {}
-    problem = args.problem or preset.get("problem")
-    if problem is None:
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    values = {**PRESETS.get(given.pop("preset", None), {}), **given}
+    if "problem" not in values:
         raise ValueError("--problem is required (or implied by --preset)")
-
-    def pick(name, default=None):
-        value = getattr(args, name)
-        if value is not None:
-            return value
-        return preset.get(name, default)
-
-    cfg = ExperimentConfig(
-        problem=problem,
-        instance=args.instance,
-        generate=args.generate,
-        tau0=pick("tau0"),
-        # presets carry d; a kernel that takes no d only sees an explicit --d
-        d=pick("d") if "d" in KERNELS[args.kernel][0] else args.d,
-        alpha=args.alpha,
-        steps=pick("steps"),
-        chains=pick("chains"),
-        beta=pick("beta", 1.02),
-        epsilon=args.epsilon,
-        kernel=args.kernel,
-        seed=args.seed,
-        out=args.out,
-        trajectory=args.trajectory,
-        ref_energies=args.ref_energies,
-        threads=args.threads,
-        qubo_linear=args.qubo_linear,
-        qubo_scale=args.qubo_scale,
-    )
+    cfg = ExperimentConfig(**values)
+    if "d" not in KERNELS[cfg.kernel][0]:
+        cfg.d = args.d  # presets carry d; a kernel that takes no d only sees an explicit --d
     cfg.validate()
     return cfg
 
@@ -189,21 +162,16 @@ def parse_generate_spec(spec: str, seed: int) -> tuple[str, Graph]:
     if len(parts) != 3:
         raise ValueError(f"generator spec must be er:N:P or ba:N:M, got {spec!r}")
     family = parts[0].lower()
+    if family not in ("er", "ba"):
+        raise ValueError(f"unknown generator family {family!r} in {spec!r}")
     try:
         n = int(parts[1])
-        if family == "er":
-            p = float(parts[2])
-        elif family == "ba":
-            m = int(parts[2])
-        else:
-            raise ValueError(f"unknown generator family {family!r} in {spec!r}")
-    except ValueError as exc:
-        if "generator family" in str(exc):
-            raise
+        param = float(parts[2]) if family == "er" else int(parts[2])
+    except ValueError:
         raise ValueError(f"bad generator parameters in {spec!r}") from None
     if family == "er":
-        return f"er-n{n}-p{parts[2]}-seed{seed}", generate_er(n, p, seed)
-    return f"ba-n{n}-m{m}-seed{seed}", generate_ba(n, m, seed)
+        return f"er-n{n}-p{parts[2]}-seed{seed}", generate_er(n, param, seed)
+    return f"ba-n{n}-m{param}-seed{seed}", generate_ba(n, param, seed)
 
 
 def load_reference_energies(path) -> dict[str, float]:
@@ -318,11 +286,10 @@ def _result_record(cfg, name, source, model, result, traj_path) -> dict:
 
 def verify_record(record: dict, graph: Graph) -> None:
     """Recompute objective and violation from a stored best_x; raises on mismatch."""
+    echo = record["config"]
     cfg = ExperimentConfig(
         problem=record["problem"],
-        beta=record["config"].get("beta", 1.02),
-        qubo_linear=record["config"].get("qubo_linear"),
-        qubo_scale=record["config"].get("qubo_scale", 1.0),
+        **{name: echo[name] for name in ("beta", "qubo_linear", "qubo_scale") if name in echo},
     )
     model = _build_model(cfg, graph)
     x = np.asarray(record["best_x"], dtype=np.int8)
@@ -354,22 +321,21 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        sampler_cfg = cfg.sampler_config()
 
         results = []
         references = []
         for name, source, graph in instances:
             model = _build_model(cfg, graph)
-            scfg = sampler_cfg
-            if scfg.d is not None and 0 < graph.num_nodes < scfg.d:
+            run_cfg = cfg
+            if cfg.d is not None and 0 < graph.num_nodes < cfg.d:
                 # presets carry a fixed d; cap it at the instance size
-                scfg = replace(scfg, d=graph.num_nodes)
-            result = run_rlsa(model, scfg, workers=cfg.threads)
+                run_cfg = replace(cfg, d=graph.num_nodes)
+            result = run_rlsa(model, run_cfg.sampler_config(), workers=cfg.threads)
             ref = refs.get(name)
             traj_path = None
             if cfg.trajectory:
                 traj_path = emit_trajectory(result, outdir / f"{name}.trajectory.csv", ref)
-            record = _result_record(cfg, name, source, model, result, traj_path)
+            record = _result_record(run_cfg, name, source, model, result, traj_path)
             _write_json(outdir / f"{name}.result.json", record)
             results.append(result)
             references.append(ref)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import finite_float, integer
+
 
 class Graph:
     """Immutable undirected simple graph stored as sorted CSR neighbor lists.
@@ -77,14 +79,16 @@ def from_edge_list(num_nodes: int, edges) -> Graph:
     """Build a canonical Graph from unordered node pairs.
 
     Duplicate pairs (in either orientation) collapse to a single edge. Self
-    loops and out-of-range endpoints raise ValueError.
+    loops, out-of-range endpoints and endpoints of a non-integer dtype raise
+    ValueError; an empty input may have any dtype.
     """
-    n = int(num_nodes)
-    if n < 0:
-        raise ValueError(f"num_nodes must be nonnegative, got {num_nodes}")
+    n = integer("num_nodes", num_nodes, 0)
     if not isinstance(edges, np.ndarray):
         edges = list(edges)  # accepts any iterable of pairs, generators included
-    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(edges)
+    if pairs.size and not np.issubdtype(pairs.dtype, np.integer):
+        raise ValueError(f"edge endpoints must be integers, got dtype {pairs.dtype}")
+    pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
     u, v = pairs[:, 0], pairs[:, 1]
     if pairs.size:
         bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
@@ -120,6 +124,8 @@ def generate_er(num_nodes: int, p: float, seed: int) -> Graph:
     so output is byte-identical for a fixed (n, p, seed) across runs and
     platforms.
     """
+    num_nodes = integer("num_nodes", num_nodes, 0)
+    p = finite_float("edge probability", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
@@ -146,7 +152,9 @@ def generate_ba(num_nodes: int, m: int, seed: int) -> Graph:
     first attachment step, where all degrees are zero, connects to all ``m``
     seed nodes). Edge count is exactly ``m * (num_nodes - m)``.
     """
-    if not 1 <= m < num_nodes:
+    num_nodes = integer("num_nodes", num_nodes, 0)
+    m = integer("attachment count", m, 1)
+    if not m < num_nodes:
         raise ValueError(
             f"attachment count must satisfy 1 <= m < n, got m={m}, n={num_nodes}"
         )

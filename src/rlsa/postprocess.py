@@ -17,40 +17,33 @@ def greedy_decode(model, x):
     and never increases the energy. For mis/mcl with beta > 1 the fixed
     point is always feasible.
 
-    Cost: one full sparse product ``A @ X`` up front, then O(N + deg) per
-    round. Each round rebuilds Delta for the still-active rows from the
-    cached product, and each flip of node ``i`` refreshes the product only
-    on ``i``'s neighbours. That refresh is exact, so every Delta equals the
-    one a full product would give, bit for bit: when the model multiplies
-    in int16 or float32 (integer weights whose row sums of ``|w|`` stay
-    below 2**24, always so for mis, mcl, mcut and unweighted qubo) it adds
-    column ``i``;
-    otherwise it recomputes the neighbour rows of the product in the same
-    CSR order as the full one.
+    Rows are decoded one at a time on a bool copy of the input. Cost: one
+    full sparse product ``A @ X`` up front, then O(N + deg) per round: Delta
+    of the row is rebuilt from its cached product, and each flip of node
+    ``i`` refreshes the product only on ``i``'s neighbours. That refresh is
+    exact, so every Delta equals the one a full product would give, bit for
+    bit: when the model multiplies in int16 or float32 (integer weights
+    whose row sums of ``|w|`` stay below 2**24, always so for mis, mcl, mcut
+    and unweighted qubo) it adds column ``i``; otherwise it recomputes the
+    neighbour rows of the product in the same CSR order as the full one.
 
-    Accepts a single solution of shape (N,) or a batch (B, N); rows are
-    decoded independently.
+    Accepts a single solution of shape (N,) or a batch (B, N). Raises
+    RuntimeError when a row makes ``1000 + 10 * (N + E)`` flips, which
+    strict improvement rules out unless qubo coefficients are degenerate.
     """
     X, single = model._as_batch(x)
-    X = X.astype(np.float64)  # a copy, flipped in place below
+    X = X.astype(bool)  # a copy, flipped in place below
     AX = model._ax(X).copy()  # the model's product is read-only
-    active = np.ones(X.shape[0], dtype=bool)
-    # Strict improvement bounds total flips; the cap only guards degenerate
-    # user-supplied qubo coefficients.
     limit = 1000 + 10 * (model.num_nodes + model.graph.num_edges)
-    rounds = 0
-    while active.any():
-        rows = np.flatnonzero(active)
-        D = model._delta(X[rows], AX[rows])
-        best = np.argmax(D, axis=1)
-        gains = D[np.arange(rows.size), best]
-        improving = gains > 0
-        for r, i in zip(rows[improving], best[improving]):
-            X[r, i] = 1.0 - X[r, i]
-            model._flip_ax(AX[r], X[r], i)
-        active[rows[~improving]] = False
-        rounds += 1
-        if rounds > limit:
+    for row, ax in zip(X, AX):
+        for _ in range(limit):
+            D = model._delta(row[None], ax[None])[0]
+            i = np.argmax(D)
+            if D[i] <= 0:
+                break
+            row[i] = not row[i]
+            model._flip_ax(ax, row, i)
+        else:
             raise RuntimeError("greedy decode did not converge; check model coefficients")
     out = X.astype(np.int8)
     return out[0] if single else out

@@ -1,13 +1,17 @@
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from rlsa import read_instance, write_instance
+import rlsa.bench
+from rlsa import SamplerConfig, read_instance, write_instance
 from rlsa.bench import (
     PRESETS,
     ExperimentConfig,
+    _build_parser,
     _write_json,
+    config_from_args,
     load_reference_energies,
     main,
     parse_generate_spec,
@@ -48,6 +52,82 @@ def test_preset_table():
     assert PRESETS["mcut-ba-large"] == dict(problem="mcut", tau0=5.0, d=20, chains=200, steps=500, beta=1.02)
 
 
+# -- flags and presets ---------------------------------------------------------
+
+def parse(argv):
+    return config_from_args(_build_parser().parse_args(argv))
+
+
+REQUIRED = ["--problem", "mis", "--instance", "k3.dimacs",
+            "--tau0", "0.01", "--d", "2", "--steps", "10", "--chains", "2"]
+
+
+def test_every_flag_lands_in_its_field():
+    # no valid config sets both d and alpha, nor both instance and generate
+    common = ["--tau0", "0.3", "--steps", "11", "--chains", "5", "--beta", "1.5",
+              "--epsilon", "0.001", "--seed", "9", "--out", "results", "--trajectory",
+              "--ref-energies", "refs.txt", "--threads", "3", "--qubo-linear", "lin.txt",
+              "--qubo-scale", "0.25"]
+    expected = dict(tau0=0.3, steps=11, chains=5, beta=1.5, epsilon=0.001, seed=9,
+                    out="results", trajectory=True, ref_energies="refs.txt", threads=3,
+                    qubo_linear="lin.txt", qubo_scale=0.25)
+    cases = [
+        (["--problem", "mcut", "--instance", "g.txt", "--kernel", "normalized", "--d", "4"],
+         dict(problem="mcut", instance="g.txt", generate=None, kernel="normalized", d=4,
+              alpha=None)),
+        (["--problem", "qubo", "--generate", "er:5:0.5", "--kernel", "ld", "--alpha", "0.2"],
+         dict(problem="qubo", instance=None, generate="er:5:0.5", kernel="ld", d=None, alpha=0.2)),
+    ]
+    defaults = asdict(ExperimentConfig(problem="mis"))
+    changed = set()
+    for flags, own in cases:
+        values = asdict(parse(flags + common))
+        assert values == {**expected, **own}
+        changed.update(name for name, value in values.items() if value != defaults[name])
+    assert changed == {f.name for f in fields(ExperimentConfig)}
+    # every flag but --preset names a field
+    flags = vars(_build_parser().parse_args([]))
+    assert set(flags) - {"preset"} == {f.name for f in fields(ExperimentConfig)}
+
+
+def test_unset_flags_take_the_dataclass_defaults():
+    values = asdict(parse(REQUIRED))
+    given = dict(problem="mis", instance="k3.dimacs", tau0=0.01, d=2, steps=10, chains=2)
+    for f in fields(ExperimentConfig):
+        assert values[f.name] == given.get(f.name, f.default), f.name
+    # the sampler's own defaults are the CLI's
+    for name in ("epsilon", "kernel", "seed"):
+        assert values[name] == getattr(SamplerConfig, name)
+
+
+def test_preset_fills_only_unset_fields():
+    preset = PRESETS["mis-er-small"]
+    cfg = parse(["--instance", "k3.dimacs", "--preset", "mis-er-small",
+                 "--steps", "7", "--beta", "1.5", "--seed", "4"])
+    assert (cfg.problem, cfg.tau0, cfg.d, cfg.chains) == (
+        preset["problem"], preset["tau0"], preset["d"], preset["chains"])
+    assert (cfg.steps, cfg.beta, cfg.seed) == (7, 1.5, 4)
+    assert cfg.epsilon == SamplerConfig.epsilon and cfg.alpha is None
+    # explicit flags win over every preset field, --problem included
+    cfg = parse(["--instance", "k3.dimacs", "--preset", "mis-er-small", "--problem", "mcl",
+                 "--tau0", "2", "--d", "3", "--chains", "6", "--steps", "8", "--beta", "1.1"])
+    assert (cfg.problem, cfg.tau0, cfg.d, cfg.chains, cfg.steps, cfg.beta) == (
+        "mcl", 2.0, 3, 6, 8, 1.1)
+    # a kernel that takes no d never sees the preset's
+    cfg = parse(["--instance", "k3.dimacs", "--preset", "mis-er-small",
+                 "--kernel", "ld", "--alpha", "0.1"])
+    assert cfg.d is None and cfg.alpha == 0.1 and cfg.tau0 == preset["tau0"]
+
+
+def test_sampler_config_carries_every_sampler_field():
+    for rate in (dict(d=3), dict(kernel="ld", alpha=0.2)):
+        cfg = ExperimentConfig(problem="mis", instance="k3.dimacs", tau0=0.5, steps=7,
+                               chains=4, seed=8, epsilon=0.01, **rate)
+        scfg = cfg.sampler_config()
+        for f in fields(SamplerConfig):
+            assert getattr(scfg, f.name) == getattr(cfg, f.name), f.name
+
+
 # -- single-instance runs -------------------------------------------------------
 
 def test_k3_with_preset_gives_objective_one(tmp_path):
@@ -64,6 +144,23 @@ def test_k3_with_preset_gives_objective_one(tmp_path):
         assert record["best_energy"] == -1.0
         assert record["problem"] == "mis"
         assert sum(record["best_x"]) == 1
+
+
+def test_record_echoes_the_capped_d_that_ran(tmp_path, monkeypatch):
+    ran = []
+
+    def recording_run(model, cfg, workers):
+        ran.append(cfg.d)
+        return real_run(model, cfg, workers=workers)
+
+    real_run = rlsa.bench.run_rlsa
+    monkeypatch.setattr(rlsa.bench, "run_rlsa", recording_run)
+    instance = write_k3(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--instance", str(instance), "--preset", "mis-er-small",
+                 "--steps", "20", "--out", str(out)]) == 0
+    assert ran == [3]
+    assert read_record(out, "k3")["config"]["d"] == 3
 
 
 def test_result_record_validates_against_model(tmp_path):

@@ -81,6 +81,38 @@ def test_from_edge_list_matches_unique_reference():
             assert g.neighbors.dtype == np.int32
 
 
+@pytest.mark.parametrize("num_nodes, edges", [
+    (3, [(0.5, 1)]),
+    (3, [(1.9, 0)]),
+    (3, [("1", "2")]),
+    (3, np.array([[True, False]])),
+    (3.7, [(0, 1)]),
+    (True, []),
+    (-1, []),
+], ids=["half", "one-point-nine", "strings", "bool", "float-count", "bool-count", "negative"])
+def test_non_integer_inputs_fail_at_construction(num_nodes, edges):
+    with pytest.raises(ValueError):
+        from_edge_list(num_nodes, edges)
+
+
+def test_empty_edges_of_any_dtype_are_valid():
+    for edges in ([], (), np.empty((0, 2)), np.empty(0, dtype=bool)):
+        assert from_edge_list(4, edges) == from_edge_list(4, np.empty((0, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: generate_er(10, True, 0),
+    lambda: generate_er(10.0, 0.5, 0),
+    lambda: generate_er(10, float("nan"), 0),
+    lambda: generate_ba(10, True, 0),
+    lambda: generate_ba(10.0, 2, 0),
+    lambda: generate_ba(10, 2.0, 0),
+], ids=["er-bool-p", "er-float-n", "er-nan-p", "ba-bool-m", "ba-float-n", "ba-float-m"])
+def test_generators_reject_non_integer_counts(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 # -- Erdos-Renyi -------------------------------------------------------------
 
 def test_er_forced_inclusion_and_exclusion():

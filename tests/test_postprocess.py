@@ -58,6 +58,43 @@ def test_decode_exhaustive_feasibility():
             assert (m.violation(decoded) == 0).all()
 
 
+class BudgetModel:
+    """Stand-in model whose every flip claims a positive drop until
+    ``budget`` flips have been made."""
+
+    def __init__(self, graph, budget):
+        self.graph = graph
+        self.num_nodes = graph.num_nodes
+        self.budget = budget
+        self.flips = 0
+
+    def _as_batch(self, x):
+        return np.atleast_2d(x), np.ndim(x) == 1
+
+    def _ax(self, X):
+        return np.zeros(X.shape)
+
+    def _delta(self, X, ax):
+        return np.full(X.shape, 1.0 if self.flips < self.budget else -1.0)
+
+    def _flip_ax(self, ax, x, i):
+        self.flips += 1
+
+
+def test_decode_gives_up_after_limit_flips():
+    g = triangle()
+    limit = 1000 + 10 * (g.num_nodes + g.num_edges)
+    x = np.zeros(g.num_nodes, dtype=np.int8)
+    model = BudgetModel(g, limit - 1)
+    greedy_decode(model, x)
+    assert model.flips == limit - 1
+    for budget in (limit, np.inf):
+        model = BudgetModel(g, budget)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            greedy_decode(model, x)
+        assert model.flips == limit
+
+
 def test_decode_batch_matches_single():
     rng = np.random.default_rng(2)
     g = random_small_graph(rng, n_min=5, n_max=12)
