@@ -169,8 +169,8 @@ def parse_generate_spec(spec: str, seed: int) -> tuple[str, Graph]:
         param = float(parts[2]) if family == "er" else int(parts[2])
     except ValueError:
         raise ValueError(f"bad generator parameters in {spec!r}") from None
-    if family == "er":
-        return f"er-n{n}-p{parts[2]}-seed{seed}", generate_er(n, param, seed)
+    if family == "er":  # the parsed p names the graph: "0.2", "0.20" and ".2" are one
+        return f"er-n{n}-p{param!r}-seed{seed}", generate_er(n, param, seed)
     return f"ba-n{n}-m{param}-seed{seed}", generate_ba(n, param, seed)
 
 

@@ -47,6 +47,20 @@ non-integer weights always take float64. The product is returned
 C-ordered, as the solution batch is, so the elementwise work that follows
 it runs on contiguous rows.
 
+The same row-sum bound decides whether every Delta is an integer that
+int16 holds. Since |(W x)_i| is at most the bound and 0 <= s - x_i <= N - 1,
+
+    |Delta_i| = |grad_i| <= B = max|c| + |2q| * (bound + r * (N - 1)).
+
+When c and 2q are integers and the bound is finite (integer weights),
+every term of the gradient is an integer no larger than B, so float64
+computes Delta exactly. The model keeps B as ``_delta_bound`` when B is
+below 2**15, and None otherwise: it is set for mcut, for qubo with integer
+``linear``, weights and ``2 * quad_scale``, and for mis and mcl at an
+integer beta. The sampler then narrows Delta to int16 and takes its flip
+mask from a table (see ``rlsa.sampler``). The gradient and Delta are
+computed in place on the one array that each call returns.
+
 Each thread's last product is remembered. An annealing step needs the
 energy of the new state and, at the start of the next step, its Delta;
 both come from the same ``A @ X``, so the second call reuses the first's
@@ -157,6 +171,7 @@ class EnergyModel:
         else:
             dtype = np.float64
         self._A = A.astype(dtype, copy=False)
+        self._delta_bound = _delta_bound(self._c, self._q, self._r, bound, graph.num_nodes)
         self._memo = threading.local()  # this thread's last batch and its product
 
     @property
@@ -281,16 +296,26 @@ class EnergyModel:
         return quad
 
     def _delta(self, X, ax=None):
-        return (2.0 * X - 1.0) * self._gradient(X, ax)
+        # the sign 2x - 1 is +-1, so multiplying by it negates exactly, in
+        # place on the gradient; a bool batch takes it as int8, not float64
+        g = self._gradient(X, ax)
+        sign = X.view(np.int8) * 2 - 1 if X.dtype == bool else 2.0 * X - 1.0
+        return np.multiply(g, sign, out=g)
 
     def _gradient(self, X, ax=None):
         # ``ax`` is a caller-maintained copy of self._ax(X); it must equal the
-        # full product exactly for the result to match.
+        # full product exactly for the result to match. One (B, N) array is
+        # made and updated in place: c + 2q * ax equals (2q * ax) + c since
+        # addition and multiplication commute exactly.
         if ax is None:
             ax = self._ax(X)
-        if self._r:
-            ax = ax - (X.sum(axis=1)[:, None] - X)
-        return self._c + 2.0 * self._q * ax
+        if self._r:  # ax - (s - x)
+            g = np.subtract(X.sum(axis=1)[:, None], X, dtype=np.float64)
+            np.subtract(ax, g, out=g)
+            np.multiply(g, 2.0 * self._q, out=g)
+        else:
+            g = np.multiply(ax, 2.0 * self._q)
+        return np.add(g, self._c, out=g)
 
     def _violation(self, X):
         if not self._penalized:
@@ -319,6 +344,20 @@ def _row_sum_bound(A) -> float:
     if not np.array_equal(w, np.round(w)):
         return np.inf
     return 0.0 if w.size == 0 else float(abs(A).sum(axis=1).max())
+
+
+def _delta_bound(c, q, r, bound, n):
+    """B = max|c| + |2q| * (bound + r * (n - 1)) bounds every |Delta_i| of
+    H = c . x + q * (x^T W x - r * (s^2 - s)) over n nodes, where ``bound``
+    is the row-sum bound of W. Returns B when c and 2q are integers,
+    ``bound`` is finite and B < 2**15, so that every Delta is an integer
+    that int16 holds, and None otherwise (see the module docstring)."""
+    c = np.asarray(c, dtype=np.float64)
+    two_q = 2.0 * q
+    if not (np.isfinite(bound) and two_q.is_integer() and np.array_equal(c, np.round(c))):
+        return None
+    b = float(np.abs(c).max(initial=0.0) + abs(two_q) * (bound + r * (n - 1)))
+    return b if b < _EXACT_INT16 else None
 
 
 def _weighted_csr(graph: Graph, edge_weights):

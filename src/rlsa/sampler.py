@@ -7,9 +7,9 @@ in parallel. The temperature decays linearly from tau0 to tau0/T, and each
 chain tracks the best (lowest-energy) solution it has visited.
 
 Kernels. ``KERNELS`` maps each kernel name to the parameters it takes and
-its rule. A rule receives a (chains, N) Delta, the temperature tau and the
-step's uniforms U, and returns the flip mask ``U < P`` for its
-probabilities P:
+its rule. A rule receives a (chains, N) Delta, the temperature tau, the
+step's uniforms U and the block's buffers, and returns the flip mask
+``U < P`` for its probabilities P:
 
 * ``"regularized"`` (``d``, ``epsilon``), the paper's rule, thresholds Delta
   at its d-th largest entry,
@@ -19,7 +19,9 @@ probabilities P:
   which drives the expected number of flips per step toward d as tau -> 0:
   exactly the top-d coordinates keep probability above one half. When
   Delta_(d) < 0 (a local optimum) the rule flips coordinates that escape it
-  while avoiding the steepest energy increase.
+  while avoiding the steepest energy increase. Integer Deltas tie: every
+  coordinate tied at Delta_(d) keeps probability sigmoid(epsilon / (2 tau)),
+  about one half, so where many tie (max-cut) flips per step end above d.
 * ``"normalized"`` (``d``) rescales plain sigmoid scores
   sigmoid(Delta_i / (2 * tau)) to sum to d, clamped to [0, 1].
 * ``"ld"`` (``alpha``) is the unregularized discrete Langevin baseline with
@@ -52,11 +54,34 @@ mask is False. When more than a quarter of the entries are live, the dense
 ``U < P`` is cheaper and is used instead. The normalized rule needs every
 sigmoid for its row sums, so it is always dense.
 
+Integer Delta. When the energy model bounds every Delta by an integer
+below 2**15 (``EnergyModel._delta_bound``: mcut, qubo with integer
+coefficients, mis and mcl at an integer beta), every Delta is an integer
+that float64 holds exactly, and the engine narrows each step's Delta into
+an int16 array without changing a value. The d-th largest is then taken
+by an int16 partition, and the dense mask takes its probabilities from a
+table: ``flip_probabilities`` runs once, on the values D.min()..D.max() at
+each distinct threshold of the step (one for ld), and every entry of the
+mask gathers its probability from that table. A table entry is the same
+float64 expression expit((v - (threshold - epsilon)) / (2 tau)) of the
+same float64 v as the dense probability of an entry equal to v, so
+``U < P`` is bit-identical. A table with more entries than D would cost
+more sigmoids than the dense mask, so such a step stays dense. No setting
+chooses this path: the model's bound, the live share and the table size
+do.
+
 Chain state. The engine holds a block's states as a bool (K, N) array and
 applies a step's flips in place as ``X ^= flip``. A bool batch is binary by
 type, so the energy model uses it without a per-entry check or a float
 copy, and every energy and Delta equals that of the equal float64 batch
 bit for bit.
+
+Block buffers. A block allocates the (K, N) arrays of its step once and
+reuses them at every step: the uniforms, the narrowed Delta, and for the
+regularized and ld rules the int16 partition scratch, the live test, the
+table index and probabilities, and the flip mask. A fresh array of that
+size can cost a page fault per page on first touch; on max-cut those
+faults ate all of the time the table saves.
 
 Reproducibility: chain k draws from an independent stream derived from the
 master seed, ``default_rng(SeedSequence(seed, spawn_key=(k,)))``. A chain
@@ -92,15 +117,28 @@ def linear_temperature(t: int, tau0: float, steps: int) -> float:
     return tau0 * (1.0 - (t - 1) / steps)
 
 
-def kth_largest(delta, d: int):
+def kth_largest(delta, d: int, out=None):
     """Value of rank ``d`` in descending order along the last axis (duplicates
     occupy consecutive ranks); expected O(N) selection. A vector gives one
-    value, a (B, N) batch one value per row."""
-    v = np.asarray(delta, dtype=np.float64)
+    value, a (B, N) batch one value per row.
+
+    Integer input is ranked in its own dtype and other input in float64;
+    either way the value equals the float64 answer. ``out``, an array of the
+    input's shape and that dtype, holds the partition in place of a fresh
+    copy, and the returned values are a view into it.
+    """
+    v = np.asarray(delta)
+    if v.dtype.kind not in "iu":
+        v = v.astype(np.float64, copy=False)
     n = v.shape[-1]
     if not 1 <= d <= n:
         raise ValueError(f"d must be in 1..{n}, got {d}")
-    return np.partition(v, n - d, axis=-1)[..., n - d]
+    if out is None:
+        out = v.copy()
+    else:
+        np.copyto(out, v, casting="no")
+    out.partition(n - d, axis=-1)
+    return out[..., n - d]
 
 
 def flip_probabilities(delta, dth, epsilon: float, tau: float):
@@ -161,30 +199,72 @@ _LIVE_Z = -40.0
 _DENSE_SHARE = 0.25
 
 
-def _flip_mask(D, U, dth, epsilon, tau):
+class _Buffers(dict):
+    """Arrays that a chain block reuses at every step, by name, each made on
+    first use; a fresh instance allocates afresh."""
+
+    def __call__(self, name, shape, dtype):
+        out = self.get(name)
+        if out is None:
+            out = self[name] = np.empty(shape, dtype)
+        return out
+
+
+def _flip_mask(D, U, dth, epsilon, tau, buf):
     """``U < flip_probabilities(D, dth, epsilon, tau)`` for a (K, 1) column
     ``dth`` of per-row thresholds, evaluating the sigmoid only on the
-    entries where a flip can happen.
+    entries where a flip can happen. The mask is written into ``buf``.
 
     The sparse path passes ``flip_probabilities`` the gathered entries of D
     and of ``dth``, so every argument keeps its value and the mask is
-    bit-identical to the dense one.
+    bit-identical to the dense one. On the dense path an integer D takes
+    its probabilities from a table of its distinct values.
     """
     a = dth - epsilon
     cut = a + 2.0 * tau * _LIVE_Z
-    live = D > cut
+    live = np.greater(D, cut, out=buf("live", D.shape, bool))
+    flip = buf("flip", D.shape, bool)
     # Dead entries have D - a <= cut - a; rounding is monotone, so their z
     # is at most (cut - a) / (2 tau) computed the rule's way.
     if (np.count_nonzero(live) > _DENSE_SHARE * D.size
             or not np.all((cut - a) / (2.0 * tau) <= _DEAD_Z)):
-        return U < flip_probabilities(D, dth, epsilon, tau)
+        if D.dtype.kind == "i":
+            P = _table_probabilities(D, dth, epsilon, tau, buf)
+        else:
+            P = flip_probabilities(D, dth, epsilon, tau)
+        return np.less(U, P, out=flip)
     if not U.all():
         live |= U == 0
     idx = np.flatnonzero(live)
-    flip = np.zeros(D.size, dtype=bool)
-    flip[idx] = U.ravel()[idx] < flip_probabilities(
+    flip.fill(False)
+    flip.ravel()[idx] = U.ravel()[idx] < flip_probabilities(
         D.ravel()[idx], dth[idx // D.shape[1], 0], epsilon, tau)
-    return flip.reshape(D.shape)
+    return flip
+
+
+def _table_probabilities(D, dth, epsilon, tau, buf):
+    """``flip_probabilities(D, dth, epsilon, tau)`` for an integer (K, N) D,
+    gathered from one sigmoid table over the values D.min()..D.max() at
+    each distinct threshold of the (K, 1) column ``dth``.
+
+    A table entry is the same float64 expression of the same float64 value
+    as the dense probability it stands for, so the two are bit-identical.
+    A table larger than D would cost more sigmoids than it saves, so D then
+    takes the dense probabilities.
+    """
+    lo, hi = int(D.min()), int(D.max())
+    ths, inv = np.unique(dth[:, 0], return_inverse=True)
+    width = hi - lo + 1
+    if ths.size * width > D.size:
+        return flip_probabilities(D, dth, epsilon, tau)
+    table = flip_probabilities(np.arange(lo, hi + 1), ths[:, None], epsilon, tau)
+    # the flat index of D[k, j] in row inv[k]: below table.size <= D.size,
+    # which int32 holds for any D of fewer than 2**31 entries
+    idx = np.add(D, (inv * width - lo).astype(np.int32)[:, None],
+                 out=buf("index", D.shape, np.int32))
+    # every index is in range; mode="clip" writes to ``out`` directly, where
+    # the default "raise" would fill a hidden copy
+    return table.ravel().take(idx, out=buf("p", D.shape, np.float64), mode="clip")
 
 
 # _flip_mask resolves flip_probabilities through this module at call time,
@@ -192,20 +272,28 @@ def _flip_mask(D, U, dth, epsilon, tau):
 # tau / alpha with epsilon = 0, so the benchmark's sampler.flip_rule_s
 # times the sigmoid of both rules.
 
-def _regularized(cfg, D, tau, U):
-    return _flip_mask(D, U, kth_largest(D, cfg.d)[:, None], cfg.epsilon, tau)
+def _regularized(cfg, D, tau, U, buf=None):
+    buf = _Buffers() if buf is None else buf
+    # An integer D is ranked in a block buffer. A float64 D keeps a fresh
+    # copy: a kept float64 scratch made the heap shrink and regrow at every
+    # step of mis-er800 (20k minor faults per solve, against 2k).
+    scratch = buf("rank", D.shape, D.dtype) if D.dtype.kind == "i" else None
+    dth = kth_largest(D, cfg.d, out=scratch)
+    return _flip_mask(D, U, dth[:, None], cfg.epsilon, tau, buf)
 
 
-def _normalized(cfg, D, tau, U):
+def _normalized(cfg, D, tau, U, buf=None):
     return U < normalized_flip_probabilities(D, tau, cfg.d)
 
 
-def _ld(cfg, D, tau, U):
-    return _flip_mask(D, U, np.full((len(D), 1), tau / cfg.alpha), 0.0, tau)
+def _ld(cfg, D, tau, U, buf=None):
+    buf = _Buffers() if buf is None else buf
+    return _flip_mask(D, U, np.full((len(D), 1), tau / cfg.alpha), 0.0, tau, buf)
 
 
 # kernel -> (the SamplerConfig fields its rule reads,
-#            rule(cfg, Delta, tau, U) -> flip mask, bit-identical to U < P).
+#            rule(cfg, Delta, tau, U, buf) -> flip mask, bit-identical to
+#            U < P; the mask may live in the reused arrays ``buf``).
 # The regularized and ld masks are sparse: see the module docstring.
 KERNELS = {
     "regularized": (("d", "epsilon"), _regularized),
@@ -293,9 +381,12 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus):
 
     Each step makes one ``model.delta`` and one ``model.energy`` call on the
     whole block and consumes N uniforms per chain, drawn into one reused
-    buffer before the flip rule runs. The rule, ``rule(cfg, Delta, tau, U)``,
-    returns the flip mask; the regularized and ld rules evaluate their
-    sigmoid only where a flip can happen (see the module docstring). It
+    buffer before the flip rule runs. A model whose Deltas are integers has
+    them narrowed to int16. The rule, ``rule(cfg, Delta, tau, U, buf)``,
+    returns the flip mask in the block's reused arrays ``buf``; the
+    regularized and ld rules evaluate their sigmoid only where a flip can
+    happen, or from a table of the integer values (see the module
+    docstring). It
     costs one sparse product per step: ``model.energy`` on the new state
     computes ``A @ X`` and the next step's ``model.delta`` on the same state
     reuses it through the model's per-thread memo, so a block makes
@@ -322,11 +413,17 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus):
     best_traj[0] = E
     flips_traj = np.empty((len(taus), k), dtype=np.int64)
     U = np.empty((k, n))
+    buf = _Buffers()
+    # every Delta is an integer that int16 holds: narrowing it is exact
+    narrow = None if model._delta_bound is None else np.empty((k, n), np.int16)
     for t, tau in enumerate(taus):
         D = model.delta(X)
+        if narrow is not None:
+            np.copyto(narrow, D, casting="unsafe")
+            D = narrow
         for rng, row in zip(rngs, U):
             rng.random(out=row)
-        flip = rule(cfg, D, tau, U)
+        flip = rule(cfg, D, tau, U, buf)
         X ^= flip
         E = model.energy(X)
         better = E < best_E

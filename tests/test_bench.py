@@ -312,6 +312,16 @@ def test_parse_generate_spec():
         parse_generate_spec("ws:30:2", seed=0)
 
 
+def test_generated_instance_names_are_canonical():
+    # one graph, one name, however its numbers are written
+    name, g = parse_generate_spec("er:30:0.2", seed=0)
+    for spec in ("er:30:0.20", "ER:30:.2", "er:030:2e-1"):
+        other, h = parse_generate_spec(spec, seed=0)
+        assert other == name == "er-n30-p0.2-seed0", spec
+        assert np.array_equal(h.edge_array(), g.edge_array())
+    assert parse_generate_spec("BA:030:02", seed=1)[0] == "ba-n30-m2-seed1"
+
+
 def test_generated_instance_run_records_source(tmp_path):
     out = tmp_path / "out"
     assert main(["--generate", "ba:20:2", "--problem", "mcut", "--tau0", "5",

@@ -1,9 +1,11 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rlsa import EnergyModel, from_edge_list, generate_er, greedy_decode
+from rlsa.energy import _row_sum_bound
 
 from oracles import (
     CountingMatrix,
@@ -304,6 +306,60 @@ def test_exact_update_rule_follows_the_weights():
     # each row sums two weights of 2**52: integer, but past the exact range
     assert not EnergyModel("qubo", g, linear=lin, quad_scale=1.0,
                            edge_weights=[2.0 ** 52] * 3)._exact_updates
+
+
+def test_delta_bound_marks_the_models_whose_deltas_int16_holds():
+    g = generate_er(30, 0.2, seed=3)
+    deg = int(g.degrees().max())
+    assert EnergyModel("mis", g, beta=2.0)._delta_bound == 1 + 2 * deg
+    assert EnergyModel("mcl", g, beta=2.0)._delta_bound == 1 + 2 * (deg + 29)
+    assert EnergyModel("mcut", g)._delta_bound == 3 * deg
+    rng = np.random.default_rng(3)
+    lin = rng.integers(-5, 6, size=30).astype(np.float64)
+    w = rng.integers(-3, 4, size=g.num_edges).astype(np.float64)
+    qubo = EnergyModel("qubo", g, linear=lin, quad_scale=1.5, edge_weights=w)
+    assert qubo._delta_bound == np.abs(lin).max() + 3 * _row_sum_bound(qubo._A)
+    X = rng.integers(0, 2, size=(50, 30))
+    for m in (qubo, EnergyModel("mcl", g, beta=2.0), EnergyModel("mcut", g)):
+        D = m.delta(X)
+        assert np.array_equal(D, np.round(D)) and np.abs(D).max() <= m._delta_bound
+    # a non-integer c, 2q or weight, or a bound of 2**15 or more: no bound
+    assert EnergyModel("mis", g, beta=1.02)._delta_bound is None
+    assert EnergyModel("mcl", g, beta=1.5)._delta_bound is None
+    assert EnergyModel("qubo", g, linear=lin + 0.5, quad_scale=1.5, edge_weights=w)._delta_bound is None
+    assert EnergyModel("qubo", g, linear=lin, quad_scale=0.7, edge_weights=w)._delta_bound is None
+    assert EnergyModel("qubo", g, linear=lin, quad_scale=1.5, edge_weights=w + 0.5)._delta_bound is None
+    t, zero = triangle(), np.zeros(3)
+    for linear, weights, bound in [
+        ([-(2.0 ** 15 - 1), 0, 0], None, 2.0 ** 15 - 1),  # 2q = 1 times row sums of 0
+        ([-(2.0 ** 15), 0, 0], None, None),
+        (zero, [2.0 ** 14, 2.0 ** 14 - 1, 1.0], 2.0 ** 15 - 1),  # row 0 sums to 2**15 - 1
+        (zero, [2.0 ** 14, 2.0 ** 14, 1.0], None),
+    ]:
+        m = EnergyModel("qubo", t, linear=linear, quad_scale=0.5,
+                        edge_weights=[0.0] * 3 if weights is None else weights)
+        assert m._delta_bound == bound, (linear, weights)
+
+
+@pytest.mark.parametrize("kind", ["mis", "mcl", "mcut", "qubo"])
+def test_delta_allocates_little_beyond_its_result(kind):
+    # delta(X) makes its (B, N) float64 result and updates it in place; the
+    # int8 sign of a bool batch adds an eighth for each of its two steps. As
+    # in an annealing step, it follows energy(X), whose product it reuses.
+    g = generate_er(600, 0.02, seed=9)
+    rng = np.random.default_rng(9)
+    extra = dict(linear=rng.normal(size=600), quad_scale=0.7) if kind == "qubo" else {}
+    m = EnergyModel(kind, g, beta=1.5, **extra)
+    X = rng.integers(0, 2, size=(128, 600)).astype(bool)
+    m.energy(X)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        D = m.delta(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.5 * D.nbytes, (peak - before) / D.nbytes
 
 
 def _random_weights(case, rng, size):

@@ -105,6 +105,19 @@ def test_kth_largest_matches_sort_oracle():
         assert np.array_equal(kth_largest(V, d), np.sort(V, axis=1)[:, n - d])
 
 
+def test_kth_largest_ranks_integer_input_in_its_own_dtype():
+    rng = np.random.default_rng(1)
+    for dtype in (np.int16, np.int32, np.int64, np.uint8):
+        V = rng.integers(0, 9, size=(4, 30)).astype(dtype)  # many ties
+        for d in (1, 7, 30):
+            got = kth_largest(V, d)
+            assert got.dtype == dtype
+            assert np.array_equal(got, kth_largest(V.astype(np.float64), d))
+            scratch = np.empty_like(V)
+            assert np.array_equal(kth_largest(V, d, out=scratch), got)
+    assert kth_largest(np.array([True, False]), 1).dtype == np.float64
+
+
 def test_kth_largest_rejects_bad_rank():
     with pytest.raises(ValueError):
         kth_largest([1, 2, 3], 0)
@@ -248,6 +261,22 @@ def _recording_rules(monkeypatch):
     return sizes
 
 
+def _recording_paths(monkeypatch):
+    """The path of each ``flip_probabilities`` call of the regularized and ld
+    rules, in call order: "dense" on the whole (K, N) Delta, "table" on the
+    values of an integer Delta, one row per distinct threshold, "sparse" on
+    gathered entries."""
+    paths = []
+    fn = sampler.flip_probabilities
+
+    def recording(delta, dth, *a):
+        paths.append("dense" if np.ndim(delta) == 2 else "table" if np.ndim(dth) == 2 else "sparse")
+        return fn(delta, dth, *a)
+
+    monkeypatch.setattr(sampler, "flip_probabilities", recording)
+    return paths
+
+
 def _dense_mask(cfg, D, tau, U):
     if cfg.kernel == "regularized":
         return U < flip_probabilities(D, kth_largest(D, cfg.d)[:, None], cfg.epsilon, tau)
@@ -345,6 +374,35 @@ def test_sparse_flip_mask_stays_exact_when_tau_underflows_the_cutoff(kernel, mon
     assert got[:, -4:].all()  # P = 1/2 there
     assert np.array_equal(got, _dense_mask(cfg, D, tau, U))
     assert sizes == [D.size]
+
+
+@pytest.mark.parametrize("kernel", ["regularized", "ld"])
+def test_table_mask_equals_the_dense_mask_on_integer_delta(kernel, monkeypatch):
+    # Integer Deltas in a few values, most tied at the top, some so far below
+    # that the sigmoid underflows to 0; rows shifted by 0..2, so the
+    # regularized rule sees several thresholds. At alpha = 1/80 the ld rule's
+    # live cut a - 80 tau sits at 0. U holds zeros, the smallest uniforms and
+    # plain draws.
+    rng = np.random.default_rng(19)
+    paths = _recording_paths(monkeypatch)
+    k, n = 12, 200
+    if kernel == "regularized":
+        cfg = SamplerConfig(tau0=1.0, steps=1, chains=k, d=5)
+    else:
+        cfg = SamplerConfig(tau0=1.0, steps=1, chains=k, kernel="ld", alpha=1 / 80)
+    values = np.array([-40, -20, -13, -6, 0, 1, 2, 6])
+    share = np.array([1, 1, 1, 1, 1, 1, 6, 8]) / 20
+    for tau in (0.01, 0.1, 1.0):
+        D = (rng.choice(values, size=(k, n), p=share) + np.arange(k)[:, None] % 3).astype(np.int16)
+        U = rng.random(D.shape)
+        pick = rng.random(D.shape)
+        U[pick < 0.1] = ULP * rng.integers(1, 9, D.shape)[pick < 0.1]
+        U[pick < 0.03] = 0.0
+        got = KERNELS[kernel][1](cfg, D, tau, U)
+        assert got.dtype == bool and got.shape == D.shape
+        assert np.array_equal(got, _dense_mask(cfg, D.astype(np.float64), tau, U))
+        assert got[U == 0].any() and got[(U > 0) & (U <= 8 * ULP)].any()
+    assert paths == ["table"] * 3
 
 
 # -- config validation -----------------------------------------------------------
@@ -517,6 +575,11 @@ def _oracle_models():
     g = generate_er(16, 0.3, seed=14)
     yield EnergyModel("qubo", g, linear=rng.normal(size=16), quad_scale=0.7,
                       edge_weights=rng.normal(size=g.num_edges))
+    # integer Deltas, which take the table mask on the dense path
+    yield EnergyModel("mis", generate_er(18, 0.3, seed=15), beta=2.0)
+    g = generate_er(16, 0.3, seed=16)
+    yield EnergyModel("qubo", g, linear=rng.integers(-4, 5, size=16).astype(np.float64),
+                      quad_scale=1.5, edge_weights=rng.integers(-3, 4, size=g.num_edges))
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -539,11 +602,12 @@ def test_engine_matches_reference_chain(kernel):
 @pytest.mark.parametrize("kernel", ["regularized", "ld"])
 def test_engine_matches_reference_chain_on_the_sparse_path(kernel, monkeypatch):
     # at a small tau0 most sigmoid arguments are far below -40, so the rules
-    # take their sparse masks (the small integer-Delta models, whose Deltas
-    # tie, often stay dense), and every chain still equals the plain loop
-    calls = _recording_rules(monkeypatch)
+    # often take their sparse masks; the integer-Delta models (mcut, mis at
+    # beta 2, integer qubo), whose Deltas tie, often stay dense and take the
+    # table. Every chain still equals the plain loop.
+    calls = _recording_paths(monkeypatch)
     rate = dict(alpha=0.05) if kernel == "ld" else dict(d=3)
-    paths = {"sparse": 0, "dense": 0}
+    paths = {"sparse": 0, "dense": 0, "table": 0}
     for m in _oracle_models():
         cfg = SamplerConfig(tau0=1e-3, steps=25, chains=5, seed=13, kernel=kernel, **rate)
         best_X, best_E, energy_traj, best_traj, flips_traj = run_block(m, cfg, range(5))
@@ -555,10 +619,11 @@ def test_engine_matches_reference_chain_on_the_sparse_path(kernel, monkeypatch):
             assert np.array_equal(best_traj[1:, k], bests)
             assert np.array_equal(flips_traj[:, k], flips)
         assert len(calls) == cfg.steps
+        assert m._delta_bound is not None or "table" not in calls
         for c in calls:
-            paths["sparse" if c < 5 * m.num_nodes else "dense"] += 1
+            paths[c] += 1
         calls.clear()
-    assert paths["sparse"] >= 20 and paths["dense"] >= 20, paths
+    assert min(paths.values()) >= 20, paths
 
 
 def test_engine_makes_one_sparse_product_per_step():
@@ -675,6 +740,18 @@ def test_mean_flips_tends_to_d_at_tiny_tau():
     mis = EnergyModel("mis", g, beta=1.02)
     res = run_rlsa(mis, small_cfg(d=5, tau0=1e-8, steps=60, chains=16))
     assert (res.trajectory.mean_flips >= 5.0).all()
+
+
+def test_flips_per_step_end_above_d_where_integer_deltas_tie():
+    # Max-cut Deltas are integers, and near the end many coordinates tie at
+    # Delta_(d). Each tied one flips with probability sigmoid(epsilon / (2 tau)),
+    # about 1/2, so the last tenth of the steps flips about 5.09 bits at d = 3.
+    # ER mis at the same d stays at about 3.
+    cfg = SamplerConfig(tau0=0.5, d=3, steps=200, chains=8, seed=1)
+    mcut = EnergyModel("mcut", generate_ba(60, 2, 1))
+    assert run_rlsa(mcut, cfg).trajectory.mean_flips[-20:].mean() > 4.5
+    mis = EnergyModel("mis", generate_er(60, 0.2, 1), beta=1.02)
+    assert abs(run_rlsa(mis, cfg).trajectory.mean_flips[-20:].mean() - 3.0) < 0.25
 
 
 def test_run_result_reports_what_decode_changed(monkeypatch):
