@@ -40,12 +40,17 @@ bound in magnitude.
 * Below 2**24 it runs in float32, which holds every integer up to 2**24.
 * Otherwise it runs in float64.
 
-So the int16 or float32 product cast back to float64 equals the float64
-product bit for bit, in a quarter or half the bytes. Unit weights (mis,
-mcl, mcut, unweighted qubo) bound their row sums by the largest degree;
-non-integer weights always take float64. The product is returned
+So the int16 or float32 product equals the float64 product bit for bit
+once cast, in a quarter or half the bytes. Unit weights (mis, mcl, mcut,
+unweighted qubo) bound their row sums by the largest degree; non-integer
+weights always take float64. The product is kept in its own dtype and
 C-ordered, as the solution batch is, so the elementwise work that follows
-it runs on contiguous rows.
+it runs on contiguous rows. Each result that reads it stays exact: x^T W x
+sums an int16 product in int64 and a float32 one in float64, and the
+gradient casts it to float64 in the ufunc that scales it. An integer c
+with sum |c| below 2**53 gives c . x as one matrix-vector product, exact
+in any summation order; a row whose c . x is zero takes the elementwise
+sum instead, so that its signed zero is the one the per-kind formula gives.
 
 The same row-sum bound decides whether every Delta is an integer that
 int16 holds. Since |(W x)_i| is at most the bound and 0 <= s - x_i <= N - 1,
@@ -70,7 +75,7 @@ compared entry by entry, so a batch changed in place, or of another shape,
 is multiplied afresh, and a hit returns exactly the product a fresh model
 would compute. It is per thread (``threading.local``) because worker
 threads run chain blocks on one shared model. The stored product is
-read-only; callers that update it copy it first.
+read-only; callers that update it copy it first, into float64.
 """
 
 from __future__ import annotations
@@ -154,6 +159,9 @@ class EnergyModel:
             "qubo": (linear, quad_scale, 0),
         }[kind]
         self._penalized = kind in ("mis", "mcl")  # the quadratic term counts violations
+        # an integer per-node c takes c . x as one matvec (see the module docstring)
+        self._c_matvec = bool(np.ndim(self._c) and _is_integer(self._c)
+                              and np.abs(self._c).sum() < _EXACT_FLOAT64)
         if edge_weights is None:
             # unit weights: the row sums of |w| are the degrees, no scan needed
             A = graph.adjacency_csr()
@@ -243,11 +251,11 @@ class EnergyModel:
         return np.ascontiguousarray(arr, dtype=np.float64), single
 
     def _ax(self, X):
-        # (B, N) binary -> (B, N) float64, C-ordered and read-only; per-column
-        # CSR accumulation keeps each row's result independent of the batch
-        # size. The cast back matters: an int16 or float32 result would turn
-        # the callers' arithmetic narrow too. A batch equal to this thread's
-        # last one returns the stored product (see the module docstring).
+        # (B, N) binary -> (B, N) in the matrix's dtype, C-ordered and
+        # read-only; per-column CSR accumulation keeps each row's result
+        # independent of the batch size. Callers read an int16 or float32
+        # product through exact arithmetic only (see the module docstring).
+        # A batch equal to this thread's last one returns the stored product.
         memo = self._memo
         key = getattr(memo, "key", None)
         if key is not None and np.array_equal(key, X):  # same shape and entries
@@ -256,7 +264,7 @@ class EnergyModel:
         # transpose in X's own dtype, then cast: casting a strided bool
         # transpose directly is several times slower
         P = A @ np.ascontiguousarray(X.T).astype(A.dtype, copy=False)
-        ax = np.ascontiguousarray(P.T, dtype=np.float64)
+        ax = np.ascontiguousarray(P.T)
         ax.flags.writeable = False
         memo.key = X.astype(bool)  # a copy, exact since X is binary
         memo.ax = ax
@@ -281,14 +289,23 @@ class EnergyModel:
 
     def _energy(self, X):
         c = self._c
-        if np.ndim(c):  # one coefficient per node
-            return (X * c).sum(axis=1) + self._q * self._pairs(X)
-        s = X.sum(axis=1, dtype=np.int64)  # uniform c: integer row sums, no float pass
-        return c * s + self._q * self._pairs(X, s)
+        if not np.ndim(c):
+            s = X.sum(axis=1, dtype=np.int64)  # uniform c: integer row sums, no float pass
+            return c * s + self._q * self._pairs(X, s)
+        if self._c_matvec:
+            cx = X @ c  # exact: an integer c with sum |c| below 2**53
+            zero = cx == 0
+            if zero.any():  # the signed zero of the elementwise sum
+                cx[zero] = (X[zero] * c).sum(axis=1)
+        else:
+            cx = (X * c).sum(axis=1)
+        return cx + self._q * self._pairs(X)
 
     def _pairs(self, X, s=None):
-        # x^T W x - r (s^2 - s) per row; ``s`` is X's integer row sums, if known
-        quad = (X * self._ax(X)).sum(axis=1)
+        # x^T W x - r (s^2 - s) per row; ``s`` is X's integer row sums, if known.
+        # An integer product sums exactly in int64, a float32 one in float64.
+        ax = self._ax(X)
+        quad = (X * ax).sum(axis=1, dtype=np.int64 if ax.dtype.kind == "i" else np.float64)
         if self._r:
             if s is None:
                 s = X.sum(axis=1, dtype=np.int64)
@@ -303,10 +320,11 @@ class EnergyModel:
         return np.multiply(g, sign, out=g)
 
     def _gradient(self, X, ax=None):
-        # ``ax`` is a caller-maintained copy of self._ax(X); it must equal the
-        # full product exactly for the result to match. One (B, N) array is
-        # made and updated in place: c + 2q * ax equals (2q * ax) + c since
-        # addition and multiplication commute exactly.
+        # ``ax``, if given, is a caller-maintained float64 copy of
+        # self._ax(X); it must equal the full product exactly for the result
+        # to match. One (B, N) float64 array is made, casting a narrow
+        # product exactly, and updated in place: c + 2q * ax equals
+        # (2q * ax) + c since addition and multiplication commute exactly.
         if ax is None:
             ax = self._ax(X)
         if self._r:  # ax - (s - x)
@@ -314,7 +332,7 @@ class EnergyModel:
             np.subtract(ax, g, out=g)
             np.multiply(g, 2.0 * self._q, out=g)
         else:
-            g = np.multiply(ax, 2.0 * self._q)
+            g = np.multiply(ax, 2.0 * self._q, dtype=np.float64)
         return np.add(g, self._c, out=g)
 
     def _violation(self, X):
@@ -327,9 +345,15 @@ class EnergyModel:
         return f"EnergyModel(kind={self.kind!r}, graph={self.graph!r}, beta={self.beta})"
 
 
-# int16 holds every integer below 2**15 in magnitude, float32 every one up to 2**24
+# int16 holds every integer below 2**15 in magnitude, float32 every one up
+# to 2**24 and float64 every one up to 2**53
 _EXACT_INT16 = 2.0 ** 15
 _EXACT_FLOAT32 = 2.0 ** 24
+_EXACT_FLOAT64 = 2.0 ** 53
+
+
+def _is_integer(a) -> bool:
+    return bool(np.array_equal(a, np.round(a)))
 
 
 def _row_sum_bound(A) -> float:
@@ -341,7 +365,7 @@ def _row_sum_bound(A) -> float:
     and adds or subtracts columns of A, exactly.
     """
     w = A.data
-    if not np.array_equal(w, np.round(w)):
+    if not _is_integer(w):
         return np.inf
     return 0.0 if w.size == 0 else float(abs(A).sum(axis=1).max())
 
@@ -354,7 +378,7 @@ def _delta_bound(c, q, r, bound, n):
     that int16 holds, and None otherwise (see the module docstring)."""
     c = np.asarray(c, dtype=np.float64)
     two_q = 2.0 * q
-    if not (np.isfinite(bound) and two_q.is_integer() and np.array_equal(c, np.round(c))):
+    if not (np.isfinite(bound) and two_q.is_integer() and _is_integer(c)):
         return None
     b = float(np.abs(c).max(initial=0.0) + abs(two_q) * (bound + r * (n - 1)))
     return b if b < _EXACT_INT16 else None

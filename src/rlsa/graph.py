@@ -80,7 +80,8 @@ def from_edge_list(num_nodes: int, edges) -> Graph:
 
     Duplicate pairs (in either orientation) collapse to a single edge. Self
     loops, out-of-range endpoints and endpoints of a non-integer dtype raise
-    ValueError; an empty input may have any dtype.
+    ValueError naming the first such pair in input order; an empty input
+    may have any dtype.
     """
     n = integer("num_nodes", num_nodes, 0)
     if not isinstance(edges, np.ndarray):
@@ -90,30 +91,43 @@ def from_edge_list(num_nodes: int, edges) -> Graph:
         raise ValueError(f"edge endpoints must be integers, got dtype {pairs.dtype}")
     pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
     u, v = pairs[:, 0], pairs[:, 1]
-    if pairs.size:
-        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"edge ({u[i]}, {v[i]}) out of range for {n} nodes"
-            )
-        loops = u == v
-        if loops.any():
-            i = int(np.flatnonzero(loops)[0])
-            raise ValueError(f"self loop ({u[i]}, {v[i]}) is not allowed")
-    # Both directions, deduplicated and sorted via integer keys: src-major
-    # order makes each neighbor list ascending by construction. Sorting and
-    # dropping repeats (keys are >= 0) gives np.unique's output without its
-    # slower hash path.
-    src = np.concatenate((u, v))
-    dst = np.concatenate((v, u))
-    keys = np.sort(src * n + dst)
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    src = keys // n
-    dst = (keys % n).astype(np.int32)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return Graph(n, offsets, dst)
+    # whole-array reductions; the first offending pair is looked up only
+    # when a check fails
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        i = int(np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))[0])
+        raise ValueError(f"edge ({u[i]}, {v[i]}) out of range for {n} nodes")
+    if (u == v).any():
+        i = int(np.flatnonzero(u == v)[0])
+        raise ValueError(f"self loop ({u[i]}, {v[i]}) is not allowed")
+    return _csr_from_pairs(n, u, v)
+
+
+def _csr_from_pairs(n: int, u, v) -> Graph:
+    """The Graph of the valid int64 endpoint arrays ``u`` and ``v``."""
+    # Both directions' keys src * n + dst go into one array, sorted in place:
+    # src-major order makes each neighbor list ascending by construction.
+    # Dropping adjacent repeats (keys are >= 0) gives np.unique's output
+    # without its slower hash path, and row i starts at the first key >= i * n.
+    m = u.size
+    keys = np.empty(2 * m, dtype=np.int64)
+    fwd, bwd = keys[:m], keys[m:]
+    np.multiply(u, n, out=fwd)
+    fwd += v
+    np.multiply(v, n, out=bwd)
+    bwd += u
+    keys.sort()
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    if not new.all():
+        keys = keys[new]
+    offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(keys, n, out=keys)  # each key's dst (no keys when n == 0)
+    return Graph(n, offsets, keys.astype(np.int32))
+
+
+# uniforms drawn per call of generate_er's chunked loop
+_ER_CHUNK = 2 ** 16
 
 
 def generate_er(num_nodes: int, p: float, seed: int) -> Graph:
@@ -122,26 +136,36 @@ def generate_er(num_nodes: int, p: float, seed: int) -> Graph:
     Every unordered pair is included independently with probability ``p``.
     Pairs are examined in lexicographic order with one uniform variate each,
     so output is byte-identical for a fixed (n, p, seed) across runs and
-    platforms.
+    platforms. The variates are drawn in fixed-size chunks over the
+    flattened pair index; ``Generator.random`` spends one 64-bit draw per
+    variate whatever the call size, so the stream, and the graph, is the
+    same as with one call per pair or per row.
     """
-    num_nodes = integer("num_nodes", num_nodes, 0)
+    n = integer("num_nodes", num_nodes, 0)
     p = finite_float("edge probability", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    us = []
-    vs = []
-    for i in range(num_nodes - 1):
-        row = rng.random(num_nodes - 1 - i)
-        hits = np.flatnonzero(row < p)
-        if hits.size:
-            us.append(np.full(hits.size, i, dtype=np.int64))
-            vs.append(hits + i + 1)
-    if us:
-        pairs = np.column_stack((np.concatenate(us), np.concatenate(vs)))
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
-    return from_edge_list(num_nodes, pairs)
+    total = n * (n - 1) // 2
+    hits = [np.empty(0, dtype=np.int64)]
+    draws = np.empty(min(_ER_CHUNK, total))  # reused by every chunk
+    below = np.empty(draws.size, dtype=bool)
+    for lo in range(0, total, _ER_CHUNK):
+        size = min(_ER_CHUNK, total - lo)
+        rng.random(out=draws[:size])
+        hit = np.flatnonzero(np.less(draws[:size], p, out=below[:size]))
+        hit += lo
+        hits.append(hit)
+    flat = np.concatenate(hits)
+    del hits
+    # Row i's pairs (i, i + 1), ..., (i, n - 1) start at pair index
+    # starts[i]; the hits are sorted, so one search per row splits them.
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    counts = np.diff(np.searchsorted(flat, starts), append=flat.size)
+    u = np.repeat(rows, counts)
+    flat -= np.repeat(starts - rows - 1, counts)  # pair index -> column
+    return _csr_from_pairs(n, u, flat)
 
 
 def generate_ba(num_nodes: int, m: int, seed: int) -> Graph:

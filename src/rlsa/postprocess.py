@@ -18,8 +18,8 @@ def greedy_decode(model, x):
     point is always feasible.
 
     Rows are decoded one at a time on a bool copy of the input. Cost: one
-    full sparse product ``A @ X`` up front, then O(N + deg) per round: Delta
-    of the row is rebuilt from its cached product, and each flip of node
+    full sparse product ``A @ X`` up front, kept as a float64 copy, then
+    O(N + deg) per round: Delta of the row is rebuilt from that product, and each flip of node
     ``i`` refreshes the product only on ``i``'s neighbours. That refresh is
     exact, so every Delta equals the one a full product would give, bit for
     bit: when the model multiplies in int16 or float32 (integer weights
@@ -33,7 +33,7 @@ def greedy_decode(model, x):
     """
     X, single = model._as_batch(x)
     X = X.astype(bool)  # a copy, flipped in place below
-    AX = model._ax(X).copy()  # the model's product is read-only
+    AX = model._ax(X).astype(np.float64)  # a copy: the model's product is read-only
     limit = 1000 + 10 * (model.num_nodes + model.graph.num_edges)
     for row, ax in zip(X, AX):
         for _ in range(limit):

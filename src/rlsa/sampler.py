@@ -59,7 +59,9 @@ below 2**15 (``EnergyModel._delta_bound``: mcut, qubo with integer
 coefficients, mis and mcl at an integer beta), every Delta is an integer
 that float64 holds exactly, and the engine narrows each step's Delta into
 an int16 array without changing a value. The d-th largest is then taken
-by an int16 partition, and the dense mask takes its probabilities from a
+by an int16 partition, the live test compares int16 against the floor of
+the cut (for an integer Delta, Delta > cut exactly when
+Delta > floor(cut)), and the dense mask takes its probabilities from a
 table: ``flip_probabilities`` runs once, on the values D.min()..D.max() at
 each distinct threshold of the step (one for ld), and every entry of the
 mask gathers its probability from that table. A table entry is the same
@@ -222,7 +224,15 @@ def _flip_mask(D, U, dth, epsilon, tau, buf):
     """
     a = dth - epsilon
     cut = a + 2.0 * tau * _LIVE_Z
-    live = np.greater(D, cut, out=buf("live", D.shape, bool))
+    live = buf("live", D.shape, bool)
+    if D.dtype.kind == "i":
+        # for an integer D, D > cut exactly when D > floor(cut), a test made
+        # in D's own dtype; the model's bound keeps D above the dtype's
+        # minimum, so clipping the column to the dtype's range is exact too
+        info = np.iinfo(D.dtype)
+        np.greater(D, np.clip(np.floor(cut), info.min, info.max).astype(D.dtype), out=live)
+    else:
+        np.greater(D, cut, out=live)
     flip = buf("flip", D.shape, bool)
     # Dead entries have D - a <= cut - a; rounding is monotone, so their z
     # is at most (cut - a) / (2 tau) computed the rule's way.

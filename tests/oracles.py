@@ -6,7 +6,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import expit
 
-from rlsa import from_edge_list, generate_ba, generate_er
+from rlsa import Graph, from_edge_list, generate_ba, generate_er
 
 
 class CountingMatrix:
@@ -117,6 +117,24 @@ def random_small_graph(rng, n_min=2, n_max=12):
         return generate_ba(n, m, seed)
     p = float(rng.uniform(0.1, 0.9))
     return generate_er(n, p, seed)
+
+
+def reference_er(num_nodes, p, seed):
+    """Erdos-Renyi G(n, p) drawn the plain way: one ``rng.random`` call per
+    row i of the upper triangle, for the pairs (i, i + 1), ..., (i, n - 1).
+
+    The CSR arrays come from a dense adjacency matrix, so nothing is shared
+    with rlsa.graph's edge-list build.
+    """
+    n = num_nodes
+    rng = np.random.default_rng(seed)
+    dense = np.zeros((n, n), dtype=bool)
+    for i in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - 1 - i) < p) + i + 1
+        dense[i, hits] = True
+        dense[hits, i] = True
+    offsets = np.concatenate(([0], np.cumsum(dense.sum(axis=1))))
+    return Graph(n, offsets, np.nonzero(dense)[1])
 
 
 def reference_product(graph, X, weights=None):

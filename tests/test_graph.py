@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,9 +12,10 @@ from rlsa import (
     read_instance,
     write_instance,
 )
+import rlsa.graph as graph_module
 from rlsa.graph import detect_format
 
-from oracles import triangle
+from oracles import reference_er, triangle
 
 
 # -- construction ------------------------------------------------------------
@@ -81,6 +85,27 @@ def test_from_edge_list_matches_unique_reference():
             assert g.neighbors.dtype == np.int32
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["as-given", "reversed"])
+def test_from_edge_list_names_the_first_bad_pair_in_input_order(reverse):
+    cases = [
+        # (edges on 5 nodes, first offending pair as given, error kind)
+        ([(0, 1), (2, 7), (-1, 3), (4, 9), (1, 2)], (2, 7), "out of range"),
+        ([(0, 1), (3, -2), (9, 1), (4, 5)], (3, -2), "out of range"),
+        ([(0, 1), (1, 2), (4, 5)], (4, 5), "out of range"),
+        ([(0, 1), (3, 3), (1, 2), (0, 0)], (3, 3), "self loop"),
+        ([(4, 4), (2, 2)], (4, 4), "self loop"),
+        ([(2, 2), (0, 1), (0, 5)], (0, 5), "out of range"),  # bounds are checked first
+    ]
+    for edges, (u, v), kind in cases:
+        if reverse:
+            edges, (u, v) = [(b, a) for a, b in edges], (v, u)
+        pattern = re.escape(f"({u}, {v})") + ".*" + kind if kind == "out of range" \
+            else kind + ".*" + re.escape(f"({u}, {v})")
+        for given in (edges, np.array(edges)):
+            with pytest.raises(ValueError, match=pattern):
+                from_edge_list(5, given)
+
+
 @pytest.mark.parametrize("num_nodes, edges", [
     (3, [(0.5, 1)]),
     (3, [(1.9, 0)]),
@@ -132,6 +157,38 @@ def test_er_deterministic():
     b = generate_er(50, 0.2, seed=7)
     assert a == b
     assert a != generate_er(50, 0.2, seed=8)
+
+
+@pytest.mark.parametrize("chunk, sizes", [
+    # 6 pairs are below one chunk of 7, 15 and 36 just above a multiple,
+    # 21 and 28 at one
+    (7, [4, 6, 7, 8, 9]),
+    # 65341 pairs are just below one chunk of 2**16, 65703 just above
+    (2 ** 16, [362, 363]),
+])
+def test_er_matches_the_per_row_reference_byte_for_byte(monkeypatch, chunk, sizes):
+    monkeypatch.setattr(graph_module, "_ER_CHUNK", chunk)
+    for n in [0, 1, 2, 3] + sizes:
+        for p in (0.0, 0.01, 0.5, 1.0):
+            for seed in (0, 1, 5):
+                g, ref = generate_er(n, p, seed), reference_er(n, p, seed)
+                assert g.offsets.dtype == np.int64 and g.neighbors.dtype == np.int32
+                assert g.offsets.tobytes() == ref.offsets.tobytes(), (n, p, seed)
+                assert g.neighbors.tobytes() == ref.neighbors.tobytes(), (n, p, seed)
+
+
+def test_er_traced_peak_stays_within_ten_times_the_graph():
+    # drawing in chunks and sorting one key array in place keeps the peak
+    # of generate_er to a small multiple of the CSR arrays it returns
+    for seed in (0, 1):
+        tracemalloc.start()
+        try:
+            g = generate_er(2000, 0.15, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = g.offsets.nbytes + g.neighbors.nbytes
+        assert peak <= 10 * size, peak / size
 
 
 def test_er_mean_edges_matches_binomial_expectation():
