@@ -40,37 +40,38 @@ step's uniforms U and the block's buffers, and returns the flip mask
 Sparse flip masks. The regularized and ld rules share one mask function,
 which calls ``flip_probabilities`` with a (K, 1) column of thresholds:
 Delta_(d) per row with epsilon, or tau / alpha in every row with
-epsilon = 0. It evaluates the sigmoid only where a flip can happen, and
-the mask stays bit-identical to ``U < P``.
+epsilon = 0. An integer Delta first tries a table (next paragraph); any
+other Delta, and an integer one whose table does not fit, has the sigmoid
+evaluated only where a flip can happen, and the mask stays bit-identical
+to ``U < P``.
 ``Generator.random`` returns multiples of 2**-53, and expit(z) < 2**-53 for
 every z <= -37, so on such an entry ``U < P`` can hold only when U == 0.
 An entry is live when its argument z = (Delta - a) / (2 tau) exceeds -40
 (a = threshold - epsilon, Delta_(d) - epsilon or tau / alpha), a test made
-in Delta units as Delta > a - 80 tau, with no division over the matrix; the
-three units of margin cover its rounding, and a per-row check falls back
-to the dense mask should rounding ever eat that margin. The sigmoid runs
-on the live entries and on those with U == 0, and every other entry of the
-mask is False. When more than a quarter of the entries are live, the dense
-``U < P`` is cheaper and is used instead. The normalized rule needs every
-sigmoid for its row sums, so it is always dense.
+in Delta units as Delta > a - 80 tau, with no division over the matrix.
+It is one comparison for any dtype: an int16 Delta converts to float64
+exactly. The three units of margin cover its rounding, and a per-row check
+falls back to the dense mask should rounding ever eat that margin. The
+sigmoid runs on the live entries and on those with U == 0, and every other
+entry of the mask is False. When more than a quarter of the entries are
+live, the dense ``U < P`` is cheaper and is used instead. The normalized
+rule needs every sigmoid for its row sums, so it is always dense.
 
 Integer Delta. When the energy model bounds every Delta by an integer
 below 2**15 (``EnergyModel._delta_bound``: mcut, qubo with integer
 coefficients, mis and mcl at an integer beta), every Delta is an integer
 that float64 holds exactly, and the engine narrows each step's Delta into
 an int16 array without changing a value. The d-th largest is then taken
-by an int16 partition, the live test compares int16 against the floor of
-the cut (for an integer Delta, Delta > cut exactly when
-Delta > floor(cut)), and the dense mask takes its probabilities from a
-table: ``flip_probabilities`` runs once, on the values D.min()..D.max() at
-each distinct threshold of the step (one for ld), and every entry of the
-mask gathers its probability from that table. A table entry is the same
-float64 expression expit((v - (threshold - epsilon)) / (2 tau)) of the
-same float64 v as the dense probability of an entry equal to v, so
-``U < P`` is bit-identical. A table with more entries than D would cost
-more sigmoids than the dense mask, so such a step stays dense. No setting
-chooses this path: the model's bound, the live share and the table size
-do.
+by an int16 partition, and the mask takes its probabilities from a table:
+``flip_probabilities`` runs once, on the values D.min()..D.max() at each
+distinct threshold of the step (one for ld), and every entry of the mask
+gathers its probability from that table, whatever the live share. A table
+entry is the same float64 expression expit((v - (threshold - epsilon)) /
+(2 tau)) of the same float64 v as the dense probability of an entry equal
+to v, so ``U < P`` is bit-identical. A table with more entries than D
+would cost more sigmoids than the dense mask, so such a step goes on to
+the live test and the sparse or dense mask. No setting chooses this path:
+the model's bound and the table size do.
 
 Chain state. The engine holds a block's states as a bool (K, N) array and
 applies a step's flips in place as ``X ^= flip``. A bool batch is binary by
@@ -148,6 +149,8 @@ def flip_probabilities(delta, dth, epsilon: float, tau: float):
 
     ``dth`` may be a scalar or an array broadcastable against ``delta``.
     """
+    tau = finite_float("tau", tau)
+    epsilon = finite_float("epsilon", epsilon)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if epsilon < 0:
@@ -168,6 +171,7 @@ def normalized_flip_probabilities(delta, tau: float, d: int):
     n = D.shape[-1]
     if not 1 <= d <= n:
         raise ValueError(f"d must be in 1..{n}, got {d}")
+    tau = finite_float("tau", tau)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     z = D / (2.0 * tau)
@@ -185,11 +189,11 @@ def normalized_flip_probabilities(delta, tau: float, d: int):
 
 def ld_flip_probabilities(delta, alpha: float, tau: float):
     """Fixed-step Langevin flip probabilities sigmoid(delta_i / (2 tau) - 1 / (2 alpha)),
-    computed as the regularized rule at threshold tau / alpha with epsilon = 0."""
+    computed as the regularized rule at threshold tau / alpha with epsilon = 0,
+    which checks ``tau``."""
+    alpha = finite_float("alpha", alpha)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     return flip_probabilities(delta, tau / alpha, 0.0, tau)
 
 
@@ -214,35 +218,29 @@ class _Buffers(dict):
 
 def _flip_mask(D, U, dth, epsilon, tau, buf):
     """``U < flip_probabilities(D, dth, epsilon, tau)`` for a (K, 1) column
-    ``dth`` of per-row thresholds, evaluating the sigmoid only on the
-    entries where a flip can happen. The mask is written into ``buf``.
+    ``dth`` of per-row thresholds, written into ``buf``.
 
-    The sparse path passes ``flip_probabilities`` the gathered entries of D
-    and of ``dth``, so every argument keeps its value and the mask is
-    bit-identical to the dense one. On the dense path an integer D takes
-    its probabilities from a table of its distinct values.
+    An integer D takes its probabilities from a table of its distinct
+    values whenever that table fits. Any other D, and an integer one whose
+    table does not fit, has the sigmoid evaluated only on the entries where
+    a flip can happen: the sparse path passes
+    ``flip_probabilities`` the gathered entries of D and of ``dth``, so
+    every argument keeps its value and the mask is bit-identical to the
+    dense one.
     """
+    flip = buf("flip", D.shape, bool)
+    if D.dtype.kind == "i":
+        P = _table_probabilities(D, dth, epsilon, tau, buf)
+        if P is not None:
+            return np.less(U, P, out=flip)
     a = dth - epsilon
     cut = a + 2.0 * tau * _LIVE_Z
-    live = buf("live", D.shape, bool)
-    if D.dtype.kind == "i":
-        # for an integer D, D > cut exactly when D > floor(cut), a test made
-        # in D's own dtype; the model's bound keeps D above the dtype's
-        # minimum, so clipping the column to the dtype's range is exact too
-        info = np.iinfo(D.dtype)
-        np.greater(D, np.clip(np.floor(cut), info.min, info.max).astype(D.dtype), out=live)
-    else:
-        np.greater(D, cut, out=live)
-    flip = buf("flip", D.shape, bool)
+    live = np.greater(D, cut, out=buf("live", D.shape, bool))
     # Dead entries have D - a <= cut - a; rounding is monotone, so their z
     # is at most (cut - a) / (2 tau) computed the rule's way.
     if (np.count_nonzero(live) > _DENSE_SHARE * D.size
             or not np.all((cut - a) / (2.0 * tau) <= _DEAD_Z)):
-        if D.dtype.kind == "i":
-            P = _table_probabilities(D, dth, epsilon, tau, buf)
-        else:
-            P = flip_probabilities(D, dth, epsilon, tau)
-        return np.less(U, P, out=flip)
+        return np.less(U, flip_probabilities(D, dth, epsilon, tau), out=flip)
     if not U.all():
         live |= U == 0
     idx = np.flatnonzero(live)
@@ -255,18 +253,17 @@ def _flip_mask(D, U, dth, epsilon, tau, buf):
 def _table_probabilities(D, dth, epsilon, tau, buf):
     """``flip_probabilities(D, dth, epsilon, tau)`` for an integer (K, N) D,
     gathered from one sigmoid table over the values D.min()..D.max() at
-    each distinct threshold of the (K, 1) column ``dth``.
+    each distinct threshold of the (K, 1) column ``dth``, or None when that
+    table would have more entries than D.
 
     A table entry is the same float64 expression of the same float64 value
     as the dense probability it stands for, so the two are bit-identical.
-    A table larger than D would cost more sigmoids than it saves, so D then
-    takes the dense probabilities.
     """
     lo, hi = int(D.min()), int(D.max())
     ths, inv = np.unique(dth[:, 0], return_inverse=True)
     width = hi - lo + 1
     if ths.size * width > D.size:
-        return flip_probabilities(D, dth, epsilon, tau)
+        return None
     table = flip_probabilities(np.arange(lo, hi + 1), ths[:, None], epsilon, tau)
     # the flat index of D[k, j] in row inv[k]: below table.size <= D.size,
     # which int32 holds for any D of fewer than 2**31 entries
@@ -280,7 +277,9 @@ def _table_probabilities(D, dth, epsilon, tau, buf):
 # _flip_mask resolves flip_probabilities through this module at call time,
 # so a tracer can swap it. ld is the regularized rule at threshold
 # tau / alpha with epsilon = 0, so the benchmark's sampler.flip_rule_s
-# times the sigmoid of both rules.
+# times the sigmoid of both rules: on the whole of Delta, on its live
+# entries or, for an integer Delta that takes the table, on the table
+# alone; the table's gather and compare fall outside it.
 
 def _regularized(cfg, D, tau, U, buf=None):
     buf = _Buffers() if buf is None else buf
@@ -304,7 +303,8 @@ def _ld(cfg, D, tau, U, buf=None):
 # kernel -> (the SamplerConfig fields its rule reads,
 #            rule(cfg, Delta, tau, U, buf) -> flip mask, bit-identical to
 #            U < P; the mask may live in the reused arrays ``buf``).
-# The regularized and ld masks are sparse: see the module docstring.
+# The regularized and ld masks take a table or go sparse: see the module
+# docstring.
 KERNELS = {
     "regularized": (("d", "epsilon"), _regularized),
     "normalized": (("d",), _normalized),
@@ -394,18 +394,18 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus):
     buffer before the flip rule runs. A model whose Deltas are integers has
     them narrowed to int16. The rule, ``rule(cfg, Delta, tau, U, buf)``,
     returns the flip mask in the block's reused arrays ``buf``; the
-    regularized and ld rules evaluate their sigmoid only where a flip can
-    happen, or from a table of the integer values (see the module
-    docstring). It
-    costs one sparse product per step: ``model.energy`` on the new state
-    computes ``A @ X`` and the next step's ``model.delta`` on the same state
-    reuses it through the model's per-thread memo, so a block makes
-    ``steps + 1`` products. The states are a bool (K, N) array flipped in
-    place with ``X ^= flip``; the memo keeps a copy of the batch it saw, so
-    it notices the change. Returns the best states (bool) and energies, per
-    step and chain the energy and the number of bits flipped, and the
-    running best, whose first row is the initial energies: a chain's best
-    improved at step t exactly where ``best_traj[t] < best_traj[t - 1]``.
+    regularized and ld rules take their sigmoid from a table of the integer
+    values, or evaluate it only where a flip can happen (see the module
+    docstring). The block costs one sparse product per step:
+    ``model.energy`` on the new state computes ``A @ X`` and the next step's
+    ``model.delta`` on the same state reuses it through the model's
+    per-thread memo, so a block makes ``steps + 1`` products. The states
+    are a bool (K, N) array flipped in place with ``X ^= flip``; the memo
+    keeps a copy of the batch it saw, so it notices the change. Returns the
+    best states (bool) and energies, per step and chain the energy and the
+    number of bits flipped, and the running best, whose first row is the
+    initial energies: a chain's best improved at step t exactly where
+    ``best_traj[t] < best_traj[t - 1]``.
     """
     rule = KERNELS[cfg.kernel][1]
     k = len(chain_ids)

@@ -40,6 +40,11 @@ def test_ld_flip_validation():
         ld_flip_probabilities(np.zeros(2), alpha=0.0, tau=0.1)
     with pytest.raises(ValueError):
         ld_flip_probabilities(np.zeros(2), alpha=0.1, tau=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            ld_flip_probabilities(np.zeros(2), alpha=bad, tau=1.0)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            ld_flip_probabilities(np.zeros(2), alpha=0.1, tau=bad)
 
 
 def test_ld_equals_regularized_rule_under_substitution():

@@ -145,6 +145,12 @@ def test_flip_probabilities_validation():
         flip_probabilities(np.zeros(3), 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         flip_probabilities(np.zeros(3), 0.0, -1e-9, 0.1)
+    # NaN and inf used to pass the sign checks and give NaN or 0.5 everywhere
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            flip_probabilities(np.zeros(3), 0.0, 1e-6, bad)
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            flip_probabilities(np.zeros(3), 0.0, bad, 1.0)
 
 
 def test_flip_probabilities_monotone_and_bounded():
@@ -217,6 +223,9 @@ def test_normalized_kernel_rejects_bad_d():
         normalized_flip_probabilities(np.zeros(4), 0.5, 5)
     with pytest.raises(ValueError):
         normalized_flip_probabilities(np.zeros(4), 0.0, 2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            normalized_flip_probabilities(np.zeros(4), bad, 2)
 
 
 def test_normalized_kernel_matches_engine_form():
@@ -376,13 +385,23 @@ def test_sparse_flip_mask_stays_exact_when_tau_underflows_the_cutoff(kernel, mon
     assert sizes == [D.size]
 
 
+def _live_cut(cfg, D, tau):
+    """The rule's live cut a - 80 tau, per row: the entries above it are live."""
+    if cfg.kernel == "regularized":
+        a = kth_largest(D, cfg.d)[:, None] - cfg.epsilon
+    else:
+        a = tau / cfg.alpha
+    return a + 2.0 * tau * sampler._LIVE_Z
+
+
 @pytest.mark.parametrize("kernel", ["regularized", "ld"])
 def test_table_mask_equals_the_dense_mask_on_integer_delta(kernel, monkeypatch):
-    # Integer Deltas in a few values, most tied at the top, some so far below
-    # that the sigmoid underflows to 0; rows shifted by 0..2, so the
-    # regularized rule sees several thresholds. At alpha = 1/80 the ld rule's
-    # live cut a - 80 tau sits at 0. U holds zeros, the smallest uniforms and
-    # plain draws.
+    # Integer Deltas in a few values, some so far below that the sigmoid
+    # underflows to 0; rows shifted by 0..2, so the regularized rule sees
+    # several thresholds. At alpha = 1/80 the ld rule's live cut a - 80 tau
+    # sits at 0. Most entries tie at the top, except in the last draw: there
+    # under a quarter of the entries are live, and the table still serves. U
+    # holds zeros, the smallest uniforms and plain draws.
     rng = np.random.default_rng(19)
     paths = _recording_paths(monkeypatch)
     k, n = 12, 200
@@ -391,8 +410,10 @@ def test_table_mask_equals_the_dense_mask_on_integer_delta(kernel, monkeypatch):
     else:
         cfg = SamplerConfig(tau0=1.0, steps=1, chains=k, kernel="ld", alpha=1 / 80)
     values = np.array([-40, -20, -13, -6, 0, 1, 2, 6])
-    share = np.array([1, 1, 1, 1, 1, 1, 6, 8]) / 20
-    for tau in (0.01, 0.1, 1.0):
+    tied = np.array([1, 1, 1, 1, 1, 1, 6, 8]) / 20
+    few = np.array([8, 6, 1, 1, 1, 1, 1, 1]) / 20
+    shares = []
+    for tau, share in ((0.01, tied), (0.1, tied), (1.0, tied), (0.01, few)):
         D = (rng.choice(values, size=(k, n), p=share) + np.arange(k)[:, None] % 3).astype(np.int16)
         U = rng.random(D.shape)
         pick = rng.random(D.shape)
@@ -402,7 +423,41 @@ def test_table_mask_equals_the_dense_mask_on_integer_delta(kernel, monkeypatch):
         assert got.dtype == bool and got.shape == D.shape
         assert np.array_equal(got, _dense_mask(cfg, D.astype(np.float64), tau, U))
         assert got[U == 0].any() and got[(U > 0) & (U <= 8 * ULP)].any()
-    assert paths == ["table"] * 3
+        shares.append(np.count_nonzero(D > _live_cut(cfg, D, tau)) / D.size)
+    assert shares[-1] < sampler._DENSE_SHARE < min(shares[:-1])
+    assert paths == ["table"] * 4
+
+    # An int16 D whose range (-30000 up to 12) makes the table outgrow D
+    # takes the live test, D > cut against the float64 cut. Each row holds
+    # entries at floor(cut), dead, and at floor(cut) + 1, live, under a cut
+    # that is an integer (epsilon = 0, or tau / alpha = 1) and one that is
+    # not.
+    paths.clear()
+    tau = 0.25
+    if kernel == "regularized":
+        cfgs = [replace(cfg, epsilon=0.0), cfg]
+    else:
+        cfgs = [replace(cfg, alpha=0.25), replace(cfg, alpha=0.3)]
+    whole = []
+    for c in cfgs:
+        D = np.full((k, n), -30000, np.int16)
+        D[:, :5] = 10 + np.arange(k)[:, None] % 3  # the regularized rule's top d
+        cut = _live_cut(c, D, tau)
+        whole.append(bool(np.all(cut == np.floor(cut))))
+        D[:, 10:30] = np.floor(cut)
+        D[:, 30:50] = np.floor(cut) + 1
+        U = rng.random(D.shape)
+        U[:, 8:52:3] = 0.0
+        buf = sampler._Buffers()
+        got = KERNELS[kernel][1](c, D, tau, U, buf)
+        assert np.array_equal(got, _dense_mask(c, D.astype(np.float64), tau, U))
+        live = np.zeros(D.shape, bool)
+        live[:, :5] = live[:, 30:50] = True
+        assert np.array_equal(buf["live"], live | (U == 0))
+        # 0 < P < 2**-53 at and just above the cut: only U == 0 flips there
+        assert np.array_equal(got[:, 10:50], U[:, 10:50] == 0)
+    assert whole == [True, False]
+    assert paths == ["sparse"] * 2
 
 
 # -- config validation -----------------------------------------------------------
@@ -602,10 +657,21 @@ def test_engine_matches_reference_chain(kernel):
 @pytest.mark.parametrize("kernel", ["regularized", "ld"])
 def test_engine_matches_reference_chain_on_the_sparse_path(kernel, monkeypatch):
     # at a small tau0 most sigmoid arguments are far below -40, so the rules
-    # often take their sparse masks; the integer-Delta models (mcut, mis at
-    # beta 2, integer qubo), whose Deltas tie, often stay dense and take the
-    # table. Every chain still equals the plain loop.
+    # often take their sparse masks. The integer-Delta models (mcut, mis at
+    # beta 2, integer qubo) take the table on every step whose table fits,
+    # and only such a step: under the regularized rule the 16-node integer
+    # qubo's table, one row per distinct threshold, often outgrows its
+    # Delta. Every chain still equals the plain loop.
     calls = _recording_paths(monkeypatch)
+    misses = []
+    table = sampler._table_probabilities
+
+    def counting(*args):
+        P = table(*args)
+        misses.append(P is None)
+        return P
+
+    monkeypatch.setattr(sampler, "_table_probabilities", counting)
     rate = dict(alpha=0.05) if kernel == "ld" else dict(d=3)
     paths = {"sparse": 0, "dense": 0, "table": 0}
     for m in _oracle_models():
@@ -619,10 +685,15 @@ def test_engine_matches_reference_chain_on_the_sparse_path(kernel, monkeypatch):
             assert np.array_equal(best_traj[1:, k], bests)
             assert np.array_equal(flips_traj[:, k], flips)
         assert len(calls) == cfg.steps
-        assert m._delta_bound is not None or "table" not in calls
+        if m._delta_bound is None:
+            assert "table" not in calls and not misses
+        else:
+            assert len(misses) == cfg.steps
+            assert calls.count("table") == cfg.steps - sum(misses)
         for c in calls:
             paths[c] += 1
         calls.clear()
+        misses.clear()
     assert min(paths.values()) >= 20, paths
 
 
