@@ -23,6 +23,14 @@ def finite_float(name: str, value) -> float:
     return out
 
 
+def positive(name: str, value) -> float:
+    """``value`` as a float; raises ValueError unless it is finite and > 0."""
+    out = finite_float(name, value)
+    if out <= 0:
+        raise ValueError(f"{name} must be positive, got {out}")
+    return out
+
+
 def integer(name: str, value, minimum: int) -> int:
     """``value`` as an int; raises ValueError unless it is an integer (bool is
     not) of at least ``minimum``."""

@@ -208,6 +208,13 @@ def _resolve_instances(cfg: ExperimentConfig) -> list[tuple[str, str, Graph]]:
         files = sorted(p for p in path.iterdir() if p.is_file() and not p.name.startswith("."))
         if not files:
             raise ValueError(f"no instance files in directory {path}")
+        stems = {}
+        for p in files:  # a stem names the instance's artifacts
+            if p.stem in stems:
+                raise ValueError(
+                    f"instance files {stems[p.stem]} and {p} share the name {p.stem!r}"
+                )
+            stems[p.stem] = p
         return [(p.stem, str(p), read_instance(p)) for p in files]
     if not path.is_file():
         raise ValueError(f"instance path {path} is not a readable file or directory")

@@ -84,7 +84,7 @@ import threading
 
 import numpy as np
 
-from ._checks import finite_array, finite_float
+from ._checks import finite_array, finite_float, positive
 from .graph import Graph
 
 KINDS = ("mis", "mcl", "mcut", "qubo")
@@ -93,9 +93,7 @@ KINDS = ("mis", "mcl", "mcut", "qubo")
 def check_beta(kind: str, beta) -> float:
     """``beta`` as a float; raises ValueError unless it is finite and
     positive, and above 1 for mis and mcl so local optima are feasible."""
-    out = finite_float("beta", beta)
-    if out <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    out = positive("beta", beta)
     if kind in ("mis", "mcl") and out <= 1.0:
         raise ValueError(
             f"beta must exceed 1 for {kind} so local optima are feasible, got {beta}"

@@ -1,4 +1,21 @@
-"""Undirected simple graphs in CSR form, random generators, and instance file I/O."""
+"""Undirected simple graphs in CSR form, random generators, and instance file I/O.
+
+Instance files are text in one of two formats, each one row of ``_FORMATS``:
+
+=============  ==============  ===========  ==========
+format         header          edge line    first node
+=============  ==============  ===========  ==========
+``edge-list``  ``N M``         ``u v``      0
+``dimacs``     ``p edge N M``  ``e u v``    1
+=============  ==============  ===========  ==========
+
+The first line that is not all comment is the header, and every later one is
+an edge. In both formats, text after ``#`` is a comment, and so is a line
+whose first word is ``c``. :func:`parse_instance`, :func:`write_instance` and
+:func:`detect_format` read the same table, and :func:`read_instance` takes a
+file's format from its content alone: DIMACS when the header opens with
+``p``, the edge list otherwise.
+"""
 
 from __future__ import annotations
 
@@ -90,16 +107,28 @@ def from_edge_list(num_nodes: int, edges) -> Graph:
     if pairs.size and not np.issubdtype(pairs.dtype, np.integer):
         raise ValueError(f"edge endpoints must be integers, got dtype {pairs.dtype}")
     pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
+    _check_pairs(n, pairs)
+    return _csr_from_pairs(n, pairs[:, 0], pairs[:, 1])
+
+
+def _check_pairs(n: int, pairs, base: int = 0, linenos=None) -> None:
+    """Raise ValueError naming the first pair of the (E, 2) int64 ``pairs``
+    with an endpoint outside ``base .. base + n - 1``, else the first self
+    loop; with ``linenos``, the message starts with that pair's line."""
     u, v = pairs[:, 0], pairs[:, 1]
+    hi = base + n - 1
     # whole-array reductions; the first offending pair is looked up only
     # when a check fails
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-        i = int(np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))[0])
-        raise ValueError(f"edge ({u[i]}, {v[i]}) out of range for {n} nodes")
-    if (u == v).any():
+    if pairs.size and (pairs.min() < base or pairs.max() > hi):
+        i = int(np.flatnonzero((u < base) | (u > hi) | (v < base) | (v > hi))[0])
+        what = f"edge ({u[i]}, {v[i]}) out of range for {n} nodes"
+        what += " (1-indexed)" if base else ""
+    elif (u == v).any():
         i = int(np.flatnonzero(u == v)[0])
-        raise ValueError(f"self loop ({u[i]}, {v[i]}) is not allowed")
-    return _csr_from_pairs(n, u, v)
+        what = f"self loop ({u[i]}, {v[i]}) is not allowed"
+    else:
+        return
+    raise ValueError(what if linenos is None else f"line {linenos[i]}: {what}")
 
 
 def _csr_from_pairs(n: int, u, v) -> Graph:
@@ -202,126 +231,97 @@ def generate_ba(num_nodes: int, m: int, seed: int) -> Graph:
     return from_edge_list(num_nodes, edges)
 
 
+# Instance file formats: the words that open the header 'N M', the words that
+# open each edge line 'u v', and the number of the first node.
+_FORMATS = {
+    "edge-list": ((), (), 0),
+    "dimacs": (("p", "edge"), ("e",), 1),
+}
+
+
 def parse_instance(text: str, fmt: str) -> Graph:
-    """Parse an instance from text in ``"edge-list"`` or ``"dimacs"`` format."""
-    if fmt == "edge-list":
-        return _parse_edge_list(text)
-    if fmt == "dimacs":
-        return _parse_dimacs(text)
-    raise ValueError(f"unknown instance format {fmt!r}")
+    """Parse an instance from text in ``"edge-list"`` or ``"dimacs"`` format.
+
+    Every error is a ValueError; one about a single line names it.
+    """
+    header, lead, base = _format(fmt)
+    usage = " ".join(header + ("N", "M"))
+    lines = _content(text)
+    lineno, words = next(lines, (None, None))
+    if words is None:
+        raise ValueError(f"missing header {usage!r}")
+    k = len(header)
+    if len(words) != k + 2 or tuple(words[:k]) != header:
+        raise ValueError(f"line {lineno}: expected header {usage!r}")
+    n = _int64(words[k], lineno, "node count")
+    m = _int64(words[k + 1], lineno, "edge count")
+    if n < 0 or m < 0:
+        raise ValueError(f"line {lineno}: header counts must be nonnegative")
+    k, lead = len(lead), list(lead)
+    linenos = []  # the line of each edge, for the messages below
+    tokens = []
+    for lineno, words in lines:
+        if len(words) != k + 2 or words[:k] != lead:
+            raise ValueError(f"line {lineno}: expected edge {' '.join(lead + ['u', 'v'])!r}")
+        linenos.append(lineno)
+        tokens += words[k:]
+    try:
+        pairs = np.array(tokens, dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError):
+        for i, token in enumerate(tokens):
+            _int64(token, linenos[i // 2], "node index")
+        raise
+    _check_pairs(n, pairs, base, linenos)
+    if len(linenos) != m:
+        raise ValueError(f"header declares {m} edges but {len(linenos)} edge lines found")
+    pairs -= base
+    return _csr_from_pairs(n, pairs[:, 0], pairs[:, 1])
 
 
 def write_instance(graph: Graph, fmt: str) -> str:
     """Serialize a graph so that ``parse_instance(write_instance(g, f), f) == g``."""
-    edges = graph.edge_array()
-    if fmt == "edge-list":
-        lines = [f"{graph.num_nodes} {graph.num_edges}"]
-        lines.extend(f"{u} {v}" for u, v in edges)
-    elif fmt == "dimacs":
-        lines = [f"p edge {graph.num_nodes} {graph.num_edges}"]
-        lines.extend(f"e {u + 1} {v + 1}" for u, v in edges)
-    else:
-        raise ValueError(f"unknown instance format {fmt!r}")
+    header, lead, base = _format(fmt)
+    lines = [" ".join(header + (str(graph.num_nodes), str(graph.num_edges)))]
+    lead = "".join(word + " " for word in lead)
+    lines.extend(f"{lead}{u} {v}" for u, v in (graph.edge_array() + base).tolist())
     return "\n".join(lines) + "\n"
 
 
 def detect_format(text: str) -> str:
-    """Guess the instance format: DIMACS lines start with 'c' or 'p'."""
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        return "dimacs" if line[0] in ("c", "p") else "edge-list"
+    """The format whose header word opens the first non-comment line of
+    ``text`` (``p``: DIMACS), else the edge list, whose header has no word."""
+    _, words = next(_content(text), (None, [""]))
+    for fmt, (header, _, _) in _FORMATS.items():
+        if header[:1] == (words[0],):
+            return fmt
     return "edge-list"
 
 
 def read_instance(path, fmt: str | None = None) -> Graph:
-    """Read an instance file, sniffing the format when ``fmt`` is None."""
+    """Read an instance file, taking the format from its content when ``fmt``
+    is None (see :func:`detect_format`)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if fmt is None:
-        name = str(path).lower()
-        if name.endswith((".dimacs", ".col", ".clq")):
-            fmt = "dimacs"
-        else:
-            fmt = detect_format(text)
-    return parse_instance(text, fmt)
+    return parse_instance(text, detect_format(text) if fmt is None else fmt)
 
 
-def _int_field(token: str, lineno: int, what: str) -> int:
+def _format(fmt: str):
     try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"line {lineno}: expected integer {what}, got {token!r}") from None
+        return _FORMATS[fmt]
+    except KeyError:
+        raise ValueError(f"unknown instance format {fmt!r}") from None
 
 
-def _parse_edge_list(text: str) -> Graph:
-    rows = []
+def _content(text: str):
+    """(line number, words) of each line of ``text`` that is not all comment."""
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line.split()))
-    if not rows:
-        raise ValueError("empty edge-list instance (missing 'N M' header)")
-    lineno, head = rows[0]
-    if len(head) != 2:
-        raise ValueError(f"line {lineno}: expected header 'N M'")
-    n = _int_field(head[0], lineno, "node count")
-    m = _int_field(head[1], lineno, "edge count")
-    if n < 0 or m < 0:
-        raise ValueError(f"line {lineno}: header counts must be nonnegative")
-    edges = []
-    for lineno, tokens in rows[1:]:
-        if len(tokens) != 2:
-            raise ValueError(f"line {lineno}: expected edge 'u v'")
-        u = _int_field(tokens[0], lineno, "node index")
-        v = _int_field(tokens[1], lineno, "node index")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"line {lineno}: edge ({u}, {v}) out of range for {n} nodes")
-        if u == v:
-            raise ValueError(f"line {lineno}: self loop ({u}, {v}) is not allowed")
-        edges.append((u, v))
-    if len(edges) != m:
-        raise ValueError(f"header declares {m} edges but {len(edges)} edge lines found")
-    return from_edge_list(n, edges)
+        words = raw.split("#", 1)[0].split()
+        if words and words[0] != "c":
+            yield lineno, words
 
 
-def _parse_dimacs(text: str) -> Graph:
-    n = None
-    m = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line[0] == "c":
-            continue
-        tokens = line.split()
-        if tokens[0] == "p":
-            if n is not None:
-                raise ValueError(f"line {lineno}: duplicate problem line")
-            if len(tokens) != 4 or tokens[1] != "edge":
-                raise ValueError(f"line {lineno}: expected 'p edge N M'")
-            n = _int_field(tokens[2], lineno, "node count")
-            m = _int_field(tokens[3], lineno, "edge count")
-            if n < 0 or m < 0:
-                raise ValueError(f"line {lineno}: problem counts must be nonnegative")
-        elif tokens[0] == "e":
-            if n is None:
-                raise ValueError(f"line {lineno}: edge before 'p edge' line")
-            if len(tokens) != 3:
-                raise ValueError(f"line {lineno}: expected 'e u v'")
-            u = _int_field(tokens[1], lineno, "node index")
-            v = _int_field(tokens[2], lineno, "node index")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(
-                    f"line {lineno}: edge ({u}, {v}) out of range for {n} nodes (1-indexed)"
-                )
-            if u == v:
-                raise ValueError(f"line {lineno}: self loop ({u}, {v}) is not allowed")
-            edges.append((u - 1, v - 1))
-        else:
-            raise ValueError(f"line {lineno}: unrecognized line {line!r}")
-    if n is None:
-        raise ValueError("missing 'p edge N M' line")
-    if len(edges) != m:
-        raise ValueError(f"problem line declares {m} edges but {len(edges)} edge lines found")
-    return from_edge_list(n, edges)
+def _int64(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(np.int64(token))
+    except (ValueError, OverflowError):
+        raise ValueError(f"line {lineno}: expected 64-bit integer {what}, got {token!r}") from None

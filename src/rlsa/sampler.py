@@ -102,7 +102,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from ._checks import finite_float, integer
+from ._checks import finite_float, integer, positive
 from .postprocess import greedy_decode
 
 
@@ -149,10 +149,8 @@ def flip_probabilities(delta, dth, epsilon: float, tau: float):
 
     ``dth`` may be a scalar or an array broadcastable against ``delta``.
     """
-    tau = finite_float("tau", tau)
+    tau = positive("tau", tau)
     epsilon = finite_float("epsilon", epsilon)
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     threshold = np.asarray(dth, dtype=np.float64) - epsilon
@@ -171,9 +169,7 @@ def normalized_flip_probabilities(delta, tau: float, d: int):
     n = D.shape[-1]
     if not 1 <= d <= n:
         raise ValueError(f"d must be in 1..{n}, got {d}")
-    tau = finite_float("tau", tau)
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    tau = positive("tau", tau)
     z = D / (2.0 * tau)
     sig = expit(z)
     total = sig.sum(axis=-1, keepdims=True)
@@ -191,9 +187,7 @@ def ld_flip_probabilities(delta, alpha: float, tau: float):
     """Fixed-step Langevin flip probabilities sigmoid(delta_i / (2 tau) - 1 / (2 alpha)),
     computed as the regularized rule at threshold tau / alpha with epsilon = 0,
     which checks ``tau``."""
-    alpha = finite_float("alpha", alpha)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    alpha = positive("alpha", alpha)
     return flip_probabilities(delta, tau / alpha, 0.0, tau)
 
 
@@ -334,15 +328,11 @@ class SamplerConfig:
             if (getattr(self, name) is None) == (name in params):
                 need = "requires" if name in params else "does not take"
                 raise ValueError(f"the {self.kernel!r} kernel {need} {name}")
-        self.tau0 = finite_float("tau0", self.tau0)
-        if self.tau0 <= 0:
-            raise ValueError(f"tau0 must be positive, got {self.tau0}")
+        self.tau0 = positive("tau0", self.tau0)
         if self.d is not None:
             self.d = integer("d", self.d, 1)
         if self.alpha is not None:
-            self.alpha = finite_float("alpha", self.alpha)
-            if self.alpha <= 0:
-                raise ValueError(f"alpha must be positive, got {self.alpha}")
+            self.alpha = positive("alpha", self.alpha)
         self.steps = integer("steps", self.steps, 1)
         self.chains = integer("chains", self.chains, 1)
         self.epsilon = finite_float("epsilon", self.epsilon)

@@ -367,6 +367,21 @@ def test_batch_summary_includes_gap_when_references_present(tmp_path):
     assert summary["mean_primal_gap"] == 0.0
 
 
+def test_batch_rejects_files_sharing_a_stem_before_writing(tmp_path, capsys):
+    # g.dimacs and g.txt would both write g.result.json
+    instances = tmp_path / "instances"
+    instances.mkdir()
+    (instances / "g.dimacs").write_text(write_instance(triangle(), "dimacs"))
+    (instances / "g.txt").write_text(write_instance(triangle(), "edge-list"))
+    (instances / "h.txt").write_text(write_instance(triangle(), "edge-list"))
+    out = tmp_path / "out"
+    assert main(["--instance", str(instances), "--problem", "mis", "--tau0", "0.01",
+                 "--d", "1", "--steps", "10", "--chains", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(instances / "g.dimacs") in err and str(instances / "g.txt") in err
+    assert not out.exists()
+
+
 # -- qubo -----------------------------------------------------------------------------
 
 def test_qubo_run_via_cli(tmp_path):

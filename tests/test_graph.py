@@ -323,3 +323,74 @@ def test_read_instance_sniffs_format(tmp_path):
     e.write_text(write_instance(triangle(), "edge-list"))
     assert read_instance(d) == triangle()
     assert read_instance(e) == triangle()
+
+
+def instance_text(fmt, header, edges):
+    """A comment line, then ``header``'s counts and each edge's words in
+    ``fmt``; int node indices are shifted to the format's first node."""
+    head, lead, base = {"edge-list": ("", "", 0), "dimacs": ("p edge ", "e ", 1)}[fmt]
+    lines = ["c instance under test", head + " ".join(header)]
+    lines += [lead + " ".join(str(w + base) if isinstance(w, int) else w for w in edge)
+              for edge in edges]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["edge-list", "dimacs"])
+@pytest.mark.parametrize("header, bad, lineno, pattern", [
+    (("3",), (0, 2), 2, "expected header"),
+    (("3", "3", "3"), (0, 2), 2, "expected header"),
+    (("3", "-1"), (0, 2), 2, "header counts must be nonnegative"),
+    (("three", "3"), (0, 2), 2, "integer node count, got 'three'"),
+    (("3", "9" * 20), (0, 2), 2, "integer edge count, got '9{20}'"),
+    (("3", "3"), (1, "x"), 4, "integer node index, got 'x'"),
+    (("3", "3"), (1, "2.0"), 4, r"integer node index, got '2\.0'"),
+    (("3", "3"), (1, "9" * 20), 4, "integer node index, got '9{20}'"),
+    (("3", "3"), ("-" + "9" * 20, 1), 4, "integer node index"),
+    (("3", "3"), (1,), 4, "expected edge"),
+    (("3", "3"), (1, 2, 0), 4, "expected edge"),
+    (("3", "3"), (1, 3), 4, r"edge \(\d, \d\) out of range for 3 nodes"),
+    (("3", "3"), (-1, 2), 4, "out of range"),
+    (("3", "3"), (2, 2), 4, r"self loop \((2, 2|3, 3)\)"),
+], ids=["short-header", "long-header", "negative-count", "non-integer-count",
+        "huge-count", "non-integer-node", "float-node", "huge-node", "huge-negative-node",
+        "short-edge", "long-edge", "node-above-range", "node-below-range", "self-loop"])
+def test_parse_errors_name_the_line(fmt, header, bad, lineno, pattern):
+    # the bad line sits between two good edges, so its line is not the last
+    text = instance_text(fmt, header, [(0, 1), bad, (1, 2)])
+    with pytest.raises(ValueError, match=f"^line {lineno}: .*{pattern}"):
+        parse_instance(text, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["edge-list", "dimacs"])
+def test_parse_errors_of_the_whole_file(fmt):
+    with pytest.raises(ValueError, match="missing header"):
+        parse_instance("c only comments\n# here\n\n", fmt)
+    with pytest.raises(ValueError, match="declares 3 edges but 2 edge lines found"):
+        parse_instance(instance_text(fmt, ("3", "3"), [(0, 1), (1, 2)]), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["edge-list", "dimacs"])
+def test_hash_and_c_comments_in_both_formats(fmt):
+    lines = instance_text(fmt, ("3", "2"), [(0, 1), (1, 2)]).splitlines()
+    text = "\n".join([
+        "# made by hand",
+        lines[0],
+        lines[1] + "  # header",
+        "c between",
+        "   ",
+        lines[2] + "# first edge",
+        "#" + lines[3],
+        lines[3],
+        "c",
+    ]) + "\n"
+    assert detect_format(text) == fmt
+    assert parse_instance(text, fmt) == from_edge_list(3, [(0, 1), (1, 2)])
+
+
+def test_edge_list_opening_with_a_c_comment_is_an_edge_list(tmp_path):
+    text = "c an edge list after all\n3 2\n0 1\n1 2\n"
+    assert detect_format(text) == "edge-list"
+    for name in ("g.txt", "g.col"):  # the content decides, not the suffix
+        path = tmp_path / name
+        path.write_text(text)
+        assert read_instance(path) == from_edge_list(3, [(0, 1), (1, 2)])
