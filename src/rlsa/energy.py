@@ -24,33 +24,32 @@ integer c = -1 multiplies integer row sums, which makes no float pass over
 the batch and keeps the empty set's energy +0.0 (a float c gives -0.0 for
 mcl); and r enters as a subtraction under ``if r``, never as a multiply.
 
-Solutions may come in any numeric or bool dtype. A bool batch is binary by
-type and is used as it is (made C-ordered); every other dtype is checked to
-hold only 0 and 1 and converted to float64. Every result is the same for a
-bool batch as for the equal float64 batch, bit for bit: bool entries enter
-the arithmetic as exactly 0.0 and 1.0.
+Solutions may come in any numeric or bool dtype, and every batch is bool
+inside the model: a bool batch is binary by type and is used as it is
+(made C-ordered); every other dtype is checked to hold only 0 and 1 and
+converted to bool. So a batch gives the same results, bit for bit, in
+whichever dtype it comes.
 
 Every evaluation goes through one sparse product ``A @ X``, run in the
-narrowest of three dtypes that is provably exact. The rule rests on one
+narrower of two dtypes that is provably exact. The rule rests on one
 bound, the largest row sum of |w| (infinite for non-integer weights): with
 X binary, every partial sum of a row is then an integer no larger than the
 bound in magnitude.
 
 * Below 2**15 the product runs in int16, which holds every such sum.
-* Below 2**24 it runs in float32, which holds every integer up to 2**24.
 * Otherwise it runs in float64.
 
-So the int16 or float32 product equals the float64 product bit for bit
-once cast, in a quarter or half the bytes. Unit weights (mis, mcl, mcut,
-unweighted qubo) bound their row sums by the largest degree; non-integer
-weights always take float64. The product is kept in its own dtype and
-C-ordered, as the solution batch is, so the elementwise work that follows
-it runs on contiguous rows. Each result that reads it stays exact: x^T W x
-sums an int16 product in int64 and a float32 one in float64, and the
-gradient casts it to float64 in the ufunc that scales it. An integer c
-with sum |c| below 2**53 gives c . x as one matrix-vector product, exact
-in any summation order; a row whose c . x is zero takes the elementwise
-sum instead, so that its signed zero is the one the per-kind formula gives.
+So the int16 product equals the float64 product bit for bit once cast, in
+a quarter of the bytes. Unit weights (mis, mcl, mcut, unweighted qubo)
+bound their row sums by the largest degree; non-integer weights always take
+float64. The product is kept in its own dtype and C-ordered, as the
+solution batch is, so the elementwise work that follows it runs on
+contiguous rows. Each result that reads it stays exact: x^T W x sums an
+int16 product in int64, and the gradient casts it to float64 in the ufunc
+that scales it. An integer c with sum |c| below 2**53 gives c . x as one
+matrix-vector product, exact in any summation order; a row whose c . x is
+zero takes the elementwise sum instead, so that its signed zero is the one
+the per-kind formula gives.
 
 The same row-sum bound decides whether every Delta is an integer that
 int16 holds. Since |(W x)_i| is at most the bound and 0 <= s - x_i <= N - 1,
@@ -75,7 +74,7 @@ compared entry by entry, so a batch changed in place, or of another shape,
 is multiplied afresh, and a hit returns exactly the product a fresh model
 would compute. It is per thread (``threading.local``) because worker
 threads run chain blocks on one shared model. The stored product is
-read-only; callers that update it copy it first, into float64.
+read-only; callers that update it copy it first, in its own dtype.
 """
 
 from __future__ import annotations
@@ -167,16 +166,9 @@ class EnergyModel:
         else:
             A = _weighted_csr(graph, edge_weights)
             bound = _row_sum_bound(A)
-        # One bound decides the product dtype and whether the column-adding
-        # updates of _flip_ax are exact (see the module docstring).
-        self._exact_updates = bool(bound < _EXACT_FLOAT32)
-        if bound < _EXACT_INT16:
-            dtype = np.int16
-        elif self._exact_updates:
-            dtype = np.float32
-        else:
-            dtype = np.float64
-        self._A = A.astype(dtype, copy=False)
+        # one bound decides the product dtype, and with it how _flip_ax
+        # updates a product (see the module docstring)
+        self._A = A.astype(np.int16 if bound < _EXACT_INT16 else np.float64, copy=False)
         self._delta_bound = _delta_bound(self._c, self._q, self._r, bound, graph.num_nodes)
         self._memo = threading.local()  # this thread's last batch and its product
 
@@ -241,30 +233,29 @@ class EnergyModel:
                 f"solution length {arr.shape[1]} does not match graph with "
                 f"{self.num_nodes} nodes"
             )
-        # C order: row sums then run in one order whatever the caller's layout
-        if arr.dtype == bool:  # binary by type: no check, no conversion
-            return np.ascontiguousarray(arr), single
-        if not ((arr == 0) | (arr == 1)).all():
+        # a bool batch is binary by type: no check, no conversion
+        if arr.dtype != bool and not ((arr == 0) | (arr == 1)).all():
             raise ValueError("solution entries must all be 0 or 1")
-        return np.ascontiguousarray(arr, dtype=np.float64), single
+        # C order: row sums then run in one order whatever the caller's layout
+        return np.ascontiguousarray(arr, dtype=bool), single
 
     def _ax(self, X):
-        # (B, N) binary -> (B, N) in the matrix's dtype, C-ordered and
+        # (B, N) bool -> (B, N) in the matrix's dtype, C-ordered and
         # read-only; per-column CSR accumulation keeps each row's result
-        # independent of the batch size. Callers read an int16 or float32
-        # product through exact arithmetic only (see the module docstring).
+        # independent of the batch size. Callers read an int16 product
+        # through exact arithmetic only (see the module docstring).
         # A batch equal to this thread's last one returns the stored product.
         memo = self._memo
         key = getattr(memo, "key", None)
         if key is not None and np.array_equal(key, X):  # same shape and entries
             return memo.ax
         A = self._A
-        # transpose in X's own dtype, then cast: casting a strided bool
-        # transpose directly is several times slower
+        # transpose in bool, then cast: casting a strided bool transpose
+        # directly is several times slower
         P = A @ np.ascontiguousarray(X.T).astype(A.dtype, copy=False)
         ax = np.ascontiguousarray(P.T)
         ax.flags.writeable = False
-        memo.key = X.astype(bool)  # a copy, exact since X is binary
+        memo.key = X.copy()
         memo.ax = ax
         return ax
 
@@ -272,16 +263,16 @@ class EnergyModel:
         """Bring ``ax == self._ax(x)`` up to date in place after bit ``i`` of
         the single solution ``x`` flipped, touching only i's neighbours.
 
-        The result is bit-identical to the full product: columns of A are
-        added only when ``_exact_updates`` holds (row sums of |w| below
-        2**24), otherwise the neighbour rows are recomputed in the full
-        product's CSR order.
+        The result is bit-identical to the full product: an int16 ``ax``
+        adds or subtracts column i, exact since every partial sum stays
+        below 2**15 in magnitude; a float64 one has the neighbour rows
+        recomputed in the full product's CSR order.
         """
         A = self._A
         lo, hi = A.indptr[i], A.indptr[i + 1]
         nbrs = A.indices[lo:hi]  # A is symmetric: row i lists column i
-        if self._exact_updates:
-            ax[nbrs] += (2.0 * x[i] - 1.0) * A.data[lo:hi]
+        if A.dtype == np.int16:
+            ax[nbrs] += A.data[lo:hi] if x[i] else -A.data[lo:hi]
         else:
             ax[nbrs] = A[nbrs] @ x
 
@@ -301,7 +292,7 @@ class EnergyModel:
 
     def _pairs(self, X, s=None):
         # x^T W x - r (s^2 - s) per row; ``s`` is X's integer row sums, if known.
-        # An integer product sums exactly in int64, a float32 one in float64.
+        # An integer product sums exactly in int64, any other in float64.
         ax = self._ax(X)
         quad = (X * ax).sum(axis=1, dtype=np.int64 if ax.dtype.kind == "i" else np.float64)
         if self._r:
@@ -312,15 +303,14 @@ class EnergyModel:
 
     def _delta(self, X, ax=None):
         # the sign 2x - 1 is +-1, so multiplying by it negates exactly, in
-        # place on the gradient; a bool batch takes it as int8, not float64
+        # place on the gradient; the bool batch takes it as int8
         g = self._gradient(X, ax)
-        sign = X.view(np.int8) * 2 - 1 if X.dtype == bool else 2.0 * X - 1.0
-        return np.multiply(g, sign, out=g)
+        return np.multiply(g, X.view(np.int8) * 2 - 1, out=g)
 
     def _gradient(self, X, ax=None):
-        # ``ax``, if given, is a caller-maintained float64 copy of
-        # self._ax(X); it must equal the full product exactly for the result
-        # to match. One (B, N) float64 array is made, casting a narrow
+        # ``ax``, if given, is a caller-maintained copy of self._ax(X) in
+        # its dtype; it must equal the full product exactly for the result
+        # to match. One (B, N) float64 array is made, casting an int16
         # product exactly, and updated in place: c + 2q * ax equals
         # (2q * ax) + c since addition and multiplication commute exactly.
         if ax is None:
@@ -343,10 +333,9 @@ class EnergyModel:
         return f"EnergyModel(kind={self.kind!r}, graph={self.graph!r}, beta={self.beta})"
 
 
-# int16 holds every integer below 2**15 in magnitude, float32 every one up
-# to 2**24 and float64 every one up to 2**53
+# int16 holds every integer below 2**15 in magnitude, float64 every one up
+# to 2**53
 _EXACT_INT16 = 2.0 ** 15
-_EXACT_FLOAT32 = 2.0 ** 24
 _EXACT_FLOAT64 = 2.0 ** 53
 
 

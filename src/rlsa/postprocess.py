@@ -18,22 +18,23 @@ def greedy_decode(model, x):
     point is always feasible.
 
     Rows are decoded one at a time on a bool copy of the input. Cost: one
-    full sparse product ``A @ X`` up front, kept as a float64 copy, then
-    O(N + deg) per round: Delta of the row is rebuilt from that product, and each flip of node
-    ``i`` refreshes the product only on ``i``'s neighbours. That refresh is
-    exact, so every Delta equals the one a full product would give, bit for
-    bit: when the model multiplies in int16 or float32 (integer weights
-    whose row sums of ``|w|`` stay below 2**24, always so for mis, mcl, mcut
-    and unweighted qubo) it adds column ``i``; otherwise it recomputes the
-    neighbour rows of the product in the same CSR order as the full one.
+    full sparse product ``A @ X`` up front, kept as a copy in its own
+    dtype, then O(N + deg) per round: Delta of the row is rebuilt from that
+    product, and each flip of node ``i`` refreshes the product only on
+    ``i``'s neighbours. That refresh is exact, so every Delta equals the one
+    a full product would give, bit for bit: an int16 product (integer
+    weights whose row sums of ``|w|`` stay below 2**15, so for mis, mcl,
+    mcut and unweighted qubo below degree 2**15) adds or subtracts column
+    ``i``; a float64 one has the neighbour rows recomputed in the same CSR
+    order as the full one.
 
     Accepts a single solution of shape (N,) or a batch (B, N). Raises
     RuntimeError when a row makes ``1000 + 10 * (N + E)`` flips, which
     strict improvement rules out unless qubo coefficients are degenerate.
     """
     X, single = model._as_batch(x)
-    X = X.astype(bool)  # a copy, flipped in place below
-    AX = model._ax(X).astype(np.float64)  # a copy: the model's product is read-only
+    X = X.copy()  # flipped in place below
+    AX = model._ax(X).copy()  # the model's product is read-only
     limit = 1000 + 10 * (model.num_nodes + model.graph.num_edges)
     for row, ax in zip(X, AX):
         for _ in range(limit):

@@ -75,16 +75,15 @@ the model's bound and the table size do.
 
 Chain state. The engine holds a block's states as a bool (K, N) array and
 applies a step's flips in place as ``X ^= flip``. A bool batch is binary by
-type, so the energy model uses it without a per-entry check or a float
-copy, and every energy and Delta equals that of the equal float64 batch
-bit for bit.
+type, and the energy model works on bool batches only, so it uses the
+states without a per-entry check or a copy.
 
 Block buffers. A block allocates the (K, N) arrays of its step once and
 reuses them at every step: the uniforms, the narrowed Delta, and for the
-regularized and ld rules the int16 partition scratch, the live test, the
-table index and probabilities, and the flip mask. A fresh array of that
-size can cost a page fault per page on first touch; on max-cut those
-faults ate all of the time the table saves.
+regularized and ld rules the live test, the table index and probabilities,
+and the flip mask. A fresh array of that size can cost a page fault per
+page on first touch; on max-cut those faults ate all of the time the table
+saves. The d-th largest is taken on a fresh partition copy.
 
 Reproducibility: chain k draws from an independent stream derived from the
 master seed, ``default_rng(SeedSequence(seed, spawn_key=(k,)))``. A chain
@@ -120,28 +119,21 @@ def linear_temperature(t: int, tau0: float, steps: int) -> float:
     return tau0 * (1.0 - (t - 1) / steps)
 
 
-def kth_largest(delta, d: int, out=None):
+def kth_largest(delta, d: int):
     """Value of rank ``d`` in descending order along the last axis (duplicates
     occupy consecutive ranks); expected O(N) selection. A vector gives one
     value, a (B, N) batch one value per row.
 
     Integer input is ranked in its own dtype and other input in float64;
-    either way the value equals the float64 answer. ``out``, an array of the
-    input's shape and that dtype, holds the partition in place of a fresh
-    copy, and the returned values are a view into it.
+    either way the value equals the float64 answer.
     """
     v = np.asarray(delta)
     if v.dtype.kind not in "iu":
         v = v.astype(np.float64, copy=False)
     n = v.shape[-1]
-    if not 1 <= d <= n:
+    if integer("d", d, 1) > n:
         raise ValueError(f"d must be in 1..{n}, got {d}")
-    if out is None:
-        out = v.copy()
-    else:
-        np.copyto(out, v, casting="no")
-    out.partition(n - d, axis=-1)
-    return out[..., n - d]
+    return np.partition(v, n - d, axis=-1)[..., n - d]
 
 
 def flip_probabilities(delta, dth, epsilon: float, tau: float):
@@ -167,7 +159,7 @@ def normalized_flip_probabilities(delta, tau: float, d: int):
     """
     D = np.asarray(delta, dtype=np.float64)
     n = D.shape[-1]
-    if not 1 <= d <= n:
+    if integer("d", d, 1) > n:
         raise ValueError(f"d must be in 1..{n}, got {d}")
     tau = positive("tau", tau)
     z = D / (2.0 * tau)
@@ -277,12 +269,7 @@ def _table_probabilities(D, dth, epsilon, tau, buf):
 
 def _regularized(cfg, D, tau, U, buf=None):
     buf = _Buffers() if buf is None else buf
-    # An integer D is ranked in a block buffer. A float64 D keeps a fresh
-    # copy: a kept float64 scratch made the heap shrink and regrow at every
-    # step of mis-er800 (20k minor faults per solve, against 2k).
-    scratch = buf("rank", D.shape, D.dtype) if D.dtype.kind == "i" else None
-    dth = kth_largest(D, cfg.d, out=scratch)
-    return _flip_mask(D, U, dth[:, None], cfg.epsilon, tau, buf)
+    return _flip_mask(D, U, kth_largest(D, cfg.d)[:, None], cfg.epsilon, tau, buf)
 
 
 def _normalized(cfg, D, tau, U, buf=None):
@@ -462,9 +449,6 @@ def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResul
             f"d={cfg.d} exceeds the {model.num_nodes}-node solution length"
         )
     workers = integer("workers", workers, 1)
-    if model.num_nodes == 0:
-        return _empty_result(model)
-    start = time.perf_counter()
     if init is not None:
         init = np.asarray(init)
         if init.ndim != 1:
@@ -473,6 +457,9 @@ def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResul
                 f"got shape {init.shape}"
             )
         model._as_batch(init)  # validates length and binary entries
+    if model.num_nodes == 0:
+        return _empty_result(model)
+    start = time.perf_counter()
     taus = np.array([linear_temperature(t, cfg.tau0, cfg.steps) for t in range(1, cfg.steps + 1)])
     blocks = np.array_split(np.arange(cfg.chains), min(workers, cfg.chains))
     if len(blocks) == 1:

@@ -30,6 +30,25 @@ class CountingMatrix:
         return sum(self.calls.values())
 
 
+class RowSpy:
+    """Stands in for a model's sparse matrix and counts the row selections
+    ``A[rows]`` made on it."""
+
+    def __init__(self, A):
+        self.A = A
+        self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(self.A, name)
+
+    def __getitem__(self, key):
+        self.rows += 1
+        return self.A[key]
+
+    def __matmul__(self, other):
+        return self.A @ other
+
+
 def triangle():
     return from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
 

@@ -9,6 +9,7 @@ from rlsa.energy import _row_sum_bound
 
 from oracles import (
     CountingMatrix,
+    RowSpy,
     all_bitvectors,
     cut_edges,
     flip_drop_oracle,
@@ -294,18 +295,34 @@ def test_constructor_rejects_non_finite_coefficients(bad):
 
 
 def test_exact_update_rule_follows_the_weights():
+    # _flip_ax adds columns of A exactly when the product is int16, and
+    # recomputes the neighbour rows (A[rows] @ x) otherwise; either way the
+    # updated product equals a fresh one
     g = triangle()
-    for kind in ("mis", "mcl", "mcut"):
-        assert EnergyModel(kind, g, beta=1.02)._exact_updates
     lin = np.zeros(3)
-    assert EnergyModel("qubo", g, linear=lin, quad_scale=0.3)._exact_updates
-    assert EnergyModel("qubo", g, linear=lin, quad_scale=1.0,
-                       edge_weights=[3.0, -7.0, 2.0])._exact_updates
-    assert not EnergyModel("qubo", g, linear=lin, quad_scale=1.0,
-                           edge_weights=[0.5, 1.0, 1.0])._exact_updates
-    # each row sums two weights of 2**52: integer, but past the exact range
-    assert not EnergyModel("qubo", g, linear=lin, quad_scale=1.0,
-                           edge_weights=[2.0 ** 52] * 3)._exact_updates
+    cases = [(EnergyModel(kind, g, beta=1.02), np.int16) for kind in ("mis", "mcl", "mcut")]
+    cases.append((EnergyModel("qubo", g, linear=lin, quad_scale=0.3), np.int16))
+    for weights, dtype in [
+        ([3.0, -7.0, 2.0], np.int16),
+        ([2.0 ** 14, 2.0 ** 14 - 1, 1.0], np.int16),  # row 0 sums to 2**15 - 1
+        ([2.0 ** 14, 2.0 ** 14, 1.0], np.float64),  # row 0 sums to 2**15
+        ([0.5, 1.0, 1.0], np.float64),
+        ([2.0 ** 52] * 3, np.float64),  # each row sums two weights of 2**52
+    ]:
+        m = EnergyModel("qubo", g, linear=lin, quad_scale=1.0, edge_weights=weights)
+        cases.append((m, dtype))
+    for m, dtype in cases:
+        assert m._A.dtype == dtype
+        m._A = spy = RowSpy(m._A)
+        for x in all_bitvectors(3).astype(bool):
+            for i in range(3):
+                ax = m._ax(x[None])[0].copy()
+                y = x.copy()
+                y[i] = not y[i]
+                m._flip_ax(ax, y, i)
+                assert ax.dtype == dtype
+                assert np.array_equal(ax, m._ax(y[None])[0])
+        assert (spy.rows == 0) == (dtype == np.int16), (m, spy.rows)
 
 
 def test_delta_bound_marks_the_models_whose_deltas_int16_holds():
@@ -402,10 +419,12 @@ def test_products_match_a_float64_reference_bit_for_bit(case, dtype):
             assert np.array_equal(ax.astype(np.float64), reference_product(g, X))
 
 
-_QUBO_WEIGHTS = {  # edge weights that put a qubo model on each rung
-    np.int16: lambda rng, size: rng.integers(-9, 10, size=size).astype(np.float64),
-    np.float32: lambda rng, size: rng.integers(2 ** 15, 2 ** 16, size=size).astype(np.float64),
-    np.float64: lambda rng, size: rng.normal(size=size),
+_QUBO_WEIGHTS = {  # per rung, a qubo model's edge weights and the product dtype they give
+    np.int16: (lambda rng, size: rng.integers(-9, 10, size=size).astype(np.float64), np.int16),
+    # integer row sums of 2**15 or more take float64
+    np.float32: (lambda rng, size: rng.integers(2 ** 15, 2 ** 16, size=size).astype(np.float64),
+                 np.float64),
+    np.float64: (lambda rng, size: rng.normal(size=size), np.float64),
 }
 
 
@@ -415,8 +434,9 @@ _QUBO_WEIGHTS = {  # edge weights that put a qubo model on each rung
 def test_shared_form_matches_per_kind_formulas_byte_for_byte(kind, rung):
     # Energy, gradient and Delta equal each kind's own formula in its own
     # order of operations, signed zeros included. Unit-weight models reach
-    # the float rungs by re-typing their matrix, which keeps every product
-    # exact, so the result must not depend on the rung.
+    # the float rungs by re-typing their matrix; float32 is no dtype a model
+    # picks, but it holds each of their products exactly, so the result
+    # must not depend on the rung.
     rng = np.random.default_rng([31, ["mis", "mcl", "mcut", "qubo"].index(kind)])
     checked = 0
     while checked < 8:
@@ -427,12 +447,13 @@ def test_shared_form_matches_per_kind_formulas_byte_for_byte(kind, rung):
         beta = float(rng.uniform(1.01, 3.0))
         coefficients, weights = {}, None
         if kind == "qubo":
-            weights = _QUBO_WEIGHTS[rung](rng, g.num_edges)
+            make_weights, dtype = _QUBO_WEIGHTS[rung]
+            weights = make_weights(rng, g.num_edges)
             # rounding leaves -0.0 among the linear terms
             coefficients = dict(linear=np.round(rng.normal(size=n)),
                                 quad_scale=float(rng.uniform(-2, 2)))
             m = EnergyModel("qubo", g, edge_weights=weights, **coefficients)
-            assert m._A.dtype == rung
+            assert m._A.dtype == dtype
         else:
             m = EnergyModel(kind, g, beta=beta)
             m._A = m._A.astype(rung)
@@ -454,7 +475,6 @@ def _assert_exact_on_triangle(weights, dtype):
     lin = np.array([-1.0, 2.0, -3.0])
     m = EnergyModel("qubo", g, linear=lin, quad_scale=0.7, edge_weights=weights)
     assert m._A.dtype == dtype
-    assert m._exact_updates == (dtype != np.float64)
     X = all_bitvectors(3).astype(np.float64)
     ref = reference_product(g, X, weights)
     assert np.array_equal(m._ax(X), ref)
@@ -462,8 +482,10 @@ def _assert_exact_on_triangle(weights, dtype):
     assert np.array_equal(greedy_decode(m, X), reference_decode(m, X))
 
 
+# integer row sums that float32 would hold exactly still take float64: the
+# product is int16 below row sum 2**15 and float64 from there on
 @pytest.mark.parametrize("weights, dtype", [
-    ([2.0 ** 23, 2.0 ** 23 - 1, 1.0], np.float32),  # row 0 sums to 2**24 - 1
+    ([2.0 ** 23, 2.0 ** 23 - 1, 1.0], np.float64),  # row 0 sums to 2**24 - 1
     ([2.0 ** 23, 2.0 ** 23, 1.0], np.float64),  # row 0 sums to 2**24
     ([-(2.0 ** 23), 2.0 ** 23, 1.0], np.float64),  # |w| counts: 2**24, signed sum 0
     ([2.0 ** 24, 1.0, 1.0], np.float64),  # float32 would round 2**24 + 1
@@ -474,8 +496,8 @@ def test_float32_products_stop_below_row_sum_2_24(weights, dtype):
 
 @pytest.mark.parametrize("weights, dtype", [
     ([2.0 ** 14, 2.0 ** 14 - 1, 1.0], np.int16),  # row 0 sums to 2**15 - 1
-    ([2.0 ** 14, 2.0 ** 14, 1.0], np.float32),  # row 0 sums to 2**15
-    ([-(2.0 ** 14), 2.0 ** 14, 1.0], np.float32),  # |w| counts: 2**15, signed sum 0
+    ([2.0 ** 14, 2.0 ** 14, 1.0], np.float64),  # row 0 sums to 2**15
+    ([-(2.0 ** 14), 2.0 ** 14, 1.0], np.float64),  # |w| counts: 2**15, signed sum 0
     ([-(2.0 ** 15 - 1), 0.0, 0.0], np.int16),  # the most negative weight of the int16 rung
 ], ids=["below", "at", "abs", "negative"])
 def test_int16_products_stop_below_row_sum_2_15(weights, dtype):
@@ -501,7 +523,7 @@ def test_solution_validation():
 
 
 def test_bool_batches_evaluate_like_float64_batches():
-    # a bool batch skips the 0/1 check and the float64 copy, and every
+    # a bool batch skips the 0/1 check and the conversion, and every
     # public result equals that of the same batch in float64, bit for bit,
     # whatever the memory layout
     rng = np.random.default_rng(27)
@@ -619,7 +641,8 @@ def test_product_is_c_ordered_read_only_in_the_matrix_dtype():
     # and layout, _ax returns a C-ordered, read-only array of that dtype
     rng = np.random.default_rng(29)
     g = generate_er(30, 0.2, seed=29)
-    cases = [(np.int16, None), (np.float32, np.full(g.num_edges, 2.0 ** 12)),
+    # weights of 2**12 at a node of degree 10 sum past 2**15: float64
+    cases = [(np.int16, None), (np.float64, np.full(g.num_edges, 2.0 ** 12)),
              (np.float64, rng.normal(size=g.num_edges))]
     X = rng.integers(0, 2, size=(5, 30))
     for dtype, w in cases:

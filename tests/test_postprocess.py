@@ -120,7 +120,7 @@ def _parity_model(case, g, rng):
         return EnergyModel("qubo", g, linear=np.round(rng.normal(size=n), 1), quad_scale=1.0,
                            edge_weights=np.round(rng.normal(size=e), 1))
     # small integers tie at zero gain too; scaled by 2**24 + 1 their row
-    # sums pass 2**24, so the product stays float64 and decode recomputes
+    # sums pass 2**15, so the product is float64 and decode recomputes
     # neighbour rows instead of adding columns
     scale = 1.0 if case == "qubo-integer-weights" else 2.0 ** 24 + 1
     return EnergyModel("qubo", g, linear=scale * rng.integers(-3, 4, size=n), quad_scale=1.0,

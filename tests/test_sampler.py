@@ -113,8 +113,6 @@ def test_kth_largest_ranks_integer_input_in_its_own_dtype():
             got = kth_largest(V, d)
             assert got.dtype == dtype
             assert np.array_equal(got, kth_largest(V.astype(np.float64), d))
-            scratch = np.empty_like(V)
-            assert np.array_equal(kth_largest(V, d, out=scratch), got)
     assert kth_largest(np.array([True, False]), 1).dtype == np.float64
 
 
@@ -123,6 +121,19 @@ def test_kth_largest_rejects_bad_rank():
         kth_largest([1, 2, 3], 0)
     with pytest.raises(ValueError):
         kth_largest([1, 2, 3], 4)
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, True, "2", None])
+def test_rank_d_must_be_an_integer(d):
+    # a rank that is not an integer (bool is not) is refused with
+    # ValueError, never ranked, truncated or used as a target sum
+    with pytest.raises(ValueError, match="d must be an integer"):
+        kth_largest([1, 2, 3], d)
+    with pytest.raises(ValueError, match="d must be an integer"):
+        normalized_flip_probabilities(np.zeros(4), 0.5, d)
+    for ok in (np.int64(2), 2):
+        assert kth_largest([1, 2, 3], ok) == 2
+        assert normalized_flip_probabilities(np.zeros(4), 0.5, ok).sum() == 2.0
 
 
 # -- flip probabilities ----------------------------------------------------------
@@ -755,6 +766,14 @@ def test_run_rlsa_rejects_d_above_n():
     m = EnergyModel("mis", triangle(), beta=1.02)
     with pytest.raises(ValueError, match="exceeds"):
         run_rlsa(m, small_cfg(d=5))
+
+
+@pytest.mark.parametrize("init", [[[5, 7], [1, 1]], [0], [[]], np.zeros((1, 0))])
+def test_run_rlsa_checks_init_on_an_empty_graph(init):
+    m = EnergyModel("mis", from_edge_list(0, []), beta=1.02)
+    with pytest.raises(ValueError):
+        run_rlsa(m, small_cfg(), init=init)
+    assert run_rlsa(m, small_cfg(), init=np.zeros(0)).best_x.shape == (0,)
 
 
 def test_run_rlsa_empty_graph():
