@@ -273,7 +273,7 @@ def emit_trajectory(result: RunResult, path, ref_energy: float | None = None) ->
 
 
 def _result_record(cfg, name, source, model, result, traj_path) -> dict:
-    return {
+    record = {
         "problem": cfg.problem,
         "instance": name,
         "instance_source": source,
@@ -289,21 +289,25 @@ def _result_record(cfg, name, source, model, result, traj_path) -> dict:
         # sibling file name, so a results directory can be relocated wholesale
         "trajectory_path": Path(traj_path).name if traj_path else None,
     }
+    if cfg.problem == "qubo":
+        # the coefficients the model used, so the record verifies on its own
+        record["qubo_linear_values"] = model._c.tolist()
+    return record
 
 
 def verify_record(record: dict, graph: Graph) -> None:
-    """Recompute objective and violation from a stored best_x; raises on mismatch."""
-    echo = record["config"]
-    cfg = ExperimentConfig(
-        problem=record["problem"],
-        **{name: echo[name] for name in ("beta", "qubo_linear", "qubo_scale") if name in echo},
-    )
-    model = _build_model(cfg, graph)
+    """Recompute objective and violation from a stored best_x; raises
+    ValueError on a mismatch, or on a qubo record without the
+    ``qubo_linear_values`` its model used. Reads no file: the record and
+    the graph define the model."""
+    problem, echo = record["problem"], record["config"]
+    model = EnergyModel(problem, graph, beta=echo.get("beta", ExperimentConfig.beta),
+                        linear=record.get("qubo_linear_values"), quad_scale=echo.get("qubo_scale"))
     x = np.asarray(record["best_x"], dtype=np.int8)
     violation = model.violation(x)
     if violation != record["violation"]:
         raise ValueError(f"stored violation {record['violation']} != recomputed {violation}")
-    objective = None if cfg.problem == "qubo" else model.objective(x)
+    objective = None if problem == "qubo" else model.objective(x)
     if objective != record["objective"]:
         raise ValueError(f"stored objective {record['objective']} != recomputed {objective}")
     energy = float(model.energy(x))

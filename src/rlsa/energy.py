@@ -45,11 +45,11 @@ bound their row sums by the largest degree; non-integer weights always take
 float64. The product is kept in its own dtype and C-ordered, as the
 solution batch is, so the elementwise work that follows it runs on
 contiguous rows. Each result that reads it stays exact: x^T W x sums an
-int16 product in int64, and the gradient casts it to float64 in the ufunc
-that scales it. An integer c with sum |c| below 2**53 gives c . x as one
-matrix-vector product, exact in any summation order; a row whose c . x is
-zero takes the elementwise sum instead, so that its signed zero is the one
-the per-kind formula gives.
+int16 product in int64, and the gradient casts it into its own dtype
+(next paragraph) in the ufunc that scales it. An integer c with sum |c|
+below 2**53 gives c . x as one matrix-vector product, exact in any
+summation order; a row whose c . x is zero takes the elementwise sum
+instead, so that its signed zero is the one the per-kind formula gives.
 
 The same row-sum bound decides whether every Delta is an integer that
 int16 holds. Since |(W x)_i| is at most the bound and 0 <= s - x_i <= N - 1,
@@ -57,13 +57,17 @@ int16 holds. Since |(W x)_i| is at most the bound and 0 <= s - x_i <= N - 1,
     |Delta_i| = |grad_i| <= B = max|c| + |2q| * (bound + r * (N - 1)).
 
 When c and 2q are integers and the bound is finite (integer weights),
-every term of the gradient is an integer no larger than B, so float64
-computes Delta exactly. The model keeps B as ``_delta_bound`` when B is
-below 2**15, and None otherwise: it is set for mcut, for qubo with integer
-``linear``, weights and ``2 * quad_scale``, and for mis and mcl at an
-integer beta. The sampler then narrows Delta to int16 and takes its flip
-mask from a table (see ``rlsa.sampler``). The gradient and Delta are
-computed in place on the one array that each call returns.
+every term of the gradient is an integer no larger than B. The model keeps
+B as ``_delta_bound`` when B and the row-sum bound are both below 2**15,
+and None otherwise: it is set for mcut, for qubo with integer ``linear``,
+weights and ``2 * quad_scale``, and for mis and mcl at an integer beta.
+The model picks the dtype of the gradient and Delta once, from that bound:
+int16 when it is set, float64 otherwise. Each term is computed in that
+dtype straight from the product, with c and 2q cast into it exactly, so an
+int16 Delta holds the same values as a float64 one would, in a quarter of
+the bytes, and the sampler takes its flip mask from a table (see
+``rlsa.sampler``). The gradient and Delta are computed in place on the one
+array that each call returns.
 
 Each thread's last product is remembered. An annealing step needs the
 energy of the new state and, at the start of the next step, its Delta;
@@ -170,6 +174,8 @@ class EnergyModel:
         # updates a product (see the module docstring)
         self._A = A.astype(np.int16 if bound < _EXACT_INT16 else np.float64, copy=False)
         self._delta_bound = _delta_bound(self._c, self._q, self._r, bound, graph.num_nodes)
+        # the gradient's and Delta's dtype: int16 holds every term when B is set
+        self._delta_dtype = np.float64 if self._delta_bound is None else np.int16
         self._memo = threading.local()  # this thread's last batch and its product
 
     @property
@@ -185,13 +191,25 @@ class EnergyModel:
         return float(e[0]) if single else e
 
     def gradient(self, x):
-        """Closed-form gradient of H at x, same shape as x."""
+        """Closed-form gradient of H at x, same shape as x.
+
+        int16 when the model bounds every entry below 2**15 (``_delta_bound``
+        is set: mcut, integer qubo, mis and mcl at an integer beta), float64
+        otherwise; either way the values equal the float64 formula's. The
+        int16 values fit with no headroom: widen them before further
+        arithmetic.
+        """
         X, single = self._as_batch(x)
         g = self._gradient(X)
         return g[0] if single else g
 
     def delta(self, x):
-        """Flip-drop vector: delta_i = (2x_i - 1) * grad_i = H(x) - H(flip_i(x))."""
+        """Flip-drop vector: delta_i = (2x_i - 1) * grad_i = H(x) - H(flip_i(x)).
+
+        In the gradient's dtype: int16 when ``_delta_bound`` is set, float64
+        otherwise, with the same values either way. The int16 values fit
+        with no headroom: widen them before further arithmetic.
+        """
         X, single = self._as_batch(x)
         d = self._delta(X)
         return d[0] if single else d
@@ -310,18 +328,22 @@ class EnergyModel:
     def _gradient(self, X, ax=None):
         # ``ax``, if given, is a caller-maintained copy of self._ax(X) in
         # its dtype; it must equal the full product exactly for the result
-        # to match. One (B, N) float64 array is made, casting an int16
-        # product exactly, and updated in place: c + 2q * ax equals
-        # (2q * ax) + c since addition and multiplication commute exactly.
+        # to match. One (B, N) array in the model's Delta dtype is made and
+        # updated in place; the product, c and 2q are cast into that dtype
+        # in the ufuncs that read them, exactly (in int16, each is an
+        # integer below 2**15, as is every intermediate term). c + 2q * ax
+        # equals (2q * ax) + c since addition and multiplication commute
+        # exactly.
         if ax is None:
             ax = self._ax(X)
+        dt, two_q = self._delta_dtype, 2.0 * self._q
         if self._r:  # ax - (s - x)
-            g = np.subtract(X.sum(axis=1)[:, None], X, dtype=np.float64)
-            np.subtract(ax, g, out=g)
-            np.multiply(g, 2.0 * self._q, out=g)
+            g = np.subtract(X.sum(axis=1)[:, None], X, dtype=dt)
+            np.subtract(ax, g, out=g, dtype=dt, casting="unsafe")
+            np.multiply(g, two_q, out=g, dtype=dt, casting="unsafe")
         else:
-            g = np.multiply(ax, 2.0 * self._q, dtype=np.float64)
-        return np.add(g, self._c, out=g)
+            g = np.multiply(ax, two_q, dtype=dt, casting="unsafe")
+        return np.add(g, self._c, out=g, dtype=dt, casting="unsafe")
 
     def _violation(self, X):
         if not self._penalized:
@@ -360,15 +382,17 @@ def _row_sum_bound(A) -> float:
 def _delta_bound(c, q, r, bound, n):
     """B = max|c| + |2q| * (bound + r * (n - 1)) bounds every |Delta_i| of
     H = c . x + q * (x^T W x - r * (s^2 - s)) over n nodes, where ``bound``
-    is the row-sum bound of W. Returns B when c and 2q are integers,
-    ``bound`` is finite and B < 2**15, so that every Delta is an integer
-    that int16 holds, and None otherwise (see the module docstring)."""
+    is the row-sum bound of W. Returns B when c and 2q are integers and B
+    and ``bound`` are both below 2**15, so that every term of Delta is an
+    integer that int16 holds and the product is int16, and None otherwise
+    (see the module docstring). ``bound`` only matters on its own when
+    2q = 0."""
     c = np.asarray(c, dtype=np.float64)
     two_q = 2.0 * q
     if not (np.isfinite(bound) and two_q.is_integer() and _is_integer(c)):
         return None
     b = float(np.abs(c).max(initial=0.0) + abs(two_q) * (bound + r * (n - 1)))
-    return b if b < _EXACT_INT16 else None
+    return b if max(b, bound) < _EXACT_INT16 else None
 
 
 def _weighted_csr(graph: Graph, edge_weights):

@@ -174,7 +174,7 @@ def generate_er(num_nodes: int, p: float, seed: int) -> Graph:
     p = finite_float("edge probability", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer("seed", seed, 0))
     total = n * (n - 1) // 2
     hits = [np.empty(0, dtype=np.int64)]
     draws = np.empty(min(_ER_CHUNK, total))  # reused by every chunk
@@ -211,7 +211,7 @@ def generate_ba(num_nodes: int, m: int, seed: int) -> Graph:
         raise ValueError(
             f"attachment count must satisfy 1 <= m < n, got m={m}, n={num_nodes}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer("seed", seed, 0))
     targets = list(range(m))
     repeated = []  # one entry per unit of degree; uniform draws = preferential attachment
     edges = []

@@ -28,7 +28,8 @@ def greedy_decode(model, x):
     ``i``; a float64 one has the neighbour rows recomputed in the same CSR
     order as the full one.
 
-    Accepts a single solution of shape (N,) or a batch (B, N). Raises
+    Accepts a single solution of shape (N,) or a batch (B, N); a 0-node
+    model returns it unchanged, as int8. Raises
     RuntimeError when a row makes ``1000 + 10 * (N + E)`` flips, which
     strict improvement rules out unless qubo coefficients are degenerate.
     """
@@ -36,7 +37,8 @@ def greedy_decode(model, x):
     X = X.copy()  # flipped in place below
     AX = model._ax(X).copy()  # the model's product is read-only
     limit = 1000 + 10 * (model.num_nodes + model.graph.num_edges)
-    for row, ax in zip(X, AX):
+    # an empty row is already a fixed point: it has no coordinate to flip
+    for row, ax in zip(X, AX) if model.num_nodes else ():
         for _ in range(limit):
             D = model._delta(row[None], ax[None])[0]
             i = np.argmax(D)

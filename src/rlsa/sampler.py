@@ -58,11 +58,11 @@ live, the dense ``U < P`` is cheaper and is used instead. The normalized
 rule needs every sigmoid for its row sums, so it is always dense.
 
 Integer Delta. When the energy model bounds every Delta by an integer
-below 2**15 (``EnergyModel._delta_bound``: mcut, qubo with integer
-coefficients, mis and mcl at an integer beta), every Delta is an integer
-that float64 holds exactly, and the engine narrows each step's Delta into
-an int16 array without changing a value. The d-th largest is then taken
-by an int16 partition, and the mask takes its probabilities from a table:
+below 2**15 (mcut, qubo with integer coefficients, mis and mcl at an
+integer beta), ``model.delta`` returns it as int16, with the values a
+float64 Delta would hold, and the engine uses it as it comes. The d-th
+largest is then taken by an int16 partition, and the mask takes its
+probabilities from a table:
 ``flip_probabilities`` runs once, on the values D.min()..D.max() at each
 distinct threshold of the step (one for ld), and every entry of the mask
 gathers its probability from that table, whatever the live share. A table
@@ -79,11 +79,12 @@ type, and the energy model works on bool batches only, so it uses the
 states without a per-entry check or a copy.
 
 Block buffers. A block allocates the (K, N) arrays of its step once and
-reuses them at every step: the uniforms, the narrowed Delta, and for the
-regularized and ld rules the live test, the table index and probabilities,
-and the flip mask. A fresh array of that size can cost a page fault per
-page on first touch; on max-cut those faults ate all of the time the table
-saves. The d-th largest is taken on a fresh partition copy.
+reuses them at every step: the uniforms, and for the regularized and ld
+rules the live test, the table index and probabilities, and the flip mask.
+A fresh array of that size can cost a page fault per page on first touch;
+on max-cut those faults ate all of the time the table saves. Delta comes
+fresh from ``model.delta`` each step, in its own dtype (int16 on
+max-cut), and the d-th largest is taken on a fresh partition copy.
 
 Reproducibility: chain k draws from an independent stream derived from the
 master seed, ``default_rng(SeedSequence(seed, spawn_key=(k,)))``. A chain
@@ -368,8 +369,9 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus):
 
     Each step makes one ``model.delta`` and one ``model.energy`` call on the
     whole block and consumes N uniforms per chain, drawn into one reused
-    buffer before the flip rule runs. A model whose Deltas are integers has
-    them narrowed to int16. The rule, ``rule(cfg, Delta, tau, U, buf)``,
+    buffer before the flip rule runs. Delta is taken as ``model.delta``
+    returns it: int16 for a model whose Deltas are integers below 2**15,
+    float64 otherwise. The rule, ``rule(cfg, Delta, tau, U, buf)``,
     returns the flip mask in the block's reused arrays ``buf``; the
     regularized and ld rules take their sigmoid from a table of the integer
     values, or evaluate it only where a flip can happen (see the module
@@ -401,13 +403,8 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus):
     flips_traj = np.empty((len(taus), k), dtype=np.int64)
     U = np.empty((k, n))
     buf = _Buffers()
-    # every Delta is an integer that int16 holds: narrowing it is exact
-    narrow = None if model._delta_bound is None else np.empty((k, n), np.int16)
     for t, tau in enumerate(taus):
         D = model.delta(X)
-        if narrow is not None:
-            np.copyto(narrow, D, casting="unsafe")
-            D = narrow
         for rng, row in zip(rngs, U):
             rng.random(out=row)
         flip = rule(cfg, D, tau, U, buf)

@@ -400,6 +400,42 @@ def test_qubo_run_via_cli(tmp_path):
     verify_record(record, read_instance(instance))
 
 
+def test_qubo_record_verifies_from_anywhere_without_its_linear_file(tmp_path, monkeypatch):
+    # the record keeps the coefficients its model used, so neither the
+    # working directory nor the linear file matters once it is written
+    run_dir, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+    run_dir.mkdir()
+    elsewhere.mkdir()
+    instance = write_k3(run_dir)
+    monkeypatch.chdir(run_dir)
+    (run_dir / "lin.txt").write_text("-1\n-0.0\n0.25\n")
+    assert main(["--instance", "k3.dimacs", "--problem", "qubo", "--qubo-linear", "lin.txt",
+                 "--qubo-scale", "0.51", "--tau0", "0.01", "--d", "2", "--steps", "20",
+                 "--chains", "4", "--out", "out"]) == 0
+    (run_dir / "lin.txt").unlink()
+    monkeypatch.chdir(elsewhere)
+    record = read_record(run_dir / "out", "k3")
+    assert record["qubo_linear_values"] == [-1.0, -0.0, 0.25]
+    verify_record(record, read_instance(instance))
+    record["best_energy"] += 1.0
+    with pytest.raises(ValueError, match="stored energy"):
+        verify_record(record, read_instance(instance))
+    del record["qubo_linear_values"]
+    with pytest.raises(ValueError):
+        verify_record(record, read_instance(instance))
+
+
+def test_records_of_the_benchmark_shape_verify():
+    # a record of only problem, config.beta and the checked fields, as the
+    # benchmark builds it, verifies; its beta reaches the model
+    record = {"problem": "mis", "config": {"beta": 2.0}, "best_x": [1, 0, 0],
+              "violation": 0, "objective": 1, "best_energy": -1.0}
+    verify_record(record, triangle())
+    record["config"]["beta"] = 1.0
+    with pytest.raises(ValueError, match="beta must exceed 1"):
+        verify_record(record, triangle())
+
+
 # -- error handling ------------------------------------------------------------------
 
 def test_unreadable_instance_fails_cleanly(tmp_path, capsys):

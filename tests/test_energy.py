@@ -340,6 +340,14 @@ def test_delta_bound_marks_the_models_whose_deltas_int16_holds():
     for m in (qubo, EnergyModel("mcl", g, beta=2.0), EnergyModel("mcut", g)):
         D = m.delta(X)
         assert np.array_equal(D, np.round(D)) and np.abs(D).max() <= m._delta_bound
+    # B set: the gradient and Delta are int16, and float64 otherwise
+    for m in (qubo, EnergyModel("mis", g, beta=2.0), EnergyModel("mcl", g, beta=2.0),
+              EnergyModel("mcut", g), EnergyModel("mis", g, beta=1.02),
+              EnergyModel("mcl", g, beta=1.5),
+              EnergyModel("qubo", g, linear=lin + 0.5, quad_scale=1.5, edge_weights=w)):
+        dtype = np.float64 if m._delta_bound is None else np.int16
+        for x in (X, X[0]):
+            assert m.delta(x).dtype == dtype and m.gradient(x).dtype == dtype, m
     # a non-integer c, 2q or weight, or a bound of 2**15 or more: no bound
     assert EnergyModel("mis", g, beta=1.02)._delta_bound is None
     assert EnergyModel("mcl", g, beta=1.5)._delta_bound is None
@@ -356,13 +364,23 @@ def test_delta_bound_marks_the_models_whose_deltas_int16_holds():
         m = EnergyModel("qubo", t, linear=linear, quad_scale=0.5,
                         edge_weights=[0.0] * 3 if weights is None else weights)
         assert m._delta_bound == bound, (linear, weights)
+    # 2q = 0 leaves B = max|c|, but a float64 product (row sums of 2**15)
+    # sets no bound: an int16 Delta is read from an int16 product only
+    bits = all_bitvectors(3)
+    for weights, bound in [([2.0 ** 14 - 1] * 3, 1.0), ([2.0 ** 14] * 3, None)]:
+        m = EnergyModel("qubo", t, linear=[1.0, 0, 0], quad_scale=0.0, edge_weights=weights)
+        assert m._delta_bound == bound, weights
+        D = m.delta(bits)
+        assert D.dtype == m._A.dtype and np.array_equal(D, (2 * bits - 1) * [1, 0, 0])
 
 
 @pytest.mark.parametrize("kind", ["mis", "mcl", "mcut", "qubo"])
 def test_delta_allocates_little_beyond_its_result(kind):
-    # delta(X) makes its (B, N) float64 result and updates it in place; the
-    # int8 sign of a bool batch adds an eighth for each of its two steps. As
-    # in an annealing step, it follows energy(X), whose product it reuses.
+    # delta(X) makes its (B, N) result, int16 for mcut and float64 for the
+    # rest here, and updates it in place; the int8 sign of a bool batch
+    # adds a byte per entry for each of its two steps, within the four
+    # bytes per entry allowed beyond D. As in an annealing step, it follows
+    # energy(X), whose product it reuses.
     g = generate_er(600, 0.02, seed=9)
     rng = np.random.default_rng(9)
     extra = dict(linear=rng.normal(size=600), quad_scale=0.7) if kind == "qubo" else {}
@@ -376,7 +394,7 @@ def test_delta_allocates_little_beyond_its_result(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - before <= 1.5 * D.nbytes, (peak - before) / D.nbytes
+    assert peak - before <= D.nbytes + 4 * X.size, (peak - before, D.nbytes)
 
 
 def _random_weights(case, rng, size):
@@ -436,7 +454,9 @@ def test_shared_form_matches_per_kind_formulas_byte_for_byte(kind, rung):
     # order of operations, signed zeros included. Unit-weight models reach
     # the float rungs by re-typing their matrix; float32 is no dtype a model
     # picks, but it holds each of their products exactly, so the result
-    # must not depend on the rung.
+    # must not depend on the rung. mcut's gradient and Delta are integers
+    # below 2**15, returned as int16, which has no -0.0: they must equal
+    # the formula's values, and its energy still matches byte for byte.
     rng = np.random.default_rng([31, ["mis", "mcl", "mcut", "qubo"].index(kind)])
     checked = 0
     while checked < 8:
@@ -462,6 +482,13 @@ def test_shared_form_matches_per_kind_formulas_byte_for_byte(kind, rung):
         for batch in (X.astype(bool), X.astype(np.float64)):
             want = per_kind_energy(kind, g, batch, beta, weights=weights, **coefficients)
             for method, w in zip(("energy", "gradient", "delta"), want):
+                if kind == "mcut" and method != "energy":
+                    got = getattr(m, method)(batch)
+                    assert got.dtype == np.int16 and np.array_equal(got, w), method
+                    for i in (0, 1):
+                        got = getattr(m, method)(batch[i])
+                        assert got.dtype == np.int16 and np.array_equal(got, w[i]), (method, i)
+                    continue
                 assert getattr(m, method)(batch).tobytes() == w.tobytes(), method
                 for i in (0, 1):
                     got = np.asarray(getattr(m, method)(batch[i]), dtype=np.float64)

@@ -132,7 +132,15 @@ def test_empty_edges_of_any_dtype_are_valid():
     lambda: generate_ba(10, True, 0),
     lambda: generate_ba(10.0, 2, 0),
     lambda: generate_ba(10, 2.0, 0),
-], ids=["er-bool-p", "er-float-n", "er-nan-p", "ba-bool-m", "ba-float-n", "ba-float-m"])
+    lambda: generate_er(10, 0.5, True),
+    lambda: generate_er(10, 0.5, 1.5),
+    lambda: generate_er(10, 0.5, "a"),
+    lambda: generate_ba(10, 2, True),
+    lambda: generate_ba(10, 2, 1.5),
+    lambda: generate_ba(10, 2, "a"),
+], ids=["er-bool-p", "er-float-n", "er-nan-p", "ba-bool-m", "ba-float-n", "ba-float-m",
+        "er-bool-seed", "er-float-seed", "er-str-seed",
+        "ba-bool-seed", "ba-float-seed", "ba-str-seed"])
 def test_generators_reject_non_integer_counts(call):
     with pytest.raises(ValueError):
         call()

@@ -4,6 +4,7 @@ import pytest
 from rlsa import (
     EnergyModel,
     SamplerConfig,
+    from_edge_list,
     gap_curve,
     greedy_decode,
     primal_gap,
@@ -93,6 +94,15 @@ def test_decode_gives_up_after_limit_flips():
         with pytest.raises(RuntimeError, match="did not converge"):
             greedy_decode(model, x)
         assert model.flips == limit
+
+
+@pytest.mark.parametrize("kind", ["mis", "mcl", "mcut"])
+def test_decode_returns_an_empty_row_unchanged(kind):
+    # a 0-node solution has nothing to flip: it is already a fixed point
+    m = EnergyModel(kind, from_edge_list(0, []), beta=1.02)
+    for x in (np.zeros(0), np.zeros((3, 0), dtype=bool), np.zeros((0, 0))):
+        out = greedy_decode(m, x)
+        assert out.dtype == np.int8 and out.shape == x.shape
 
 
 def test_decode_batch_matches_single():
