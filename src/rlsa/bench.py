@@ -297,22 +297,28 @@ def _result_record(cfg, name, source, model, result, traj_path) -> dict:
 
 def verify_record(record: dict, graph: Graph) -> None:
     """Recompute objective and violation from a stored best_x; raises
-    ValueError on a mismatch, or on a qubo record without the
+    ValueError on a mismatch (a NaN energy matches nothing), on a record
+    without a field it checks, or on a qubo record without the
     ``qubo_linear_values`` its model used. Reads no file: the record and
     the graph define the model."""
-    problem, echo = record["problem"], record["config"]
+    try:
+        problem, echo, best_x = record["problem"], record["config"], record["best_x"]
+        want_violation, want_objective = record["violation"], record["objective"]
+        want_energy = record["best_energy"]
+    except KeyError as exc:
+        raise ValueError(f"record lacks {exc.args[0]}") from None
     model = EnergyModel(problem, graph, beta=echo.get("beta", ExperimentConfig.beta),
                         linear=record.get("qubo_linear_values"), quad_scale=echo.get("qubo_scale"))
-    x = np.asarray(record["best_x"], dtype=np.int8)
+    x = np.asarray(best_x, dtype=np.int8)
     violation = model.violation(x)
-    if violation != record["violation"]:
-        raise ValueError(f"stored violation {record['violation']} != recomputed {violation}")
+    if violation != want_violation:
+        raise ValueError(f"stored violation {want_violation} != recomputed {violation}")
     objective = None if problem == "qubo" else model.objective(x)
-    if objective != record["objective"]:
-        raise ValueError(f"stored objective {record['objective']} != recomputed {objective}")
+    if objective != want_objective:
+        raise ValueError(f"stored objective {want_objective} != recomputed {objective}")
     energy = float(model.energy(x))
-    if abs(energy - record["best_energy"]) > 1e-9:
-        raise ValueError(f"stored energy {record['best_energy']} != recomputed {energy}")
+    if not abs(energy - want_energy) <= 1e-9:
+        raise ValueError(f"stored energy {want_energy} != recomputed {energy}")
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:

@@ -78,19 +78,33 @@ applies a step's flips in place as ``X ^= flip``. A bool batch is binary by
 type, and the energy model works on bool batches only, so it uses the
 states without a per-entry check or a copy.
 
-Block buffers. A block allocates the (K, N) arrays of its step once and
-reuses them at every step: the uniforms, and for the regularized and ld
-rules the live test, the table index and probabilities, and the flip mask.
-A fresh array of that size can cost a page fault per page on first touch;
-on max-cut those faults ate all of the time the table saves. Delta comes
+Block buffers. A block allocates the arrays of its steps once and reuses
+them at every step: the uniforms, and for the regularized and ld rules the
+(K, N) live test, table index and probabilities, and flip mask. A fresh
+array of that size can cost a page fault per page on first touch; on
+max-cut those faults ate all of the time the table saves. Delta comes
 fresh from ``model.delta`` each step, in its own dtype (int16 on
-max-cut), and the d-th largest is taken on a fresh partition copy.
+max-cut), and the d-th largest is taken on a fresh partition copy. The
+uniforms sit in one (K, S * N) array for a draw depth of S steps: each
+chain fills its row with S steps of uniforms in one generator call, step t
+reads the (K, N) view at columns (t mod S) * N up to (t mod S + 1) * N,
+and the last call draws only the steps that remain. ``Generator.random``
+releases the GIL and takes it back on every call, so blocks that run side
+by side and draw one step per call hand the lock back and forth (on
+max-cut at 1000 nodes, 100 calls of about 3 us per step per block).
+``run_rlsa`` therefore gives each of several blocks
+S = ``_DRAW_ENTRIES`` // N, at least 1 and at most T. A lone block, which
+no other thread waits on, takes S = 1, so its uniforms stay (K, N). The
+sparse mask reads U flat, which copies a view with S > 1; max-cut, whose
+int16 Delta takes the table mask, does not come by that path.
 
 Reproducibility: chain k draws from an independent stream derived from the
 master seed, ``default_rng(SeedSequence(seed, spawn_key=(k,)))``. A chain
 consumes one vector of N uniforms per step in coordinate order (plus one
-random binary init vector), so results do not depend on how chains are
-scheduled across workers or on how many chains run alongside.
+random binary init vector); one call for S * N uniforms returns the same
+values as S calls for N each. So results do not depend on how chains are
+scheduled across workers, on how many chains run alongside, or on the
+draw depth.
 """
 
 from __future__ import annotations
@@ -190,6 +204,11 @@ _DEAD_Z = -37.0
 _LIVE_Z = -40.0
 # above this share of live entries the dense mask is the cheaper one
 _DENSE_SHARE = 0.25
+# uniforms per generator call when blocks run side by side (see "Block
+# buffers"). Two 100-chain max-cut blocks at 1000 nodes on a 2-vCPU box,
+# medians of 7 solves: 0.97 s at 1000 per call, 0.78 at 2000, 0.72 at 3000,
+# 0.66 at 4096, and 0.62-0.64 at 8000 and 16000, with 2x and 4x the buffer
+_DRAW_ENTRIES = 4096
 
 
 class _Buffers(dict):
@@ -362,14 +381,17 @@ class RunResult:
     decode_gain: float
 
 
-def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus):
+def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
     """Run a block of chains jointly under the temperature schedule
     ``taus``; per-chain results are identical to running each chain alone
     with its derived stream.
 
     Each step makes one ``model.delta`` and one ``model.energy`` call on the
-    whole block and consumes N uniforms per chain, drawn into one reused
-    buffer before the flip rule runs. Delta is taken as ``model.delta``
+    whole block and consumes N uniforms per chain. Each chain draws
+    ``depth`` steps of them in one generator call into its row of one
+    reused (K, depth * N) buffer, and the flip rule reads the step's
+    (K, N) view; the results are the same for every depth (see "Block
+    buffers" in the module docstring). Delta is taken as ``model.delta``
     returns it: int16 for a model whose Deltas are integers below 2**15,
     float64 otherwise. The rule, ``rule(cfg, Delta, tau, U, buf)``,
     returns the flip mask in the block's reused arrays ``buf``; the
@@ -401,12 +423,16 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus):
     best_traj = np.empty((len(taus) + 1, k))
     best_traj[0] = E
     flips_traj = np.empty((len(taus), k), dtype=np.int64)
-    U = np.empty((k, n))
+    draws = np.empty((k, depth * n))
     buf = _Buffers()
     for t, tau in enumerate(taus):
         D = model.delta(X)
-        for rng, row in zip(rngs, U):
-            rng.random(out=row)
+        slot = t % depth
+        if slot == 0:
+            size = min(depth, len(taus) - t) * n
+            for rng, row in zip(rngs, draws):
+                rng.random(out=row[:size])
+        U = draws[:, slot * n:(slot + 1) * n]
         flip = rule(cfg, D, tau, U, buf)
         X ^= flip
         E = model.energy(X)
@@ -462,8 +488,10 @@ def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResul
     if len(blocks) == 1:
         outputs = [_run_chain_block(model, cfg, blocks[0], init, taus)]
     else:
+        depth = min(cfg.steps, max(1, _DRAW_ENTRIES // model.num_nodes))
         with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            outputs = list(pool.map(lambda b: _run_chain_block(model, cfg, b, init, taus), blocks))
+            outputs = list(pool.map(
+                lambda b: _run_chain_block(model, cfg, b, init, taus, depth), blocks))
 
     parts = list(zip(*outputs))
     best_X, best_E = np.concatenate(parts[0]), np.concatenate(parts[1])

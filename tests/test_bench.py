@@ -436,6 +436,26 @@ def test_records_of_the_benchmark_shape_verify():
         verify_record(record, triangle())
 
 
+def test_verify_record_rejects_a_nan_energy():
+    # abs(energy - nan) > tol is False, so the check must reject NaN itself
+    record = {"problem": "mis", "config": {}, "best_x": [1, 0, 0],
+              "violation": 0, "objective": 1, "best_energy": -1.0}
+    verify_record(record, triangle())
+    record["best_energy"] = float("nan")
+    with pytest.raises(ValueError, match="stored energy nan"):
+        verify_record(record, triangle())
+
+
+@pytest.mark.parametrize("field", ["problem", "config", "best_x", "violation", "objective",
+                                   "best_energy"])
+def test_verify_record_names_a_missing_field(field):
+    record = {"problem": "mis", "config": {}, "best_x": [1, 0, 0],
+              "violation": 0, "objective": 1, "best_energy": -1.0}
+    del record[field]
+    with pytest.raises(ValueError, match=f"record lacks {field}"):
+        verify_record(record, triangle())
+
+
 # -- error handling ------------------------------------------------------------------
 
 def test_unreadable_instance_fails_cleanly(tmp_path, capsys):

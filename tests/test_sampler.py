@@ -35,8 +35,8 @@ def schedule(cfg):
     return np.array([linear_temperature(t, cfg.tau0, cfg.steps) for t in range(1, cfg.steps + 1)])
 
 
-def run_block(model, cfg, chain_ids, init=None):
-    return _run_chain_block(model, cfg, chain_ids, init, schedule(cfg))
+def run_block(model, cfg, chain_ids, init=None, depth=1):
+    return _run_chain_block(model, cfg, chain_ids, init, schedule(cfg), depth)
 
 
 def one_engine_step(model, cfg, chain_id, init=None):
@@ -648,21 +648,27 @@ def _oracle_models():
                       quad_scale=1.5, edge_weights=rng.integers(-3, 4, size=g.num_edges))
 
 
+# draw depths of the reference-chain tests, whose runs take 25 steps
+DEPTHS = (1, 2, 3, 25, 28)
+
+
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_engine_matches_reference_chain(kernel):
-    # every chain of a jointly run block equals the plain single-vector loop
+    # every chain of a jointly run block equals the plain single-vector loop,
+    # at every draw depth: T = 25 is a multiple of none of 2, 3 and T + 3
     rate = dict(alpha=0.05) if kernel == "ld" else dict(d=3)
     for m in _oracle_models():
         tau0 = 0.5 if m.kind in ("mcut", "qubo") else 0.05
         cfg = SamplerConfig(tau0=tau0, steps=25, chains=5, seed=13, kernel=kernel, **rate)
-        best_X, best_E, energy_traj, best_traj, flips_traj = run_block(m, cfg, range(5))
-        for k in range(5):
-            x, e, energies, bests, flips = reference_chain(m, cfg, k)
-            assert np.array_equal(best_X[k], x), (m.kind, k)
-            assert best_E[k] == e
-            assert np.array_equal(energy_traj[:, k], energies)
-            assert np.array_equal(best_traj[1:, k], bests)
-            assert np.array_equal(flips_traj[:, k], flips)
+        want = [reference_chain(m, cfg, k) for k in range(5)]
+        for depth in DEPTHS:
+            best_X, best_E, energy_traj, best_traj, flips_traj = run_block(m, cfg, range(5), depth=depth)
+            for k, (x, e, energies, bests, flips) in enumerate(want):
+                assert np.array_equal(best_X[k], x), (m.kind, depth, k)
+                assert best_E[k] == e
+                assert np.array_equal(energy_traj[:, k], energies)
+                assert np.array_equal(best_traj[1:, k], bests)
+                assert np.array_equal(flips_traj[:, k], flips)
 
 
 @pytest.mark.parametrize("kernel", ["regularized", "ld"])
@@ -672,7 +678,7 @@ def test_engine_matches_reference_chain_on_the_sparse_path(kernel, monkeypatch):
     # beta 2, integer qubo) take the table on every step whose table fits,
     # and only such a step: under the regularized rule the 16-node integer
     # qubo's table, one row per distinct threshold, often outgrows its
-    # Delta. Every chain still equals the plain loop.
+    # Delta. Every chain still equals the plain loop, at every draw depth.
     calls = _recording_paths(monkeypatch)
     misses = []
     table = sampler._table_probabilities
@@ -687,25 +693,63 @@ def test_engine_matches_reference_chain_on_the_sparse_path(kernel, monkeypatch):
     paths = {"sparse": 0, "dense": 0, "table": 0}
     for m in _oracle_models():
         cfg = SamplerConfig(tau0=1e-3, steps=25, chains=5, seed=13, kernel=kernel, **rate)
-        best_X, best_E, energy_traj, best_traj, flips_traj = run_block(m, cfg, range(5))
-        for k in range(5):
-            x, e, energies, bests, flips = reference_chain(m, cfg, k)
-            assert np.array_equal(best_X[k], x), (m.kind, k)
-            assert best_E[k] == e
-            assert np.array_equal(energy_traj[:, k], energies)
-            assert np.array_equal(best_traj[1:, k], bests)
-            assert np.array_equal(flips_traj[:, k], flips)
-        assert len(calls) == cfg.steps
-        if m._delta_bound is None:
-            assert "table" not in calls and not misses
-        else:
-            assert len(misses) == cfg.steps
-            assert calls.count("table") == cfg.steps - sum(misses)
-        for c in calls:
-            paths[c] += 1
-        calls.clear()
-        misses.clear()
-    assert min(paths.values()) >= 20, paths
+        want = [reference_chain(m, cfg, k) for k in range(5)]
+        for depth in DEPTHS:
+            best_X, best_E, energy_traj, best_traj, flips_traj = run_block(m, cfg, range(5), depth=depth)
+            for k, (x, e, energies, bests, flips) in enumerate(want):
+                assert np.array_equal(best_X[k], x), (m.kind, depth, k)
+                assert best_E[k] == e
+                assert np.array_equal(energy_traj[:, k], energies)
+                assert np.array_equal(best_traj[1:, k], bests)
+                assert np.array_equal(flips_traj[:, k], flips)
+            assert len(calls) == cfg.steps
+            if m._delta_bound is None:
+                assert "table" not in calls and not misses
+            else:
+                assert len(misses) == cfg.steps
+                assert calls.count("table") == cfg.steps - sum(misses)
+            for c in calls:
+                paths[c] += 1
+            calls.clear()
+            misses.clear()
+    assert min(paths.values()) >= 20 * len(DEPTHS), paths
+
+
+class _CountingRng:
+    """A chain's generator that counts its ``random`` calls."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.random(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("n", [1000, 40])
+def test_blocks_side_by_side_draw_several_steps_per_generator_call(n, monkeypatch):
+    # Generator.random releases the GIL and takes it back on every call, so
+    # blocks on threads draw S = _DRAW_ENTRIES // N steps per call, at most
+    # T: ceil(T / S) calls per chain. A lone block draws one step per call.
+    rngs = {}
+
+    def counting(seed, chain_id):
+        rngs[chain_id] = _CountingRng(chain_rng(seed, chain_id))
+        return rngs[chain_id]
+
+    monkeypatch.setattr(sampler, "chain_rng", counting)
+    m = EnergyModel("mcut", generate_ba(n, 3, seed=3))
+    cfg = SamplerConfig(tau0=0.5, d=5, steps=23, chains=6, seed=2)
+    depth = min(cfg.steps, sampler._DRAW_ENTRIES // n)
+    assert depth == (4 if n == 1000 else cfg.steps)
+    for workers, calls in ((1, cfg.steps), (2, -(-cfg.steps // depth)), (3, -(-cfg.steps // depth))):
+        rngs.clear()
+        run_rlsa(m, cfg, workers=workers)
+        assert {c: r.calls for c, r in rngs.items()} == dict.fromkeys(range(6), calls)
 
 
 def test_engine_makes_one_sparse_product_per_step():
