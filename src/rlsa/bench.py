@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 from contextlib import contextmanager
@@ -295,18 +296,41 @@ def _result_record(cfg, name, source, model, result, traj_path) -> dict:
     return record
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_))
+
+
+def _is_bits(value) -> bool:
+    # a list of integers; the model checks that they are 0 or 1
+    arr = np.asarray(value) if isinstance(value, list) else None
+    return arr is not None and arr.ndim == 1 and (arr.size == 0 or arr.dtype.kind in "biu")
+
+
+# the fields verify_record reads, in order: name -> (test, what the value must be)
+_RECORD_FIELDS = {
+    "problem": (lambda v: isinstance(v, str), "a problem kind"),
+    "config": (lambda v: isinstance(v, dict), "an object"),
+    "best_x": (_is_bits, "a list of 0/1 integers"),
+    "violation": (_is_count, "an integer"),
+    "objective": (lambda v: v is None or _is_count(v), "an integer or null"),
+    "best_energy": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)),
+                    "a number"),
+}
+
+
 def verify_record(record: dict, graph: Graph) -> None:
     """Recompute objective and violation from a stored best_x; raises
     ValueError on a mismatch (a NaN energy matches nothing), on a record
-    without a field it checks, or on a qubo record without the
-    ``qubo_linear_values`` its model used. Reads no file: the record and
-    the graph define the model."""
-    try:
-        problem, echo, best_x = record["problem"], record["config"], record["best_x"]
-        want_violation, want_objective = record["violation"], record["objective"]
-        want_energy = record["best_energy"]
-    except KeyError as exc:
-        raise ValueError(f"record lacks {exc.args[0]}") from None
+    without a field it checks or with a field of the wrong type, or on a
+    qubo record without the ``qubo_linear_values`` its model used. Reads no
+    file: the record and the graph define the model."""
+    for name, (ok, what) in _RECORD_FIELDS.items():
+        if name not in record:
+            raise ValueError(f"record lacks {name}")
+        if not ok(record[name]):
+            raise ValueError(f"record field {name} must be {what}, got {record[name]!r}")
+    problem, echo, best_x, want_violation, want_objective, want_energy = (
+        record[name] for name in _RECORD_FIELDS)
     model = EnergyModel(problem, graph, beta=echo.get("beta", ExperimentConfig.beta),
                         linear=record.get("qubo_linear_values"), quad_scale=echo.get("qubo_scale"))
     x = np.asarray(best_x, dtype=np.int8)

@@ -75,10 +75,23 @@ both come from the same ``A @ X``, so the second call reuses the first's
 product and a step costs one sparse product, not two. The memo is keyed on
 the batch's content, not its identity: a bool copy of the last batch is
 compared entry by entry, so a batch changed in place, or of another shape,
-is multiplied afresh, and a hit returns exactly the product a fresh model
+gets a new product, and a hit returns exactly the product a fresh model
 would compute. It is per thread (``threading.local``) because worker
 threads run chain blocks on one shared model. The stored product is
 read-only; callers that update it copy it first, in its own dtype.
+
+A miss on a batch of the same shape brings the stored product up to date
+through the changed columns F (those that differ in any row) when the
+product is int16 and the rows of F hold less than half of A's nonzeros:
+the new product is ax + (A[F]^T dX[:, F]^T)^T with dX = X - key, a product
+over sum deg(F) nonzeros in place of nnz(A). The update is exact, since
+every partial sum of the added term is bounded by the row-sum bound, and
+the result equals the full product bit for bit. Steps of a few chains, or
+of many chains on a large graph, flip few columns. On ER graphs the update
+breaks even at 0.85 to 0.95 of the nonzeros, so the half leaves a margin;
+on a sparse BA graph, whose full product is cheap, it already loses from
+about 0.2 (``BENCH_incremental.json``). A float64 product never takes the
+update, because its sums would round in another order.
 """
 
 from __future__ import annotations
@@ -170,9 +183,10 @@ class EnergyModel:
         else:
             A = _weighted_csr(graph, edge_weights)
             bound = _row_sum_bound(A)
-        # one bound decides the product dtype, and with it how _flip_ax
-        # updates a product (see the module docstring)
+        # one bound decides the product dtype, and with it how _ax and
+        # _flip update a product (see the module docstring)
         self._A = A.astype(np.int16 if bound < _EXACT_INT16 else np.float64, copy=False)
+        self._row_nnz = np.diff(self._A.indptr)  # the nonzeros a column update reads, per column
         self._delta_bound = _delta_bound(self._c, self._q, self._r, bound, graph.num_nodes)
         # the gradient's and Delta's dtype: int16 holds every term when B is set
         self._delta_dtype = np.float64 if self._delta_bound is None else np.int16
@@ -262,37 +276,74 @@ class EnergyModel:
         # read-only; per-column CSR accumulation keeps each row's result
         # independent of the batch size. Callers read an int16 product
         # through exact arithmetic only (see the module docstring).
-        # A batch equal to this thread's last one returns the stored product.
+        # A batch equal to this thread's last one returns the stored
+        # product; one of the same shape may update it through the changed
+        # columns (see the module docstring).
         memo = self._memo
         key = getattr(memo, "key", None)
-        if key is not None and np.array_equal(key, X):  # same shape and entries
-            return memo.ax
-        A = self._A
-        # transpose in bool, then cast: casting a strided bool transpose
-        # directly is several times slower
-        P = A @ np.ascontiguousarray(X.T).astype(A.dtype, copy=False)
-        ax = np.ascontiguousarray(P.T)
+        ax = None
+        if key is not None and key.shape == X.shape:
+            changed = key != X
+            if not changed.any():
+                return memo.ax
+            if self._A.dtype == np.int16:
+                cols = changed.any(axis=0)
+                # the update reads the rows of the changed columns: take it
+                # while they hold less than _UPDATE_SHARE of A's nonzeros
+                if cols @ self._row_nnz < _UPDATE_SHARE * self._A.nnz:
+                    # ax + (A[F]^T dX[:, F]^T)^T with dX = X - key, exact:
+                    # the partial sums of the added term are sums of +-w,
+                    # which the row-sum bound keeps below 2**15, and each
+                    # sum with ax is an entry of the new product. Entries
+                    # are 0 or 1, so dX's int16 cast is exact; A[F]^T is
+                    # A[:, F] by symmetry.
+                    F = np.flatnonzero(cols)
+                    dX = np.subtract(X[:, F], key[:, F], dtype=np.int16, casting="unsafe")
+                    P = self._A[F].T @ np.ascontiguousarray(dX.T)
+                    ax = np.add(memo.ax, P.T, out=np.empty_like(memo.ax))
+        if ax is None:
+            A = self._A
+            # transpose in bool, then cast: casting a strided bool transpose
+            # directly is several times slower
+            P = A @ np.ascontiguousarray(X.T).astype(A.dtype, copy=False)
+            ax = np.ascontiguousarray(P.T)
         ax.flags.writeable = False
         memo.key = X.copy()
         memo.ax = ax
         return ax
 
-    def _flip_ax(self, ax, x, i):
-        """Bring ``ax == self._ax(x)`` up to date in place after bit ``i`` of
-        the single solution ``x`` flipped, touching only i's neighbours.
+    def _flip(self, x, ax, D, i):
+        """Flip bit ``i`` of the single solution ``x`` in place and bring
+        ``ax == self._ax(x)`` and ``D == self._delta(x, ax)`` up to date,
+        touching only i's neighbours where the energy form allows.
 
-        The result is bit-identical to the full product: an int16 ``ax``
-        adds or subtracts column i, exact since every partial sum stays
-        below 2**15 in magnitude; a float64 one has the neighbour rows
-        recomputed in the full product's CSR order.
+        Every value is bit-identical to a fresh computation. An int16
+        ``ax`` adds or subtracts column i, exact since every partial sum
+        stays below 2**15 in magnitude; a float64 one has the neighbour
+        rows recomputed in the full product's CSR order. With r = 0,
+        Delta_i is negated (grad_i does not read x_i, and negation is
+        exact) and Delta is recomputed on the neighbours alone, by the
+        ufuncs of ``_delta``, which act entry by entry; with r = 1 (mcl) s
+        moves every gradient, so the whole row is recomputed.
         """
         A = self._A
+        x[i] = not x[i]
         lo, hi = A.indptr[i], A.indptr[i + 1]
-        nbrs = A.indices[lo:hi]  # A is symmetric: row i lists column i
+        # A is symmetric: row i lists column i. take and put convert int32
+        # indices on every call, so convert them once.
+        nbrs = A.indices[lo:hi].astype(np.intp)
         if A.dtype == np.int16:
-            ax[nbrs] += A.data[lo:hi] if x[i] else -A.data[lo:hi]
+            part = ax.take(nbrs)
+            (np.add if x[i] else np.subtract)(part, A.data[lo:hi], out=part)
         else:
-            ax[nbrs] = A[nbrs] @ x
+            part = A[nbrs] @ x
+        ax.put(nbrs, part)
+        if self._r:
+            D[:] = self._delta(x[None], ax[None])[0]
+            return
+        D[i] = -D[i]
+        c = self._c.take(nbrs) if isinstance(self._c, np.ndarray) else self._c
+        D.put(nbrs, self._delta(x.take(nbrs), part, c))
 
     def _energy(self, X):
         c = self._c
@@ -319,16 +370,18 @@ class EnergyModel:
             quad = quad - (s * s - s)
         return quad
 
-    def _delta(self, X, ax=None):
+    def _delta(self, X, ax=None, c=None):
         # the sign 2x - 1 is +-1, so multiplying by it negates exactly, in
         # place on the gradient; the bool batch takes it as int8
-        g = self._gradient(X, ax)
+        g = self._gradient(X, ax, c)
         return np.multiply(g, X.view(np.int8) * 2 - 1, out=g)
 
-    def _gradient(self, X, ax=None):
+    def _gradient(self, X, ax=None, c=None):
         # ``ax``, if given, is a caller-maintained copy of self._ax(X) in
         # its dtype; it must equal the full product exactly for the result
-        # to match. One (B, N) array in the model's Delta dtype is made and
+        # to match. ``c``, if given, replaces self._c: _flip passes the
+        # entries of X's columns when X and ax are gathered entries. One
+        # array of X's shape in the model's Delta dtype is made and
         # updated in place; the product, c and 2q are cast into that dtype
         # in the ufuncs that read them, exactly (in int16, each is an
         # integer below 2**15, as is every intermediate term). c + 2q * ax
@@ -343,7 +396,8 @@ class EnergyModel:
             np.multiply(g, two_q, out=g, dtype=dt, casting="unsafe")
         else:
             g = np.multiply(ax, two_q, dtype=dt, casting="unsafe")
-        return np.add(g, self._c, out=g, dtype=dt, casting="unsafe")
+        c = self._c if c is None else c
+        return np.add(g, c, out=g, dtype=dt, casting="unsafe")
 
     def _violation(self, X):
         if not self._penalized:
@@ -359,6 +413,9 @@ class EnergyModel:
 # to 2**53
 _EXACT_INT16 = 2.0 ** 15
 _EXACT_FLOAT64 = 2.0 ** 53
+# _ax updates an int16 product through its changed columns while their
+# rows hold less than this share of A's nonzeros (see BENCH_incremental.json)
+_UPDATE_SHARE = 0.5
 
 
 def _is_integer(a) -> bool:

@@ -19,14 +19,16 @@ def greedy_decode(model, x):
 
     Rows are decoded one at a time on a bool copy of the input. Cost: one
     full sparse product ``A @ X`` up front, kept as a copy in its own
-    dtype, then O(N + deg) per round: Delta of the row is rebuilt from that
-    product, and each flip of node ``i`` refreshes the product only on
-    ``i``'s neighbours. That refresh is exact, so every Delta equals the one
-    a full product would give, bit for bit: an int16 product (integer
-    weights whose row sums of ``|w|`` stay below 2**15, so for mis, mcl,
-    mcut and unweighted qubo below degree 2**15) adds or subtracts column
-    ``i``; a float64 one has the neighbour rows recomputed in the same CSR
-    order as the full one.
+    dtype, and one Delta per row computed from it; then O(deg) per round
+    for mis, mcut and qubo, and O(N + deg) for mcl. Each flip of node
+    ``i`` (``EnergyModel._flip``) negates Delta_i and refreshes the product
+    and Delta only on ``i``'s neighbours; mcl's Delta is rebuilt whole,
+    because its selected-set size moves every gradient. The refresh is
+    exact, so every Delta equals the one a full product would give, bit
+    for bit: an int16 product (integer weights whose row sums of ``|w|``
+    stay below 2**15, so for mis, mcl, mcut and unweighted qubo below
+    degree 2**15) adds or subtracts column ``i``; a float64 one has the
+    neighbour rows recomputed in the same CSR order as the full one.
 
     Accepts a single solution of shape (N,) or a batch (B, N); a 0-node
     model returns it unchanged, as int8. Raises
@@ -39,13 +41,12 @@ def greedy_decode(model, x):
     limit = 1000 + 10 * (model.num_nodes + model.graph.num_edges)
     # an empty row is already a fixed point: it has no coordinate to flip
     for row, ax in zip(X, AX) if model.num_nodes else ():
+        D = model._delta(row[None], ax[None])[0]
         for _ in range(limit):
-            D = model._delta(row[None], ax[None])[0]
-            i = np.argmax(D)
+            i = D.argmax()
             if D[i] <= 0:
                 break
-            row[i] = not row[i]
-            model._flip_ax(ax, row, i)
+            model._flip(row, ax, D, i)
         else:
             raise RuntimeError("greedy decode did not converge; check model coefficients")
     out = X.astype(np.int8)

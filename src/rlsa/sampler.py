@@ -397,12 +397,14 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
     returns the flip mask in the block's reused arrays ``buf``; the
     regularized and ld rules take their sigmoid from a table of the integer
     values, or evaluate it only where a flip can happen (see the module
-    docstring). The block costs one sparse product per step:
-    ``model.energy`` on the new state computes ``A @ X`` and the next step's
-    ``model.delta`` on the same state reuses it through the model's
-    per-thread memo, so a block makes ``steps + 1`` products. The states
-    are a bool (K, N) array flipped in place with ``X ^= flip``; the memo
-    keeps a copy of the batch it saw, so it notices the change. Returns the
+    docstring). The block costs one product or column update per step:
+    ``model.energy`` on the new state brings ``A @ X`` up to date, through
+    the flipped columns when they are few (see ``rlsa.energy``), and the
+    next step's ``model.delta`` on the same state reuses it through the
+    model's per-thread memo, so a block makes ``steps + 1`` products or
+    updates. The states are a bool (K, N) array flipped in place with
+    ``X ^= flip``; the memo keeps a copy of the batch it saw, so it
+    notices the change. Returns the
     best states (bool) and energies, per step and chain the energy and the
     number of bits flipped, and the running best, whose first row is the
     initial energies: a chain's best improved at step t exactly where

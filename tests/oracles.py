@@ -10,43 +10,41 @@ from rlsa import Graph, from_edge_list, generate_ba, generate_er
 
 
 class CountingMatrix:
-    """Stands in for a model's sparse matrix and counts the products taken
-    with it, per thread."""
+    """Stands in for a model's sparse matrix and counts, per thread, what is
+    taken from it: in ``calls``, the products ``A @ X`` and the row
+    selections ``A[rows]``, one of which each product or column update
+    makes; in ``selections``, the row selections alone."""
 
     def __init__(self, A):
         self.A = A
-        self.dtype = A.dtype
         self.calls = {}
+        self.selections = {}
         self._lock = threading.Lock()
 
-    def __matmul__(self, other):
+    def __getattr__(self, name):
+        return getattr(self.A, name)
+
+    def _count(self, *counts):
         with self._lock:
             me = threading.get_ident()
-            self.calls[me] = self.calls.get(me, 0) + 1
+            for count in counts:
+                count[me] = count.get(me, 0) + 1
+
+    def __matmul__(self, other):
+        self._count(self.calls)
         return self.A @ other
+
+    def __getitem__(self, key):
+        self._count(self.calls, self.selections)
+        return self.A[key]
 
     @property
     def total(self):
         return sum(self.calls.values())
 
-
-class RowSpy:
-    """Stands in for a model's sparse matrix and counts the row selections
-    ``A[rows]`` made on it."""
-
-    def __init__(self, A):
-        self.A = A
-        self.rows = 0
-
-    def __getattr__(self, name):
-        return getattr(self.A, name)
-
-    def __getitem__(self, key):
-        self.rows += 1
-        return self.A[key]
-
-    def __matmul__(self, other):
-        return self.A @ other
+    @property
+    def rows(self):
+        return sum(self.selections.values())
 
 
 def triangle():
@@ -216,6 +214,26 @@ def reference_decode(model, x):
         rounds += 1
         if rounds > limit:
             raise RuntimeError("greedy decode did not converge; check model coefficients")
+    out = X.astype(np.int8)
+    return out[0] if single else out
+
+
+def full_delta_decode(model, x):
+    """Greedy decode one row at a time, rebuilding the whole Delta each
+    round from a fresh full product ``A @ x`` in the matrix's dtype: flip
+    the lowest-index argmax while its drop is positive. Returns int8 rows
+    in the shape of ``x``."""
+    X, single = model._as_batch(x)
+    X = X.copy()
+    A = model._A
+    for row in X:
+        while True:
+            ax = A @ row.astype(A.dtype)
+            D = model._delta(row[None], ax[None])[0]
+            i = int(np.argmax(D))
+            if D[i] <= 0:
+                break
+            row[i] = not row[i]
     out = X.astype(np.int8)
     return out[0] if single else out
 

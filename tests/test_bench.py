@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -453,6 +454,23 @@ def test_verify_record_names_a_missing_field(field):
               "violation": 0, "objective": 1, "best_energy": -1.0}
     del record[field]
     with pytest.raises(ValueError, match=f"record lacks {field}"):
+        verify_record(record, triangle())
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("problem", None), ("problem", 3),
+    ("config", None), ("config", [2.0]),
+    ("best_x", None), ("best_x", "100"), ("best_x", [1, None, 0]), ("best_x", [[1, 0, 0]]),
+    ("violation", None), ("violation", "0"), ("violation", 0.0),
+    ("objective", "1"), ("objective", 1.0), ("objective", True),
+    ("best_energy", None), ("best_energy", "-1.0"),
+])
+def test_verify_record_rejects_a_field_of_the_wrong_type(field, bad):
+    record = {"problem": "mis", "config": {}, "best_x": [1, 0, 0],
+              "violation": 0, "objective": 1, "best_energy": -1.0}
+    verify_record(record, triangle())
+    record[field] = bad
+    with pytest.raises(ValueError, match=f"record field {field} .*, got {re.escape(repr(bad))}$"):
         verify_record(record, triangle())
 
 

@@ -4,12 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rlsa import EnergyModel, from_edge_list, generate_er, greedy_decode
+from rlsa import EnergyModel, from_edge_list, generate_ba, generate_er, greedy_decode
 from rlsa.energy import _row_sum_bound
 
 from oracles import (
     CountingMatrix,
-    RowSpy,
     all_bitvectors,
     cut_edges,
     flip_drop_oracle,
@@ -295,9 +294,11 @@ def test_constructor_rejects_non_finite_coefficients(bad):
 
 
 def test_exact_update_rule_follows_the_weights():
-    # _flip_ax adds columns of A exactly when the product is int16, and
+    # _flip adds columns of A exactly when the product is int16, and
     # recomputes the neighbour rows (A[rows] @ x) otherwise; either way the
-    # updated product equals a fresh one
+    # flipped solution, its product and its Delta equal fresh ones. _ax
+    # brings its memo up to date through the changed columns (one row
+    # selection A[F]) for an int16 product only.
     g = triangle()
     lin = np.zeros(3)
     cases = [(EnergyModel(kind, g, beta=1.02), np.int16) for kind in ("mis", "mcl", "mcut")]
@@ -313,16 +314,25 @@ def test_exact_update_rule_follows_the_weights():
         cases.append((m, dtype))
     for m, dtype in cases:
         assert m._A.dtype == dtype
-        m._A = spy = RowSpy(m._A)
+        m._A = spy = CountingMatrix(m._A)
+        flip_rows = 0
         for x in all_bitvectors(3).astype(bool):
             for i in range(3):
                 ax = m._ax(x[None])[0].copy()
+                D = m._delta(x[None], ax[None])[0]
                 y = x.copy()
-                y[i] = not y[i]
-                m._flip_ax(ax, y, i)
+                before = spy.rows
+                m._flip(y, ax, D, i)
+                flip_rows += spy.rows - before
+                assert y[i] != x[i] and np.array_equal(np.delete(y, i), np.delete(x, i))
                 assert ax.dtype == dtype
                 assert np.array_equal(ax, m._ax(y[None])[0])
-        assert (spy.rows == 0) == (dtype == np.int16), (m, spy.rows)
+                want = m.delta(y)
+                assert D.dtype == want.dtype and np.array_equal(D, want)
+        assert (flip_rows == 0) == (dtype == np.int16), (m, flip_rows)
+        # one bit of a triangle touches 2 of its 6 nonzeros: an int16 memo
+        # takes the column update, a float64 one never does
+        assert ((spy.rows - flip_rows) > 0) == (dtype == np.int16), (m, spy.rows)
 
 
 def test_delta_bound_marks_the_models_whose_deltas_int16_holds():
@@ -687,7 +697,9 @@ def test_memo_is_kept_per_thread():
     # Two threads take strict turns on one model, each with its own batches
     # of the same shape: energy(A), energy(B), delta(A), delta(B), ... Each
     # thread's delta reuses the product of its own last energy call, and
-    # every value equals a fresh model's.
+    # every value equals a fresh model's. A call that raises still passes
+    # the turn on, so the other thread does not wait forever; the error is
+    # raised once both threads are done.
     rng = np.random.default_rng(26)
     for make in _memo_models(rng):
         m = make()
@@ -697,28 +709,120 @@ def test_memo_is_kept_per_thread():
         turn = [0]
         cond = threading.Condition()
         results = [[], []]
+        errors = []
 
         def worker(who):
             for call in range(2 * rounds):
                 with cond:
                     cond.wait_for(lambda: turn[0] % 2 == who)
-                method = ("energy", "delta")[call % 2]
-                results[who].append(getattr(m, method)(batches[who, call // 2]))
-                with cond:
-                    turn[0] += 1
-                    cond.notify_all()
+                try:
+                    method = ("energy", "delta")[call % 2]
+                    results[who].append(getattr(m, method)(batches[who, call // 2]))
+                except Exception as exc:
+                    errors.append(exc)
+                finally:
+                    with cond:
+                        turn[0] += 1
+                        cond.notify_all()
 
-        threads = [threading.Thread(target=worker, args=(w,)) for w in (0, 1)]
+        threads = [threading.Thread(target=worker, args=(w,), daemon=True) for w in (0, 1)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads), "a worker is still waiting for its turn"
+        if errors:
+            raise errors[0]
         assert sorted(counter.calls.values()) == [rounds, rounds]
         for who in (0, 1):
             for r in range(rounds):
                 X = batches[who, r]
                 assert np.array_equal(results[who][2 * r], make().energy(X))
                 assert np.array_equal(results[who][2 * r + 1], make().delta(X))
+
+
+def _update_models(g, rng):
+    # int16 products: unit weights, and integer weights of both signs; then
+    # a float64 product, which never takes the column update
+    yield EnergyModel("mis", g, beta=1.02)
+    yield EnergyModel("mcut", g)
+    w = rng.integers(-9, 10, size=g.num_edges).astype(np.float64)
+    yield EnergyModel("qubo", g, linear=rng.normal(size=g.num_nodes), quad_scale=0.7,
+                      edge_weights=w)
+    yield EnergyModel("qubo", g, linear=rng.normal(size=g.num_nodes), quad_scale=0.7,
+                      edge_weights=rng.normal(size=g.num_edges))
+
+
+def _walk_memo(m, rng, steps=12, rows=5):
+    """Flip random bits of one bool batch in place, a few or many per row
+    as the walk goes on, and check after each step that the memo's product
+    equals a fresh ``A @ X^T`` bit for bit and that the column update was
+    taken exactly when the changed columns' rows hold less than half of
+    A's nonzeros. Returns how many steps took it."""
+    A = m._A.A  # the CountingMatrix the caller installed
+    deg = np.diff(A.indptr)
+    n = m.num_nodes
+    X = rng.integers(0, 2, size=(rows, n)).astype(bool)
+    m._ax(X)
+    updates = 0
+    for step in range(steps):
+        flips = (1, 2, 8, n // 3)[step % 4]
+        old = X.copy()
+        for row in X:
+            row[rng.choice(n, flips, replace=False)] ^= True
+        share = deg[(old != X).any(axis=0)].sum() / A.nnz
+        mine = m._A.selections
+        before = mine.get(threading.get_ident(), 0)
+        ax = m._ax(X)
+        took = mine.get(threading.get_ident(), 0) - before
+        fresh = np.ascontiguousarray((A @ np.ascontiguousarray(X.T).astype(A.dtype)).T)
+        assert ax.dtype == fresh.dtype and ax.flags.c_contiguous and not ax.flags.writeable
+        assert np.array_equal(ax, fresh), (m, step)
+        expected = share < 0.5 and A.dtype == np.int16
+        assert took == expected, (m, step, share)
+        updates += took
+    return updates
+
+
+def test_memo_update_equals_a_fresh_product():
+    # with few changed columns an int16 memo adds them to its product, with
+    # many it multiplies afresh; either way the product is the full one
+    rng = np.random.default_rng(30)
+    for g in (generate_er(200, 0.08, seed=30), generate_ba(200, 4, seed=31)):
+        for m in _update_models(g, rng):
+            m._A = counter = CountingMatrix(m._A)
+            updates = _walk_memo(m, rng)
+            if m._A.dtype == np.int16:
+                assert 0 < updates < 12
+            else:
+                assert updates == 0 and counter.rows == 0 and counter.total == 13
+
+
+def test_memo_update_on_worker_threads():
+    # three threads walk their own batches on one shared model at once
+    rng = np.random.default_rng(32)
+    g = generate_er(200, 0.08, seed=32)
+    for m in _update_models(g, rng):
+        m._A = CountingMatrix(m._A)
+        seeds = rng.integers(0, 2 ** 31, size=3)
+        errors, updates = [], []
+
+        def walk(seed):
+            try:
+                updates.append(_walk_memo(m, np.random.default_rng(seed), steps=16))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=walk, args=(s,), daemon=True) for s in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
+        assert len(updates) == 3
+        assert all(u > 0 for u in updates) == (m._A.dtype == np.int16), updates
 
 
 def test_evaluation_does_not_depend_on_memory_layout():

@@ -6,6 +6,8 @@ from rlsa import (
     SamplerConfig,
     from_edge_list,
     gap_curve,
+    generate_ba,
+    generate_er,
     greedy_decode,
     primal_gap,
     run_rlsa,
@@ -15,6 +17,7 @@ from rlsa import (
 from oracles import (
     all_bitvectors,
     exhaustive_min_energy,
+    full_delta_decode,
     random_small_graph,
     reference_decode,
     triangle,
@@ -78,8 +81,9 @@ class BudgetModel:
     def _delta(self, X, ax):
         return np.full(X.shape, 1.0 if self.flips < self.budget else -1.0)
 
-    def _flip_ax(self, ax, x, i):
+    def _flip(self, x, ax, D, i):
         self.flips += 1
+        D[:] = self._delta(x, ax)
 
 
 def test_decode_gives_up_after_limit_flips():
@@ -150,11 +154,36 @@ def test_decode_matches_reference_bit_for_bit(case):
         X = rng.integers(0, 2, size=(6, g.num_nodes)).astype(np.int8)
         batch = greedy_decode(m, X)
         assert np.array_equal(batch, reference_decode(m, X))
+        assert np.array_equal(batch, full_delta_decode(m, X))
         for row, y in zip(X, batch):
             single = greedy_decode(m, row)
             assert np.array_equal(single, reference_decode(m, row))
             assert np.array_equal(single, y)
             assert m.delta(single).max() <= 0
+
+
+DECODE_LOOP_CASES = ["mis", "mis-beta-2", "mcl", "mcut", "qubo-integer-weights",
+                     "qubo-normal-weights"]
+
+
+@pytest.mark.parametrize("case", DECODE_LOOP_CASES)
+def test_decode_matches_the_full_delta_loop(case):
+    # Decode keeps Delta up to date on the flipped node's neighbours (the
+    # whole row for mcl); it must flip exactly what a loop that rebuilds
+    # Delta from a fresh product every round flips, on rows and on batches
+    # of graphs whose degrees are well below N.
+    rng = np.random.default_rng(50 + DECODE_LOOP_CASES.index(case))
+    for g in (generate_er(150, 0.06, seed=51), generate_ba(150, 3, seed=52)):
+        if case == "mis-beta-2":
+            m = EnergyModel("mis", g, beta=2.0)
+            assert m._delta_bound is not None  # an int16 Delta
+        else:
+            m = _parity_model(case, g, rng)
+        X = rng.integers(0, 2, size=(4, g.num_nodes)).astype(np.int8)
+        want = full_delta_decode(m, X)
+        assert np.array_equal(greedy_decode(m, X), want)
+        for row, y in zip(X, want):
+            assert np.array_equal(greedy_decode(m, row), y)
 
 
 # -- primal gap ------------------------------------------------------------------

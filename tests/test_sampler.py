@@ -753,16 +753,20 @@ def test_blocks_side_by_side_draw_several_steps_per_generator_call(n, monkeypatc
 
 
 def test_engine_makes_one_sparse_product_per_step():
-    # Per block: the initial energy, then one product per step, because the
-    # next step's delta(X_t) reuses the product that energy(X_t) computed.
-    # Decode takes one more, and the final energy one unless decode changed
-    # nothing.
-    cfg = small_cfg(steps=30, chains=6)
-    for workers in (1, 2):
-        m = EnergyModel("mis", generate_er(25, 0.2, seed=15), beta=1.02)
-        m._A = counter = CountingMatrix(m._A)
-        res = run_rlsa(m, cfg, workers=workers)
-        assert counter.total == workers * (cfg.steps + 1) + 1 + (res.decode_flips > 0)
+    # Per block: the initial energy, then one product or column update per
+    # step, because the next step's delta(X_t) reuses the product that
+    # energy(X_t) computed. Decode takes one more, and the final energy one
+    # unless decode changed nothing. On the larger graph each block's
+    # chains flip about 20 of its 400 columns per step, so steps update the
+    # product through them.
+    for g, d in ((generate_er(25, 0.2, seed=15), 2), (generate_er(400, 0.05, seed=16), 20)):
+        cfg = small_cfg(steps=30, chains=6, d=d)
+        for workers in (1, 2):
+            m = EnergyModel("mis", g, beta=1.02)
+            m._A = counter = CountingMatrix(m._A)
+            res = run_rlsa(m, cfg, workers=workers)
+            assert counter.total == workers * (cfg.steps + 1) + 1 + (res.decode_flips > 0)
+        assert counter.rows > 0
 
 
 def test_trajectory_best_energy_non_increasing():
