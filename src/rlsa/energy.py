@@ -80,18 +80,40 @@ would compute. It is per thread (``threading.local``) because worker
 threads run chain blocks on one shared model. The stored product is
 read-only; callers that update it copy it first, in its own dtype.
 
-A miss on a batch of the same shape brings the stored product up to date
-through the changed columns F (those that differ in any row) when the
-product is int16 and the rows of F hold less than half of A's nonzeros:
-the new product is ax + (A[F]^T dX[:, F]^T)^T with dX = X - key, a product
-over sum deg(F) nonzeros in place of nnz(A). The update is exact, since
-every partial sum of the added term is bounded by the row-sum bound, and
-the result equals the full product bit for bit. Steps of a few chains, or
-of many chains on a large graph, flip few columns. On ER graphs the update
-breaks even at 0.85 to 0.95 of the nonzeros, so the half leaves a margin;
-on a sparse BA graph, whose full product is cheap, it already loses from
-about 0.2 (``BENCH_incremental.json``). A float64 product never takes the
-update, because its sums would round in another order.
+A miss on a batch of the same shape may bring the stored product up to
+date through the changed columns F (those that differ in any row), when
+the product is int16: the new product is ax + (A[F]^T dX[:, F]^T)^T with
+dX = X - key, a product over the sel = sum deg(F) nonzeros of F's rows in
+place of nnz(A). The update is exact, since every partial sum of the added
+term is bounded by the row-sum bound, and the result equals the full
+product bit for bit. Steps of a few chains, or of many chains on a large
+graph, flip few columns. A cost rule takes the update when it is cheaper:
+a linear model of each path's time in 1, sel or nnz, times K, and K * N,
+fitted on a sweep of (K, N) batches over ER and BA graphs
+(``BENCH_decode.json``). Its fixed parts (selecting A[F], the transposes
+and the dense add over the whole product) keep it from taking the update
+where the full product is cheap: on a small or sparse graph, or on one
+row, as when a decoded solution is scored after decode. A float64 product
+never takes the update, because its sums would round in another order.
+
+Greedy decode (``rlsa.postprocess.greedy_decode``) of mis and mcl needs no
+product and no float Delta. With unit weights and c, q uniform, Delta_i =
+(2 x_i - 1) (c + 2q m_i) depends only on x_i and the integer
+
+    m_i = (W x)_i - r (s - x_i),
+
+which counts i's selected neighbours for mis (0 to the largest degree)
+and is minus the count of i's selected non-neighbours for mcl (-(N - 1)
+to 0). So the model builds two tables once, indexed by the code
+2 (m - m_lo) + x: Delta at every code, and Delta's rank among the distinct
+values, shifted so that a rank is positive exactly when Delta is. The
+values come from the same ufuncs, in the same order, that ``_delta`` runs
+on m (``_slope``, then the sign), so every entry is bit-identical to the
+Delta it stands for, and ranks order and tie exactly as Delta does: the
+argmax of the ranks, lowest index on ties, is the argmax of Delta. The
+table has O(largest degree) entries for mis and O(N) for mcl, so its
+ranks are int16 while it has fewer than 2**15 entries and int32 from
+there.
 """
 
 from __future__ import annotations
@@ -191,6 +213,16 @@ class EnergyModel:
         # the gradient's and Delta's dtype: int16 holds every term when B is set
         self._delta_dtype = np.float64 if self._delta_bound is None else np.int16
         self._memo = threading.local()  # this thread's last batch and its product
+        # mis and mcl: Delta's value and rank at each code 2 (m - m_lo) + x
+        # (see the module docstring); None for mcut and qubo
+        self._code_delta = self._code_rank = None
+        if self._penalized:
+            # m counts selected neighbours (mis) or minus selected non-neighbours (mcl)
+            self._m_lo = -max(graph.num_nodes - 1, 0) if self._r else 0
+            m = np.arange(self._m_lo, 1 if self._r else int(bound) + 1).repeat(2)
+            x = np.tile([False, True], m.size // 2)
+            self._code_delta = _signed(self._slope(m), x)
+            self._code_rank = _rank_table(self._code_delta)
 
     @property
     def num_nodes(self) -> int:
@@ -289,8 +321,8 @@ class EnergyModel:
             if self._A.dtype == np.int16:
                 cols = changed.any(axis=0)
                 # the update reads the rows of the changed columns: take it
-                # while they hold less than _UPDATE_SHARE of A's nonzeros
-                if cols @ self._row_nnz < _UPDATE_SHARE * self._A.nnz:
+                # while the cost model says it beats the full product
+                if _update_pays(cols @ self._row_nnz, self._A.nnz, *X.shape):
                     # ax + (A[F]^T dX[:, F]^T)^T with dX = X - key, exact:
                     # the partial sums of the added term are sums of +-w,
                     # which the row-sum bound keeps below 2**15, and each
@@ -315,16 +347,16 @@ class EnergyModel:
     def _flip(self, x, ax, D, i):
         """Flip bit ``i`` of the single solution ``x`` in place and bring
         ``ax == self._ax(x)`` and ``D == self._delta(x, ax)`` up to date,
-        touching only i's neighbours where the energy form allows.
+        touching only i's neighbours. Greedy decode calls it for mcut and
+        qubo, whose r is 0; mis and mcl decode on codes (``_flip_code``).
 
         Every value is bit-identical to a fresh computation. An int16
         ``ax`` adds or subtracts column i, exact since every partial sum
         stays below 2**15 in magnitude; a float64 one has the neighbour
-        rows recomputed in the full product's CSR order. With r = 0,
-        Delta_i is negated (grad_i does not read x_i, and negation is
-        exact) and Delta is recomputed on the neighbours alone, by the
-        ufuncs of ``_delta``, which act entry by entry; with r = 1 (mcl) s
-        moves every gradient, so the whole row is recomputed.
+        rows recomputed in the full product's CSR order. Delta_i is negated
+        (grad_i does not read x_i, and negation is exact) and Delta is
+        recomputed on the neighbours alone, by the ufuncs of ``_delta``,
+        which act entry by entry.
         """
         A = self._A
         x[i] = not x[i]
@@ -338,12 +370,52 @@ class EnergyModel:
         else:
             part = A[nbrs] @ x
         ax.put(nbrs, part)
-        if self._r:
-            D[:] = self._delta(x[None], ax[None])[0]
-            return
         D[i] = -D[i]
         c = self._c.take(nbrs) if isinstance(self._c, np.ndarray) else self._c
         D.put(nbrs, self._delta(x.take(nbrs), part, c))
+
+    def _codes(self, X, ax):
+        """The intp codes 2 (m - m_lo) + x of a bool batch of a mis or mcl
+        model and its product ``ax``: each entry indexes its Delta in
+        ``_code_delta`` and its rank in ``_code_rank``."""
+        code = ax.astype(np.intp)
+        if self._r:  # m = ax - (s - x)
+            code -= X.sum(axis=1)[:, None] - X
+        code -= self._m_lo
+        code *= 2
+        code += X
+        return code
+
+    def _flip_code(self, code, key, i):
+        """Flip bit ``i`` of the codes ``code`` of one solution (``_codes``)
+        in place and bring ``key == self._code_rank.take(code)`` up to date.
+
+        m_i keeps its value: no node neighbours itself, and for mcl s and
+        x_i move together. Setting x_i moves the codes by 2 per unit of m:
+        mis adds one to its neighbours' m (unit weights); mcl adds one to s,
+        which lowers m outside i and its neighbours, whose selected
+        neighbour count rises with s. Clearing x_i moves them back.
+        """
+        A = self._A
+        lo, hi = A.indptr[i], A.indptr[i + 1]
+        # indexing converts int32 indices on every use, so convert them
+        # once; fancy indexing beats take and put at a few hundred entries
+        nbrs = A.indices[lo:hi].astype(np.intp)
+        ci = int(code[i]) ^ 1
+        step = 2 if ci & 1 else -2
+        code[i] = ci
+        rank = self._code_rank
+        if self._r:
+            code -= step
+            code[nbrs] += step
+            code[i] = ci
+            rank.take(code, out=key)
+        else:
+            part = code[nbrs]
+            part += step
+            code[nbrs] = part
+            key[nbrs] = rank[part]
+            key[i] = rank[ci]
 
     def _energy(self, X):
         c = self._c
@@ -371,33 +443,33 @@ class EnergyModel:
         return quad
 
     def _delta(self, X, ax=None, c=None):
-        # the sign 2x - 1 is +-1, so multiplying by it negates exactly, in
-        # place on the gradient; the bool batch takes it as int8
-        g = self._gradient(X, ax, c)
-        return np.multiply(g, X.view(np.int8) * 2 - 1, out=g)
+        return _signed(self._gradient(X, ax, c), X)
 
     def _gradient(self, X, ax=None, c=None):
         # ``ax``, if given, is a caller-maintained copy of self._ax(X) in
         # its dtype; it must equal the full product exactly for the result
         # to match. ``c``, if given, replaces self._c: _flip passes the
-        # entries of X's columns when X and ax are gathered entries. One
-        # array of X's shape in the model's Delta dtype is made and
-        # updated in place; the product, c and 2q are cast into that dtype
-        # in the ufuncs that read them, exactly (in int16, each is an
-        # integer below 2**15, as is every intermediate term). c + 2q * ax
-        # equals (2q * ax) + c since addition and multiplication commute
-        # exactly.
+        # entries of X's columns when X and ax are gathered entries.
         if ax is None:
             ax = self._ax(X)
-        dt, two_q = self._delta_dtype, 2.0 * self._q
-        if self._r:  # ax - (s - x)
-            g = np.subtract(X.sum(axis=1)[:, None], X, dtype=dt)
-            np.subtract(ax, g, out=g, dtype=dt, casting="unsafe")
-            np.multiply(g, two_q, out=g, dtype=dt, casting="unsafe")
-        else:
-            g = np.multiply(ax, two_q, dtype=dt, casting="unsafe")
-        c = self._c if c is None else c
-        return np.add(g, c, out=g, dtype=dt, casting="unsafe")
+        if not self._r:
+            return self._slope(ax, c)
+        # m = ax - (s - x), made in the Delta dtype and scaled in place
+        dt = self._delta_dtype
+        m = np.subtract(X.sum(axis=1)[:, None], X, dtype=dt)
+        np.subtract(ax, m, out=m, dtype=dt, casting="unsafe")
+        return self._slope(m, c, out=m)
+
+    def _slope(self, m, c=None, out=None):
+        # the gradient c + 2q m from m = W x - r (s - x), as one array in
+        # the model's Delta dtype (``out``, if given); m, c and 2q are cast
+        # into that dtype in the ufuncs that read them, exactly (in int16,
+        # each is an integer below 2**15, as is every intermediate term).
+        # c + 2q m equals (2q m) + c since addition and multiplication
+        # commute exactly. The code tables run this on every m they hold.
+        dt = self._delta_dtype
+        g = np.multiply(m, 2.0 * self._q, out=out, dtype=dt, casting="unsafe")
+        return np.add(g, self._c if c is None else c, out=g, dtype=dt, casting="unsafe")
 
     def _violation(self, X):
         if not self._penalized:
@@ -413,9 +485,39 @@ class EnergyModel:
 # to 2**53
 _EXACT_INT16 = 2.0 ** 15
 _EXACT_FLOAT64 = 2.0 ** 53
-# _ax updates an int16 product through its changed columns while their
-# rows hold less than this share of A's nonzeros (see BENCH_incremental.json)
-_UPDATE_SHARE = 0.5
+# The cost in ns of one _ax miss on a (K, N) batch, as coefficients of
+# (1, nonzeros read, nonzeros read * K, K * N): the column update reads the
+# sel nonzeros of the changed columns' rows twice, once to select A[F] and
+# once in its product, and adds a dense (K, N) term; the full product reads
+# all nnz. Fitted on a sweep over K in {1, 32, 100, 200} on ER and BA
+# graphs (BENCH_decode.json).
+_UPDATE_NS = (165e3, 2.8, 0.2, 2.3)
+_FULL_NS = (25e3, 0.9, 0.18, 1.2)
+
+
+def _update_pays(sel, nnz, K, N) -> bool:
+    """Whether _ax's column update over ``sel`` of A's ``nnz`` nonzeros is
+    cheaper than the full product, for a (K, N) batch."""
+    u0, u1, u2, u3 = _UPDATE_NS
+    f0, f1, f2, f3 = _FULL_NS
+    return u0 + sel * (u1 + u2 * K) + u3 * K * N < f0 + nnz * (f1 + f2 * K) + f3 * K * N
+
+
+def _signed(g, X):
+    """Delta = (2x - 1) * g in place on the gradient ``g``: the sign is +-1,
+    so multiplying by it negates exactly; the bool ``X`` takes it as int8."""
+    return np.multiply(g, X.view(np.int8) * 2 - 1, out=g)
+
+
+def _rank_table(values):
+    """The rank of each of ``values`` among their distinct values, shifted
+    so that the largest value not above 0 has rank 0: ranks order and tie
+    as the values do, and a rank is positive exactly when its value is.
+    int16 when the table has fewer than 2**15 entries, so that every rank
+    fits, int32 otherwise."""
+    distinct, rank = np.unique(values, return_inverse=True)
+    rank -= np.count_nonzero(distinct <= 0) - 1
+    return rank.astype(np.int16 if values.size < _EXACT_INT16 else np.int32)
 
 
 def _is_integer(a) -> bool:

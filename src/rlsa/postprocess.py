@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,17 +19,28 @@ def greedy_decode(model, x):
     point is always feasible.
 
     Rows are decoded one at a time on a bool copy of the input. Cost: one
-    full sparse product ``A @ X`` up front, kept as a copy in its own
-    dtype, and one Delta per row computed from it; then O(deg) per round
-    for mis, mcut and qubo, and O(N + deg) for mcl. Each flip of node
-    ``i`` (``EnergyModel._flip``) negates Delta_i and refreshes the product
-    and Delta only on ``i``'s neighbours; mcl's Delta is rebuilt whole,
-    because its selected-set size moves every gradient. The refresh is
-    exact, so every Delta equals the one a full product would give, bit
-    for bit: an int16 product (integer weights whose row sums of ``|w|``
-    stay below 2**15, so for mis, mcl, mcut and unweighted qubo below
-    degree 2**15) adds or subtracts column ``i``; a float64 one has the
-    neighbour rows recomputed in the same CSR order as the full one.
+    full sparse product ``A @ X`` up front, then one of two paths, which
+    the model's kind selects; both flip exactly what a Delta rebuilt from
+    a fresh product every round would flip.
+
+    * mis and mcl decode on integer codes. Delta_i depends only on x_i
+      and the integer m_i, so each row's product becomes its codes
+      ``2 (m - m_lo) + x`` once, and each round takes the argmax of
+      Delta's ranks, read from the model's rank table, which orders and
+      ties as Delta does (``EnergyModel._code_rank``). A flip of node
+      ``i`` (``EnergyModel._flip_code``) moves codes by integer adds,
+      on ``i``'s neighbours for mis and on every other node for mcl,
+      whose selected-set size moves, and ends with one gather of ranks.
+      No product and no float Delta is kept.
+    * mcut and qubo keep the product, as a copy in its own dtype, and
+      Delta. A flip of node ``i`` (``EnergyModel._flip``) negates Delta_i
+      and refreshes the product and Delta only on ``i``'s neighbours: an
+      int16 product (integer weights whose row sums of ``|w|`` stay below
+      2**15) adds or subtracts column ``i``; a float64 one has the
+      neighbour rows recomputed in the same CSR order as the full one.
+
+    Either way a round costs O(deg), plus O(N) for the argmax, and for
+    mcl for the codes and ranks of every node.
 
     Accepts a single solution of shape (N,) or a batch (B, N); a 0-node
     model returns it unchanged, as int8. Raises
@@ -37,18 +49,29 @@ def greedy_decode(model, x):
     """
     X, single = model._as_batch(x)
     X = X.copy()  # flipped in place below
-    AX = model._ax(X).copy()  # the model's product is read-only
+    codes = model._code_rank is not None
+    AX = model._ax(X)
+    # each row's state: its codes, or a copy of its product, which the
+    # model keeps read-only
+    states = model._codes(X, AX) if codes else AX.copy()
     limit = 1000 + 10 * (model.num_nodes + model.graph.num_edges)
     # an empty row is already a fixed point: it has no coordinate to flip
-    for row, ax in zip(X, AX) if model.num_nodes else ():
-        D = model._delta(row[None], ax[None])[0]
+    for row, state in zip(X, states) if model.num_nodes else ():
+        if codes:
+            key = model._code_rank.take(state)
+            flip = partial(model._flip_code, state, key)
+        else:
+            key = model._delta(row[None], state[None])[0]
+            flip = partial(model._flip, row, state, key)
         for _ in range(limit):
-            i = D.argmax()
-            if D[i] <= 0:
+            i = key.argmax()
+            if key[i] <= 0:
                 break
-            model._flip(row, ax, D, i)
+            flip(i)
         else:
             raise RuntimeError("greedy decode did not converge; check model coefficients")
+        if codes:
+            np.bitwise_and(state, 1, out=row, casting="unsafe")  # x is each code's low bit
     out = X.astype(np.int8)
     return out[0] if single else out
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rlsa import EnergyModel, from_edge_list, generate_ba, generate_er, greedy_decode
-from rlsa.energy import _row_sum_bound
+from rlsa.energy import _rank_table, _row_sum_bound, _update_pays
 
 from oracles import (
     CountingMatrix,
@@ -298,10 +298,11 @@ def test_exact_update_rule_follows_the_weights():
     # recomputes the neighbour rows (A[rows] @ x) otherwise; either way the
     # flipped solution, its product and its Delta equal fresh ones. _ax
     # brings its memo up to date through the changed columns (one row
-    # selection A[F]) for an int16 product only.
+    # selection A[F]) for an int16 product only. mcl decodes on codes
+    # (_flip_code) only, so _flip takes the models whose r is 0.
     g = triangle()
     lin = np.zeros(3)
-    cases = [(EnergyModel(kind, g, beta=1.02), np.int16) for kind in ("mis", "mcl", "mcut")]
+    cases = [(EnergyModel(kind, g, beta=1.02), np.int16) for kind in ("mis", "mcut")]
     cases.append((EnergyModel("qubo", g, linear=lin, quad_scale=0.3), np.int16))
     for weights, dtype in [
         ([3.0, -7.0, 2.0], np.int16),
@@ -330,9 +331,97 @@ def test_exact_update_rule_follows_the_weights():
                 want = m.delta(y)
                 assert D.dtype == want.dtype and np.array_equal(D, want)
         assert (flip_rows == 0) == (dtype == np.int16), (m, flip_rows)
-        # one bit of a triangle touches 2 of its 6 nonzeros: an int16 memo
-        # takes the column update, a float64 one never does
-        assert ((spy.rows - flip_rows) > 0) == (dtype == np.int16), (m, spy.rows)
+        # the update's fixed cost exceeds a triangle's full product, so
+        # the memo multiplies afresh whatever the dtype (the walks below
+        # take the update on larger graphs)
+        assert not _update_pays(2, 6, 1, 3)
+        assert spy.rows == flip_rows, (m, spy.rows)
+
+
+def _code_models(g):
+    # mis at the benchmark's beta and the presets', mcl at the presets';
+    # then at integer betas, where Delta is int16
+    for kind, beta in [("mis", 1.001), ("mis", 1.02), ("mcl", 1.02), ("mcl", 1.5),
+                       ("mis", 2.0), ("mcl", 3.0)]:
+        yield EnergyModel(kind, g, beta=beta)
+
+
+def test_code_tables_hold_delta_at_every_code():
+    # Every (x, m) that random batches reach has a code inside the tables,
+    # whose value is _delta's own, byte for byte; ranks order and tie as
+    # the values do, with no gap, and are positive exactly where the value
+    # is.
+    rng = np.random.default_rng(60)
+    for g in (generate_er(150, 0.06, seed=61), generate_ba(150, 3, seed=62)):
+        for m in _code_models(g):
+            values, rank = m._code_delta, m._code_rank
+            assert values.dtype == m._delta_dtype and rank.dtype == np.int16
+            assert rank.shape == values.shape
+            # densities from 0 to 1 across the rows, and both extremes
+            X = rng.random((40, 150)) < rng.random((40, 1))
+            X[0], X[1] = False, True
+            code = m._codes(X, m._ax(X))
+            assert code.dtype == np.intp and 0 <= code.min() and code.max() < values.size
+            assert np.array_equal(code & 1, X)
+            D = m._delta(X)
+            assert values[code].dtype == D.dtype and values[code].tobytes() == D.tobytes()
+            v = values.astype(np.float64)
+            r = rank.astype(np.int64)
+            assert np.array_equal(np.sign(np.subtract.outer(r, r)),
+                                  np.sign(np.subtract.outer(v, v))), m
+            assert np.array_equal(rank > 0, values > 0)
+            assert np.array_equal(np.unique(r), np.arange(r.min(), r.max() + 1))
+
+
+def test_rank_table_widens_to_int32_past_2_15_entries():
+    # ranks lie strictly between minus and plus the table's size, so int16
+    # holds them below 2**15 entries; the largest value not above 0 ranks 0
+    for size, dtype in [(2 ** 15 - 1, np.int16), (2 ** 15, np.int32), (2 ** 16 + 1, np.int32)]:
+        distinct = np.arange(size, dtype=np.float64) - (size - 3)
+        assert np.array_equal(_rank_table(distinct), distinct)
+        assert _rank_table(distinct).dtype == dtype
+        # ties merge, -0.0 ties with 0.0, and any scale keeps the order
+        tied = np.floor(distinct / 2)
+        tied[np.flatnonzero(tied == 0)[0]] = -0.0
+        want = tied - tied[tied <= 0].max()
+        for values in (tied, 0.37 * tied):
+            rank = _rank_table(values)
+            assert rank.dtype == dtype and np.array_equal(rank, want)
+    for values, want in [([3.0, 1.0, 3.0], [2, 1, 2]), ([-3.0, -1.0, -3.0], [-1, 0, -1])]:
+        assert np.array_equal(_rank_table(np.array(values)), want)
+    # mcl's table holds 2N codes: from 2**14 nodes on its ranks are int32
+    m = EnergyModel("mcl", from_edge_list(2 ** 14, []), beta=1.5)
+    assert m._code_rank.dtype == np.int32 and m._code_rank.size == 2 ** 15
+    x = np.zeros(2 ** 14, dtype=np.int8)
+    assert np.flatnonzero(greedy_decode(m, x)).tolist() == [0]
+    # mis's holds 2 (largest degree + 1): a star of 2**15 leaves has int32
+    # ranks and a float64 product, whose codes are exact too
+    n = 2 ** 15 + 1
+    m = EnergyModel("mis", from_edge_list(n, [(0, i) for i in range(1, n)]), beta=1.5)
+    assert m._A.dtype == np.float64 and m._code_rank.dtype == np.int32
+    x = np.zeros(n, dtype=np.int8)
+    assert np.flatnonzero(greedy_decode(m, x)).tolist() == [0]
+    # every node: the centre, at the table's top code, leaves first
+    assert np.flatnonzero(greedy_decode(m, x + 1) == 0).tolist() == [0]
+
+
+def test_flip_code_keeps_codes_and_ranks_fresh():
+    # one bit at a time, the codes and ranks equal fresh ones and index
+    # the flipped solution's Delta
+    rng = np.random.default_rng(63)
+    for g in (generate_er(60, 0.1, seed=64), generate_ba(60, 3, seed=65), triangle()):
+        n = g.num_nodes
+        for m in _code_models(g):
+            x = rng.random(n) < 0.3
+            code = m._codes(x[None], m._ax(x[None]))[0]
+            key = m._code_rank.take(code)
+            for i in rng.integers(0, n, 40):
+                x[i] = not x[i]
+                m._flip_code(code, key, i)
+                assert np.array_equal(code, m._codes(x[None], m._ax(x[None]))[0]), m
+                assert key.dtype == m._code_rank.dtype
+                assert np.array_equal(key, m._code_rank[code])
+                assert m._code_delta[code].tobytes() == m.delta(x).tobytes()
 
 
 def test_delta_bound_marks_the_models_whose_deltas_int16_holds():
@@ -757,8 +846,8 @@ def _walk_memo(m, rng, steps=12, rows=5):
     """Flip random bits of one bool batch in place, a few or many per row
     as the walk goes on, and check after each step that the memo's product
     equals a fresh ``A @ X^T`` bit for bit and that the column update was
-    taken exactly when the changed columns' rows hold less than half of
-    A's nonzeros. Returns how many steps took it."""
+    taken exactly when the cost rule says it pays for the nonzeros in the
+    changed columns' rows. Returns how many steps took it."""
     A = m._A.A  # the CountingMatrix the caller installed
     deg = np.diff(A.indptr)
     n = m.num_nodes
@@ -770,7 +859,7 @@ def _walk_memo(m, rng, steps=12, rows=5):
         old = X.copy()
         for row in X:
             row[rng.choice(n, flips, replace=False)] ^= True
-        share = deg[(old != X).any(axis=0)].sum() / A.nnz
+        sel = deg[(old != X).any(axis=0)].sum()
         mine = m._A.selections
         before = mine.get(threading.get_ident(), 0)
         ax = m._ax(X)
@@ -778,17 +867,18 @@ def _walk_memo(m, rng, steps=12, rows=5):
         fresh = np.ascontiguousarray((A @ np.ascontiguousarray(X.T).astype(A.dtype)).T)
         assert ax.dtype == fresh.dtype and ax.flags.c_contiguous and not ax.flags.writeable
         assert np.array_equal(ax, fresh), (m, step)
-        expected = share < 0.5 and A.dtype == np.int16
-        assert took == expected, (m, step, share)
+        expected = _update_pays(sel, A.nnz, rows, n) and A.dtype == np.int16
+        assert took == expected, (m, step, sel / A.nnz)
         updates += took
     return updates
 
 
 def test_memo_update_equals_a_fresh_product():
     # with few changed columns an int16 memo adds them to its product, with
-    # many it multiplies afresh; either way the product is the full one
+    # many it multiplies afresh; either way the product is the full one.
+    # The graphs are dense enough for the update to pay on a batch of 5.
     rng = np.random.default_rng(30)
-    for g in (generate_er(200, 0.08, seed=30), generate_ba(200, 4, seed=31)):
+    for g in (generate_er(1000, 0.1, seed=30), generate_ba(1000, 50, seed=31)):
         for m in _update_models(g, rng):
             m._A = counter = CountingMatrix(m._A)
             updates = _walk_memo(m, rng)
@@ -801,7 +891,7 @@ def test_memo_update_equals_a_fresh_product():
 def test_memo_update_on_worker_threads():
     # three threads walk their own batches on one shared model at once
     rng = np.random.default_rng(32)
-    g = generate_er(200, 0.08, seed=32)
+    g = generate_er(1000, 0.1, seed=32)
     for m in _update_models(g, rng):
         m._A = CountingMatrix(m._A)
         seeds = rng.integers(0, 2 ** 31, size=3)

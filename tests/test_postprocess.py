@@ -64,19 +64,26 @@ def test_decode_exhaustive_feasibility():
 
 class BudgetModel:
     """Stand-in model whose every flip claims a positive drop until
-    ``budget`` flips have been made."""
+    ``budget`` flips have been made: through ``_flip`` on the product
+    path, or, with ``codes``, through ``_flip_code`` on the code path of
+    mis and mcl."""
 
-    def __init__(self, graph, budget):
+    def __init__(self, graph, budget, codes):
         self.graph = graph
         self.num_nodes = graph.num_nodes
         self.budget = budget
         self.flips = 0
+        # every code is 0, whose rank is positive
+        self._code_rank = np.ones(1, dtype=np.int16) if codes else None
 
     def _as_batch(self, x):
         return np.atleast_2d(x), np.ndim(x) == 1
 
     def _ax(self, X):
         return np.zeros(X.shape)
+
+    def _codes(self, X, ax):
+        return np.zeros(X.shape, dtype=np.intp)
 
     def _delta(self, X, ax):
         return np.full(X.shape, 1.0 if self.flips < self.budget else -1.0)
@@ -85,19 +92,25 @@ class BudgetModel:
         self.flips += 1
         D[:] = self._delta(x, ax)
 
+    def _flip_code(self, code, key, i):
+        self.flips += 1
+        key[:] = 1 if self.flips < self.budget else -1
+
 
 def test_decode_gives_up_after_limit_flips():
+    # both decode paths: the product and Delta, and the codes and ranks
     g = triangle()
     limit = 1000 + 10 * (g.num_nodes + g.num_edges)
     x = np.zeros(g.num_nodes, dtype=np.int8)
-    model = BudgetModel(g, limit - 1)
-    greedy_decode(model, x)
-    assert model.flips == limit - 1
-    for budget in (limit, np.inf):
-        model = BudgetModel(g, budget)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            greedy_decode(model, x)
-        assert model.flips == limit
+    for codes in (False, True):
+        model = BudgetModel(g, limit - 1, codes)
+        greedy_decode(model, x)
+        assert model.flips == limit - 1
+        for budget in (limit, np.inf):
+            model = BudgetModel(g, budget, codes)
+            with pytest.raises(RuntimeError, match="did not converge"):
+                greedy_decode(model, x)
+            assert model.flips == limit
 
 
 @pytest.mark.parametrize("kind", ["mis", "mcl", "mcut"])
@@ -120,8 +133,9 @@ def test_decode_batch_matches_single():
 
 
 def _parity_model(case, g, rng):
-    if case in ("mis", "mcl", "mcut"):
-        return EnergyModel(case, g, beta=1.02)
+    kind, _, beta = case.partition("-beta-")
+    if kind in ("mis", "mcl", "mcut"):
+        return EnergyModel(kind, g, beta=float(beta or 1.02))
     n, e = g.num_nodes, g.num_edges
     if case == "qubo":
         return EnergyModel("qubo", g, linear=rng.normal(size=n), quad_scale=0.7)
@@ -141,8 +155,10 @@ def _parity_model(case, g, rng):
                        edge_weights=scale * rng.integers(-3, 4, size=e))
 
 
+# mis at beta 1.001 is the benchmark's and the mis-er presets' model
 PARITY_CASES = ["mis", "mcl", "mcut", "qubo", "qubo-normal-weights", "qubo-rounded-weights",
-                "qubo-integer-weights", "qubo-big-integer-weights"]
+                "qubo-integer-weights", "qubo-big-integer-weights", "mis-beta-1.001",
+                "mcl-beta-1.5"]
 
 
 @pytest.mark.parametrize("case", PARITY_CASES)
@@ -163,22 +179,21 @@ def test_decode_matches_reference_bit_for_bit(case):
 
 
 DECODE_LOOP_CASES = ["mis", "mis-beta-2", "mcl", "mcut", "qubo-integer-weights",
-                     "qubo-normal-weights"]
+                     "qubo-normal-weights", "mis-beta-1.001", "mcl-beta-1.5"]
 
 
 @pytest.mark.parametrize("case", DECODE_LOOP_CASES)
 def test_decode_matches_the_full_delta_loop(case):
-    # Decode keeps Delta up to date on the flipped node's neighbours (the
-    # whole row for mcl); it must flip exactly what a loop that rebuilds
-    # Delta from a fresh product every round flips, on rows and on batches
-    # of graphs whose degrees are well below N.
+    # Decode keeps Delta, or for mis and mcl the codes and ranks, up to
+    # date on the flipped node's neighbours (every node's code for mcl); it
+    # must flip exactly what a loop that rebuilds Delta from a fresh
+    # product every round flips, on rows and on batches of graphs whose
+    # degrees are well below N.
     rng = np.random.default_rng(50 + DECODE_LOOP_CASES.index(case))
     for g in (generate_er(150, 0.06, seed=51), generate_ba(150, 3, seed=52)):
+        m = _parity_model(case, g, rng)
         if case == "mis-beta-2":
-            m = EnergyModel("mis", g, beta=2.0)
             assert m._delta_bound is not None  # an int16 Delta
-        else:
-            m = _parity_model(case, g, rng)
         X = rng.integers(0, 2, size=(4, g.num_nodes)).astype(np.int8)
         want = full_delta_decode(m, X)
         assert np.array_equal(greedy_decode(m, X), want)
