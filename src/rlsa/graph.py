@@ -137,8 +137,13 @@ def _csr_from_pairs(n: int, u, v) -> Graph:
     # src-major order makes each neighbor list ascending by construction.
     # Dropping adjacent repeats (keys are >= 0) gives np.unique's output
     # without its slower hash path, and row i starts at the first key >= i * n.
+    # Keys run up to n * n - 1. They are int32 when n * n < 2**31, that is
+    # n <= 46340, and int64 otherwise: int32 sorts in about half the time,
+    # and every key and row base src * n below fits in the key type. Each
+    # key's dst is the key less its row's base.
+    dtype = np.int32 if n * n < 2 ** 31 else np.int64
     m = u.size
-    keys = np.empty(2 * m, dtype=np.int64)
+    keys = np.empty(2 * m, dtype=dtype)
     fwd, bwd = keys[:m], keys[m:]
     np.multiply(u, n, out=fwd)
     fwd += v
@@ -150,9 +155,10 @@ def _csr_from_pairs(n: int, u, v) -> Graph:
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     if not new.all():
         keys = keys[new]
-    offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    np.remainder(keys, n, out=keys)  # each key's dst (no keys when n == 0)
-    return Graph(n, offsets, keys.astype(np.int32))
+    bases = np.arange(n + 1, dtype=dtype) * n
+    offsets = np.searchsorted(keys, bases)
+    keys -= np.repeat(bases[:-1], np.diff(offsets))
+    return Graph(n, offsets, keys.astype(np.int32, copy=False))
 
 
 # uniforms drawn per call of generate_er's chunked loop
@@ -197,6 +203,10 @@ def generate_er(num_nodes: int, p: float, seed: int) -> Graph:
     return _csr_from_pairs(n, u, flat)
 
 
+# nodes whose candidates generate_ba draws in one call
+_BA_CHUNK = 32
+
+
 def generate_ba(num_nodes: int, m: int, seed: int) -> Graph:
     """Sample a Barabasi-Albert preferential-attachment graph.
 
@@ -204,31 +214,65 @@ def generate_ba(num_nodes: int, m: int, seed: int) -> Graph:
     edges to distinct existing nodes drawn proportionally to degree (the
     first attachment step, where all degrees are zero, connects to all ``m``
     seed nodes). Edge count is exactly ``m * (num_nodes - m)``.
+
+    A node draws candidates uniformly from a list that holds every earlier
+    node once per unit of degree, and takes the first ``m`` distinct ones.
+    The first ``m`` draws of ``_BA_CHUNK`` upcoming nodes come from one
+    ``rng.integers(highs)`` call. A call with an array of highs draws the
+    same stream as one scalar call per entry, so output is byte-identical
+    for a fixed (n, m, seed) to that of one scalar call per candidate (the
+    tests keep that loop as ``reference_ba`` and compare the two byte for
+    byte). A node that draws a candidate twice needs more draws than the
+    chunk holds: the generator goes back to its state before the chunk,
+    draws the chunk's highs again up to the end of that node, and draws the
+    node's extra candidates one call at a time; the next chunk starts at
+    the next node.
     """
-    num_nodes = integer("num_nodes", num_nodes, 0)
+    n = integer("num_nodes", num_nodes, 0)
     m = integer("attachment count", m, 1)
-    if not m < num_nodes:
-        raise ValueError(
-            f"attachment count must satisfy 1 <= m < n, got m={m}, n={num_nodes}"
-        )
+    if not m < n:
+        raise ValueError(f"attachment count must satisfy 1 <= m < n, got m={m}, n={n}")
     rng = np.random.default_rng(integer("seed", seed, 0))
-    targets = list(range(m))
-    repeated = []  # one entry per unit of degree; uniform draws = preferential attachment
-    edges = []
-    for src in range(m, num_nodes):
-        edges.extend((src, t) for t in targets)
-        repeated.extend(targets)
-        repeated.extend([src] * m)
-        if src + 1 < num_nodes:
-            chosen = []
-            seen = set()
-            while len(chosen) < m:
-                cand = repeated[rng.integers(len(repeated))]
-                if cand not in seen:
-                    seen.add(cand)
-                    chosen.append(cand)
-            targets = chosen
-    return from_edge_list(num_nodes, edges)
+    # Row k of ``units``, entries 2mk to 2m(k + 1) - 1, holds node m + k's
+    # targets, then m copies of m + k. Node src draws from the first
+    # 2m (src - m) entries: every earlier node once per unit of degree. That
+    # count is also where src's row starts. The copies share one int object
+    # per node, so the list holds no more objects than nodes.
+    width = 2 * m
+    units = [0] * ((n - m) * width)
+    units[:m] = range(m)
+    nodes = list(range(m, n))
+    for j in range(m, width):
+        units[j::width] = nodes
+    # the high of each of the first m draws of nodes m + 1, ..., n - 1
+    every_high = np.repeat(np.arange(1, n - m) * width, m)
+    src = m + 1  # the next node to draw its targets
+    while src < n:
+        stop = min(src + _BA_CHUNK, n)
+        highs = every_high[(src - m - 1) * m:(stop - m - 1) * m]
+        state = rng.bit_generator.state
+        draws = rng.integers(highs).tolist()
+        for node in range(src, stop):
+            at, row = (node - src) * m, (node - m) * width
+            chosen = [units[i] for i in draws[at:at + m]]
+            if len(set(chosen)) < m:  # rewind, then draw one at a time
+                rng.bit_generator.state = state
+                rng.integers(highs[:at + m])  # the draws taken so far
+                chosen = list(dict.fromkeys(chosen))
+                seen = set(chosen)
+                while len(chosen) < m:
+                    cand = units[rng.integers(row)]
+                    if cand not in seen:
+                        seen.add(cand)
+                        chosen.append(cand)
+                units[row:row + m] = chosen
+                stop = node + 1
+                break
+            units[row:row + m] = chosen
+        src = stop
+    v = np.array(units).reshape(-1, width)[:, :m].ravel()
+    del units, every_high
+    return _csr_from_pairs(n, np.repeat(np.arange(m, n), m), v)
 
 
 # Instance file formats: the words that open the header 'N M', the words that

@@ -154,6 +154,41 @@ def reference_er(num_nodes, p, seed):
     return Graph(n, offsets, np.nonzero(dense)[1])
 
 
+def reference_ba(num_nodes, m, seed):
+    """Barabasi-Albert graph drawn the plain way, with one ``rng.integers``
+    call per candidate. Returns (graph, repeats): ``repeats`` has one entry
+    per candidate drawn a second time, the node that drew it.
+
+    The CSR arrays come from a dense adjacency matrix, as in reference_er.
+    """
+    rng = np.random.default_rng(seed)
+    targets = list(range(m))
+    repeated = []  # one entry per unit of degree; uniform draws = preferential attachment
+    edges = []
+    repeats = []
+    for src in range(m, num_nodes):
+        edges.extend((src, t) for t in targets)
+        repeated.extend(targets)
+        repeated.extend([src] * m)
+        if src + 1 < num_nodes:
+            chosen = []
+            seen = set()
+            while len(chosen) < m:
+                cand = repeated[rng.integers(len(repeated))]
+                if cand not in seen:
+                    seen.add(cand)
+                    chosen.append(cand)
+                else:
+                    repeats.append(src + 1)
+            targets = chosen
+    n = num_nodes
+    dense = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        dense[u, v] = dense[v, u] = True
+    offsets = np.concatenate(([0], np.cumsum(dense.sum(axis=1))))
+    return Graph(n, offsets, np.nonzero(dense)[1]), repeats
+
+
 def reference_product(graph, X, weights=None):
     """``A @ X`` per row of X, in float64, from a CSR built here from the
     edge list and the per-edge weights (default all ones)."""

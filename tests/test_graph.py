@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 
@@ -15,7 +16,7 @@ from rlsa import (
 import rlsa.graph as graph_module
 from rlsa.graph import detect_format
 
-from oracles import reference_er, triangle
+from oracles import reference_ba, reference_er, triangle
 
 
 # -- construction ------------------------------------------------------------
@@ -83,6 +84,23 @@ def test_from_edge_list_matches_unique_reference():
             assert np.array_equal(g.offsets, offsets)
             assert np.array_equal(g.neighbors, neighbors)
             assert g.neighbors.dtype == np.int32
+
+
+@pytest.mark.parametrize("n", [46340, 46341], ids=["int32-keys", "int64-keys"])
+def test_from_edge_list_key_width_boundary(n):
+    # keys src * n + dst reach n * n - 2 on the edge (n - 1, n - 2): int32
+    # holds them up to n = 46340 and would wrap at 46341
+    rng = np.random.default_rng(n)
+    u = rng.integers(0, n, 500)
+    v = (u + rng.integers(1, n, 500)) % n
+    pairs = np.column_stack((u, v))
+    ends = [(n - 1, n - 2), (n - 2, n - 1), (0, n - 1), (n - 1, 0), (n - 1, 7)]
+    pairs = np.vstack((pairs, ends, pairs[:100, ::-1], pairs[:50]))  # repeats both ways
+    offsets, neighbors = unique_reference_csr(n, pairs)
+    g = from_edge_list(n, pairs)
+    assert np.array_equal(g.offsets, offsets)
+    assert np.array_equal(g.neighbors, neighbors)
+    assert {0, 7, n - 2} <= set(g.neighbors_of(n - 1).tolist())
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["as-given", "reversed"])
@@ -187,16 +205,18 @@ def test_er_matches_the_per_row_reference_byte_for_byte(monkeypatch, chunk, size
 
 def test_er_traced_peak_stays_within_ten_times_the_graph():
     # drawing in chunks and sorting one key array in place keeps the peak
-    # of generate_er to a small multiple of the CSR arrays it returns
-    for seed in (0, 1):
-        tracemalloc.start()
-        try:
-            g = generate_er(2000, 0.15, seed)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        size = g.offsets.nbytes + g.neighbors.nbytes
-        assert peak <= 10 * size, peak / size
+    # of generate_er to a small multiple of the CSR arrays it returns, and
+    # generate_ba's list of degree units holds one int object per node
+    for generate, args in ((generate_er, (2000, 0.15)), (generate_ba, (2000, 10))):
+        for seed in (0, 1):
+            tracemalloc.start()
+            try:
+                g = generate(*args, seed)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size = g.offsets.nbytes + g.neighbors.nbytes
+            assert peak <= 10 * size, (generate.__name__, seed, peak / size)
 
 
 def test_er_mean_edges_matches_binomial_expectation():
@@ -242,6 +262,93 @@ def test_ba_parameter_validation():
 
 def test_ba_deterministic():
     assert generate_ba(40, 2, seed=9) == generate_ba(40, 2, seed=9)
+
+
+def chunk_positions(n, m, chunk, repeats):
+    """(position in its chunk, chunk length) of each node that generate_ba
+    finds drawing a candidate twice, given the chunks it draws and the
+    nodes of ``repeats``: a chunk ends at such a node."""
+    nodes = sorted(set(repeats))
+    out = []
+    src = m + 1
+    while src < n:
+        stop = min(src + chunk, n)
+        hit = next((node for node in nodes if src <= node < stop), None)
+        if hit is None:
+            src = stop
+        else:
+            out.append((hit - src, stop - src))
+            src = hit + 1
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 16, 512])
+def test_ba_matches_the_per_candidate_reference_byte_for_byte(monkeypatch, chunk):
+    # 512 is above every n below, so each graph starts as one chunk
+    monkeypatch.setattr(graph_module, "_BA_CHUNK", chunk)
+    positions, repeats = set(), 0
+    for n in list(range(2, 41)) + [64, 100, 173, 256, 300]:
+        for m in sorted({1, 2, 4, n - 1} & set(range(1, n))):
+            for seed in (0, 1, 5):
+                g = generate_ba(n, m, seed)
+                ref, seen = reference_ba(n, m, seed)
+                assert g.offsets.dtype == np.int64 and g.neighbors.dtype == np.int32
+                assert g.offsets.tobytes() == ref.offsets.tobytes(), (n, m, seed)
+                assert g.neighbors.tobytes() == ref.neighbors.tobytes(), (n, m, seed)
+                repeats += len(seen)
+                positions.update(chunk_positions(n, m, chunk, seen))
+    # the sweep takes the rewind, at the first node of a chunk and at the
+    # last, of a whole chunk where one fits in the graph
+    assert repeats > 100, repeats
+    assert any(at == 0 for at, _ in positions)
+    assert any(at == size - 1 for at, size in positions)
+    if chunk < 300:
+        assert (chunk - 1, chunk) in positions
+
+
+# sha256 of the little-endian bytes of offsets (int64) and neighbors (int32)
+# of the benchmark workloads' instances at seeds 0, 1 and 2, computed with
+# numpy 2.4.6 and scipy 1.17.1 (the generators use numpy's alone). A
+# mismatch means a generator changed its output: such a change alters every
+# seeded instance and result, so it must be deliberate and update these.
+GOLDEN_GRAPHS = {
+    ("er", 800, 0.116): [
+        ("9dbc5547c3517c3dd197982e02791ef34032a692aaef79fa5812115853f73759",
+         "1f2552e899657861d190619058be2e48868e2e95dd7ac7913a8aafd915891e28"),
+        ("73a9b30f896e56fc207872192e3043b95420e49082ecf4a3f032e4e61d855097",
+         "5257229193e232f83f04cb8abb9e035c1081b55c6b8ff17f9376998b1f5168ac"),
+        ("a09291ca519e463f0b49f6e83e2dfd97b0cd83b0a18a5ceaeaa5f81ec0619cc1",
+         "918388e8860f903540cc0603b37cabfc5c464e6593c27f206261d3622af2d929"),
+    ],
+    ("er", 2000, 0.15): [
+        ("5819028b75eb2eeb235faae72cb58ad8ce85941c254435196eda13a650f58243",
+         "141b3c59cedba568701b2b8c8148153391b7302f22b9229fee8a2b190715b4f5"),
+        ("be3b953a90784beef41778a824fd944fabb270c1d6d4c97228d9f264ec05fa04",
+         "227146db1d8bd26eb3e16b09efd5ed46a2b75a0a774130545a2d6a380cce05ca"),
+        ("3629d7e093cb6d15aef26a72a50866848a46fb482e701a25b305443814d543bb",
+         "544419c36de90ba2b3131f79aa20fb804b4e539f26feaf307d8aef5873061d01"),
+    ],
+    ("ba", 1000, 4): [
+        ("c70ed5cf9d595eea6a17b39e8651be7b4247e54872020c058e9f5d53d77cdbe3",
+         "2fdeacaf45dab79ecca5ca89708ffc7251a0e2d1dccd919a42f39ee7f222758e"),
+        ("7cbb9e20d6a7a7164c589e8b5f77b7aee80666b5aaf2dc77726679db5b70e163",
+         "067a85b54a1806bd0afcd32fb5a7a53a5a2ce70e5c73d6785f1928505c298250"),
+        ("5e25ccd54ff90869159cc16f6db542923567e0c837ffcba76e44856762a43f74",
+         "f2b76bf509ec9707d3d9beb471bebc1ba3d93ce21bd1d2116e6388ff11f8ebd1"),
+    ],
+}
+
+
+@pytest.mark.parametrize("family, n, arg", list(GOLDEN_GRAPHS), ids=str)
+def test_benchmark_graphs_match_their_golden_hashes(family, n, arg):
+    generate = generate_er if family == "er" else generate_ba
+    for seed, expected in enumerate(GOLDEN_GRAPHS[family, n, arg]):
+        g = generate(n, arg, seed)
+        got = tuple(
+            hashlib.sha256(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes()).hexdigest()
+            for a in (g.offsets, g.neighbors)
+        )
+        assert got == expected, (family, n, arg, seed)
 
 
 def test_degree_sum_is_twice_edge_count():
