@@ -96,9 +96,16 @@ where the full product is cheap: on a small or sparse graph, or on one
 row, as when a decoded solution is scored after decode. A float64 product
 never takes the update, because its sums would round in another order.
 
-Greedy decode (``rlsa.postprocess.greedy_decode``) of mis and mcl needs no
-product and no float Delta. With unit weights and c, q uniform, Delta_i =
-(2 x_i - 1) (c + 2q m_i) depends only on x_i and the integer
+Greedy decode (``rlsa.postprocess.greedy_decode``) reads the model
+through one contract, ``_descent``: from one product of the batch it
+returns each row's state, a key whose argmax is Delta's, and the flip that
+brings the row, its state and its key up to date, bit for bit, on the
+flipped node's neighbours (every node's, for mcl). For mcut and qubo the
+state is a copy of the product and the key is Delta itself (``_flip``).
+
+mis and mcl keep no product and no float Delta. With unit weights and c,
+q uniform, Delta_i = (2 x_i - 1) (c + 2q m_i) depends only on x_i and the
+integer
 
     m_i = (W x)_i - r (s - x_i),
 
@@ -113,7 +120,8 @@ Delta it stands for, and ranks order and tie exactly as Delta does: the
 argmax of the ranks, lowest index on ties, is the argmax of Delta. The
 table has O(largest degree) entries for mis and O(N) for mcl, so its
 ranks are int16 while it has fewer than 2**15 entries and int32 from
-there.
+there. ``_descent`` hands decode the codes as each row's state and their
+ranks as its key (``_flip_code``).
 """
 
 from __future__ import annotations
@@ -344,11 +352,37 @@ class EnergyModel:
         memo.ax = ax
         return ax
 
+    def _descent(self, X):
+        """``(states, keys, flip)`` for greedy decode of the bool batch
+        ``X``, from one product (see the module docstring).
+
+        A row's key orders and ties as its Delta does and is positive
+        exactly where Delta is. ``flip(x, state, key, i)`` flips bit ``i``
+        of the row ``x`` in place and leaves its state and key equal, bit
+        for bit, to a fresh ``_descent`` of the flipped row. The states of
+        mcut and qubo copy the product, which the memo keeps read-only.
+        """
+        ax = self._ax(X)
+        if self._code_rank is not None:
+            codes = self._codes(X, ax)
+            return codes, self._code_rank.take(codes), self._flip_code
+        ax = ax.copy()
+        return ax, self._delta(X, ax), self._flip
+
+    def _row(self, i):
+        """Node ``i``'s neighbours, in the order of row ``i`` of A, as intp
+        indices; A is symmetric, so row i lists column i."""
+        A = self._A
+        lo, hi = A.indptr[i], A.indptr[i + 1]
+        # indexing converts int32 indices on every use, so convert them
+        # once; fancy indexing beats take and put at a few hundred entries
+        return A.indices[lo:hi].astype(np.intp)
+
     def _flip(self, x, ax, D, i):
         """Flip bit ``i`` of the single solution ``x`` in place and bring
         ``ax == self._ax(x)`` and ``D == self._delta(x, ax)`` up to date,
-        touching only i's neighbours. Greedy decode calls it for mcut and
-        qubo, whose r is 0; mis and mcl decode on codes (``_flip_code``).
+        touching only i's neighbours: the flip of ``_descent`` for mcut and
+        qubo, whose r is 0.
 
         Every value is bit-identical to a fresh computation. An int16
         ``ax`` adds or subtracts column i, exact since every partial sum
@@ -360,14 +394,11 @@ class EnergyModel:
         """
         A = self._A
         x[i] = not x[i]
-        lo, hi = A.indptr[i], A.indptr[i + 1]
-        # A is symmetric: row i lists column i. Indexing converts int32
-        # indices on every use, so convert them once; fancy indexing beats
-        # take and put at a few hundred entries.
-        nbrs = A.indices[lo:hi].astype(np.intp)
+        nbrs = self._row(i)
         if A.dtype == np.int16:
             part = ax[nbrs]
-            (np.add if x[i] else np.subtract)(part, A.data[lo:hi], out=part)
+            w = A.data[A.indptr[i]:A.indptr[i + 1]]
+            (np.add if x[i] else np.subtract)(part, w, out=part)
         else:
             part = A[nbrs] @ x
         ax[nbrs] = part
@@ -387,9 +418,12 @@ class EnergyModel:
         code += X
         return code
 
-    def _flip_code(self, code, key, i):
-        """Flip bit ``i`` of the codes ``code`` of one solution (``_codes``)
-        in place and bring ``key == self._code_rank.take(code)`` up to date.
+    def _flip_code(self, x, code, key, i):
+        """Flip bit ``i`` of one solution of a mis or mcl model, given as
+        its row ``x`` and its codes ``code`` (``_codes``), in place: x_i
+        becomes the flipped code's low bit, and ``code`` and
+        ``key == self._code_rank.take(code)`` come up to date. The flip of
+        ``_descent`` for mis and mcl.
 
         m_i keeps its value: no node neighbours itself, and for mcl s and
         x_i move together. Setting x_i moves the codes by 2 per unit of m:
@@ -397,13 +431,10 @@ class EnergyModel:
         which lowers m outside i and its neighbours, whose selected
         neighbour count rises with s. Clearing x_i moves them back.
         """
-        A = self._A
-        lo, hi = A.indptr[i], A.indptr[i + 1]
-        # indexing converts int32 indices on every use, so convert them
-        # once; fancy indexing beats take and put at a few hundred entries
-        nbrs = A.indices[lo:hi].astype(np.intp)
+        nbrs = self._row(i)
         ci = int(code[i]) ^ 1
         step = 2 if ci & 1 else -2
+        x[i] = ci & 1
         code[i] = ci
         rank = self._code_rank
         if self._r:

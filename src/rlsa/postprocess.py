@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -19,28 +18,14 @@ def greedy_decode(model, x):
     point is always feasible.
 
     Rows are decoded one at a time on a bool copy of the input. Cost: one
-    full sparse product ``A @ X`` up front, then one of two paths, which
-    the model's kind selects; both flip exactly what a Delta rebuilt from
-    a fresh product every round would flip.
-
-    * mis and mcl decode on integer codes. Delta_i depends only on x_i
-      and the integer m_i, so each row's product becomes its codes
-      ``2 (m - m_lo) + x`` once, and each round takes the argmax of
-      Delta's ranks, read from the model's rank table, which orders and
-      ties as Delta does (``EnergyModel._code_rank``). A flip of node
-      ``i`` (``EnergyModel._flip_code``) moves codes by integer adds,
-      on ``i``'s neighbours for mis and on every other node for mcl,
-      whose selected-set size moves, and ends with one gather of ranks.
-      No product and no float Delta is kept.
-    * mcut and qubo keep the product, as a copy in its own dtype, and
-      Delta. A flip of node ``i`` (``EnergyModel._flip``) negates Delta_i
-      and refreshes the product and Delta only on ``i``'s neighbours: an
-      int16 product (integer weights whose row sums of ``|w|`` stay below
-      2**15) adds or subtracts column ``i``; a float64 one has the
-      neighbour rows recomputed in the same CSR order as the full one.
-
-    Either way a round costs O(deg), plus O(N) for the argmax, and for
-    mcl for the codes and ranks of every node.
+    full sparse product ``A @ X`` up front, from which the model makes
+    each row's state and key (``EnergyModel._descent``). Each round takes
+    the argmax of the key, which orders and ties as Delta does, and the
+    model's flip brings the row, its state and its key up to date on the
+    flipped node's neighbours (on every node for mcl, whose selected-set
+    size moves). A round costs O(deg), plus O(N) for the argmax and for
+    mcl's update, and decode flips exactly what a Delta rebuilt from a
+    fresh product every round would flip.
 
     Accepts a single solution of shape (N,) or a batch (B, N); a 0-node
     model returns it unchanged, as int8. Raises
@@ -49,29 +34,17 @@ def greedy_decode(model, x):
     """
     X, single = model._as_batch(x)
     X = X.copy()  # flipped in place below
-    codes = model._code_rank is not None
-    AX = model._ax(X)
-    # each row's state: its codes, or a copy of its product, which the
-    # model keeps read-only
-    states = model._codes(X, AX) if codes else AX.copy()
+    states, keys, flip = model._descent(X)
     limit = 1000 + 10 * (model.num_nodes + model.graph.num_edges)
     # an empty row is already a fixed point: it has no coordinate to flip
-    for row, state in zip(X, states) if model.num_nodes else ():
-        if codes:
-            key = model._code_rank.take(state)
-            flip = partial(model._flip_code, state, key)
-        else:
-            key = model._delta(row[None], state[None])[0]
-            flip = partial(model._flip, row, state, key)
+    for row, state, key in zip(X, states, keys) if model.num_nodes else ():
         for _ in range(limit):
             i = key.argmax()
             if key[i] <= 0:
                 break
-            flip(i)
+            flip(row, state, key, i)
         else:
             raise RuntimeError("greedy decode did not converge; check model coefficients")
-        if codes:
-            np.bitwise_and(state, 1, out=row, casting="unsafe")  # x is each code's low bit
     out = X.astype(np.int8)
     return out[0] if single else out
 

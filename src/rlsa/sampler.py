@@ -287,17 +287,15 @@ def _table_probabilities(D, dth, epsilon, tau, buf):
 # entries or, for an integer Delta that takes the table, on the table
 # alone; the table's gather and compare fall outside it.
 
-def _regularized(cfg, D, tau, U, buf=None):
-    buf = _Buffers() if buf is None else buf
+def _regularized(cfg, D, tau, U, buf):
     return _flip_mask(D, U, kth_largest(D, cfg.d)[:, None], cfg.epsilon, tau, buf)
 
 
-def _normalized(cfg, D, tau, U, buf=None):
+def _normalized(cfg, D, tau, U, buf):
     return U < normalized_flip_probabilities(D, tau, cfg.d)
 
 
-def _ld(cfg, D, tau, U, buf=None):
-    buf = _Buffers() if buf is None else buf
+def _ld(cfg, D, tau, U, buf):
     return _flip_mask(D, U, np.full((len(D), 1), tau / cfg.alpha), 0.0, tau, buf)
 
 

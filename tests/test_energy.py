@@ -417,11 +417,44 @@ def test_flip_code_keeps_codes_and_ranks_fresh():
             key = m._code_rank.take(code)
             for i in rng.integers(0, n, 40):
                 x[i] = not x[i]
-                m._flip_code(code, key, i)
+                m._flip_code(x, code, key, i)
                 assert np.array_equal(code, m._codes(x[None], m._ax(x[None]))[0]), m
                 assert key.dtype == m._code_rank.dtype
                 assert np.array_equal(key, m._code_rank[code])
                 assert m._code_delta[code].tobytes() == m.delta(x).tobytes()
+
+
+def test_descent_state_stays_fresh():
+    # Through the flip that _descent returns, one bit at a time, each row,
+    # its state and its key equal a fresh _descent of the flipped row, bit
+    # for bit and in dtype: codes and ranks for mis and mcl, the product
+    # and Delta for mcut and for qubo with an int16 and a float64 product.
+    # The key's argmax is Delta's.
+    rng = np.random.default_rng(66)
+    for g in (generate_er(60, 0.1, seed=67), generate_ba(60, 3, seed=68), triangle()):
+        n, e = g.num_nodes, g.num_edges
+        models = [EnergyModel("mis", g, beta=1.001), EnergyModel("mis", g, beta=2.0),
+                  EnergyModel("mcl", g, beta=1.5), EnergyModel("mcut", g),
+                  EnergyModel("qubo", g, linear=rng.integers(-3, 4, n).astype(float),
+                              quad_scale=1.0, edge_weights=rng.integers(-3, 4, e).astype(float)),
+                  EnergyModel("qubo", g, linear=rng.normal(size=n), quad_scale=0.7,
+                              edge_weights=rng.normal(size=e))]
+        assert [m._A.dtype for m in models[-2:]] == [np.int16, np.float64]
+        for m in models:
+            X = rng.random((3, n)) < rng.random((3, 1))
+            want = X.copy()
+            states, keys, flip = m._descent(X)
+            assert states.shape == keys.shape == X.shape
+            for row, state, key, x in zip(X, states, keys, want):
+                for i in rng.integers(0, n, 30):
+                    x[i] = not x[i]
+                    flip(row, state, key, i)
+                    assert row.dtype == bool and np.array_equal(row, x), m
+                    fresh_states, fresh_keys, fresh_flip = m._descent(row[None])
+                    assert fresh_flip == flip
+                    for got, new in ((state, fresh_states[0]), (key, fresh_keys[0])):
+                        assert got.dtype == new.dtype and got.tobytes() == new.tobytes(), m
+                    assert key.argmax() == m.delta(row).argmax(), m
 
 
 def test_delta_bound_marks_the_models_whose_deltas_int16_holds():

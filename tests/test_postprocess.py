@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -64,35 +66,32 @@ def test_decode_exhaustive_feasibility():
 
 class BudgetModel:
     """Stand-in model whose every flip claims a positive drop until
-    ``budget`` flips have been made: through ``_flip`` on the product
-    path, or, with ``codes``, through ``_flip_code`` on the code path of
-    mis and mcl."""
+    ``budget`` flips have been made: through ``_flip`` with a float Delta
+    for its key, as mcut and qubo descend, or, with ``codes``, through
+    ``_flip_code`` with int16 ranks, as mis and mcl do."""
 
     def __init__(self, graph, budget, codes):
         self.graph = graph
         self.num_nodes = graph.num_nodes
         self.budget = budget
+        self.codes = codes
         self.flips = 0
-        # every code is 0, whose rank is positive
-        self._code_rank = np.ones(1, dtype=np.int16) if codes else None
 
     def _as_batch(self, x):
         return np.atleast_2d(x), np.ndim(x) == 1
 
-    def _ax(self, X):
-        return np.zeros(X.shape)
-
-    def _codes(self, X, ax):
-        return np.zeros(X.shape, dtype=np.intp)
-
-    def _delta(self, X, ax):
-        return np.full(X.shape, 1.0 if self.flips < self.budget else -1.0)
+    def _descent(self, X):
+        # every key is positive until the budget is spent
+        if self.codes:
+            return (np.zeros(X.shape, dtype=np.intp), np.ones(X.shape, dtype=np.int16),
+                    self._flip_code)
+        return np.zeros(X.shape), np.ones(X.shape), self._flip
 
     def _flip(self, x, ax, D, i):
         self.flips += 1
-        D[:] = self._delta(x, ax)
+        D[:] = 1.0 if self.flips < self.budget else -1.0
 
-    def _flip_code(self, code, key, i):
+    def _flip_code(self, x, code, key, i):
         self.flips += 1
         key[:] = 1 if self.flips < self.budget else -1
 
@@ -199,6 +198,45 @@ def test_decode_matches_the_full_delta_loop(case):
         assert np.array_equal(greedy_decode(m, X), want)
         for row, y in zip(X, want):
             assert np.array_equal(greedy_decode(m, row), y)
+
+
+def _decode_digest(case):
+    # sha256 of greedy_decode's outputs, shape and bytes, on seeded batches
+    # of every density over small random graphs, an ER and a BA graph
+    rng = np.random.default_rng(70 + PARITY_CASES.index(case))
+    graphs = [random_small_graph(rng, n_min=2, n_max=40) for _ in range(4)]
+    graphs += [generate_er(120, 0.08, seed=71), generate_ba(120, 3, seed=72)]
+    h = hashlib.sha256()
+    for g in graphs:
+        m = _parity_model(case, g, rng)
+        X = rng.random((6, g.num_nodes)) < rng.random((6, 1))
+        out = greedy_decode(m, X)
+        h.update(str(out.shape).encode() + out.tobytes())
+    return h.hexdigest()
+
+
+# Made with numpy 2.4.6 and scipy 1.17.1. Decode draws no random numbers
+# and calls no expit or exp: its flips rest on integer arithmetic and, for
+# non-integer qubo, on float64 adds and multiplies in CSR order, which
+# IEEE 754 fixes. The seeded inputs rest on numpy's PCG64 streams. A
+# mismatch is a change in decode's results, never a reason to skip.
+GOLDEN_DECODE = {
+    "mis": "0366ba462efbb87e8b8244a81645f9b38727def24d70421054a733156534ecd9",
+    "mcl": "1b1975e17a2966449a2715ddfb8b7861cf179942328b8a08f3016bafde266dc6",
+    "mcut": "5cb7b785a76a0f7c3c058fed36a58129bbedcd1f0d616eebe7b0f74324452499",
+    "qubo": "7a8426b0f72efc8f7a33412ef320c35bf619b10d3610c92e65c4815492e67ced",
+    "qubo-normal-weights": "dbcc2ef00f384e8aaf213671da3a124edf976d180a095a67450e57d224140e74",
+    "qubo-rounded-weights": "29149cc9767599bb4b731d7b1245dcae5b77b40fc7f8592a6b412b35ad765fa5",
+    "qubo-integer-weights": "34eb8bb1e814bf4c67d5e2098b089fa2494327afeb1ae7b39cc2910bc1ee2867",
+    "qubo-big-integer-weights": "55c29531e45df5963c2329aeed21f05706941645fce582466b483980b5c4fd10",
+    "mis-beta-1.001": "eb52df6ac6908a4a4561d4399d898a35fe77f62b93b0b651a14cceec75cda5d2",
+    "mcl-beta-1.5": "9a2349c33a831c3d10f4b337766105f54d15d06a490be0faf0bfed774faf5b75",
+}
+
+
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_decode_matches_its_golden_hashes(case):
+    assert _decode_digest(case) == GOLDEN_DECODE[case]
 
 
 # -- primal gap ------------------------------------------------------------------

@@ -345,7 +345,7 @@ def test_sparse_flip_mask_equals_the_dense_mask(kernel, live_share, path, monkey
     calls = _recording_rules(monkeypatch)
     for _ in range(20):
         cfg, D, tau, U = _hand_built(kernel, live_share, rng)
-        got = KERNELS[kernel][1](cfg, D, tau, U)
+        got = KERNELS[kernel][1](cfg, D, tau, U, sampler._Buffers())
         assert got.dtype == bool and got.shape == D.shape
         assert np.array_equal(got, _dense_mask(cfg, D, tau, U))
         # the hand-built entries that the zero and the smallest uniforms flip
@@ -368,9 +368,9 @@ def test_sparse_flip_mask_on_all_dead_and_all_live_matrices(kernel):
     live[:] = D[1]  # every row live: the dense mask
     U[:, 5] = 0.0
     for M in (dead, live):
-        got = KERNELS[kernel][1](cfg, M, tau, U)
+        got = KERNELS[kernel][1](cfg, M, tau, U, sampler._Buffers())
         assert np.array_equal(got, _dense_mask(cfg, M, tau, U))
-    assert KERNELS[kernel][1](cfg, dead, tau, U)[:, 5].all()  # U == 0 beats P ~ 1e-44
+    assert KERNELS[kernel][1](cfg, dead, tau, U, sampler._Buffers())[:, 5].all()  # U == 0 beats P ~ 1e-44
 
 
 @pytest.mark.parametrize("kernel", ["regularized", "ld"])
@@ -390,7 +390,7 @@ def test_sparse_flip_mask_stays_exact_when_tau_underflows_the_cutoff(kernel, mon
         D[:, 0] = 5.0
     U = np.full(D.shape, 0.25)
     sizes = _recording_rules(monkeypatch)
-    got = KERNELS[kernel][1](cfg, D, tau, U)
+    got = KERNELS[kernel][1](cfg, D, tau, U, sampler._Buffers())
     assert got[:, -4:].all()  # P = 1/2 there
     assert np.array_equal(got, _dense_mask(cfg, D, tau, U))
     assert sizes == [D.size]
@@ -430,7 +430,7 @@ def test_table_mask_equals_the_dense_mask_on_integer_delta(kernel, monkeypatch):
         pick = rng.random(D.shape)
         U[pick < 0.1] = ULP * rng.integers(1, 9, D.shape)[pick < 0.1]
         U[pick < 0.03] = 0.0
-        got = KERNELS[kernel][1](cfg, D, tau, U)
+        got = KERNELS[kernel][1](cfg, D, tau, U, sampler._Buffers())
         assert got.dtype == bool and got.shape == D.shape
         assert np.array_equal(got, _dense_mask(cfg, D.astype(np.float64), tau, U))
         assert got[U == 0].any() and got[(U > 0) & (U <= 8 * ULP)].any()
