@@ -32,7 +32,7 @@ from ._checks import finite_float, integer
 from .energy import KINDS, EnergyModel, check_beta
 from .graph import Graph, generate_ba, generate_er, read_instance
 from .postprocess import gap_curve, summarize
-from .sampler import KERNELS, RunResult, SamplerConfig, run_rlsa
+from .sampler import KERNELS, RunResult, SamplerConfig, Trajectory, run_rlsa
 
 # One preset per benchmark family: (tau0, d, chains, steps, beta).
 PRESETS = {
@@ -252,22 +252,16 @@ def _write_json(path, data) -> None:
 
 
 def emit_trajectory(result: RunResult, path, ref_energy: float | None = None) -> str:
-    """Write the per-step trajectory CSV; adds a primal_gap column when a
-    reference energy is available."""
+    """Write the per-step trajectory CSV: one column per ``Trajectory``
+    field, in order, and a primal_gap column last when a reference energy is
+    available."""
     traj = result.trajectory
-    columns = ["step", "tau", "best_energy", "mean_energy", "mean_flips", "improved"]
-    gaps = None
+    columns = {f.name: getattr(traj, f.name) for f in fields(Trajectory)}
     if ref_energy is not None:
-        columns.append("primal_gap")
-        gaps = gap_curve(traj.best_energy, ref_energy)
-    lines = [",".join(columns)]
-    for i in range(len(traj)):
-        row = [str(int(traj.step[i])), repr(float(traj.tau[i])),
-               repr(float(traj.best_energy[i])), repr(float(traj.mean_energy[i])),
-               repr(float(traj.mean_flips[i])), str(int(traj.improved[i]))]
-        if gaps is not None:
-            row.append(repr(float(gaps[i])))
-        lines.append(",".join(row))
+        columns["primal_gap"] = gap_curve(traj.best_energy, ref_energy)
+    # tolist gives Python ints and floats, whose str is str(int) and repr(float)
+    rows = zip(*(values.tolist() for values in columns.values()))
+    lines = [",".join(columns)] + [",".join(map(str, row)) for row in rows]
     with _replacing(Path(path)) as fh:
         fh.write("\n".join(lines) + "\n")
     return str(path)

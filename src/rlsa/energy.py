@@ -30,44 +30,58 @@ inside the model: a bool batch is binary by type and is used as it is
 converted to bool. So a batch gives the same results, bit for bit, in
 whichever dtype it comes.
 
-Every evaluation goes through one sparse product ``A @ X``, run in the
-narrower of two dtypes that is provably exact. The rule rests on one
-bound, the largest row sum of |w| (infinite for non-integer weights): with
-X binary, every partial sum of a row is then an integer no larger than the
-bound in magnitude.
+The model computes its coefficient bounds once, at construction, in one
+place, and reads every exactness rule below from them: R, the largest row
+sum of |w|, and the sum of |w| (the largest degree and twice the edge count
+for unit weights, which take no scan of the weights); whether the weights,
+c and 2q are integers; max|c| and sum|c|; the Delta bound B (below); and
+the energy bound sum|c| + |q| * (sum|w| + r * N * (N - 1)), which bounds
+|H(x)| since |x^T W x| <= sum|w| and 0 <= s^2 - s <= N * (N - 1).
 
-* Below 2**15 the product runs in int16, which holds every such sum.
+Coefficients that are each finite can still overflow float64 together. So
+construction raises ValueError unless 2q, 2B and twice the energy bound are
+finite: the flip rule reads Delta - Delta_(d), which can reach 2B, and
+decode's gain is a difference of two energies. A model that is built never
+turns an energy or a Delta into an infinity or a NaN.
+
+Every evaluation goes through one sparse product ``A @ X``, run in the
+narrower of two dtypes that is provably exact. With integer weights and X
+binary, every partial sum of a row is an integer no larger than R in
+magnitude.
+
+* With integer weights and R below 2**15 the product runs in int16, which
+  holds every such sum.
 * Otherwise it runs in float64.
 
 So the int16 product equals the float64 product bit for bit once cast, in
-a quarter of the bytes. Unit weights (mis, mcl, mcut, unweighted qubo)
-bound their row sums by the largest degree; non-integer weights always take
-float64. The product is kept in its own dtype and C-ordered, as the
-solution batch is, so the elementwise work that follows it runs on
-contiguous rows. Each result that reads it stays exact: x^T W x sums an
-int16 product in int64, and the gradient casts it into its own dtype
-(next paragraph) in the ufunc that scales it. An integer c with sum |c|
-below 2**53 gives c . x as one matrix-vector product, exact in any
+a quarter of the bytes. The product is kept in its own dtype and
+C-ordered, as the solution batch is, so the elementwise work that follows
+it runs on contiguous rows. Each result that reads it stays exact: x^T W x
+sums an int16 product in int64, and the gradient casts it into its own
+dtype (next paragraph) in the ufunc that scales it. An integer c with sum
+|c| below 2**53 gives c . x as one matrix-vector product, exact in any
 summation order; a row whose c . x is zero takes the elementwise sum
 instead, so that its signed zero is the one the per-kind formula gives.
 
-The same row-sum bound decides whether every Delta is an integer that
-int16 holds. Since |(W x)_i| is at most the bound and 0 <= s - x_i <= N - 1,
+The same bounds decide whether every Delta is an integer that int16 holds.
+Since |(W x)_i| is at most R and 0 <= s - x_i <= N - 1,
 
-    |Delta_i| = |grad_i| <= B = max|c| + |2q| * (bound + r * (N - 1)).
+    |Delta_i| = |grad_i| <= B = max|c| + |2q| * (R + r * (N - 1)).
 
-When c and 2q are integers and the bound is finite (integer weights),
-every term of the gradient is an integer no larger than B. The model keeps
-B as ``_delta_bound`` when B and the row-sum bound are both below 2**15,
-and None otherwise: it is set for mcut, for qubo with integer ``linear``,
-weights and ``2 * quad_scale``, and for mis and mcl at an integer beta.
-The model picks the dtype of the gradient and Delta once, from that bound:
-int16 when it is set, float64 otherwise. Each term is computed in that
-dtype straight from the product, with c and 2q cast into it exactly, so an
-int16 Delta holds the same values as a float64 one would, in a quarter of
-the bytes, and the sampler takes its flip mask from a table (see
-``rlsa.sampler``). The gradient and Delta are computed in place on the one
-array that each call returns.
+When the weights, c and 2q are integers, every term of the gradient is an
+integer no larger than B. The model keeps B as ``_delta_bound`` when, in
+addition, B and R are both below 2**15, and None otherwise: it is set for
+mcut, for qubo with integer ``linear``, weights and ``2 * quad_scale``, and
+for mis and mcl at an integer beta. The same test picks the dtype of the
+gradient and Delta: int16 when B is kept, float64 otherwise. Each term is
+computed in that dtype straight from the product, with c and 2q cast into
+it exactly, so an int16 Delta holds the same values as a float64 one
+would, in a quarter of the bytes, and the sampler takes its flip mask from
+a table (see ``rlsa.sampler``). The gradient and Delta are computed in
+place on the one array that each call returns. r enters them through one
+m = W x - r (s - x) (``_m``), which is the product itself when r = 0 and
+is made in the Delta dtype otherwise; mis and mcl decode codes read the
+same m in intp.
 
 Each thread's last product is remembered. An annealing step needs the
 energy of the new state and, at the start of the next step, its Delta;
@@ -126,6 +140,7 @@ ranks as its key (``_flip_code``).
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -203,33 +218,54 @@ class EnergyModel:
             "qubo": (linear, quad_scale, 0),
         }[kind]
         self._penalized = kind in ("mis", "mcl")  # the quadratic term counts violations
-        # an integer per-node c takes c . x as one matvec (see the module docstring)
-        self._c_matvec = bool(np.ndim(self._c) and _is_integer(self._c)
-                              and np.abs(self._c).sum() < _EXACT_FLOAT64)
+        # Every coefficient bound, once, in Python floats (see the module
+        # docstring): max|c| and sum|c|, R = the largest row sum of |w| and
+        # w_sum = the sum of |w|, which of c and w are integers, B and the
+        # energy bound.
+        c, n, r, two_q = self._c, graph.num_nodes, self._r, 2.0 * self._q
+        c_max, c_sum, c_int = 1.0, float(n), True  # mis and mcl: c = -1
+        if isinstance(c, np.ndarray):
+            abs_c = np.abs(c)
+            with np.errstate(over="ignore"):  # an overflowing sum is inf, rejected below
+                c_sum = float(abs_c.sum())
+            c_max, c_int = float(abs_c.max(initial=0)), _is_integer(c)
         if edge_weights is None:
-            # unit weights: the row sums of |w| are the degrees, no scan needed
-            A = graph.adjacency_csr()
-            bound = deg.max(initial=0)
+            # unit weights: integers, and the row sums of |w| are the degrees
+            A, w_int = graph.adjacency_csr(), True
+            R, w_sum = float(deg.max(initial=0)), 2.0 * graph.num_edges
         else:
             A = _weighted_csr(graph, edge_weights)
-            bound = _row_sum_bound(A)
-        # one bound decides the product dtype, and with it how _ax and
-        # _flip update a product (see the module docstring)
-        self._A = A.astype(np.int16 if bound < _EXACT_INT16 else np.float64, copy=False)
+            with np.errstate(over="ignore"):
+                rows = abs(A).sum(axis=1)
+                R, w_sum = (float(rows.max()), float(rows.sum())) if A.nnz else (0.0, 0.0)
+            w_int = _is_integer(A.data)
+        B = c_max + abs(two_q) * (R + r * (n - 1))
+        h_bound = c_sum + abs(self._q) * (w_sum + r * n * (n - 1))
+        # Delta - Delta_(d) reaches 2B and a difference of energies 2 h_bound
+        if not all(map(math.isfinite, (two_q, 2 * B, 2 * h_bound))):
+            raise ValueError(f"{kind} coefficients overflow: max|c| = {c_max:g}, 2q = {two_q:g} and "
+                             f"row sums of |w| up to {R:g} give |Delta| <= {B:g} and |H| <= "
+                             f"{h_bound:g}, and twice each must be finite in float64")
+        # an integer per-node c takes c . x as one matvec
+        self._c_matvec = isinstance(c, np.ndarray) and c_int and c_sum < _EXACT_FLOAT64
+        # integer weights with R below 2**15 give an int16 product, and with
+        # it how _ax and _flip update a product
+        self._A = A.astype(np.int16 if w_int and R < _EXACT_INT16 else np.float64, copy=False)
         self._row_nnz = np.diff(self._A.indptr)  # the nonzeros a column update reads, per column
-        self._delta_bound = _delta_bound(self._c, self._q, self._r, bound, graph.num_nodes)
-        # the gradient's and Delta's dtype: int16 holds every term when B is set
-        self._delta_dtype = np.float64 if self._delta_bound is None else np.int16
+        # B is kept when int16 holds every term of Delta, and with it the
+        # gradient's and Delta's dtype is int16
+        exact = self._A.dtype == np.int16 and c_int and two_q.is_integer() and B < _EXACT_INT16
+        self._delta_bound = B if exact else None
+        self._delta_dtype = np.int16 if exact else np.float64
         self._memo = threading.local()  # this thread's last batch and its product
-        # mis and mcl: Delta's value and rank at each code 2 (m - m_lo) + x
-        # (see the module docstring); None for mcut and qubo
-        self._code_delta = self._code_rank = None
         if self._penalized:
-            # m counts selected neighbours (mis) or minus selected non-neighbours (mcl)
-            self._m_lo = -max(graph.num_nodes - 1, 0) if self._r else 0
-            m = np.arange(self._m_lo, 1 if self._r else int(bound) + 1).repeat(2)
+            # Delta's value and rank at each code 2 (m - m_lo) + x (see the
+            # module docstring), where m counts selected neighbours (mis) or
+            # minus selected non-neighbours (mcl)
+            self._m_lo = -max(n - 1, 0) if r else 0
+            m = np.arange(self._m_lo, 1 if r else int(R) + 1).repeat(2)
             x = np.tile([False, True], m.size // 2)
-            self._code_delta = _signed(self._slope(m), x)
+            self._code_delta = _signed(self._slope(m, c), x)
             self._code_rank = _rank_table(self._code_delta)
 
     @property
@@ -363,7 +399,7 @@ class EnergyModel:
         mcut and qubo copy the product, which the memo keeps read-only.
         """
         ax = self._ax(X)
-        if self._code_rank is not None:
+        if self._penalized:
             codes = self._codes(X, ax)
             return codes, self._code_rank.take(codes), self._flip_code
         ax = ax.copy()
@@ -404,16 +440,13 @@ class EnergyModel:
         ax[nbrs] = part
         D[i] = -D[i]
         c = self._c[nbrs] if isinstance(self._c, np.ndarray) else self._c
-        D[nbrs] = self._delta(x[nbrs], part, c)
+        D[nbrs] = _signed(self._slope(part, c), x[nbrs])
 
     def _codes(self, X, ax):
         """The intp codes 2 (m - m_lo) + x of a bool batch of a mis or mcl
         model and its product ``ax``: each entry indexes its Delta in
         ``_code_delta`` and its rank in ``_code_rank``."""
-        code = ax.astype(np.intp)
-        if self._r:  # m = ax - (s - x)
-            code -= X.sum(axis=1)[:, None] - X
-        code -= self._m_lo
+        code = np.subtract(self._m(X, ax, np.intp), self._m_lo, dtype=np.intp, casting="unsafe")
         code *= 2
         code += X
         return code
@@ -474,34 +507,38 @@ class EnergyModel:
             quad = quad - (s * s - s)
         return quad
 
-    def _delta(self, X, ax=None, c=None):
-        return _signed(self._gradient(X, ax, c), X)
+    def _delta(self, X, ax=None):
+        return _signed(self._gradient(X, ax), X)
 
-    def _gradient(self, X, ax=None, c=None):
+    def _gradient(self, X, ax=None):
         # ``ax``, if given, is a caller-maintained copy of self._ax(X) in
         # its dtype; it must equal the full product exactly for the result
-        # to match. ``c``, if given, replaces self._c: _flip passes the
-        # entries of X's columns when X and ax are gathered entries.
+        # to match. A fresh m is scaled in place.
         if ax is None:
             ax = self._ax(X)
-        if not self._r:
-            return self._slope(ax, c)
-        # m = ax - (s - x), made in the Delta dtype and scaled in place
-        dt = self._delta_dtype
-        m = np.subtract(X.sum(axis=1)[:, None], X, dtype=dt)
-        np.subtract(ax, m, out=m, dtype=dt, casting="unsafe")
-        return self._slope(m, c, out=m)
+        m = self._m(X, ax, self._delta_dtype)
+        return self._slope(m, self._c, out=None if m is ax else m)
 
-    def _slope(self, m, c=None, out=None):
+    def _m(self, X, ax, dtype):
+        # m = W x - r (s - x) of the bool batch X and its product ax: ax
+        # itself when r = 0, and otherwise a new array in ``dtype``, which
+        # holds it exactly (the Delta dtype, or intp for the codes)
+        if not self._r:
+            return ax
+        m = np.subtract(X.sum(axis=1)[:, None], X, dtype=dtype)
+        return np.subtract(ax, m, out=m, dtype=dtype, casting="unsafe")
+
+    def _slope(self, m, c, out=None):
         # the gradient c + 2q m from m = W x - r (s - x), as one array in
         # the model's Delta dtype (``out``, if given); m, c and 2q are cast
         # into that dtype in the ufuncs that read them, exactly (in int16,
         # each is an integer below 2**15, as is every intermediate term).
         # c + 2q m equals (2q m) + c since addition and multiplication
-        # commute exactly. The code tables run this on every m they hold.
+        # commute exactly. The code tables run this on every m they hold,
+        # and _flip on the entries of i's neighbours with their c.
         dt = self._delta_dtype
         g = np.multiply(m, 2.0 * self._q, out=out, dtype=dt, casting="unsafe")
-        return np.add(g, self._c if c is None else c, out=g, dtype=dt, casting="unsafe")
+        return np.add(g, c, out=g, dtype=dt, casting="unsafe")
 
     def _violation(self, X):
         if not self._penalized:
@@ -554,36 +591,6 @@ def _rank_table(values):
 
 def _is_integer(a) -> bool:
     return bool(np.array_equal(a, np.round(a)))
-
-
-def _row_sum_bound(A) -> float:
-    """Largest row sum of |w| in ``A``, or inf when a weight is not an integer.
-
-    For integer weights and x binary, every partial sum of a row of
-    ``A @ x`` is an integer no larger in magnitude than this bound, so a
-    dtype that holds every integer up to the bound computes the product,
-    and adds or subtracts columns of A, exactly.
-    """
-    w = A.data
-    if not _is_integer(w):
-        return np.inf
-    return 0.0 if w.size == 0 else float(abs(A).sum(axis=1).max())
-
-
-def _delta_bound(c, q, r, bound, n):
-    """B = max|c| + |2q| * (bound + r * (n - 1)) bounds every |Delta_i| of
-    H = c . x + q * (x^T W x - r * (s^2 - s)) over n nodes, where ``bound``
-    is the row-sum bound of W. Returns B when c and 2q are integers and B
-    and ``bound`` are both below 2**15, so that every term of Delta is an
-    integer that int16 holds and the product is int16, and None otherwise
-    (see the module docstring). ``bound`` only matters on its own when
-    2q = 0."""
-    c = np.asarray(c, dtype=np.float64)
-    two_q = 2.0 * q
-    if not (np.isfinite(bound) and two_q.is_integer() and _is_integer(c)):
-        return None
-    b = float(np.abs(c).max(initial=0.0) + abs(two_q) * (bound + r * (n - 1)))
-    return b if max(b, bound) < _EXACT_INT16 else None
 
 
 def _weighted_csr(graph: Graph, edge_weights):

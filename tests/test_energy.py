@@ -1,11 +1,13 @@
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from rlsa import EnergyModel, from_edge_list, generate_ba, generate_er, greedy_decode
-from rlsa.energy import _rank_table, _row_sum_bound, _update_pays
+from rlsa import (EnergyModel, SamplerConfig, from_edge_list, generate_ba, generate_er,
+                  greedy_decode, run_rlsa)
+from rlsa.energy import _rank_table, _update_pays
 
 from oracles import (
     CountingMatrix,
@@ -293,6 +295,54 @@ def test_constructor_rejects_non_finite_coefficients(bad):
         EnergyModel(kind, triangle(), **bad)
 
 
+def _er30_overflow_cases():
+    g = generate_er(30, 0.2, seed=0)
+    rng = np.random.default_rng(0)
+    lin = rng.normal(size=30)
+    huge = np.full(g.num_edges, 1e308)
+    return g, [
+        dict(kind="qubo", linear=np.full(30, -1e308), quad_scale=1.0),  # c . x reaches -inf
+        dict(kind="qubo", linear=lin, quad_scale=1e308),  # 2q is inf
+        dict(kind="qubo", linear=lin, quad_scale=1.0, edge_weights=huge),  # row sums overflow
+        dict(kind="qubo", linear=lin, quad_scale=0.0, edge_weights=huge),  # 0 * an inf x^T W x
+        # one c of 1e308 fits float64, but not twice over: decode_gain could overflow
+        dict(kind="qubo", linear=np.r_[1e308, np.zeros(29)], quad_scale=1.0),
+        dict(kind="mis", beta=1e308),
+        dict(kind="mcl", beta=1e308),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7), ids=[
+    "qubo-linear", "qubo-quad-scale", "qubo-weights", "qubo-weights-no-quad", "qubo-one-linear",
+    "mis-beta", "mcl-beta"])
+def test_constructor_rejects_coefficients_whose_bounds_overflow(case):
+    # Coefficients that are each finite but whose Delta or energy could
+    # overflow float64, with a factor 2 to spare, fail at construction and
+    # name the model's kind; computing the bounds raises no RuntimeWarning.
+    g, cases = _er30_overflow_cases()
+    bad = cases[case]
+    kind = bad.pop("kind")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{kind} coefficients overflow"):
+            EnergyModel(kind, g, **bad)
+
+
+def test_large_finite_coefficients_are_still_accepted():
+    # beta = 1e300 keeps every bound far from float64's limit, and its
+    # solves end finite; one c just under half of that limit keeps the
+    # factor 2 of headroom
+    g = generate_er(30, 0.2, seed=0)
+    cfg = SamplerConfig(tau0=0.5, d=2, steps=5, chains=3, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ("mis", "mcl"):
+            res = run_rlsa(EnergyModel(kind, g, beta=1e300), cfg)
+            assert np.isfinite(res.best_energy) and np.isfinite(res.decode_gain), kind
+        m = EnergyModel("qubo", g, linear=np.r_[-8e307, np.zeros(29)], quad_scale=1.0)
+        assert m.energy(np.eye(30, dtype=bool)[0]) == -8e307
+
+
 def test_exact_update_rule_follows_the_weights():
     # _flip adds columns of A exactly when the product is int16, and
     # recomputes the neighbour rows (A[rows] @ x) otherwise; either way the
@@ -467,7 +517,8 @@ def test_delta_bound_marks_the_models_whose_deltas_int16_holds():
     lin = rng.integers(-5, 6, size=30).astype(np.float64)
     w = rng.integers(-3, 4, size=g.num_edges).astype(np.float64)
     qubo = EnergyModel("qubo", g, linear=lin, quad_scale=1.5, edge_weights=w)
-    assert qubo._delta_bound == np.abs(lin).max() + 3 * _row_sum_bound(qubo._A)
+    row_sums = np.abs(qubo._A.toarray()).sum(axis=1)  # of |w|
+    assert qubo._delta_bound == np.abs(lin).max() + 3 * row_sums.max()
     X = rng.integers(0, 2, size=(50, 30))
     for m in (qubo, EnergyModel("mcl", g, beta=2.0), EnergyModel("mcut", g)):
         D = m.delta(X)
