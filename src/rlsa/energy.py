@@ -86,36 +86,53 @@ same m in intp.
 Each thread's last product is remembered. An annealing step needs the
 energy of the new state and, at the start of the next step, its Delta;
 both come from the same ``A @ X``, so the second call reuses the first's
-product and a step costs one sparse product, not two. The memo is keyed on
-the batch's content, not its identity: a bool copy of the last batch is
-compared entry by entry, so a batch changed in place, or of another shape,
-gets a new product, and a hit returns exactly the product a fresh model
-would compute. It is per thread (``threading.local``) because worker
-threads run chain blocks on one shared model. The stored product is
-read-only; callers that update it copy it first, in its own dtype.
+product and a step costs one sparse product or update (below), not two
+products. The memo is keyed on the batch's content, not its identity: a
+bool copy of the last batch is compared entry by entry, so a batch changed
+in place, or of another shape, gets a new product, and a hit returns
+exactly the product a fresh model would compute. It is per thread
+(``threading.local``) because worker threads run chain blocks on one
+shared model. The stored product is read-only; callers that update it
+copy it first, in its own dtype.
 
-A miss on a batch of the same shape may bring the stored product up to
-date through the changed columns F (those that differ in any row), when
-the product is int16: the new product is ax + (A[F]^T dX[:, F]^T)^T with
-dX = X - key, a product over the sel = sum deg(F) nonzeros of F's rows in
-place of nnz(A). The update is exact, since every partial sum of the added
-term is bounded by the row-sum bound, and the result equals the full
-product bit for bit. Steps of a few chains, or of many chains on a large
-graph, flip few columns. A cost rule takes the update when it is cheaper:
-a linear model of each path's time in 1, sel or nnz, times K, and K * N,
-fitted on a sweep of (K, N) batches over ER and BA graphs
-(``BENCH_decode.json``). Its fixed parts (selecting A[F], the transposes
-and the dense add over the whole product) keep it from taking the update
-where the full product is cheap: on a small or sparse graph, or on one
-row, as when a decoded solution is scored after decode. A float64 product
-never takes the update, because its sums would round in another order.
+A miss on a batch of the same shape may bring an int16 stored product up
+to date in one of two ways, each exact: every partial sum it makes is a
+sum of w_ij over a subset of row i's neighbours, which the row-sum bound
+keeps below 2**15, so the result equals the full product bit for bit.
+
+* The column update adds A's changed columns F (those that differ in any
+  row): the new product is ax + (A[F]^T dX[:, F]^T)^T with dX = X - key,
+  a product over the sel = sum deg(F) nonzeros of F's rows in place of
+  nnz(A). It pays when the batch as a whole flips few columns: steps of a
+  few chains, or of many chains on a large graph.
+* The flip list adds, to each row k of a copy of ax, +-(row j of A) for
+  every node j that chain k flipped (+ where it set j, - where it cleared
+  it): one compiled pass of a sparse (K, N) matrix of signs times a dense
+  int16 copy of A, flips * N adds in all. It pays when each chain flips
+  few nodes, however many columns the chains flip together, as in an
+  annealing step that flips about d bits per chain. The dense copy is
+  made on the first such update and shared by every thread, and only
+  while its 2 N**2 bytes fit under a cap of 2 MiB (N <= 1024). A single
+  row, a solution decoded or scored once per solve, takes the flip list
+  only where its saving also pays for making the copy.
+
+A cost rule picks the cheapest of the full product and these updates: a
+linear model of each path's time in 1, nnz or sel (times K), flips * N,
+and K * N, fitted on a sweep of batches over ER and BA graphs, K and
+flips per chain (``BENCH_flips.json``). The updates' fixed parts keep it
+on the full product where that is cheap: on a small or sparse graph, or
+when every chain flips many nodes, as on max-cut. A float64 product never
+takes an update, because its sums would round in another order.
 
 Greedy decode (``rlsa.postprocess.greedy_decode``) reads the model
 through one contract, ``_descent``: from one product of the batch it
-returns each row's state, a key whose argmax is Delta's, and the flip that
+returns each row's state, a key whose argmax is Delta's, the flip that
 brings the row, its state and its key up to date, bit for bit, on the
-flipped node's neighbours (every node's, for mcl). For mcut and qubo the
-state is a copy of the product and the key is Delta itself (``_flip``).
+flipped node's neighbours (every node's, for mcl), and a ``keep`` that
+hands the memo the decoded batch and its product, taken from the states,
+so that scoring the decoded solution makes no product. For mcut and qubo
+the state is a copy of the product and the key is Delta itself
+(``_flip``).
 
 mis and mcl keep no product and no float Delta. With unit weights and c,
 q uniform, Delta_i = (2 x_i - 1) (c + 2q m_i) depends only on x_i and the
@@ -135,7 +152,9 @@ argmax of the ranks, lowest index on ties, is the argmax of Delta. The
 table has O(largest degree) entries for mis and O(N) for mcl, so its
 ranks are int16 while it has fewer than 2**15 entries and int32 from
 there. ``_descent`` hands decode the codes as each row's state and their
-ranks as its key (``_flip_code``).
+ranks as its key (``_flip_code``); the product the memo keeps after decode
+follows from the codes, W x = m + r (s - x) with m = (code >> 1) + m_lo
+(``_code_product``).
 """
 
 from __future__ import annotations
@@ -144,6 +163,11 @@ import math
 import threading
 
 import numpy as np
+# scipy's compiled kernel behind csr_matrix @ ndarray (Y += A X): the flip
+# list adds into a copy of the stored product with it, which saves the
+# public path's checked matrix, zeroed result and dense add
+# (BENCH_flips.json)
+from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 
 from ._checks import finite_array, finite_float, positive
 from .graph import Graph
@@ -252,6 +276,12 @@ class EnergyModel:
         # it how _ax and _flip update a product
         self._A = A.astype(np.int16 if w_int and R < _EXACT_INT16 else np.float64, copy=False)
         self._row_nnz = np.diff(self._A.indptr)  # the nonzeros a column update reads, per column
+        # the dense int16 rows of A that a flip-list update reads, made on
+        # the first one, and what making them costs that update in ns: inf
+        # where they do not fit under the cap, 0 once made
+        self._rows = None
+        self._rows_made = threading.Lock()
+        self._rows_ns = _ROWS_NS * n * n if 2 * n * n <= _DENSE_ROWS_BYTES else math.inf
         # B is kept when int16 holds every term of Delta, and with it the
         # gradient's and Delta's dtype is int16
         exact = self._A.dtype == np.int16 and c_int and two_q.is_integer() and B < _EXACT_INT16
@@ -354,7 +384,7 @@ class EnergyModel:
         # through exact arithmetic only (see the module docstring).
         # A batch equal to this thread's last one returns the stored
         # product; one of the same shape may update it through the changed
-        # columns (see the module docstring).
+        # columns or the flip list (see the module docstring).
         memo = self._memo
         key = getattr(memo, "key", None)
         ax = None
@@ -364,46 +394,82 @@ class EnergyModel:
                 return memo.ax
             if self._A.dtype == np.int16:
                 cols = changed.any(axis=0)
-                # the update reads the rows of the changed columns: take it
-                # while the cost model says it beats the full product
-                if _update_pays(cols @ self._row_nnz, self._A.nnz, *X.shape):
-                    # ax + (A[F]^T dX[:, F]^T)^T with dX = X - key, exact:
-                    # the partial sums of the added term are sums of +-w,
-                    # which the row-sum bound keeps below 2**15, and each
-                    # sum with ax is an entry of the new product. Entries
-                    # are 0 or 1, so dX's int16 cast is exact; A[F]^T is
-                    # A[:, F] by symmetry.
-                    F = np.flatnonzero(cols)
-                    dX = np.subtract(X[:, F], key[:, F], dtype=np.int16, casting="unsafe")
-                    P = self._A[F].T @ np.ascontiguousarray(dX.T)
-                    ax = np.add(memo.ax, P.T, out=np.empty_like(memo.ax))
+                path = _update_path(np.count_nonzero(changed), cols @ self._row_nnz,
+                                    self._A.nnz, *X.shape, self._rows_ns)
+                if path == "columns":
+                    ax = self._add_columns(memo.ax, key, X, cols)
+                elif path == "flips":
+                    ax = self._add_flips(memo.ax, X, changed)
         if ax is None:
             A = self._A
             # transpose in bool, then cast: casting a strided bool transpose
             # directly is several times slower
             P = A @ np.ascontiguousarray(X.T).astype(A.dtype, copy=False)
             ax = np.ascontiguousarray(P.T)
-        ax.flags.writeable = False
-        memo.key = X.copy()
-        memo.ax = ax
+        self._remember(X, ax)
         return ax
 
+    def _add_columns(self, ax, key, X, cols):
+        # ax + (A[F]^T dX[:, F]^T)^T with dX = X - key over the changed
+        # columns F, exact: the partial sums of the added term are sums of
+        # +-w, which the row-sum bound keeps below 2**15, and each sum with
+        # ax is an entry of the new product. Entries are 0 or 1, so dX's
+        # int16 cast is exact; A[F]^T is A[:, F] by symmetry.
+        F = np.flatnonzero(cols)
+        dX = np.subtract(X[:, F], key[:, F], dtype=np.int16, casting="unsafe")
+        P = self._A[F].T @ np.ascontiguousarray(dX.T)
+        return np.add(ax, P.T, out=np.empty_like(ax))
+
+    def _add_flips(self, ax, X, changed):
+        # ax + S @ rows, with S the sparse (K, N) matrix of +1 where a chain
+        # set node j and -1 where it cleared it, and rows the dense int16 A
+        # (A is symmetric): row k gains +-(row j of A) for each node j that
+        # chain k flipped, added in place to a copy of ax. Exact: each
+        # partial sum of entry (k, i) is a sum of w_ij over a subset of
+        # i's neighbours, which the row-sum bound keeps below 2**15.
+        with self._rows_made:  # made once, then shared read-only by every thread
+            if self._rows is None:
+                self._rows = self._A.toarray()
+                self._rows.flags.writeable = False
+                self._rows_ns = 0.0
+            rows = self._rows
+        K, N = X.shape
+        at = np.flatnonzero(changed)
+        # chain k's flips are at[start[k]:start[k + 1]]: at is sorted, and
+        # row k of the batch holds the flat indices k N up to (k + 1) N
+        start = np.searchsorted(at, np.arange(K + 1) * N)
+        sign = X.ravel()[at].astype(np.int16) * 2 - 1
+        out = ax.copy()
+        _csr_matvecs(K, N, N, start, at % N, sign, rows, out)
+        return out
+
     def _descent(self, X):
-        """``(states, keys, flip)`` for greedy decode of the bool batch
-        ``X``, from one product (see the module docstring).
+        """``(states, keys, flip, keep)`` for greedy decode of the bool
+        batch ``X``, from one product (see the module docstring).
 
         A row's key orders and ties as its Delta does and is positive
         exactly where Delta is. ``flip(x, state, key, i)`` flips bit ``i``
         of the row ``x`` in place and leaves its state and key equal, bit
-        for bit, to a fresh ``_descent`` of the flipped row. The states of
-        mcut and qubo copy the product, which the memo keeps read-only.
+        for bit, to a fresh ``_descent`` of the flipped row. ``keep()``,
+        called once decode is done with ``X``, hands this thread's memo
+        ``X`` and its product, taken from the states, so that scoring the
+        decoded batch makes no product. The states of mcut and qubo copy
+        the product, which the memo keeps read-only.
         """
         ax = self._ax(X)
         if self._penalized:
             codes = self._codes(X, ax)
-            return codes, self._code_rank.take(codes), self._flip_code
+            return (codes, self._code_rank.take(codes), self._flip_code,
+                    lambda: self._remember(X, self._code_product(X, codes)))
         ax = ax.copy()
-        return ax, self._delta(X, ax), self._flip
+        return ax, self._delta(X, ax), self._flip, lambda: self._remember(X, ax)
+
+    def _remember(self, X, ax):
+        # this thread's memo: a copy of the bool batch X and its product,
+        # read-only from here on
+        ax.flags.writeable = False
+        self._memo.key = X.copy()
+        self._memo.ax = ax
 
     def _row(self, i):
         """Node ``i``'s neighbours, in the order of row ``i`` of A, as intp
@@ -450,6 +516,17 @@ class EnergyModel:
         code *= 2
         code += X
         return code
+
+    def _code_product(self, X, codes):
+        """The product ``A @ X`` of a mis or mcl batch from its codes, the
+        inverse of ``_codes``: W x = m + r (s - x) with m = (code >> 1) +
+        m_lo, an integer no larger than R, cast exactly into A's dtype."""
+        ax = np.right_shift(codes, 1)
+        ax += self._m_lo
+        if self._r:
+            ax += X.sum(axis=1)[:, None]
+            ax -= X
+        return ax.astype(self._A.dtype)
 
     def _flip_code(self, x, code, key, i):
         """Flip bit ``i`` of one solution of a mis or mcl model, given as
@@ -554,22 +631,40 @@ class EnergyModel:
 # to 2**53
 _EXACT_INT16 = 2.0 ** 15
 _EXACT_FLOAT64 = 2.0 ** 53
-# The cost in ns of one _ax miss on a (K, N) batch, as coefficients of
-# (1, nonzeros read, nonzeros read * K, K * N): the column update reads the
-# sel nonzeros of the changed columns' rows twice, once to select A[F] and
-# once in its product, and adds a dense (K, N) term; the full product reads
-# all nnz. Fitted on a sweep over K in {1, 32, 100, 200} on ER and BA
-# graphs (BENCH_decode.json).
-_UPDATE_NS = (165e3, 2.8, 0.2, 2.3)
-_FULL_NS = (25e3, 0.9, 0.18, 1.2)
+# The dense int16 rows of A that the flip-list update reads take 2 N**2
+# bytes; they are made only while that stays under this cap (N <= 1024),
+# at about this cost in ns per entry
+_DENSE_ROWS_BYTES = 2 ** 21
+_ROWS_NS = 0.3
+# The cost in ns of bringing an int16 product of a (K, N) batch up to date
+# on an _ax miss, per path, as coefficients of (1, nonzeros read,
+# nonzeros read * K, K * N) for the full product (all nnz) and the column
+# update (the sel nonzeros of the changed columns' rows, read to select
+# A[F] and again in its product), and of (1, flips * N, K * N) for the
+# flip list (each of the flips adds one dense row of N entries). Fitted on
+# a sweep of K, N and flips per chain over ER and BA graphs
+# (BENCH_flips.json).
+_FULL_NS = (37e3, 0.77, 0.13, 2.2)
+_COLUMNS_NS = (180e3, 4.1, 0.14, 3.2)
+_FLIPS_NS = (39e3, 0.18, 1.3)
 
 
-def _update_pays(sel, nnz, K, N) -> bool:
-    """Whether _ax's column update over ``sel`` of A's ``nnz`` nonzeros is
-    cheaper than the full product, for a (K, N) batch."""
-    u0, u1, u2, u3 = _UPDATE_NS
+def _update_path(flips, sel, nnz, K, N, rows_ns) -> str:
+    """The cheapest way for _ax to bring an int16 product of a (K, N) batch
+    up to date: ``"full"``, ``"columns"`` (the changed columns' rows hold
+    ``sel`` of A's ``nnz`` nonzeros) or ``"flips"`` (``flips`` entries
+    changed; the dense rows cost ``rows_ns`` more, inf where they do not
+    fit). A block of chains repeats its update at every step, so making
+    the dense rows pays off over its steps; a single row, a solution
+    decoded or scored once per solve, must pay for them in this update."""
     f0, f1, f2, f3 = _FULL_NS
-    return u0 + sel * (u1 + u2 * K) + u3 * K * N < f0 + nnz * (f1 + f2 * K) + f3 * K * N
+    u0, u1, u2, u3 = _COLUMNS_NS
+    g0, g1, g2 = _FLIPS_NS
+    rows_ns = rows_ns if K == 1 or math.isinf(rows_ns) else 0.0
+    cost = {"full": f0 + nnz * (f1 + f2 * K) + f3 * K * N,
+            "columns": u0 + sel * (u1 + u2 * K) + u3 * K * N,
+            "flips": rows_ns + g0 + g1 * flips * N + g2 * K * N}
+    return min(cost, key=cost.get)
 
 
 def _signed(g, X):

@@ -25,7 +25,9 @@ def greedy_decode(model, x):
     flipped node's neighbours (on every node for mcl, whose selected-set
     size moves). A round costs O(deg), plus O(N) for the argmax and for
     mcl's update, and decode flips exactly what a Delta rebuilt from a
-    fresh product every round would flip.
+    fresh product every round would flip. The model then keeps the
+    decoded batch and its product, taken from the final states, so that
+    scoring the result (``model.energy``) makes no product.
 
     Accepts a single solution of shape (N,) or a batch (B, N); a 0-node
     model returns it unchanged, as int8. Raises
@@ -34,7 +36,7 @@ def greedy_decode(model, x):
     """
     X, single = model._as_batch(x)
     X = X.copy()  # flipped in place below
-    states, keys, flip = model._descent(X)
+    states, keys, flip, keep = model._descent(X)
     limit = 1000 + 10 * (model.num_nodes + model.graph.num_edges)
     # an empty row is already a fixed point: it has no coordinate to flip
     for row, state, key in zip(X, states, keys) if model.num_nodes else ():
@@ -45,6 +47,7 @@ def greedy_decode(model, x):
             flip(row, state, key, i)
         else:
             raise RuntimeError("greedy decode did not converge; check model coefficients")
+    keep()
     out = X.astype(np.int8)
     return out[0] if single else out
 

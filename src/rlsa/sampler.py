@@ -109,6 +109,7 @@ draw depth.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -161,7 +162,11 @@ def flip_probabilities(delta, dth, epsilon: float, tau: float):
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     threshold = np.asarray(dth, dtype=np.float64) - epsilon
-    return expit((np.asarray(delta, dtype=np.float64) - threshold) / (2.0 * tau))
+    # a large Delta over a small tau overflows to +-inf, whose expit is
+    # exactly 1 or 0: the probability the finite quotient rounds to
+    with np.errstate(over="ignore"):
+        z = (np.asarray(delta, dtype=np.float64) - threshold) / (2.0 * tau)
+    return expit(z)
 
 
 def normalized_flip_probabilities(delta, tau: float, d: int):
@@ -177,7 +182,8 @@ def normalized_flip_probabilities(delta, tau: float, d: int):
     if integer("d", d, 1) > n:
         raise ValueError(f"d must be in 1..{n}, got {d}")
     tau = positive("tau", tau)
-    z = D / (2.0 * tau)
+    with np.errstate(over="ignore"):  # +-inf, as in flip_probabilities
+        z = D / (2.0 * tau)
     sig = expit(z)
     total = sig.sum(axis=-1, keepdims=True)
     dead = total == 0
@@ -395,17 +401,17 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
     returns the flip mask in the block's reused arrays ``buf``; the
     regularized and ld rules take their sigmoid from a table of the integer
     values, or evaluate it only where a flip can happen (see the module
-    docstring). The block costs one product or column update per step:
+    docstring). The block costs one product or update per step:
     ``model.energy`` on the new state brings ``A @ X`` up to date, through
-    the flipped columns when they are few (see ``rlsa.energy``), and the
-    next step's ``model.delta`` on the same state reuses it through the
-    model's per-thread memo, so a block makes ``steps + 1`` products or
-    updates. The states are a bool (K, N) array flipped in place with
-    ``X ^= flip``; the memo keeps a copy of the batch it saw, so it
-    notices the change. Returns the
-    best states (bool) and energies, per step and chain the energy and the
-    number of bits flipped, and the running best, whose first row is the
-    initial energies: a chain's best improved at step t exactly where
+    each chain's flip list or the flipped columns when that is cheaper
+    (see ``rlsa.energy``), and the next step's ``model.delta`` on the same
+    state reuses it through the model's per-thread memo, so a block makes
+    ``steps + 1`` products or updates. The states are a bool (K, N)
+    array flipped in place with ``X ^= flip``; the memo keeps a copy of
+    the batch it saw, so it notices the change. Returns the best states
+    (bool) and energies, per step and chain the energy and the number of
+    bits flipped, and the running best, whose first row is the initial
+    energies: a chain's best improved at step t exactly where
     ``best_traj[t] < best_traj[t - 1]``.
     """
     rule = KERNELS[cfg.kernel][1]
@@ -443,6 +449,22 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
         best_traj[t + 1] = best_E
         flips_traj[t] = np.count_nonzero(flip, axis=1)
     return best_X, best_E, energy_traj, best_traj, flips_traj
+
+
+def _mean_energy(energy_traj):
+    """Each row's mean of a (T, K) array of finite energies: the plain
+    ``mean`` where it is finite, and where the sum of the K energies
+    overflows, the mean of the energies scaled by a power of two at or
+    below 1 / K, scaled back. Scaling by a power of two is exact, so this
+    is the mean that a sum without overflow would give, and the scaled
+    sum stays below the largest energy."""
+    with np.errstate(over="ignore"):
+        mean = energy_traj.mean(axis=1)
+    over = ~np.isfinite(mean)
+    if over.any():
+        scale = 0.5 ** math.ceil(math.log2(energy_traj.shape[1]))
+        mean[over] = (energy_traj[over] * scale).mean(axis=1) / scale
+    return mean
 
 
 def _empty_result(model) -> RunResult:
@@ -501,7 +523,7 @@ def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResul
         step=np.arange(1, cfg.steps + 1, dtype=np.int64),
         tau=taus,
         best_energy=best_traj[1:].min(axis=1),
-        mean_energy=energy_traj.mean(axis=1),
+        mean_energy=_mean_energy(energy_traj),
         mean_flips=flips_traj.mean(axis=1),
         improved=np.count_nonzero(best_traj[1:] < best_traj[:-1], axis=1),
     )

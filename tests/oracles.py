@@ -11,14 +11,22 @@ from rlsa import Graph, from_edge_list, generate_ba, generate_er
 
 class CountingMatrix:
     """Stands in for a model's sparse matrix and counts, per thread, what is
-    taken from it: in ``calls``, the products ``A @ X`` and the row
-    selections ``A[rows]``, one of which each product or column update
-    makes; in ``selections``, the row selections alone."""
+    taken from it: in ``calls``, the products ``A @ X``, the row
+    selections ``A[rows]`` and the flip-list updates, one of which each
+    product or update makes; in ``selections``, the row selections alone;
+    in ``flip_updates``, the flip-list updates alone.
+
+    A flip-list update reads, in a compiled kernel, the dense rows that
+    the model makes once through ``toarray`` (``dense`` lists each copy
+    made); ``watch`` has the kernel count each call that reads one of
+    them, for as long as the given pytest ``monkeypatch`` lasts."""
 
     def __init__(self, A):
         self.A = A
         self.calls = {}
         self.selections = {}
+        self.flip_updates = {}
+        self.dense = []
         self._lock = threading.Lock()
 
     def __getattr__(self, name):
@@ -38,6 +46,23 @@ class CountingMatrix:
         self._count(self.calls, self.selections)
         return self.A[key]
 
+    def toarray(self):
+        self.dense.append(self.A.toarray())
+        return self.dense[-1]
+
+    def watch(self, monkeypatch):
+        import rlsa.energy as energy
+
+        kernel = energy._csr_matvecs
+
+        def counted(*args):
+            if any(a is d for a in args for d in self.dense):
+                self._count(self.calls, self.flip_updates)
+            return kernel(*args)
+
+        monkeypatch.setattr(energy, "_csr_matvecs", counted)
+        return self
+
     @property
     def total(self):
         return sum(self.calls.values())
@@ -45,6 +70,10 @@ class CountingMatrix:
     @property
     def rows(self):
         return sum(self.selections.values())
+
+    @property
+    def flips(self):
+        return sum(self.flip_updates.values())
 
 
 def triangle():

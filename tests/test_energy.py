@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -7,7 +8,7 @@ import pytest
 
 from rlsa import (EnergyModel, SamplerConfig, from_edge_list, generate_ba, generate_er,
                   greedy_decode, run_rlsa)
-from rlsa.energy import _rank_table, _update_pays
+from rlsa.energy import _rank_table, _update_path
 
 from oracles import (
     CountingMatrix,
@@ -381,10 +382,10 @@ def test_exact_update_rule_follows_the_weights():
                 want = m.delta(y)
                 assert D.dtype == want.dtype and np.array_equal(D, want)
         assert (flip_rows == 0) == (dtype == np.int16), (m, flip_rows)
-        # the update's fixed cost exceeds a triangle's full product, so
+        # each update's fixed cost exceeds a triangle's full product, so
         # the memo multiplies afresh whatever the dtype (the walks below
-        # take the update on larger graphs)
-        assert not _update_pays(2, 6, 1, 3)
+        # take the updates on larger graphs)
+        assert _update_path(1, 2, 6, 1, 3, 0.0) == "full"
         assert spy.rows == flip_rows, (m, spy.rows)
 
 
@@ -493,14 +494,14 @@ def test_descent_state_stays_fresh():
         for m in models:
             X = rng.random((3, n)) < rng.random((3, 1))
             want = X.copy()
-            states, keys, flip = m._descent(X)
+            states, keys, flip, _ = m._descent(X)
             assert states.shape == keys.shape == X.shape
             for row, state, key, x in zip(X, states, keys, want):
                 for i in rng.integers(0, n, 30):
                     x[i] = not x[i]
                     flip(row, state, key, i)
                     assert row.dtype == bool and np.array_equal(row, x), m
-                    fresh_states, fresh_keys, fresh_flip = m._descent(row[None])
+                    fresh_states, fresh_keys, fresh_flip, _ = m._descent(row[None])
                     assert fresh_flip == flip
                     for got, new in ((state, fresh_states[0]), (key, fresh_keys[0])):
                         assert got.dtype == new.dtype and got.tobytes() == new.tobytes(), m
@@ -929,74 +930,131 @@ def _update_models(g, rng):
 def _walk_memo(m, rng, steps=12, rows=5):
     """Flip random bits of one bool batch in place, a few or many per row
     as the walk goes on, and check after each step that the memo's product
-    equals a fresh ``A @ X^T`` bit for bit and that the column update was
-    taken exactly when the cost rule says it pays for the nonzeros in the
-    changed columns' rows. Returns how many steps took it."""
-    A = m._A.A  # the CountingMatrix the caller installed
+    equals a fresh ``A @ X^T`` bit for bit and that it was brought up to
+    date along the path the cost rule picks for the flips and for the
+    nonzeros in the changed columns' rows: the full product, the column
+    update or the flip list, each counted by the watched CountingMatrix
+    that the caller installed. Returns the paths taken, in order."""
+    counter = m._A
+    A = counter.A
     deg = np.diff(A.indptr)
     n = m.num_nodes
     X = rng.integers(0, 2, size=(rows, n)).astype(bool)
     m._ax(X)
-    updates = 0
+    me = threading.get_ident()
+    counts = (counter.calls, counter.selections, counter.flip_updates)
+    paths = []
     for step in range(steps):
         flips = (1, 2, 8, n // 3)[step % 4]
         old = X.copy()
         for row in X:
             row[rng.choice(n, flips, replace=False)] ^= True
-        sel = deg[(old != X).any(axis=0)].sum()
-        mine = m._A.selections
-        before = mine.get(threading.get_ident(), 0)
+        changed = old != X
+        before = [c.get(me, 0) for c in counts]
+        rows_ns = m._rows_ns  # before this update makes the dense rows
         ax = m._ax(X)
-        took = mine.get(threading.get_ident(), 0) - before
+        made, cols, flip_list = (c.get(me, 0) - b for c, b in zip(counts, before))
+        assert made == 1 and cols + flip_list <= 1
+        paths.append("columns" if cols else "flips" if flip_list else "full")
         fresh = np.ascontiguousarray((A @ np.ascontiguousarray(X.T).astype(A.dtype)).T)
         assert ax.dtype == fresh.dtype and ax.flags.c_contiguous and not ax.flags.writeable
         assert np.array_equal(ax, fresh), (m, step)
-        expected = _update_pays(sel, A.nnz, rows, n) and A.dtype == np.int16
-        assert took == expected, (m, step, sel / A.nnz)
-        updates += took
-    return updates
+        sel = deg[changed.any(axis=0)].sum()
+        expected = "full"
+        if A.dtype == np.int16:
+            expected = _update_path(changed.sum(), sel, A.nnz, rows, n, rows_ns)
+        assert paths[-1] == expected, (m, step, sel / A.nnz)
+    return paths
 
 
-def test_memo_update_equals_a_fresh_product():
-    # with few changed columns an int16 memo adds them to its product, with
+def test_memo_update_equals_a_fresh_product(monkeypatch):
+    # With few changed entries an int16 memo updates its product, with
     # many it multiplies afresh; either way the product is the full one.
-    # The graphs are dense enough for the update to pay on a batch of 5.
+    # Below the dense-row cap (N <= 1024) the updates take the flip list;
+    # above it, the changed columns. The graphs are dense enough for an
+    # update to pay on a batch of 5.
     rng = np.random.default_rng(30)
-    for g in (generate_er(1000, 0.1, seed=30), generate_ba(1000, 50, seed=31)):
+    for g, update in ((generate_er(1000, 0.1, seed=30), "flips"),
+                      (generate_ba(1000, 50, seed=31), "flips"),
+                      (generate_er(1100, 0.1, seed=33), "columns")):
         for m in _update_models(g, rng):
-            m._A = counter = CountingMatrix(m._A)
-            updates = _walk_memo(m, rng)
+            m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
+            paths = _walk_memo(m, rng)
             if m._A.dtype == np.int16:
-                assert 0 < updates < 12
+                assert set(paths) == {"full", update}, paths
+                assert (m._rows is not None) == (update == "flips")
             else:
-                assert updates == 0 and counter.rows == 0 and counter.total == 13
+                assert set(paths) == {"full"} and counter.total == 13 and m._rows is None
 
 
-def test_memo_update_on_worker_threads():
-    # three threads walk their own batches on one shared model at once
+def test_memo_update_on_worker_threads(monkeypatch):
+    # three threads walk their own batches on one shared model at once,
+    # below and above the dense-row cap
     rng = np.random.default_rng(32)
-    g = generate_er(1000, 0.1, seed=32)
-    for m in _update_models(g, rng):
-        m._A = CountingMatrix(m._A)
-        seeds = rng.integers(0, 2 ** 31, size=3)
-        errors, updates = [], []
+    for g in (generate_er(1000, 0.1, seed=32), generate_er(1100, 0.1, seed=34)):
+        for m in _update_models(g, rng):
+            m._A = CountingMatrix(m._A).watch(monkeypatch)
+            seeds = rng.integers(0, 2 ** 31, size=3)
+            errors, walks = [], []
 
-        def walk(seed):
-            try:
-                updates.append(_walk_memo(m, np.random.default_rng(seed), steps=16))
-            except Exception as exc:
-                errors.append(exc)
+            def walk(seed):
+                try:
+                    walks.append(_walk_memo(m, np.random.default_rng(seed), steps=16))
+                except Exception as exc:
+                    errors.append(exc)
 
-        threads = [threading.Thread(target=walk, args=(s,), daemon=True) for s in seeds]
+            threads = [threading.Thread(target=walk, args=(s,), daemon=True) for s in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            if errors:
+                raise errors[0]
+            assert len(walks) == 3
+            updated = [set(w) != {"full"} for w in walks]
+            assert all(updated) == (m._A.dtype == np.int16), walks
+
+
+def test_dense_rows_are_made_once_by_racing_threads(monkeypatch):
+    # More threads than cores take their first flip-list update at once,
+    # switching every microsecond: the model makes one dense copy of A for
+    # all of them, and every updated product equals a fresh one.
+    m = EnergyModel("mis", generate_er(300, 0.5, seed=35), beta=1.02)
+    m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
+    rng = np.random.default_rng(35)
+    threads_n = 8
+    starts = rng.random((threads_n, 3, 300)) < 0.5
+    ends = starts.copy()
+    ends[:, np.arange(3), rng.integers(0, 300, size=3)] ^= True  # one flip per row
+    barrier = threading.Barrier(threads_n, timeout=60)
+    products, errors = {}, []
+
+    def update(t):
+        try:
+            m._ax(starts[t])
+            barrier.wait()
+            products[t] = m._ax(ends[t])
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=update, args=(t,), daemon=True)
+                   for t in range(threads_n)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        if errors:
-            raise errors[0]
-        assert len(updates) == 3
-        assert all(u > 0 for u in updates) == (m._A.dtype == np.int16), updates
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+    assert len(counter.dense) == 1 and counter.flips == threads_n
+    for t in range(threads_n):
+        assert np.array_equal(products[t], reference_product(m.graph, ends[t])), t
 
 
 def test_evaluation_does_not_depend_on_memory_layout():

@@ -17,6 +17,7 @@ from rlsa import (
 )
 
 from oracles import (
+    CountingMatrix,
     all_bitvectors,
     exhaustive_min_energy,
     full_delta_decode,
@@ -84,8 +85,8 @@ class BudgetModel:
         # every key is positive until the budget is spent
         if self.codes:
             return (np.zeros(X.shape, dtype=np.intp), np.ones(X.shape, dtype=np.int16),
-                    self._flip_code)
-        return np.zeros(X.shape), np.ones(X.shape), self._flip
+                    self._flip_code, lambda: None)
+        return np.zeros(X.shape), np.ones(X.shape), self._flip, lambda: None
 
     def _flip(self, x, ax, D, i):
         self.flips += 1
@@ -94,6 +95,36 @@ class BudgetModel:
     def _flip_code(self, x, code, key, i):
         self.flips += 1
         key[:] = 1 if self.flips < self.budget else -1
+
+
+def test_decode_leaves_the_memo_holding_the_decoded_product():
+    # Scoring the decoded batch takes no product: decode hands the memo the
+    # batch and its product, from the codes (mis, mcl) or the kept product
+    # (mcut, qubo with an int16 and with a float64 product), equal to a
+    # fresh product bit for bit, and every score equals a fresh model's.
+    rng = np.random.default_rng(71)
+    g = generate_er(80, 0.2, seed=71)
+    n, e = g.num_nodes, g.num_edges
+    makes = [lambda: EnergyModel("mis", g, beta=1.001), lambda: EnergyModel("mcl", g, beta=1.5),
+             lambda: EnergyModel("mcut", g),
+             lambda: EnergyModel("qubo", g, linear=np.linspace(-2, 2, n), quad_scale=1.0),
+             lambda: EnergyModel("qubo", g, linear=np.linspace(-2, 2, n), quad_scale=0.7,
+                                 edge_weights=np.linspace(-1, 1, e))]
+    for make in makes:
+        for x in (rng.random((4, n)) < 0.5, rng.random(n) < 0.5):
+            m = make()
+            m._A = counter = CountingMatrix(m._A)
+            decoded = greedy_decode(m, x)
+            made = counter.total  # one product, and for a float64 one, the rows of its flips
+            X = m._as_batch(decoded)[0]
+            fresh = make()
+            ax = m._memo.ax
+            assert not ax.flags.writeable
+            assert ax.dtype == fresh._A.dtype and ax.tobytes() == fresh._ax(X).tobytes(), m
+            for method in ("energy", "violation", "objective")[:2 if m.kind == "qubo" else 3]:
+                got = getattr(m, method)(decoded)
+                assert np.array_equal(got, getattr(fresh, method)(decoded)), (m, method)
+            assert counter.total == made, m
 
 
 def test_decode_gives_up_after_limit_flips():

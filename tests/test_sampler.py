@@ -21,7 +21,7 @@ from rlsa import (
     run_rlsa,
 )
 import rlsa.sampler as sampler
-from rlsa.sampler import KERNELS, _run_chain_block, linear_temperature
+from rlsa.sampler import KERNELS, _mean_energy, _run_chain_block, linear_temperature
 
 from oracles import CountingMatrix, reference_chain, single_edge, triangle
 
@@ -754,23 +754,60 @@ def test_blocks_side_by_side_draw_several_steps_per_generator_call(n, monkeypatc
         assert {c: r.calls for c, r in rngs.items()} == dict.fromkeys(range(6), calls)
 
 
-def test_engine_makes_one_sparse_product_per_step():
-    # Per block: the initial energy, then one product or column update per
-    # step, because the next step's delta(X_t) reuses the product that
-    # energy(X_t) computed. Decode takes one more, and the final energy one
-    # unless decode changed nothing. On the larger graph each block's
-    # chains flip about 20 of its 1500 columns per step, whose rows hold a
-    # few percent of its 340k nonzeros, so steps update the product through
-    # them; on the smaller one a full product costs less than an update.
-    for g, d, updates in ((generate_er(25, 0.2, seed=15), 2, False),
-                          (generate_er(1500, 0.15, seed=16), 20, True)):
+def test_engine_makes_one_sparse_product_per_step(monkeypatch):
+    # Per block: the initial energy, then one product or update per step,
+    # because the next step's delta(X_t) reuses the product that
+    # energy(X_t) computed. Decode takes one more, and scoring its result
+    # none: decode leaves the memo holding the decoded row's product. Each
+    # chain flips about d of the graph's nodes per step. On ER(25) a full
+    # product costs less than an update; on ER(600) the steps take the flip
+    # list; ER(1500) is above the dense-row cap, and its steps update the
+    # product through the changed columns, whose rows hold a few percent
+    # of its 340k nonzeros.
+    for g, d, path in ((generate_er(25, 0.2, seed=15), 2, "full"),
+                       (generate_er(600, 0.15, seed=17), 20, "flips"),
+                       (generate_er(1500, 0.15, seed=16), 20, "columns")):
         cfg = small_cfg(steps=30, chains=6, d=d)
         for workers in (1, 2):
             m = EnergyModel("mis", g, beta=1.02)
-            m._A = counter = CountingMatrix(m._A)
-            res = run_rlsa(m, cfg, workers=workers)
-            assert counter.total == workers * (cfg.steps + 1) + 1 + (res.decode_flips > 0)
-            assert (counter.rows > 0) == updates
+            m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
+            run_rlsa(m, cfg, workers=workers)
+            assert counter.total == workers * (cfg.steps + 1) + 1
+            assert (counter.flips > 0, counter.rows > 0) == (path == "flips", path == "columns")
+
+
+def test_no_product_follows_decode(monkeypatch):
+    # run_rlsa scores the decoded row, and its objective, from the product
+    # that decode left in the memo: after decode's own product, none
+    counts = []
+
+    def counting_decode(model, x):
+        out = greedy_decode(model, x)
+        counts.append(model._A.total)
+        return out
+
+    monkeypatch.setattr(sampler, "greedy_decode", counting_decode)
+    for kind in ("mis", "mcl", "mcut"):
+        m = EnergyModel(kind, generate_er(60, 0.3, seed=18), beta=1.02)
+        m._A = counter = CountingMatrix(m._A)
+        res = run_rlsa(m, small_cfg(d=5, steps=3, chains=4))
+        assert res.decode_flips > 0, kind
+        assert counter.total == counts[-1], kind
+
+
+def test_the_engine_never_makes_dense_rows_on_the_benchmark_mcut_and_mis_er2000():
+    # mcut on BA(1000, 4) at the benchmark's preset: every chain flips too
+    # many nodes for the flip list to pay, at one block of 200 chains and
+    # at two of 100, and the second solve's decode, one row against the
+    # first solve's decoded row, does not pay for the dense copy; mis on
+    # ER(2000, 0.15) is above the dense-row cap
+    mcut = EnergyModel("mcut", generate_ba(1000, 4, seed=19))
+    for workers in (1, 2):
+        run_rlsa(mcut, SamplerConfig(tau0=5.0, d=20, steps=50, chains=200, seed=19),
+                 workers=workers)
+    mis = EnergyModel("mis", generate_er(2000, 0.15, seed=19), beta=1.001)
+    run_rlsa(mis, SamplerConfig(tau0=0.01, d=20, steps=5, chains=32, seed=19))
+    assert mcut._rows is None and mis._rows is None
 
 
 def test_trajectory_best_energy_non_increasing():
@@ -916,6 +953,11 @@ def test_run_result_reports_what_decode_changed(monkeypatch):
 
 
 def _golden_model(case):
+    # mis on graphs where the steps update the product: through the flip
+    # list below the dense-row cap and through the changed columns above
+    # it (test_golden_update_settings_take_their_path)
+    if case in _GOLDEN_UPDATES:
+        return EnergyModel("mis", generate_er(_GOLDEN_UPDATES[case], 0.2, seed=61), beta=1.001)
     # mcl on a dense graph, where cliques are larger; the rest on a sparse one
     kind, _, beta = case.partition("-beta-")
     if kind in ("mis", "mcl"):
@@ -934,6 +976,10 @@ def _golden_model(case):
     # float64 product and Delta
     return EnergyModel("qubo", g, linear=rng.normal(size=n), quad_scale=0.7,
                        edge_weights=rng.normal(size=e))
+
+
+# the update path each setting's steps take -> the nodes of its ER(n, 0.2)
+_GOLDEN_UPDATES = {"mis-flips": 600, "mis-columns": 1100}
 
 
 def _run_digest(case):
@@ -973,9 +1019,69 @@ GOLDEN_RUNS = {
     "qubo-integer": "9540f32366dd6295a56dae44c5e0f70aeff5a4692909ffaccd7b349f18bc3b8f",
     "qubo-float": "99e46107cb0ed2a175f28021c9c563f96c3994012b6414887b4cc39c130819fc",
     "qubo-normal-weights": "27fbed31d86822b219c606ad3659e551880f16f74b260cc9571c5137f7b8f070",
+    "mis-flips": "3b57cbe68b9c897a2e2721a597336a0b5e6664b45ede3d7b667c1ef74599579e",
+    "mis-columns": "e7a787ba18c970d11ee76ea3a6d9818aa2e5524f762512aa801c0ebff0117a3c",
 }
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_RUNS))
 def test_run_matches_its_golden_hashes(case):
     assert _run_digest(case) == GOLDEN_RUNS[case]
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN_UPDATES))
+def test_golden_update_settings_take_their_path(case, monkeypatch):
+    # the counter shows that each setting's steps update the product along
+    # its path, and along no other, at one and at three workers
+    m = _golden_model(case)
+    m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
+    for workers in (1, 3):
+        run_rlsa(m, SamplerConfig(tau0=0.5, steps=15, chains=5, seed=63, d=3), workers=workers)
+    assert (counter.flips > 0, counter.rows > 0) == (case == "mis-flips", case == "mis-columns")
+
+
+def _overflow_qubo(linear):
+    # qubo on ER(30, 0.2), whose coefficients construction accepts
+    return EnergyModel("qubo", generate_er(30, 0.2, 0), linear=linear, quad_scale=1.0)
+
+
+def test_flip_rules_take_an_overflowing_quotient_without_a_warning():
+    # (Delta - Delta_(d)) / (2 tau) overflows for a large finite Delta at a
+    # small tau; its expit, exactly 1 or 0, is the probability the rule wants
+    D = np.array([[8e307, -8e307, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert flip_probabilities(D, 0.0, 0.0, 0.25).tolist() == [[1.0, 0.0, 0.5]]
+        P = normalized_flip_probabilities(D, 0.25, 1)
+        assert np.array_equal(P, np.array([[1.0, 0.0, 0.5]]) / 1.5)
+        linear = np.zeros(30)
+        linear[0] = -8e307
+        m = _overflow_qubo(linear)
+        for kernel, rate in (("regularized", dict(d=2)), ("normalized", dict(d=2)),
+                             ("ld", dict(alpha=0.1))):
+            cfg = SamplerConfig(tau0=0.5, steps=5, chains=8, kernel=kernel, **rate)
+            assert np.isfinite(run_rlsa(m, cfg).trajectory.mean_energy).all()
+
+
+def test_mean_energy_is_finite_where_the_sum_of_energies_overflows():
+    m = _overflow_qubo(np.full(30, -2e306))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_rlsa(m, SamplerConfig(tau0=0.5, d=2, steps=5, chains=8))
+    traj = res.trajectory
+    assert np.isfinite(traj.mean_energy).all()
+    assert (traj.mean_energy >= traj.best_energy).all()
+    # rows whose sum is finite keep numpy's mean bit for bit; the others
+    # take the same mean of the energies scaled by 1/8 for K = 7, scaled back
+    rng = np.random.default_rng(20)
+    E = rng.uniform(-1, 1, size=(4, 7)) * np.array([[1.0], [1e300], [1.7e308], [1.7e308]])
+    E[2] = -1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _mean_energy(E)
+    with np.errstate(over="ignore"):
+        plain = E.mean(axis=1)
+    assert np.isinf(plain[2]) and np.isfinite(plain[[0, 1, 3]]).all()
+    assert got[[0, 1, 3]].tobytes() == plain[[0, 1, 3]].tobytes()
+    assert np.array_equal(got, (E / 8).mean(axis=1) * 8)
+    assert got[2] == pytest.approx(-1.7e308, rel=1e-15)
