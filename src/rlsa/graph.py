@@ -108,7 +108,7 @@ def from_edge_list(num_nodes: int, edges) -> Graph:
         raise ValueError(f"edge endpoints must be integers, got dtype {pairs.dtype}")
     pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
     _check_pairs(n, pairs)
-    return _csr_from_pairs(n, pairs[:, 0], pairs[:, 1])
+    return _csr_from_keys(n, _pair_keys(n, pairs[:, 0], pairs[:, 1]))
 
 
 def _check_pairs(n: int, pairs, base: int = 0, linenos=None) -> None:
@@ -131,33 +131,50 @@ def _check_pairs(n: int, pairs, base: int = 0, linenos=None) -> None:
     raise ValueError(what if linenos is None else f"line {linenos[i]}: {what}")
 
 
-def _csr_from_pairs(n: int, u, v) -> Graph:
-    """The Graph of the valid int64 endpoint arrays ``u`` and ``v``."""
-    # Both directions' keys src * n + dst go into one array, sorted in place:
-    # src-major order makes each neighbor list ascending by construction.
-    # Dropping adjacent repeats (keys are >= 0) gives np.unique's output
-    # without its slower hash path, and row i starts at the first key >= i * n.
-    # Keys run up to n * n - 1. They are int32 when n * n < 2**31, that is
-    # n <= 46340, and int64 otherwise: int32 sorts in about half the time,
-    # and every key and row base src * n below fits in the key type. Each
-    # key's dst is the key less its row's base.
-    dtype = np.int32 if n * n < 2 ** 31 else np.int64
+def _index_dtype(top: int):
+    """int32 when every index up to ``top`` fits below 2**31, else int64."""
+    return np.int32 if top < 2 ** 31 else np.int64
+
+
+def _pair_keys(n: int, u, v):
+    """Both directions' keys src * n + dst of the valid endpoint arrays
+    ``u`` and ``v`` (int32 or int64), in one array.
+
+    Keys run up to n * n - 1. They are int32 when n * n < 2**31, that is
+    n <= 46340, and int64 otherwise: int32 sorts in about half the time and
+    takes half the bytes. The products are formed in the key type, so int32
+    endpoints are never widened and int64 keys never wrap.
+    """
+    dtype = _index_dtype(n * n)
     m = u.size
     keys = np.empty(2 * m, dtype=dtype)
     fwd, bwd = keys[:m], keys[m:]
-    np.multiply(u, n, out=fwd)
+    np.multiply(u, n, out=fwd, dtype=dtype)
     fwd += v
-    np.multiply(v, n, out=bwd)
+    np.multiply(v, n, out=bwd, dtype=dtype)
     bwd += u
+    return keys
+
+
+def _csr_from_keys(n: int, keys) -> Graph:
+    """The Graph of the pair keys src * n + dst of ``_pair_keys``, which
+    this sorts in place and turns into the neighbor lists.
+
+    Sorting puts the keys in src-major order, so each neighbor list comes
+    out ascending. Dropping adjacent repeats (keys are >= 0) gives
+    np.unique's output without its slower hash path, and row i starts at
+    the first key >= i * n. Every key has 0 <= dst < n, so its dst is the
+    key modulo n: ``keys %= n`` turns the sorted keys into the neighbor
+    lists in place, with no second array of their size.
+    """
     keys.sort()
     new = np.empty(keys.size, dtype=bool)
     new[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     if not new.all():
         keys = keys[new]
-    bases = np.arange(n + 1, dtype=dtype) * n
-    offsets = np.searchsorted(keys, bases)
-    keys -= np.repeat(bases[:-1], np.diff(offsets))
+    offsets = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
+    keys %= n
     return Graph(n, offsets, keys.astype(np.int32, copy=False))
 
 
@@ -175,6 +192,12 @@ def generate_er(num_nodes: int, p: float, seed: int) -> Graph:
     flattened pair index; ``Generator.random`` spends one 64-bit draw per
     variate whatever the call size, so the stream, and the graph, is the
     same as with one call per pair or per row.
+
+    The pair indices of the hits, the row starts and both endpoint arrays
+    are int32 when the n (n - 1) / 2 pair indices are below 2**31, that is
+    n <= 65536, and int64 above that: every value is at most a pair index,
+    and int32 halves the arrays that set the peak memory of the call. The
+    endpoint arrays are freed once the keys are made, before the sort.
     """
     n = integer("num_nodes", num_nodes, 0)
     p = finite_float("edge probability", p)
@@ -182,25 +205,30 @@ def generate_er(num_nodes: int, p: float, seed: int) -> Graph:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(integer("seed", seed, 0))
     total = n * (n - 1) // 2
-    hits = [np.empty(0, dtype=np.int64)]
+    itype = _index_dtype(total)
+    hits = [np.empty(0, dtype=itype)]
     draws = np.empty(min(_ER_CHUNK, total))  # reused by every chunk
     below = np.empty(draws.size, dtype=bool)
     for lo in range(0, total, _ER_CHUNK):
         size = min(_ER_CHUNK, total - lo)
         rng.random(out=draws[:size])
-        hit = np.flatnonzero(np.less(draws[:size], p, out=below[:size]))
+        hit = np.flatnonzero(np.less(draws[:size], p, out=below[:size])).astype(itype)
         hit += lo
         hits.append(hit)
     flat = np.concatenate(hits)
     del hits
     # Row i's pairs (i, i + 1), ..., (i, n - 1) start at pair index
     # starts[i]; the hits are sorted, so one search per row splits them.
+    # starts is formed in int64, where i * (2n - i - 1) cannot wrap.
     rows = np.arange(n, dtype=np.int64)
-    starts = rows * (2 * n - rows - 1) // 2
+    starts = (rows * (2 * n - rows - 1) // 2).astype(itype)
     counts = np.diff(np.searchsorted(flat, starts), append=flat.size)
+    rows = rows.astype(itype)
     u = np.repeat(rows, counts)
     flat -= np.repeat(starts - rows - 1, counts)  # pair index -> column
-    return _csr_from_pairs(n, u, flat)
+    keys = _pair_keys(n, u, flat)
+    del u, flat
+    return _csr_from_keys(n, keys)
 
 
 # nodes whose candidates generate_ba draws in one call
@@ -270,9 +298,11 @@ def generate_ba(num_nodes: int, m: int, seed: int) -> Graph:
                 break
             units[row:row + m] = chosen
         src = stop
-    v = np.array(units).reshape(-1, width)[:, :m].ravel()
+    v = np.array(units, dtype=np.int32).reshape(-1, width)[:, :m].ravel()
     del units, every_high
-    return _csr_from_pairs(n, np.repeat(np.arange(m, n), m), v)
+    keys = _pair_keys(n, np.repeat(np.arange(m, n, dtype=np.int32), m), v)
+    del v
+    return _csr_from_keys(n, keys)
 
 
 # Instance file formats: the words that open the header 'N M', the words that
@@ -319,7 +349,7 @@ def parse_instance(text: str, fmt: str) -> Graph:
     if len(linenos) != m:
         raise ValueError(f"header declares {m} edges but {len(linenos)} edge lines found")
     pairs -= base
-    return _csr_from_pairs(n, pairs[:, 0], pairs[:, 1])
+    return _csr_from_keys(n, _pair_keys(n, pairs[:, 0], pairs[:, 1]))
 
 
 def write_instance(graph: Graph, fmt: str) -> str:

@@ -219,6 +219,69 @@ def test_er_traced_peak_stays_within_ten_times_the_graph():
             assert peak <= 10 * size, (generate.__name__, seed, peak / size)
 
 
+def _traced(call, *args):
+    """``call(*args)`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Peaks over the CSR bytes that the int64 set-up read (numpy 2.4.6), at
+# seeds 0 and 1; the int32 one may not read higher.
+_INT64_SETUP_PEAKS = {"generate_ba": 5.94, "from_edge_list er": 4.24, "from_edge_list ba": 4.10}
+
+
+def test_setup_peaks_within_three_times_the_graph():
+    # int32 pair indices and endpoints, the endpoints freed before the sort
+    # and the columns taken in place keep generate_er under 3x the CSR
+    # arrays it returns (the int64 set-up read 4.52x on this graph);
+    # generate_ba and from_edge_list read no higher than they did
+    for seed in (0, 1):
+        ratios = {}
+        for family, generate, args in (("er", generate_er, (2000, 0.15)),
+                                       ("ba", generate_ba, (2000, 10))):
+            g, peak = _traced(generate, *args, seed)
+            size = g.offsets.nbytes + g.neighbors.nbytes
+            ratios[generate.__name__] = peak / size
+            rebuilt, peak = _traced(from_edge_list, g.num_nodes, g.edge_array())
+            assert rebuilt == g
+            ratios[f"from_edge_list {family}"] = peak / size
+        assert ratios["generate_er"] <= 3.0, (seed, ratios)
+        for name, bound in _INT64_SETUP_PEAKS.items():
+            assert ratios[name] <= bound, (seed, name, ratios)
+
+
+@pytest.mark.parametrize("n", [46340, 46341], ids=["int32-keys", "int64-keys"])
+def test_pair_keys_take_int32_endpoints_at_either_key_width(n):
+    # the generators pass int32 endpoints; at n = 46341 their products
+    # src * n reach past 2**31 and must be formed in int64
+    u = np.array([n - 1, 0, n - 2, 7], dtype=np.int32)
+    v = np.array([n - 2, n - 1, 0, n - 1], dtype=np.int32)
+    keys = graph_module._pair_keys(n, u, v)
+    assert keys.dtype == (np.int32 if n == 46340 else np.int64)
+    wide_u, wide_v = u.astype(np.int64), v.astype(np.int64)
+    assert keys.tolist() == np.concatenate((wide_u * n + wide_v, wide_v * n + wide_u)).tolist()
+
+
+def test_int64_indices_build_the_same_graphs(monkeypatch):
+    # above n = 46340 (keys) and n = 65536 (ER pair indices) the set-up runs
+    # in int64; forcing int64 on small graphs shows that branch builds the
+    # references byte for byte
+    monkeypatch.setattr(graph_module, "_index_dtype", lambda top: np.int64)
+    monkeypatch.setattr(graph_module, "_ER_CHUNK", 7)
+    for n in (0, 1, 2, 9, 40):
+        for seed in (0, 1):
+            g, ref = generate_er(n, 0.3, seed), reference_er(n, 0.3, seed)
+            assert g.offsets.tobytes() == ref.offsets.tobytes(), (n, seed)
+            assert g.neighbors.tobytes() == ref.neighbors.tobytes(), (n, seed)
+            if n > 2:
+                g, (ref, _) = generate_ba(n, 2, seed), reference_ba(n, 2, seed)
+                assert g.offsets.tobytes() == ref.offsets.tobytes(), (n, seed)
+                assert g.neighbors.tobytes() == ref.neighbors.tobytes(), (n, seed)
+
+
 def test_er_mean_edges_matches_binomial_expectation():
     # n=700, p=0.15 over 100 seeds: the mean edge count lands within 2% of
     # the binomial expectation p * n * (n - 1) / 2.

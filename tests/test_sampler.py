@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -396,6 +397,38 @@ def test_sparse_flip_mask_stays_exact_when_tau_underflows_the_cutoff(kernel, mon
     assert got[:, -4:].all()  # P = 1/2 there
     assert np.array_equal(got, _dense_mask(cfg, D, tau, U))
     assert sizes == [D.size]
+
+
+def test_sparse_flip_mask_gathers_a_strided_u_without_copying_it(monkeypatch):
+    # blocks side by side hand the rule each step's U as a (K, N) view of
+    # their (K, S * N) draws; the sparse mask reads the entries it needs at
+    # their offsets, so on that view it allocates about what it does on a
+    # contiguous U, not another copy of all K * N uniforms
+    rng = np.random.default_rng(21)
+    k, n, depth, tau = 100, 800, 5, 0.5
+    cfg = SamplerConfig(tau0=1.0, steps=1, chains=k, kernel="ld", alpha=0.05)
+    a = _threshold(cfg, tau)
+    D = np.where(rng.random((k, n)) < 0.05, a, a - 50.0)  # z = 0 or -50
+    draws = rng.random((k, depth * n))
+    draws[:, 2 * n:3 * n:50] = 0.0  # dead entries that U == 0 still flips
+    strided = draws[:, 2 * n:3 * n]
+    contiguous = strided.copy()
+    paths = _recording_paths(monkeypatch)
+    masks, peaks = [], []
+    for U in (contiguous, strided):
+        buf = sampler._Buffers()
+        KERNELS["ld"][1](cfg, D, tau, U, buf)  # makes the reused arrays
+        tracemalloc.start()
+        try:
+            masks.append(KERNELS["ld"][1](cfg, D, tau, U, buf).copy())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert paths == ["sparse"] * 4
+    assert np.array_equal(masks[1], masks[0])
+    assert np.array_equal(masks[0], _dense_mask(cfg, D, tau, contiguous))
+    assert masks[0][:, ::50].all()
+    assert peaks[1] < peaks[0] + strided.nbytes / 4, (peaks, strided.nbytes)
 
 
 def _live_cut(cfg, D, tau):
@@ -983,17 +1016,19 @@ _GOLDEN_UPDATES = {"mis-flips": 600, "mis-columns": 1100}
 
 
 def _run_digest(case):
-    # sha256 of every output of full solves under each kernel at 1 and 3
+    # sha256 of every output of full solves under each kernel at 1, 2 and 3
     # workers: best_x, each Trajectory array with its dtype and shape, the
     # best energy, objective and what decode changed. The short hot runs
     # end away from a local optimum, so decode flips bits in most of them.
+    # Two or three workers run blocks side by side, which draw several
+    # steps per call and hand the rule a strided U.
     m = _golden_model(case)
     h = hashlib.sha256()
     for kernel in sorted(KERNELS):
         rate = dict(alpha=0.2) if kernel == "ld" else dict(d=3)
         for tau0, steps in ((0.5, 15), (2.0, 6)):
             cfg = SamplerConfig(tau0=tau0, steps=steps, chains=5, seed=63, kernel=kernel, **rate)
-            for workers in (1, 3):
+            for workers in (1, 2, 3):
                 res = run_rlsa(m, cfg, workers=workers)
                 traj = res.trajectory
                 for a in [res.best_x] + [getattr(traj, f.name) for f in fields(Trajectory)]:
@@ -1010,23 +1045,44 @@ def _run_digest(case):
 # and the hashes remade on purpose, never skipped: it pins the results
 # that a refactor must keep bit for bit.
 GOLDEN_RUNS = {
-    "mis-beta-1.001": "30dc6d2379ebf7143814fea2e21d9d4a815cd747cc15d0802497ec94cbd170f8",
-    "mis-beta-1.02": "30d0a37cafda97fc26a94707a19f456149c25838c76eeca2ce8482395a4cbfd5",
-    "mis-beta-2": "807b424de0944be2647ded17525c12155a703b70c006f7a4bb8eff465fa3d075",
-    "mcl-beta-1.5": "4c925b7cd6fd3e227befef0575c9d893ce02b3578838dfffe0081ca9bb3d4921",
-    "mcl-beta-2": "6a20b10186a798a66417908923216c36727d30da885390f28f133d827ad45a76",
-    "mcut": "f42fc745430168d62330a2d14028bfe16cd43e79fa8124557c2769bbc576353e",
-    "qubo-integer": "9540f32366dd6295a56dae44c5e0f70aeff5a4692909ffaccd7b349f18bc3b8f",
-    "qubo-float": "99e46107cb0ed2a175f28021c9c563f96c3994012b6414887b4cc39c130819fc",
-    "qubo-normal-weights": "27fbed31d86822b219c606ad3659e551880f16f74b260cc9571c5137f7b8f070",
-    "mis-flips": "3b57cbe68b9c897a2e2721a597336a0b5e6664b45ede3d7b667c1ef74599579e",
-    "mis-columns": "e7a787ba18c970d11ee76ea3a6d9818aa2e5524f762512aa801c0ebff0117a3c",
+    "mis-beta-1.001": "979ff0312c2b05570d3741cfcd10ce33fdb776125ce5cfad7a78f92dfeaa4707",
+    "mis-beta-1.02": "27e397e18e03a0626861eb17b0b697276edbcf3375c9fb20e78e62cb45277b9a",
+    "mis-beta-2": "acb565b14eed6389507be7cb68d81db18c949f424e89c5ce29f5cdfd0f496c56",
+    "mcl-beta-1.5": "6b7ec8099590d1ce4671c91cf2bf5f5222c1efe42372f3370a1dc58736d3a123",
+    "mcl-beta-2": "18bc140cb094b9d04a404ad8b203c482257402ef3b993c1777c74a4d6f9628e5",
+    "mcut": "2291ee288bed403ea1d49fe1260b2bf9465c4c0736d19cadf98ac5e4e788b459",
+    "qubo-integer": "eefe558cf72ad77af686de2a26706dbf7391c52182e2f1cd64c8b3a9e09b3ea4",
+    "qubo-float": "4805823314f71e498af46c7f24b4f7270323aef6cb3327c4d57acb1a7f6a57ad",
+    "qubo-normal-weights": "dd3212813a26851bc801a1c5c3e9a30c1490db191d3ee4cefc43308eaa565802",
+    "mis-flips": "21d9deb91026ef845fab033a3117ffc31da712b01d756c374650e9b0396fe289",
+    "mis-columns": "e4bb6450830f760f993436ed098e0c6e0dc7bfcf12f9d41b0f2c1d5546cefd84",
 }
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_RUNS))
 def test_run_matches_its_golden_hashes(case):
     assert _run_digest(case) == GOLDEN_RUNS[case]
+
+
+def test_golden_settings_reach_every_flip_mask_path(monkeypatch):
+    # together the golden solves take the table mask, the dense mask, and
+    # the sparse mask with a contiguous U (a lone block) and with a strided
+    # one (blocks side by side, several steps per draw)
+    paths = _recording_paths(monkeypatch)
+    strided = []
+    mask = sampler._flip_mask
+
+    def recording(D, U, *args):
+        strided.append(not U.flags.c_contiguous)
+        return mask(D, U, *args)
+
+    monkeypatch.setattr(sampler, "_flip_mask", recording)
+    for case in GOLDEN_RUNS:
+        _run_digest(case)
+    # each mask makes exactly one flip_probabilities call
+    assert len(paths) == len(strided)
+    reached = {(p, s) if p == "sparse" else p for p, s in zip(paths, strided)}
+    assert {"table", "dense", ("sparse", False), ("sparse", True)} <= reached
 
 
 @pytest.mark.parametrize("case", list(_GOLDEN_UPDATES))
