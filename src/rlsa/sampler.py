@@ -95,8 +95,8 @@ max-cut at 1000 nodes, 100 calls of about 3 us per step per block).
 ``run_rlsa`` therefore gives each of several blocks
 S = ``_DRAW_ENTRIES`` // N, at least 1 and at most T. A lone block, which
 no other thread waits on, takes S = 1, so its uniforms stay (K, N). The
-sparse mask gathers its entries of U at their offsets in the buffer, so a
-view with S > 1 costs it no copy.
+sparse mask gathers its entries of U by row and column, so a view with
+S > 1 costs it no copy.
 
 Reproducibility: chain k draws from an independent stream derived from the
 master seed, ``default_rng(SeedSequence(seed, spawn_key=(k,)))``. A chain
@@ -256,29 +256,11 @@ def _flip_mask(D, U, dth, epsilon, tau, buf):
     if not U.all():
         live |= U == 0
     idx = np.flatnonzero(live)
+    rows = idx // D.shape[1]
     flip.fill(False)
-    flip.ravel()[idx] = _gather(U, idx) < flip_probabilities(
-        D.ravel()[idx], dth[idx // D.shape[1], 0], epsilon, tau)
+    flip.ravel()[idx] = U[rows, idx - rows * D.shape[1]] < flip_probabilities(
+        D.ravel()[idx], dth[rows, 0], epsilon, tau)
     return flip
-
-
-def _gather(U, idx):
-    """``U.ravel()[idx]`` for flat indices ``idx`` into a (K, N) U, with no
-    copy of U.
-
-    A block that draws S > 1 steps per call hands the rule a view whose
-    rows lie S * N entries apart, and ``ravel`` would copy every uniform of
-    the step. Where each row is contiguous, the gather reads entry (k, j)
-    at its offset k * stride + j in a flat view of the span U covers.
-    """
-    n = U.shape[1]
-    size = U.itemsize
-    stride = U.strides[0] // size
-    if U.flags.c_contiguous or U.strides[1] != size or stride < n:
-        return U.ravel()[idx]
-    span = np.lib.stride_tricks.as_strided(
-        U, shape=((len(U) - 1) * stride + n,), strides=(size,), writeable=False)
-    return span[idx + idx // n * (stride - n)]
 
 
 def _table_probabilities(D, dth, epsilon, tau, buf):

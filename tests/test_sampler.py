@@ -1,4 +1,5 @@
 import hashlib
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -293,11 +294,16 @@ def _recording_paths(monkeypatch):
     fn = sampler.flip_probabilities
 
     def recording(delta, dth, *a):
-        paths.append("dense" if np.ndim(delta) == 2 else "table" if np.ndim(dth) == 2 else "sparse")
+        paths.append(_mask_path(delta, dth))
         return fn(delta, dth, *a)
 
     monkeypatch.setattr(sampler, "flip_probabilities", recording)
     return paths
+
+
+def _mask_path(delta, dth):
+    """The path of a ``flip_probabilities`` call, as ``_recording_paths`` names it."""
+    return "dense" if np.ndim(delta) == 2 else "table" if np.ndim(dth) == 2 else "sparse"
 
 
 def _dense_mask(cfg, D, tau, U):
@@ -401,8 +407,8 @@ def test_sparse_flip_mask_stays_exact_when_tau_underflows_the_cutoff(kernel, mon
 
 def test_sparse_flip_mask_gathers_a_strided_u_without_copying_it(monkeypatch):
     # blocks side by side hand the rule each step's U as a (K, N) view of
-    # their (K, S * N) draws; the sparse mask reads the entries it needs at
-    # their offsets, so on that view it allocates about what it does on a
+    # their (K, S * N) draws; the sparse mask reads the entries it needs by
+    # row and column, so on that view it allocates about what it does on a
     # contiguous U, not another copy of all K * N uniforms
     rng = np.random.default_rng(21)
     k, n, depth, tau = 100, 800, 5, 0.5
@@ -1067,21 +1073,29 @@ def test_run_matches_its_golden_hashes(case):
 def test_golden_settings_reach_every_flip_mask_path(monkeypatch):
     # together the golden solves take the table mask, the dense mask, and
     # the sparse mask with a contiguous U (a lone block) and with a strided
-    # one (blocks side by side, several steps per draw)
-    paths = _recording_paths(monkeypatch)
-    strided = []
-    mask = sampler._flip_mask
+    # one (blocks side by side, several steps per draw). Blocks run on
+    # threads, so each mask keeps its U's layout in a thread-local that the
+    # same call's flip_probabilities reads.
+    local = threading.local()
+    reached = set()
+    mask, fn = sampler._flip_mask, sampler.flip_probabilities
 
-    def recording(D, U, *args):
-        strided.append(not U.flags.c_contiguous)
-        return mask(D, U, *args)
+    def recording_mask(D, U, *args):
+        local.strided = not U.flags.c_contiguous
+        try:
+            return mask(D, U, *args)
+        finally:
+            del local.strided
 
-    monkeypatch.setattr(sampler, "_flip_mask", recording)
+    def recording(delta, dth, *a):
+        path = _mask_path(delta, dth)
+        reached.add((path, local.strided) if path == "sparse" else path)
+        return fn(delta, dth, *a)
+
+    monkeypatch.setattr(sampler, "_flip_mask", recording_mask)
+    monkeypatch.setattr(sampler, "flip_probabilities", recording)
     for case in GOLDEN_RUNS:
         _run_digest(case)
-    # each mask makes exactly one flip_probabilities call
-    assert len(paths) == len(strided)
-    reached = {(p, s) if p == "sparse" else p for p, s in zip(paths, strided)}
     assert {"table", "dense", ("sparse", False), ("sparse", True)} <= reached
 
 
