@@ -96,33 +96,34 @@ shared model. The stored product is read-only; callers that update it
 copy it first, in its own dtype.
 
 A miss on a batch of the same shape may bring an int16 stored product up
-to date in one of two ways, each exact: every partial sum it makes is a
-sum of w_ij over a subset of row i's neighbours, which the row-sum bound
-keeps below 2**15, so the result equals the full product bit for bit.
+to date through the flip list: to each row k of a copy of ax it adds
++-(row j of A) for every node j that chain k flipped (+ where it set j, -
+where it cleared it). That is exact: every partial sum it makes is a sum
+of w_ij over a subset of row i's neighbours, which the row-sum bound keeps
+below 2**15, so the result equals the full product bit for bit. It pays
+when each chain flips few nodes, however many columns the chains flip
+together, as in an annealing step that flips about d bits per chain. It
+reads the rows one of two ways, each in compiled code:
 
-* The column update adds A's changed columns F (those that differ in any
-  row): the new product is ax + (A[F]^T dX[:, F]^T)^T with dX = X - key,
-  a product over the sel = sum deg(F) nonzeros of F's rows in place of
-  nnz(A). It pays when the batch as a whole flips few columns: steps of a
-  few chains, or of many chains on a large graph.
-* The flip list adds, to each row k of a copy of ax, +-(row j of A) for
-  every node j that chain k flipped (+ where it set j, - where it cleared
-  it): one compiled pass of a sparse (K, N) matrix of signs times a dense
-  int16 copy of A, flips * N adds in all. It pays when each chain flips
-  few nodes, however many columns the chains flip together, as in an
-  annealing step that flips about d bits per chain. The dense copy is
-  made on the first such update and shared by every thread, and only
-  while its 2 N**2 bytes fit under a cap of 2 MiB (N <= 1024). A single
-  row, a solution decoded or scored once per solve, takes the flip list
-  only where its saving also pays for making the copy.
+* A block of chains reads them from a dense int16 copy of A, in one pass
+  of a sparse (K, N) matrix of signs times the copy, flips * N adds in
+  all. The copy is made on the first such update and shared by every
+  thread, and only while its 2 N**2 bytes fit under a cap of 2 MiB
+  (N <= 1024).
+* Everywhere else, a single row and every graph above the cap, it
+  gathers the flipped nodes' CSR rows, chain by chain, signs them and adds
+  them into the copy: sum deg(flipped) adds, which never makes the dense
+  copy, so a solution decoded or scored once per solve pays nothing for
+  it.
 
-A cost rule picks the cheapest of the full product and these updates: a
-linear model of each path's time in 1, nnz or sel (times K), flips * N,
-and K * N, fitted on a sweep of batches over ER and BA graphs, K and
-flips per chain (``BENCH_flips.json``). The updates' fixed parts keep it
-on the full product where that is cheap: on a small or sparse graph, or
-when every chain flips many nodes, as on max-cut. A float64 product never
-takes an update, because its sums would round in another order.
+A cost rule picks the flip list or the full product: a linear model of
+each one's time in 1, nnz (times K), the entries the flip list reads
+(flips * N, or sum deg(flipped)) and K * N, fitted on sweeps of batches
+over ER and BA graphs, K and flips per chain (``BENCH_flips.json``,
+``BENCH_update.json``). The flip list's fixed part keeps the rule on the
+full product where that is cheap: on a small or sparse graph, or when
+every chain flips many nodes, as on max-cut. A float64 product never takes
+the flip list, because its sums would round in another order.
 
 Greedy decode (``rlsa.postprocess.greedy_decode``) reads the model
 through one contract, ``_descent``: from one product of the batch it
@@ -163,11 +164,14 @@ import math
 import threading
 
 import numpy as np
-# scipy's compiled kernel behind csr_matrix @ ndarray (Y += A X): the flip
-# list adds into a copy of the stored product with it, which saves the
-# public path's checked matrix, zeroed result and dense add
-# (BENCH_flips.json)
+# scipy's compiled kernels behind csr_matrix @ ndarray (Y += A X), A[rows]
+# (gathers CSR rows) and toarray(out=) (adds a CSR matrix into a dense
+# one): the flip list adds into a copy of the stored product with them,
+# which saves the public paths' checked matrices and zeroed results
+# (BENCH_flips.json, BENCH_update.json)
 from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+from scipy.sparse._sparsetools import csr_row_index as _csr_row_index
+from scipy.sparse._sparsetools import csr_todense as _csr_todense
 
 from ._checks import finite_array, finite_float, positive
 from .graph import Graph
@@ -275,13 +279,10 @@ class EnergyModel:
         # integer weights with R below 2**15 give an int16 product, and with
         # it how _ax and _flip update a product
         self._A = A.astype(np.int16 if w_int and R < _EXACT_INT16 else np.float64, copy=False)
-        self._row_nnz = np.diff(self._A.indptr)  # the nonzeros a column update reads, per column
-        # the dense int16 rows of A that a flip-list update reads, made on
-        # the first one, and what making them costs that update in ns: inf
-        # where they do not fit under the cap, 0 once made
+        # the dense int16 rows of A that a block's flip list reads where
+        # they fit under the cap, made on the first such update
         self._rows = None
         self._rows_made = threading.Lock()
-        self._rows_ns = _ROWS_NS * n * n if 2 * n * n <= _DENSE_ROWS_BYTES else math.inf
         # B is kept when int16 holds every term of Delta, and with it the
         # gradient's and Delta's dtype is int16
         exact = self._A.dtype == np.int16 and c_int and two_q.is_integer() and B < _EXACT_INT16
@@ -383,8 +384,8 @@ class EnergyModel:
         # independent of the batch size. Callers read an int16 product
         # through exact arithmetic only (see the module docstring).
         # A batch equal to this thread's last one returns the stored
-        # product; one of the same shape may update it through the changed
-        # columns or the flip list (see the module docstring).
+        # product; one of the same shape may update it through the flip
+        # list (see the module docstring).
         memo = self._memo
         key = getattr(memo, "key", None)
         ax = None
@@ -393,13 +394,7 @@ class EnergyModel:
             if not changed.any():
                 return memo.ax
             if self._A.dtype == np.int16:
-                cols = changed.any(axis=0)
-                path = _update_path(np.count_nonzero(changed), cols @ self._row_nnz,
-                                    self._A.nnz, *X.shape, self._rows_ns)
-                if path == "columns":
-                    ax = self._add_columns(memo.ax, key, X, cols)
-                elif path == "flips":
-                    ax = self._add_flips(memo.ax, X, changed)
+                ax = self._add_flips(memo.ax, X, changed)
         if ax is None:
             A = self._A
             # transpose in bool, then cast: casting a strided bool transpose
@@ -409,38 +404,47 @@ class EnergyModel:
         self._remember(X, ax)
         return ax
 
-    def _add_columns(self, ax, key, X, cols):
-        # ax + (A[F]^T dX[:, F]^T)^T with dX = X - key over the changed
-        # columns F, exact: the partial sums of the added term are sums of
-        # +-w, which the row-sum bound keeps below 2**15, and each sum with
-        # ax is an entry of the new product. Entries are 0 or 1, so dX's
-        # int16 cast is exact; A[F]^T is A[:, F] by symmetry.
-        F = np.flatnonzero(cols)
-        dX = np.subtract(X[:, F], key[:, F], dtype=np.int16, casting="unsafe")
-        P = self._A[F].T @ np.ascontiguousarray(dX.T)
-        return np.add(ax, P.T, out=np.empty_like(ax))
-
     def _add_flips(self, ax, X, changed):
-        # ax + S @ rows, with S the sparse (K, N) matrix of +1 where a chain
-        # set node j and -1 where it cleared it, and rows the dense int16 A
-        # (A is symmetric): row k gains +-(row j of A) for each node j that
-        # chain k flipped, added in place to a copy of ax. Exact: each
-        # partial sum of entry (k, i) is a sum of w_ij over a subset of
-        # i's neighbours, which the row-sum bound keeps below 2**15.
-        with self._rows_made:  # made once, then shared read-only by every thread
-            if self._rows is None:
-                self._rows = self._A.toarray()
-                self._rows.flags.writeable = False
-                self._rows_ns = 0.0
-            rows = self._rows
+        # ax + S @ A, with S the sparse (K, N) matrix of +1 where a chain
+        # set node j and -1 where it cleared it (A is symmetric): row k
+        # gains +-(row j of A) for each node j that chain k flipped, added
+        # into a copy of ax; None where the full product costs less
+        # (_flips_pay). Exact: each partial sum of entry (k, i) is a sum of
+        # w_ij over a subset of i's neighbours, which the row-sum bound
+        # keeps below 2**15. A block reads the rows from the dense int16 A
+        # where it fits under the cap, and everywhere else from A's CSR rows.
+        A = self._A
         K, N = X.shape
+        dense = K > 1 and 2 * N * N <= _DENSE_ROWS_BYTES
+        if dense and not _flips_pay(np.count_nonzero(changed) * N, A.nnz, K, N, True):
+            return None
         at = np.flatnonzero(changed)
         # chain k's flips are at[start[k]:start[k + 1]]: at is sorted, and
         # row k of the batch holds the flat indices k N up to (k + 1) N
         start = np.searchsorted(at, np.arange(K + 1) * N)
         sign = X.ravel()[at].astype(np.int16) * 2 - 1
+        idx = A.indices.dtype
+        nodes = (at % N).astype(idx)
+        if not dense:
+            # the flipped nodes' CSR rows, chain by chain in flat order:
+            # chain k's run ends at its and earlier chains' flipped degrees
+            deg = A.indptr[nodes + 1] - A.indptr[nodes]
+            ends = np.cumsum(deg, dtype=np.int64)
+            if ends[-1] > np.iinfo(idx).max or not _flips_pay(ends[-1], A.nnz, K, N, False):
+                return None
         out = ax.copy()
-        _csr_matvecs(K, N, N, start, at % N, sign, rows, out)
+        if dense:
+            with self._rows_made:  # made once, then shared read-only by every thread
+                if self._rows is None:
+                    self._rows = A.toarray()
+                    self._rows.flags.writeable = False
+            _csr_matvecs(K, N, N, start, nodes, sign, self._rows, out)
+        else:
+            cols, vals = np.empty(ends[-1], dtype=idx), np.empty(ends[-1], dtype=np.int16)
+            _csr_row_index(at.size, nodes, A.indptr, A.indices, A.data, cols, vals)
+            vals *= np.repeat(sign, deg)
+            # adds into out, and sums a column that two rows of one chain share
+            _csr_todense(K, N, np.concatenate(([0], ends))[start].astype(idx), cols, vals, out)
         return out
 
     def _descent(self, X):
@@ -631,40 +635,28 @@ class EnergyModel:
 # to 2**53
 _EXACT_INT16 = 2.0 ** 15
 _EXACT_FLOAT64 = 2.0 ** 53
-# The dense int16 rows of A that the flip-list update reads take 2 N**2
-# bytes; they are made only while that stays under this cap (N <= 1024),
-# at about this cost in ns per entry
+# The dense int16 rows of A that a block's flip list reads take 2 N**2
+# bytes; they are made only while that stays under this cap (N <= 1024)
 _DENSE_ROWS_BYTES = 2 ** 21
-_ROWS_NS = 0.3
 # The cost in ns of bringing an int16 product of a (K, N) batch up to date
-# on an _ax miss, per path, as coefficients of (1, nonzeros read,
-# nonzeros read * K, K * N) for the full product (all nnz) and the column
-# update (the sel nonzeros of the changed columns' rows, read to select
-# A[F] and again in its product), and of (1, flips * N, K * N) for the
-# flip list (each of the flips adds one dense row of N entries). Fitted on
-# a sweep of K, N and flips per chain over ER and BA graphs
-# (BENCH_flips.json).
+# on an _ax miss: as coefficients of (1, nnz, nnz * K, K * N) for the full
+# product, and of (1, entries read, K * N) for the flip list, which reads
+# flips * N entries through the dense rows and the sum of the flipped
+# nodes' degrees through the CSR rows. Fitted on sweeps of K, N and flips
+# per chain over ER and BA graphs (BENCH_flips.json, BENCH_update.json).
 _FULL_NS = (37e3, 0.77, 0.13, 2.2)
-_COLUMNS_NS = (180e3, 4.1, 0.14, 3.2)
 _FLIPS_NS = (39e3, 0.18, 1.3)
+_CSR_NS = (36e3, 2.4, 0.71)
 
 
-def _update_path(flips, sel, nnz, K, N, rows_ns) -> str:
-    """The cheapest way for _ax to bring an int16 product of a (K, N) batch
-    up to date: ``"full"``, ``"columns"`` (the changed columns' rows hold
-    ``sel`` of A's ``nnz`` nonzeros) or ``"flips"`` (``flips`` entries
-    changed; the dense rows cost ``rows_ns`` more, inf where they do not
-    fit). A block of chains repeats its update at every step, so making
-    the dense rows pays off over its steps; a single row, a solution
-    decoded or scored once per solve, must pay for them in this update."""
+def _flips_pay(work, nnz, K, N, dense) -> bool:
+    """Whether the flip list brings an int16 product of a (K, N) batch up
+    to date for less than the full product over A's ``nnz`` nonzeros: it
+    reads ``work`` entries, through the dense rows if ``dense`` and A's
+    CSR rows otherwise."""
     f0, f1, f2, f3 = _FULL_NS
-    u0, u1, u2, u3 = _COLUMNS_NS
-    g0, g1, g2 = _FLIPS_NS
-    rows_ns = rows_ns if K == 1 or math.isinf(rows_ns) else 0.0
-    cost = {"full": f0 + nnz * (f1 + f2 * K) + f3 * K * N,
-            "columns": u0 + sel * (u1 + u2 * K) + u3 * K * N,
-            "flips": rows_ns + g0 + g1 * flips * N + g2 * K * N}
-    return min(cost, key=cost.get)
+    g0, g1, g2 = _FLIPS_NS if dense else _CSR_NS
+    return g0 + g1 * work + g2 * K * N < f0 + nnz * (f1 + f2 * K) + f3 * K * N
 
 
 def _signed(g, X):

@@ -106,13 +106,17 @@ def from_edge_list(num_nodes: int, edges) -> Graph:
     pairs = np.asarray(edges)
     if pairs.size and not np.issubdtype(pairs.dtype, np.integer):
         raise ValueError(f"edge endpoints must be integers, got dtype {pairs.dtype}")
-    pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
+    # signed endpoints are used as they come, int32 ones such as
+    # Graph.edge_array()'s with no wider copy; unsigned ones are cast to
+    # int64, since an unsigned and a signed integer may promote to float
+    dtype = pairs.dtype if pairs.dtype.kind == "i" else np.int64
+    pairs = pairs.astype(dtype, copy=False).reshape(-1, 2)
     _check_pairs(n, pairs)
     return _csr_from_keys(n, _pair_keys(n, pairs[:, 0], pairs[:, 1]))
 
 
 def _check_pairs(n: int, pairs, base: int = 0, linenos=None) -> None:
-    """Raise ValueError naming the first pair of the (E, 2) int64 ``pairs``
+    """Raise ValueError naming the first pair of the (E, 2) signed ``pairs``
     with an endpoint outside ``base .. base + n - 1``, else the first self
     loop; with ``linenos``, the message starts with that pair's line."""
     u, v = pairs[:, 0], pairs[:, 1]
@@ -138,12 +142,12 @@ def _index_dtype(top: int):
 
 def _pair_keys(n: int, u, v):
     """Both directions' keys src * n + dst of the valid endpoint arrays
-    ``u`` and ``v`` (int32 or int64), in one array.
+    ``u`` and ``v`` (of a signed integer dtype), in one array.
 
     Keys run up to n * n - 1. They are int32 when n * n < 2**31, that is
     n <= 46340, and int64 otherwise: int32 sorts in about half the time and
-    takes half the bytes. The products are formed in the key type, so int32
-    endpoints are never widened and int64 keys never wrap.
+    takes half the bytes. The products are formed in the key type, so
+    narrower endpoints are never widened and int64 keys never wrap.
     """
     dtype = _index_dtype(n * n)
     m = u.size

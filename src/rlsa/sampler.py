@@ -404,8 +404,8 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
     values, or evaluate it only where a flip can happen (see the module
     docstring). The block costs one product or update per step:
     ``model.energy`` on the new state brings ``A @ X`` up to date, through
-    each chain's flip list or the flipped columns when that is cheaper
-    (see ``rlsa.energy``), and the next step's ``model.delta`` on the same
+    each chain's flip list when that is cheaper than the full product (see
+    ``rlsa.energy``), and the next step's ``model.delta`` on the same
     state reuses it through the model's per-thread memo, so a block makes
     ``steps + 1`` products or updates. The states are a bool (K, N)
     array flipped in place with ``X ^= flip``; the memo keeps a copy of

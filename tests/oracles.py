@@ -13,19 +13,21 @@ class CountingMatrix:
     """Stands in for a model's sparse matrix and counts, per thread, what is
     taken from it: in ``calls``, the products ``A @ X``, the row
     selections ``A[rows]`` and the flip-list updates, one of which each
-    product or update makes; in ``selections``, the row selections alone;
-    in ``flip_updates``, the flip-list updates alone.
+    product or update makes; in ``dense_updates`` and ``csr_updates``, the
+    flip-list updates alone, through the dense rows and through A's CSR
+    rows.
 
-    A flip-list update reads, in a compiled kernel, the dense rows that
-    the model makes once through ``toarray`` (``dense`` lists each copy
-    made); ``watch`` has the kernel count each call that reads one of
-    them, for as long as the given pytest ``monkeypatch`` lasts."""
+    A flip-list update reads, in compiled kernels, either the dense rows
+    that the model makes once through ``toarray`` (``dense`` lists each
+    copy made) or the CSR rows of A itself; ``watch`` has the kernels
+    count each call that reads one or the other, for as long as the given
+    pytest ``monkeypatch`` lasts."""
 
     def __init__(self, A):
         self.A = A
         self.calls = {}
-        self.selections = {}
-        self.flip_updates = {}
+        self.dense_updates = {}
+        self.csr_updates = {}
         self.dense = []
         self._lock = threading.Lock()
 
@@ -43,7 +45,7 @@ class CountingMatrix:
         return self.A @ other
 
     def __getitem__(self, key):
-        self._count(self.calls, self.selections)
+        self._count(self.calls)
         return self.A[key]
 
     def toarray(self):
@@ -53,14 +55,20 @@ class CountingMatrix:
     def watch(self, monkeypatch):
         import rlsa.energy as energy
 
-        kernel = energy._csr_matvecs
+        matvecs, row_index = energy._csr_matvecs, energy._csr_row_index
 
-        def counted(*args):
+        def dense_update(*args):
             if any(a is d for a in args for d in self.dense):
-                self._count(self.calls, self.flip_updates)
-            return kernel(*args)
+                self._count(self.calls, self.dense_updates)
+            return matvecs(*args)
 
-        monkeypatch.setattr(energy, "_csr_matvecs", counted)
+        def csr_update(*args):
+            if any(a is self.A.indptr for a in args):
+                self._count(self.calls, self.csr_updates)
+            return row_index(*args)
+
+        monkeypatch.setattr(energy, "_csr_matvecs", dense_update)
+        monkeypatch.setattr(energy, "_csr_row_index", csr_update)
         return self
 
     @property
@@ -68,12 +76,12 @@ class CountingMatrix:
         return sum(self.calls.values())
 
     @property
-    def rows(self):
-        return sum(self.selections.values())
+    def flips(self):
+        return sum(self.dense_updates.values())
 
     @property
-    def flips(self):
-        return sum(self.flip_updates.values())
+    def csr(self):
+        return sum(self.csr_updates.values())
 
 
 def triangle():

@@ -8,7 +8,8 @@ import pytest
 
 from rlsa import (EnergyModel, SamplerConfig, from_edge_list, generate_ba, generate_er,
                   greedy_decode, run_rlsa)
-from rlsa.energy import _rank_table, _update_path
+import rlsa.energy as energy
+from rlsa.energy import _DENSE_ROWS_BYTES, _flips_pay, _rank_table
 
 from oracles import (
     CountingMatrix,
@@ -344,13 +345,13 @@ def test_large_finite_coefficients_are_still_accepted():
         assert m.energy(np.eye(30, dtype=bool)[0]) == -8e307
 
 
-def test_exact_update_rule_follows_the_weights():
+def test_exact_update_rule_follows_the_weights(monkeypatch):
     # _flip adds columns of A exactly when the product is int16, and
     # recomputes the neighbour rows (A[rows] @ x) otherwise; either way the
     # flipped solution, its product and its Delta equal fresh ones. _ax
-    # brings its memo up to date through the changed columns (one row
-    # selection A[F]) for an int16 product only. mcl decodes on codes
-    # (_flip_code) only, so _flip takes the models whose r is 0.
+    # brings its memo up to date through the flip list for an int16
+    # product only. mcl decodes on codes (_flip_code) only, so _flip takes
+    # the models whose r is 0.
     g = triangle()
     lin = np.zeros(3)
     cases = [(EnergyModel(kind, g, beta=1.02), np.int16) for kind in ("mis", "mcut")]
@@ -366,27 +367,28 @@ def test_exact_update_rule_follows_the_weights():
         cases.append((m, dtype))
     for m, dtype in cases:
         assert m._A.dtype == dtype
-        m._A = spy = CountingMatrix(m._A)
+        m._A = spy = CountingMatrix(m._A).watch(monkeypatch)
         flip_rows = 0
         for x in all_bitvectors(3).astype(bool):
             for i in range(3):
                 ax = m._ax(x[None])[0].copy()
                 D = m._delta(x[None], ax[None])[0]
                 y = x.copy()
-                before = spy.rows
+                before = spy.total
                 m._flip(y, ax, D, i)
-                flip_rows += spy.rows - before
+                flip_rows += spy.total - before
                 assert y[i] != x[i] and np.array_equal(np.delete(y, i), np.delete(x, i))
                 assert ax.dtype == dtype
                 assert np.array_equal(ax, m._ax(y[None])[0])
                 want = m.delta(y)
                 assert D.dtype == want.dtype and np.array_equal(D, want)
         assert (flip_rows == 0) == (dtype == np.int16), (m, flip_rows)
-        # each update's fixed cost exceeds a triangle's full product, so
-        # the memo multiplies afresh whatever the dtype (the walks below
-        # take the updates on larger graphs)
-        assert _update_path(1, 2, 6, 1, 3, 0.0) == "full"
-        assert spy.rows == flip_rows, (m, spy.rows)
+        # each miss is one row with one flip, whose two neighbours' CSR
+        # rows an int16 product reads where the rule finds them cheaper
+        # than the triangle's full product; a single row never reads the
+        # dense rows
+        assert spy.flips == 0 and not spy.dense
+        assert (spy.csr > 0) == (dtype == np.int16 and _flips_pay(2, 6, 1, 3, False)), m
 
 
 def _code_models(g):
@@ -917,7 +919,7 @@ def test_memo_is_kept_per_thread():
 
 def _update_models(g, rng):
     # int16 products: unit weights, and integer weights of both signs; then
-    # a float64 product, which never takes the column update
+    # a float64 product, which never takes the flip list
     yield EnergyModel("mis", g, beta=1.02)
     yield EnergyModel("mcut", g)
     w = rng.integers(-9, 10, size=g.num_edges).astype(np.float64)
@@ -931,18 +933,20 @@ def _walk_memo(m, rng, steps=12, rows=5):
     """Flip random bits of one bool batch in place, a few or many per row
     as the walk goes on, and check after each step that the memo's product
     equals a fresh ``A @ X^T`` bit for bit and that it was brought up to
-    date along the path the cost rule picks for the flips and for the
-    nonzeros in the changed columns' rows: the full product, the column
-    update or the flip list, each counted by the watched CountingMatrix
-    that the caller installed. Returns the paths taken, in order."""
+    date along the path the cost rule picks for the flips: the full
+    product, or the flip list through the dense rows (``"flips"``) or
+    through A's CSR rows (``"csr"``), each counted by the watched
+    CountingMatrix that the caller installed. Returns the paths taken, in
+    order."""
     counter = m._A
     A = counter.A
     deg = np.diff(A.indptr)
     n = m.num_nodes
+    dense = rows > 1 and 2 * n * n <= _DENSE_ROWS_BYTES
     X = rng.integers(0, 2, size=(rows, n)).astype(bool)
     m._ax(X)
     me = threading.get_ident()
-    counts = (counter.calls, counter.selections, counter.flip_updates)
+    counts = (counter.calls, counter.dense_updates, counter.csr_updates)
     paths = []
     for step in range(steps):
         flips = (1, 2, 8, n // 3)[step % 4]
@@ -951,32 +955,31 @@ def _walk_memo(m, rng, steps=12, rows=5):
             row[rng.choice(n, flips, replace=False)] ^= True
         changed = old != X
         before = [c.get(me, 0) for c in counts]
-        rows_ns = m._rows_ns  # before this update makes the dense rows
         ax = m._ax(X)
-        made, cols, flip_list = (c.get(me, 0) - b for c, b in zip(counts, before))
-        assert made == 1 and cols + flip_list <= 1
-        paths.append("columns" if cols else "flips" if flip_list else "full")
+        made, dense_list, csr_list = (c.get(me, 0) - b for c, b in zip(counts, before))
+        assert made == 1 and dense_list + csr_list <= 1
+        paths.append("flips" if dense_list else "csr" if csr_list else "full")
         fresh = np.ascontiguousarray((A @ np.ascontiguousarray(X.T).astype(A.dtype)).T)
         assert ax.dtype == fresh.dtype and ax.flags.c_contiguous and not ax.flags.writeable
         assert np.array_equal(ax, fresh), (m, step)
-        sel = deg[changed.any(axis=0)].sum()
         expected = "full"
-        if A.dtype == np.int16:
-            expected = _update_path(changed.sum(), sel, A.nnz, rows, n, rows_ns)
-        assert paths[-1] == expected, (m, step, sel / A.nnz)
+        work = changed.sum() * n if dense else deg[np.nonzero(changed)[1]].sum()
+        if A.dtype == np.int16 and _flips_pay(work, A.nnz, rows, n, dense):
+            expected = "flips" if dense else "csr"
+        assert paths[-1] == expected, (m, step, work)
     return paths
 
 
 def test_memo_update_equals_a_fresh_product(monkeypatch):
     # With few changed entries an int16 memo updates its product, with
     # many it multiplies afresh; either way the product is the full one.
-    # Below the dense-row cap (N <= 1024) the updates take the flip list;
-    # above it, the changed columns. The graphs are dense enough for an
-    # update to pay on a batch of 5.
+    # Below the dense-row cap (N <= 1024) the updates read the dense rows;
+    # above it, A's CSR rows. The graphs are dense enough for an update to
+    # pay on a batch of 5.
     rng = np.random.default_rng(30)
     for g, update in ((generate_er(1000, 0.1, seed=30), "flips"),
                       (generate_ba(1000, 50, seed=31), "flips"),
-                      (generate_er(1100, 0.1, seed=33), "columns")):
+                      (generate_er(1100, 0.1, seed=33), "csr")):
         for m in _update_models(g, rng):
             m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
             paths = _walk_memo(m, rng)
@@ -985,6 +988,42 @@ def test_memo_update_equals_a_fresh_product(monkeypatch):
                 assert (m._rows is not None) == (update == "flips")
             else:
                 assert set(paths) == {"full"} and counter.total == 13 and m._rows is None
+
+
+def test_single_rows_read_the_csr_rows_and_never_make_the_dense_rows(monkeypatch):
+    # A single row, such as a solution decoded or scored once per solve,
+    # takes the flip list through A's CSR rows even below the dense-row
+    # cap, so it never pays for the dense copy; a block of two rows on the
+    # same model makes it
+    rng = np.random.default_rng(36)
+    for g in (generate_er(300, 0.5, seed=36), generate_er(1100, 0.1, seed=36)):
+        m = EnergyModel("mis", g, beta=1.02)
+        m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
+        paths = _walk_memo(m, rng, rows=1)
+        assert "csr" in paths and "flips" not in paths, paths
+        assert counter.flips == 0 and not counter.dense and m._rows is None
+        if g.num_nodes <= 1024:
+            assert "flips" in _walk_memo(m, rng, rows=2) and m._rows is not None
+
+
+def test_csr_flip_list_never_overflows_its_row_pointer(monkeypatch):
+    # The CSR flip list builds its row pointer in A's index dtype and takes
+    # the full product when the flipped rows' nonzeros do not fit in it.
+    # Here A's indices pose as int16 and one row flips 250 nodes of
+    # ER(300, 0.5), whose 37k nonzeros pass 2**15 - 1, with the rule forced
+    # to the flip list: the product is still the full one.
+    m = EnergyModel("mis", generate_er(300, 0.5, seed=37), beta=1.02)
+    m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
+    counter.indices = counter.A.indices.astype(np.int16)
+    monkeypatch.setattr(energy, "_flips_pay", lambda *args: True)
+    rng = np.random.default_rng(37)
+    X = rng.random((1, 300)) < 0.5
+    m._ax(X)
+    X[0, rng.choice(300, 250, replace=False)] ^= True
+    assert np.diff(counter.A.indptr)[X[0] != m._memo.key[0]].sum() > 2 ** 15
+    A = counter.A
+    assert np.array_equal(m._ax(X), (A @ X.T.astype(np.int16)).T)
+    assert counter.csr == 0 and counter.total == 2
 
 
 def test_memo_update_on_worker_threads(monkeypatch):
@@ -1014,6 +1053,32 @@ def test_memo_update_on_worker_threads(monkeypatch):
             assert len(walks) == 3
             updated = [set(w) != {"full"} for w in walks]
             assert all(updated) == (m._A.dtype == np.int16), walks
+
+
+def test_private_sparse_kernels_keep_their_contract():
+    # The flip list calls three of scipy's private compiled kernels
+    # directly; a scipy that changes what any of them does on this small
+    # int16 case, with int32 indices as A has, fails here. A is 3 x 4:
+    # row 0 holds 2 and -1 at columns 1 and 3, row 1 holds 5 at column 0,
+    # and row 2 holds 7 and 3 at columns 1 and 2.
+    indptr, indices = np.array([0, 2, 3, 5], np.int32), np.array([1, 3, 0, 1, 2], np.int32)
+    data = np.array([2, -1, 5, 7, 3], np.int16)
+    # csr_row_index gathers rows 2, 0 and 2 again, in that order
+    cols, vals = np.empty(6, np.int32), np.empty(6, np.int16)
+    energy._csr_row_index(3, np.array([2, 0, 2], np.int32), indptr, indices, data, cols, vals)
+    assert cols.tolist() == [1, 2, 1, 3, 1, 2] and vals.tolist() == [7, 3, 2, -1, 7, 3]
+    # csr_todense adds the gathered rows 2 and 0 into row 0 of out, summing
+    # column 1, which both hold, and row 2 into row 1; it does not zero out
+    out = np.ones((2, 4), np.int16)
+    energy._csr_todense(2, 4, np.array([0, 4, 6], np.int32), cols, vals, out)
+    assert out.dtype == np.int16 and out.tolist() == [[1, 10, 4, 0], [1, 8, 4, 1]]
+    # csr_matvecs adds S @ D into out, where D is A made dense and the 2 x 3
+    # S holds +1 at (0, 2), -1 at (0, 0) and +1 at (1, 1)
+    D = np.array([[0, 2, 0, -1], [5, 0, 0, 0], [0, 7, 3, 0]], np.int16)
+    out = np.ones((2, 4), np.int16)
+    energy._csr_matvecs(2, 3, 4, np.array([0, 2, 3]), np.array([2, 0, 1]),
+                        np.array([1, -1, 1], np.int16), D, out)
+    assert out.dtype == np.int16 and out.tolist() == [[1, 6, 4, 2], [6, 1, 1, 1]]
 
 
 def test_dense_rows_are_made_once_by_racing_threads(monkeypatch):

@@ -800,19 +800,19 @@ def test_engine_makes_one_sparse_product_per_step(monkeypatch):
     # none: decode leaves the memo holding the decoded row's product. Each
     # chain flips about d of the graph's nodes per step. On ER(25) a full
     # product costs less than an update; on ER(600) the steps take the flip
-    # list; ER(1500) is above the dense-row cap, and its steps update the
-    # product through the changed columns, whose rows hold a few percent
-    # of its 340k nonzeros.
+    # list through the dense rows; ER(1500) is above the dense-row cap, and
+    # its steps take the flip list through A's CSR rows, whose flipped rows
+    # hold a few percent of its 340k nonzeros.
     for g, d, path in ((generate_er(25, 0.2, seed=15), 2, "full"),
                        (generate_er(600, 0.15, seed=17), 20, "flips"),
-                       (generate_er(1500, 0.15, seed=16), 20, "columns")):
+                       (generate_er(1500, 0.15, seed=16), 20, "csr")):
         cfg = small_cfg(steps=30, chains=6, d=d)
         for workers in (1, 2):
             m = EnergyModel("mis", g, beta=1.02)
             m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
             run_rlsa(m, cfg, workers=workers)
             assert counter.total == workers * (cfg.steps + 1) + 1
-            assert (counter.flips > 0, counter.rows > 0) == (path == "flips", path == "columns")
+            assert (counter.flips > 0, counter.csr > 0) == (path == "flips", path == "csr")
 
 
 def test_no_product_follows_decode(monkeypatch):
@@ -838,8 +838,8 @@ def test_the_engine_never_makes_dense_rows_on_the_benchmark_mcut_and_mis_er2000(
     # mcut on BA(1000, 4) at the benchmark's preset: every chain flips too
     # many nodes for the flip list to pay, at one block of 200 chains and
     # at two of 100, and the second solve's decode, one row against the
-    # first solve's decoded row, does not pay for the dense copy; mis on
-    # ER(2000, 0.15) is above the dense-row cap
+    # first solve's decoded row, reads A's CSR rows; mis on ER(2000, 0.15)
+    # is above the dense-row cap
     mcut = EnergyModel("mcut", generate_ba(1000, 4, seed=19))
     for workers in (1, 2):
         run_rlsa(mcut, SamplerConfig(tau0=5.0, d=20, steps=50, chains=200, seed=19),
@@ -992,9 +992,9 @@ def test_run_result_reports_what_decode_changed(monkeypatch):
 
 
 def _golden_model(case):
-    # mis on graphs where the steps update the product: through the flip
-    # list below the dense-row cap and through the changed columns above
-    # it (test_golden_update_settings_take_their_path)
+    # mis on graphs where the steps take the flip list: through the dense
+    # rows below the dense-row cap and through A's CSR rows above it
+    # (test_golden_update_settings_take_their_path)
     if case in _GOLDEN_UPDATES:
         return EnergyModel("mis", generate_er(_GOLDEN_UPDATES[case], 0.2, seed=61), beta=1.001)
     # mcl on a dense graph, where cliques are larger; the rest on a sparse one
@@ -1018,7 +1018,7 @@ def _golden_model(case):
 
 
 # the update path each setting's steps take -> the nodes of its ER(n, 0.2)
-_GOLDEN_UPDATES = {"mis-flips": 600, "mis-columns": 1100}
+_GOLDEN_UPDATES = {"mis-flips": 600, "mis-csr": 1100}
 
 
 def _run_digest(case):
@@ -1061,7 +1061,7 @@ GOLDEN_RUNS = {
     "qubo-float": "4805823314f71e498af46c7f24b4f7270323aef6cb3327c4d57acb1a7f6a57ad",
     "qubo-normal-weights": "dd3212813a26851bc801a1c5c3e9a30c1490db191d3ee4cefc43308eaa565802",
     "mis-flips": "21d9deb91026ef845fab033a3117ffc31da712b01d756c374650e9b0396fe289",
-    "mis-columns": "e4bb6450830f760f993436ed098e0c6e0dc7bfcf12f9d41b0f2c1d5546cefd84",
+    "mis-csr": "e4bb6450830f760f993436ed098e0c6e0dc7bfcf12f9d41b0f2c1d5546cefd84",
 }
 
 
@@ -1102,12 +1102,15 @@ def test_golden_settings_reach_every_flip_mask_path(monkeypatch):
 @pytest.mark.parametrize("case", list(_GOLDEN_UPDATES))
 def test_golden_update_settings_take_their_path(case, monkeypatch):
     # the counter shows that each setting's steps update the product along
-    # its path, and along no other, at one and at three workers
-    m = _golden_model(case)
-    m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
+    # its path, at one and at three workers; three workers split the five
+    # chains into blocks of 2, 2 and 1, and a lone chain reads A's CSR rows
+    # at any N
     for workers in (1, 3):
+        m = _golden_model(case)
+        m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
         run_rlsa(m, SamplerConfig(tau0=0.5, steps=15, chains=5, seed=63, d=3), workers=workers)
-    assert (counter.flips > 0, counter.rows > 0) == (case == "mis-flips", case == "mis-columns")
+        assert (counter.flips > 0, counter.csr > 0) == (case == "mis-flips",
+                                                        case == "mis-csr" or workers == 3)
 
 
 def _overflow_qubo(linear):
