@@ -324,7 +324,8 @@ def parse_instance(text: str, fmt: str) -> Graph:
     """
     header, lead, base = _format(fmt)
     usage = " ".join(header + ("N", "M"))
-    lines = _content(text)
+    raw = text.splitlines()
+    lines = _content(raw)
     lineno, words = next(lines, (None, None))
     if words is None:
         raise ValueError(f"missing header {usage!r}")
@@ -335,20 +336,25 @@ def parse_instance(text: str, fmt: str) -> Graph:
     m = _int64(words[k + 1], lineno, "edge count")
     if n < 0 or m < 0:
         raise ValueError(f"line {lineno}: header counts must be nonnegative")
-    k, lead = len(lead), list(lead)
-    linenos = []  # the line of each edge, for the messages below
-    tokens = []
-    for lineno, words in lines:
-        if len(words) != k + 2 or words[:k] != lead:
-            raise ValueError(f"line {lineno}: expected edge {' '.join(lead + ['u', 'v'])!r}")
-        linenos.append(lineno)
-        tokens += words[k:]
-    try:
-        pairs = np.array(tokens, dtype=np.int64).reshape(-1, 2)
-    except (ValueError, OverflowError):
-        for i, token in enumerate(tokens):
-            _int64(token, linenos[i // 2], "node index")
-        raise
+    found = _edge_lines(raw[lineno:], lead)
+    if found is not None:
+        pairs, at = found
+        linenos = at + lineno + 1  # the line of each edge, for the messages below
+    else:  # a line that is not a plain edge line: find it and name it
+        k, lead = len(lead), list(lead)
+        linenos = []
+        tokens = []
+        for lineno, words in lines:
+            if len(words) != k + 2 or words[:k] != lead:
+                raise ValueError(f"line {lineno}: expected edge {' '.join(lead + ['u', 'v'])!r}")
+            linenos.append(lineno)
+            tokens += words[k:]
+        try:
+            pairs = np.array(tokens, dtype=np.int64).reshape(-1, 2)
+        except (ValueError, OverflowError):
+            for i, token in enumerate(tokens):
+                _int64(token, linenos[i // 2], "node index")
+            raise
     _check_pairs(n, pairs, base, linenos)
     if len(linenos) != m:
         raise ValueError(f"header declares {m} edges but {len(linenos)} edge lines found")
@@ -368,7 +374,7 @@ def write_instance(graph: Graph, fmt: str) -> str:
 def detect_format(text: str) -> str:
     """The format whose header word opens the first non-comment line of
     ``text`` (``p``: DIMACS), else the edge list, whose header has no word."""
-    _, words = next(_content(text), (None, [""]))
+    _, words = next(_content(text.splitlines()), (None, [""]))
     for fmt, (header, _, _) in _FORMATS.items():
         if header[:1] == (words[0],):
             return fmt
@@ -390,12 +396,81 @@ def _format(fmt: str):
         raise ValueError(f"unknown instance format {fmt!r}") from None
 
 
-def _content(text: str):
-    """(line number, words) of each line of ``text`` that is not all comment."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
+def _content(lines):
+    """(line number, words) of each of ``lines`` that is not all comment."""
+    for lineno, raw in enumerate(lines, 1):
         words = raw.split("#", 1)[0].split()
         if words and words[0] != "c":
             yield lineno, words
+
+
+# the control bytes that str.split takes for whitespace, as do all bytes
+# 28..32; the place values of an integer of at most 18 digits, which int64
+# holds
+_SPACE = np.zeros(33, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _edge_lines(lines, lead):
+    """(pairs, at): the (E, 2) int64 node pairs of the edge lines among
+    ``lines`` and each one's index in ``lines``, read in one vectorized
+    pass over their bytes; None when a line that is not all comment is not
+    an edge line of the ``lead`` words and two integers of at most 18 ASCII
+    digits, so that the per-line parse must look at it.
+
+    Comments are those of ``_content``: a line is cut at its first '#', and
+    a line whose first word is 'c' is skipped.
+    """
+    body = "\n".join(lines) + "\n"
+    if not body.isascii():
+        return None
+    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    space = b <= 32
+    if not _SPACE[b[b < 32]].all():  # a control byte inside a word
+        return None
+    line = np.cumsum(b == 10, dtype=np.int32)  # the line of each byte
+    if "#" in body:  # blank each line from its first '#' on
+        cut = np.full(len(lines) + 1, b.size)
+        hashes = np.flatnonzero(b == 35)
+        np.minimum.at(cut, line[hashes], hashes)
+        space |= np.arange(b.size) >= cut[line]
+    edge = np.ones(b.size + 1, dtype=bool)
+    edge[1:] = space
+    # each word's first byte and the byte after its last, in turn: the
+    # body ends in a newline, so every word ends inside it
+    bounds = np.flatnonzero(edge[1:] != edge[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    at = line[starts]
+    first = np.ones(at.size, dtype=bool)  # the words that open their line
+    np.not_equal(at[1:], at[:-1], out=first[1:])
+    comment = first & (ends - starts == 1) & (b[starts] == 99)  # 'c'
+    if comment.any():
+        keep = ~np.isin(at, at[comment])
+        starts, ends, at, first = starts[keep], ends[keep], at[keep], first[keep]
+    width = len(lead) + 2
+    if at.size % width or not np.array_equal(first, np.arange(at.size) % width == 0):
+        return None
+    starts, ends = starts.reshape(-1, width), ends.reshape(-1, width)
+    for j, word in enumerate(lead):
+        want = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
+        if ((ends[:, j] - starts[:, j] != want.size).any()
+                or (b[starts[:, j, None] + np.arange(want.size)] != want).any()):
+            return None
+    starts, ends = starts[:, -2:].ravel(), ends[:, -2:].ravel()
+    minus = b[starts] == 45  # '-'
+    size = ends - starts - minus
+    if size.size and (size.min() < 1 or size.max() > _POW10.size):
+        return None
+    value = np.zeros(size.size, dtype=np.int64)
+    for j in range(size.max(initial=0)):  # the digits j places from the right
+        digit = b[ends - 1 - j] - 48  # uint8: any byte but a digit wraps above 9
+        digit[size <= j] = 0
+        if digit.max() > 9:
+            return None
+        value += digit * _POW10[j]
+    np.negative(value, out=value, where=minus)
+    return value.reshape(-1, 2), at[::width]
 
 
 def _int64(token: str, lineno: int, what: str) -> int:

@@ -8,8 +8,9 @@ chain tracks the best (lowest-energy) solution it has visited.
 
 Kernels. ``KERNELS`` maps each kernel name to the parameters it takes and
 its rule. A rule receives a (chains, N) Delta, the temperature tau, the
-step's uniforms U and the block's buffers, and returns the flip mask
-``U < P`` for its probabilities P:
+block's reservoir of uniforms and its buffers, and returns the flip mask,
+``U < P`` for its probabilities P and the uniforms U it takes (see "Sparse
+flip masks" for which entries take one):
 
 * ``"regularized"`` (``d``, ``epsilon``), the paper's rule, thresholds Delta
   at its d-th largest entry,
@@ -40,22 +41,29 @@ step's uniforms U and the block's buffers, and returns the flip mask
 Sparse flip masks. The regularized and ld rules share one mask function,
 which calls ``flip_probabilities`` with a (K, 1) column of thresholds:
 Delta_(d) per row with epsilon, or tau / alpha in every row with
-epsilon = 0. An integer Delta first tries a table (next paragraph); any
-other Delta, and an integer one whose table does not fit, has the sigmoid
-evaluated only where a flip can happen, and the mask stays bit-identical
-to ``U < P``.
-``Generator.random`` returns multiples of 2**-53, and expit(z) < 2**-53 for
-every z <= -37, so on such an entry ``U < P`` can hold only when U == 0.
-An entry is live when its argument z = (Delta - a) / (2 tau) exceeds -40
-(a = threshold - epsilon, Delta_(d) - epsilon or tau / alpha), a test made
-in Delta units as Delta > a - 80 tau, with no division over the matrix.
-It is one comparison for any dtype: an int16 Delta converts to float64
-exactly. The three units of margin cover its rounding, and a per-row check
-falls back to the dense mask should rounding ever eat that margin. The
-sigmoid runs on the live entries and on those with U == 0, and every other
-entry of the mask is False. When more than a quarter of the entries are
-live, the dense ``U < P`` is cheaper and is used instead. The normalized
-rule needs every sigmoid for its row sums, so it is always dense.
+epsilon = 0. An entry is live when its argument z = (Delta - a) / (2 tau)
+exceeds -40 (a = threshold - epsilon, Delta_(d) - epsilon or tau / alpha),
+a test made in Delta units as Delta > a - 80 tau, with no division over
+the matrix. A dead entry's probability is below expit(-40), about 4e-18.
+On a float64 Delta the live test defines the rule: each live entry takes
+one uniform, the chain's next one in coordinate order, and flips where it
+is below its P; a dead entry takes none and never flips. The uniforms come
+in one gather over the live entries, and the sigmoid runs on them alone.
+On mis-er800 about 4% of the entries are live, so a step takes about 30
+uniforms per chain, not 800.
+An integer Delta takes N uniforms per chain, the (K, N) U, and its mask is
+bit-identical to ``U < P``: from a table (next paragraph) or, where the
+table does not fit, with the sigmoid evaluated only where a flip can
+happen. ``Generator.random`` returns multiples of 2**-53, and
+expit(z) < 2**-53 for every z <= -37, so on a dead entry ``U < P`` can hold
+only when U == 0. The live test is one comparison for any dtype: an int16
+Delta converts to float64 exactly. The three units of margin cover its
+rounding, and a per-row check falls back to the dense mask should rounding
+ever eat that margin. The sigmoid runs on the live entries and on those
+with U == 0, and every other entry of the mask is False. When more than a
+quarter of the entries are live, the dense ``U < P`` is cheaper and is used
+instead. The normalized rule needs every sigmoid for its row sums, so it
+is always dense and takes N uniforms per chain.
 
 Integer Delta. When the energy model bounds every Delta by an integer
 below 2**15 (mcut, qubo with integer coefficients, mis and mcl at an
@@ -79,32 +87,40 @@ type, and the energy model works on bool batches only, so it uses the
 states without a per-entry check or a copy.
 
 Block buffers. A block allocates the arrays of its steps once and reuses
-them at every step: the uniforms, and for the regularized and ld rules the
-(K, N) live test, table index and probabilities, and flip mask. A fresh
-array of that size can cost a page fault per page on first touch; on
-max-cut those faults ate all of the time the table saves. Delta comes
-fresh from ``model.delta`` each step, in its own dtype (int16 on
+them at every step: its reservoir of uniforms, and for the regularized and
+ld rules the (K, N) live test, table index and probabilities, and flip
+mask. A fresh array of that size can cost a page fault per page on first
+touch; on max-cut those faults ate all of the time the table saves. Delta
+comes fresh from ``model.delta`` each step, in its own dtype (int16 on
 max-cut), and the d-th largest is taken on a fresh partition copy. The
-uniforms sit in one (K, S * N) array for a draw depth of S steps: each
-chain fills its row with S steps of uniforms in one generator call, step t
-reads the (K, N) view at columns (t mod S) * N up to (t mod S + 1) * N,
-and the last call draws only the steps that remain. ``Generator.random``
-releases the GIL and takes it back on every call, so blocks that run side
-by side and draw one step per call hand the lock back and forth (on
-max-cut at 1000 nodes, 100 calls of about 3 us per step per block).
-``run_rlsa`` therefore gives each of several blocks
+reservoir is one (K, S * N) array for a draw depth of S steps, with a
+cursor per chain: row k holds chain k's next uniforms, and a step takes
+what it consumes from the cursor on. A row that holds too few for a step
+moves its unread uniforms to its front and fills the rest in one generator
+call, never with more than the steps left can consume. A step of N per
+chain (an integer Delta, the normalized rule) reads the (K, N) view at the
+common cursor, so the rows refill together every S steps; a float64 Delta
+gathers its live entries' uniforms, and each row refills when its own
+count runs out, on mis-er800 about every 26 steps at S = 1.
+``Generator.random`` releases the GIL and takes it back on every call, so
+blocks that run side by side and draw one step per call hand the lock
+back and forth (on max-cut at 1000 nodes, 100 calls of about 3 us per
+step per block). ``run_rlsa`` therefore gives each of several blocks
 S = ``_DRAW_ENTRIES`` // N, at least 1 and at most T. A lone block, which
-no other thread waits on, takes S = 1, so its uniforms stay (K, N). The
-sparse mask gathers its entries of U by row and column, so a view with
-S > 1 costs it no copy.
+no other thread waits on, takes S = 1, so its reservoir is (K, N).
 
 Reproducibility: chain k draws from an independent stream derived from the
-master seed, ``default_rng(SeedSequence(seed, spawn_key=(k,)))``. A chain
-consumes one vector of N uniforms per step in coordinate order (plus one
-random binary init vector); one call for S * N uniforms returns the same
-values as S calls for N each. So results do not depend on how chains are
-scheduled across workers, on how many chains run alongside, or on the
-draw depth.
+master seed, ``default_rng(SeedSequence(seed, spawn_key=(k,)))``. After
+its random binary init vector, a chain consumes its stream in order: per
+step, one uniform per coordinate in coordinate order on an integer Delta
+and under the normalized rule, and one per live coordinate in coordinate
+order under the regularized and ld rules on a float64 Delta. Draws of any
+size return the stream's values in order, so results do not depend on how
+chains are scheduled across workers, on how many chains run alongside, or
+on the draw depth. Taking uniforms for the live entries alone changed the
+results of the float64 Delta runs (mis and mcl at a non-integer beta,
+float qubo) from those of the earlier N per step; the integer runs kept
+theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -217,6 +233,62 @@ _DENSE_SHARE = 0.25
 _DRAW_ENTRIES = 4096
 
 
+class _Reservoir:
+    """A chain block's uniforms: row k of one reused (K, size) array holds
+    chain k's next uniforms, from ``cursor[k]`` up to ``end[k]``, in the
+    order its generator returned them.
+
+    Each step consumes from the front of every row, either N per chain
+    (``step``) or one per given entry (``take``); a block does one or the
+    other at every step. A row that holds too few for the step moves its
+    unread uniforms to its front and fills the rest in one generator call,
+    never with more than the steps left can consume.
+    """
+
+    def __init__(self, rngs, size, n, steps):
+        self.rngs = rngs
+        self.draws = np.empty((len(rngs), size))
+        self.cursor = np.full(len(rngs), size)
+        self.end = self.cursor.copy()
+        self.n = n
+        self.steps = steps  # steps left, the current one included
+
+    def _refill(self, rows):
+        fill = min(self.draws.shape[1], self.steps * self.n)
+        for k in rows:
+            row, left = self.draws[k], self.end[k] - self.cursor[k]
+            row[:left] = row[self.cursor[k]:self.end[k]]
+            self.rngs[k].random(out=row[left:fill])
+            self.cursor[k], self.end[k] = 0, fill
+
+    def step(self):
+        """The (K, N) uniforms of a step that consumes N per chain. Such
+        steps leave every chain's cursor at the same place, a multiple of
+        N below its end, so the step's uniforms are one view of the reused
+        array, and the rows run out together."""
+        if self.cursor[0] == self.end[0]:  # every row empty: nothing to carry over
+            fill = min(self.draws.shape[1], self.steps * self.n)
+            for rng, row in zip(self.rngs, self.draws):
+                rng.random(out=row[:fill])
+            self.cursor[:], self.end[:] = 0, fill
+        self.steps -= 1
+        at = self.cursor[0]
+        self.cursor += self.n
+        return self.draws[:, at:at + self.n]
+
+    def take(self, rows):
+        """Chain k's next uniforms, one for each entry of ``rows`` (chain
+        ids, ascending) equal to k, in order, in one gather."""
+        counts = np.bincount(rows, minlength=len(self.rngs))
+        self._refill(np.flatnonzero(self.end - self.cursor < counts))
+        self.steps -= 1
+        # entry i is its row's (i - first[row])-th, at column cursor[row] + that
+        first = np.cumsum(counts) - counts
+        base = np.arange(len(counts)) * self.draws.shape[1] + self.cursor - first
+        self.cursor += counts
+        return self.draws.ravel().take(base[rows] + np.arange(rows.size))
+
+
 class _Buffers(dict):
     """Arrays that a chain block reuses at every step, by name, each made on
     first use; a fresh instance allocates afresh."""
@@ -228,38 +300,42 @@ class _Buffers(dict):
         return out
 
 
-def _flip_mask(D, U, dth, epsilon, tau, buf):
-    """``U < flip_probabilities(D, dth, epsilon, tau)`` for a (K, 1) column
-    ``dth`` of per-row thresholds, written into ``buf``.
+def _flip_mask(D, dth, epsilon, tau, draws, buf):
+    """The regularized rule's flip mask at a (K, 1) column ``dth`` of
+    per-row thresholds, written into ``buf``, with its uniforms from the
+    reservoir ``draws``.
 
-    An integer D takes its probabilities from a table of its distinct
-    values whenever that table fits. Any other D, and an integer one whose
-    table does not fit, has the sigmoid evaluated only on the entries where
-    a flip can happen: the sparse path passes
-    ``flip_probabilities`` the gathered entries of D and of ``dth``, so
-    every argument keeps its value and the mask is bit-identical to the
-    dense one.
+    A float64 D takes one uniform per live entry, where z > -40 (see
+    "Sparse flip masks" in the module docstring), and passes
+    ``flip_probabilities`` the live entries of D and of ``dth``; every
+    other entry stays False. An integer D takes N uniforms per row, the
+    (K, N) U, and returns ``U < flip_probabilities(D, dth, epsilon,
+    tau)``: from a table of its distinct values whenever that table fits,
+    and otherwise with the sigmoid evaluated only where a flip can happen,
+    bit-identical to the dense mask.
     """
     flip = buf("flip", D.shape, bool)
-    if D.dtype.kind == "i":
+    U = None if D.dtype.kind == "f" else draws.step()
+    if U is not None:
         P = _table_probabilities(D, dth, epsilon, tau, buf)
         if P is not None:
             return np.less(U, P, out=flip)
     a = dth - epsilon
     cut = a + 2.0 * tau * _LIVE_Z
     live = np.greater(D, cut, out=buf("live", D.shape, bool))
-    # Dead entries have D - a <= cut - a; rounding is monotone, so their z
-    # is at most (cut - a) / (2 tau) computed the rule's way.
-    if (np.count_nonzero(live) > _DENSE_SHARE * D.size
-            or not np.all((cut - a) / (2.0 * tau) <= _DEAD_Z)):
-        return np.less(U, flip_probabilities(D, dth, epsilon, tau), out=flip)
-    if not U.all():
-        live |= U == 0
+    if U is not None:
+        # Dead entries have D - a <= cut - a; rounding is monotone, so their
+        # z is at most (cut - a) / (2 tau) computed the rule's way.
+        if (np.count_nonzero(live) > _DENSE_SHARE * D.size
+                or not np.all((cut - a) / (2.0 * tau) <= _DEAD_Z)):
+            return np.less(U, flip_probabilities(D, dth, epsilon, tau), out=flip)
+        if not U.all():
+            live |= U == 0
     idx = np.flatnonzero(live)
     rows = idx // D.shape[1]
+    u = draws.take(rows) if U is None else U[rows, idx - rows * D.shape[1]]
     flip.fill(False)
-    flip.ravel()[idx] = U[rows, idx - rows * D.shape[1]] < flip_probabilities(
-        D.ravel()[idx], dth[rows, 0], epsilon, tau)
+    flip.ravel()[idx] = u < flip_probabilities(D.ravel()[idx], dth[rows, 0], epsilon, tau)
     return flip
 
 
@@ -290,27 +366,29 @@ def _table_probabilities(D, dth, epsilon, tau, buf):
 # _flip_mask resolves flip_probabilities through this module at call time,
 # so a tracer can swap it. ld is the regularized rule at threshold
 # tau / alpha with epsilon = 0, so the benchmark's sampler.flip_rule_s
-# times the sigmoid of both rules: on the whole of Delta, on its live
-# entries or, for an integer Delta that takes the table, on the table
-# alone; the table's gather and compare fall outside it.
+# times the sigmoid of both rules: on a float64 Delta's live entries
+# alone; on an integer Delta on its table, on its live entries or on the
+# whole of it. The live test, the uniforms' gather and the table's gather
+# and compare fall outside it.
 
-def _regularized(cfg, D, tau, U, buf):
-    return _flip_mask(D, U, kth_largest(D, cfg.d)[:, None], cfg.epsilon, tau, buf)
-
-
-def _normalized(cfg, D, tau, U, buf):
-    return U < normalized_flip_probabilities(D, tau, cfg.d)
+def _regularized(cfg, D, tau, draws, buf):
+    return _flip_mask(D, kth_largest(D, cfg.d)[:, None], cfg.epsilon, tau, draws, buf)
 
 
-def _ld(cfg, D, tau, U, buf):
-    return _flip_mask(D, U, np.full((len(D), 1), tau / cfg.alpha), 0.0, tau, buf)
+def _normalized(cfg, D, tau, draws, buf):
+    return draws.step() < normalized_flip_probabilities(D, tau, cfg.d)
+
+
+def _ld(cfg, D, tau, draws, buf):
+    return _flip_mask(D, np.full((len(D), 1), tau / cfg.alpha), 0.0, tau, draws, buf)
 
 
 # kernel -> (the SamplerConfig fields its rule reads,
-#            rule(cfg, Delta, tau, U, buf) -> flip mask, bit-identical to
-#            U < P; the mask may live in the reused arrays ``buf``).
-# The regularized and ld masks take a table or go sparse: see the module
-# docstring.
+#            rule(cfg, Delta, tau, draws, buf) -> flip mask, U < P for the
+#            uniforms U it takes from the reservoir ``draws``; the mask may
+#            live in the reused arrays ``buf``).
+# The regularized and ld masks take a table or go sparse, and on a float64
+# Delta take uniforms for the live entries alone: see the module docstring.
 KERNELS = {
     "regularized": (("d", "epsilon"), _regularized),
     "normalized": (("d",), _normalized),
@@ -392,22 +470,25 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
     with its derived stream.
 
     Each step makes one ``model.delta`` and one ``model.energy`` call on the
-    whole block and consumes N uniforms per chain. Each chain draws
-    ``depth`` steps of them in one generator call into its row of one
-    reused (K, depth * N) buffer, and the flip rule reads the step's
-    (K, N) view; the results are the same for every depth (see "Block
-    buffers" in the module docstring). Delta is taken as ``model.delta``
-    returns it: int16 for a model whose Deltas are integers below 2**15,
-    float64 otherwise. The rule, ``rule(cfg, Delta, tau, U, buf)``,
-    returns the flip mask in the block's reused arrays ``buf``; the
-    regularized and ld rules take their sigmoid from a table of the integer
-    values, or evaluate it only where a flip can happen (see the module
-    docstring). The block costs one product or update per step:
+    whole block. Its uniforms come from the block's reservoir, one
+    (K, depth * N) array with a cursor per chain, which each chain refills
+    in one generator call when it holds too few: a step consumes N per
+    chain on an integer Delta and under the normalized rule, and one per
+    live entry under the regularized and ld rules on a float64 Delta. The
+    results are the same for every depth (see "Block buffers" and
+    "Reproducibility" in the module docstring). Delta is taken as
+    ``model.delta`` returns it: int16 for a model whose Deltas are
+    integers below 2**15, float64 otherwise. The rule,
+    ``rule(cfg, Delta, tau, draws, buf)``, returns the flip mask in the
+    block's reused arrays ``buf``; the regularized and ld rules take their
+    sigmoid from a table of the integer values, or evaluate it only where
+    a flip can happen (see the module docstring). The block costs one
+    product or update per step in which any of its chains flips:
     ``model.energy`` on the new state brings ``A @ X`` up to date, through
     each chain's flip list when that is cheaper than the full product (see
     ``rlsa.energy``), and the next step's ``model.delta`` on the same
     state reuses it through the model's per-thread memo, so a block makes
-    ``steps + 1`` products or updates. The states are a bool (K, N)
+    at most ``steps + 1`` products or updates. The states are a bool (K, N)
     array flipped in place with ``X ^= flip``; the memo keeps a copy of
     the batch it saw, so it notices the change. Returns the best states
     (bool) and energies, per step and chain the energy and the number of
@@ -430,17 +511,11 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
     best_traj = np.empty((len(taus) + 1, k))
     best_traj[0] = E
     flips_traj = np.empty((len(taus), k), dtype=np.int64)
-    draws = np.empty((k, depth * n))
+    draws = _Reservoir(rngs, depth * n, n, len(taus))
     buf = _Buffers()
     for t, tau in enumerate(taus):
         D = model.delta(X)
-        slot = t % depth
-        if slot == 0:
-            size = min(depth, len(taus) - t) * n
-            for rng, row in zip(rngs, draws):
-                rng.random(out=row[:size])
-        U = draws[:, slot * n:(slot + 1) * n]
-        flip = rule(cfg, D, tau, U, buf)
+        flip = rule(cfg, D, tau, draws, buf)
         X ^= flip
         E = model.energy(X)
         better = E < best_E

@@ -319,6 +319,12 @@ def reference_chain(model, cfg, chain_id):
     the d-th largest Delta comes from a full sort, and each flip rule is
     written out in the engine's order of operations, so results can be
     compared bit for bit.
+
+    The chain draws its uniforms as the engine consumes them: under the
+    regularized and ld rules on a float Delta, one per live entry, in
+    coordinate order, where an entry is live when Delta > a - 80 tau for
+    the rule's a = threshold - epsilon (z = (Delta - a) / (2 tau) above
+    -40), and a dead entry never flips; otherwise N per step.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chain_id,)))
     n = model.num_nodes
@@ -329,17 +335,23 @@ def reference_chain(model, cfg, chain_id):
         tau = cfg.tau0 * (1.0 - (t - 1) / cfg.steps)
         delta = model.delta(x)
         if cfg.kernel == "regularized":
-            dth = np.sort(delta)[n - cfg.d]
-            p = expit((delta - (dth - cfg.epsilon)) / (2.0 * tau))
+            a = np.sort(delta)[n - cfg.d] - cfg.epsilon
+            p = expit((delta - a) / (2.0 * tau))
         elif cfg.kernel == "normalized":
             sig = expit(delta / (2.0 * tau))
             p = np.clip(cfg.d * sig / sig.sum(), 0.0, 1.0)
         elif cfg.kernel == "ld":
-            p = expit((delta - tau / cfg.alpha) / (2.0 * tau))
+            a = tau / cfg.alpha
+            p = expit((delta - a) / (2.0 * tau))
         else:
             raise ValueError(f"no reference for kernel {cfg.kernel!r}")
-        u = rng.random(n)
-        flipped = np.where(u < p, 1.0 - x, x)
+        if cfg.kernel != "normalized" and delta.dtype == np.float64:
+            live = delta > a + 2.0 * tau * -40.0
+            flip = np.zeros(n, dtype=bool)
+            flip[live] = rng.random(np.count_nonzero(live)) < p[live]
+        else:
+            flip = rng.random(n) < p
+        flipped = np.where(flip, 1.0 - x, x)
         flips.append(int((flipped != x).sum()))
         x = flipped
         e = model.energy(x)

@@ -575,6 +575,60 @@ def test_hash_and_c_comments_in_both_formats(fmt):
     assert parse_instance(text, fmt) == from_edge_list(3, [(0, 1), (1, 2)])
 
 
+def _parsed(text, fmt):
+    """The graph's arrays, or the message, that parse_instance gives."""
+    try:
+        g = parse_instance(text, fmt)
+    except ValueError as e:
+        return str(e)
+    return g.num_nodes, g.offsets.tolist(), g.neighbors.tolist()
+
+
+def test_vectorized_edge_lines_match_the_per_line_parse(monkeypatch):
+    # random texts of edge lines, comments, blank lines, stray words and
+    # bad tokens, with spaces, tabs, \x1f, \r\n and \x0b between words or
+    # lines: the vectorized pass gives the graph or the message of the
+    # per-line parse. It reads most of the texts that parse, and some that
+    # fail on a count or a node out of range, whose line it names
+    rng = np.random.default_rng(31)
+    odd = ["x", "c", "e", "p", "+2", "2.0", "007", "-1", "-", "1-2", "9" * 18, "9" * 19,
+           "-" + "9" * 18, "é", "1#2", "\x00"]
+    texts = []
+    for _ in range(400):
+        fmt = ["edge-list", "dimacs"][rng.integers(2)]
+        lead, base = (["e"], 1) if fmt == "dimacs" else ([], 0)
+        n = int(rng.choice([2, 3, 6, 15, 150]))  # nodes of one to three digits
+        lines, edges = [], 0
+        for _ in range(int(rng.integers(0, 7))):
+            if rng.random() < 0.9:  # an edge, now and then out of range
+                pair = rng.choice(n + (rng.random() < 0.05), 2, replace=False) + base
+                words = lead + [str(v) for v in pair]
+            else:
+                words = list(rng.choice(odd, int(rng.integers(0, 4))))
+            line = str(rng.choice([" ", "  ", "\t", "\x1f", " \x0b"])).join(words)
+            if rng.random() < 0.1:
+                line = str(rng.choice(["c ", " "])) + line
+            edges += len(words) == len(lead) + 2 and not line.startswith("c ")
+            lines.append(line + (" # note" if rng.random() < 0.1 else ""))
+        header = ("p edge " if fmt == "dimacs" else "") + f"{n} {edges + (rng.random() < 0.05)}"
+        lines.insert(0, header)
+        if rng.random() < 0.3:
+            lines.insert(0, "c made here")
+        texts.append((str(rng.choice(["\n", "\r\n", "\n\n"])).join(lines) + "\n", fmt))
+    fast = [_parsed(text, fmt) for text, fmt in texts]
+    seen, read = [], []
+    edge_lines = graph_module._edge_lines
+    monkeypatch.setattr(graph_module, "_edge_lines",
+                        lambda *a: seen.append(edge_lines(*a) is not None) or None)
+    for (text, fmt), want in zip(texts, fast):
+        seen.clear()
+        assert _parsed(text, fmt) == want, (text, fmt)
+        read.append(any(seen))
+    parsed = [not isinstance(f, str) for f in fast]
+    assert sum(r and p for r, p in zip(read, parsed)) > 0.8 * sum(parsed)
+    assert sum(r and not p for r, p in zip(read, parsed)) > 10  # a bad range or count
+
+
 def test_edge_list_opening_with_a_c_comment_is_an_edge_list(tmp_path):
     text = "c an edge list after all\n3 2\n0 1\n1 2\n"
     assert detect_format(text) == "edge-list"

@@ -306,10 +306,37 @@ def _mask_path(delta, dth):
     return "dense" if np.ndim(delta) == 2 else "table" if np.ndim(dth) == 2 else "sparse"
 
 
-def _dense_mask(cfg, D, tau, U):
+def _probabilities(cfg, D, tau):
     if cfg.kernel == "regularized":
-        return U < flip_probabilities(D, kth_largest(D, cfg.d)[:, None], cfg.epsilon, tau)
-    return U < expit((D - tau / cfg.alpha) / (2.0 * tau))
+        return flip_probabilities(D, kth_largest(D, cfg.d)[:, None], cfg.epsilon, tau)
+    return expit((D - tau / cfg.alpha) / (2.0 * tau))
+
+
+def _dense_mask(cfg, D, tau, U):
+    return U < _probabilities(cfg, D, tau)
+
+
+def _live_mask(cfg, D, tau, U):
+    """The rule on a float Delta written out: row k's live entries, in
+    coordinate order, take U[k, 0], U[k, 1], ... and flip where that is
+    below their P; a dead entry never flips."""
+    live = D > _live_cut(cfg, D, tau)
+    P = _probabilities(cfg, D, tau)
+    want = np.zeros(D.shape, bool)
+    for k, row in enumerate(live):
+        want[k, row] = U[k, :np.count_nonzero(row)] < P[k, row]
+    return want
+
+
+def _preloaded(U):
+    """A reservoir whose row k holds U[k] and nothing after it, for one
+    step on a Delta of U's shape. Its generators are missing, so a step
+    that needs more uniforms than U holds fails."""
+    k, n = U.shape
+    draws = sampler._Reservoir([None] * k, n, n, 1)
+    draws.draws[:] = U
+    draws.cursor[:] = 0
+    return draws
 
 
 def _threshold(cfg, tau):
@@ -350,42 +377,66 @@ def _hand_built(kernel, live_share, rng, tau=0.5, shape=(12, 64)):
 @pytest.mark.parametrize("kernel", ["regularized", "ld"])
 @pytest.mark.parametrize("live_share, path", [(0.02, "sparse"), (0.1, "sparse"), (0.6, "dense")])
 def test_sparse_flip_mask_equals_the_dense_mask(kernel, live_share, path, monkeypatch):
+    # A float Delta takes one uniform per live entry at any live share, the
+    # row's next ones in coordinate order, and runs the sigmoid on its live
+    # entries alone. Its integer twin, floored and given one entry per row
+    # far below the rest so that its table does not fit, takes N uniforms
+    # per chain and returns U < P bit for bit: through the sparse mask up
+    # to a quarter of its entries live (``path``), the dense one above.
     rng = np.random.default_rng(17)
     calls = _recording_rules(monkeypatch)
+    rule = KERNELS[kernel][1]
     for _ in range(20):
         cfg, D, tau, U = _hand_built(kernel, live_share, rng)
-        got = KERNELS[kernel][1](cfg, D, tau, U, sampler._Buffers())
+        live = D > _live_cut(cfg, D, tau)
+        draws = _preloaded(U)
+        got = rule(cfg, D, tau, draws, sampler._Buffers())
         assert got.dtype == bool and got.shape == D.shape
-        assert np.array_equal(got, _dense_mask(cfg, D, tau, U))
+        assert np.array_equal(got, _live_mask(cfg, D, tau, U))
+        assert not got[~live].any()
+        assert np.array_equal(draws.cursor, np.count_nonzero(live, axis=1))
+        assert calls.pop() == np.count_nonzero(live)
+
+        Di = np.maximum(np.floor(D), -30000).astype(np.int16)
+        Di[:, -1] = -30000
+        got = rule(cfg, Di, tau, _preloaded(U), sampler._Buffers())
+        assert np.array_equal(got, _dense_mask(cfg, Di.astype(np.float64), tau, U))
         # the hand-built entries that the zero and the smallest uniforms flip
         assert got[U == 0].any() and got[(U > 0) & (U <= 8 * ULP)].any()
-    # the rule's calls; the reference calls flip_probabilities directly
-    assert len(calls) == 20
-    if path == "sparse":
-        assert all(c < D.size for c in calls)
-    else:
-        assert all(c == D.size for c in calls)
+        assert (calls.pop() == Di.size) == (path == "dense")
+    # the rule's calls; the references call flip_probabilities directly
+    assert not calls
 
 
 @pytest.mark.parametrize("kernel", ["regularized", "ld"])
 def test_sparse_flip_mask_on_all_dead_and_all_live_matrices(kernel):
+    # Every row dead but for the regularized rule's top d: each chain takes
+    # d uniforms, or none, and no dead entry flips, though the uniforms
+    # hold zeros. Every row live: each chain takes N, and the mask is U < P.
     rng = np.random.default_rng(18)
     cfg, D, tau, U = _hand_built(kernel, 0.0, rng)
     dead, live = D.copy(), D.copy()
-    dead[1:] = D[0]  # every row dead but for the regularized rule's top d
-    dead[:, 5] = _threshold(cfg, tau) + 2.0 * tau * -100.0
-    live[:] = D[1]  # every row live: the dense mask
-    U[:, 5] = 0.0
-    for M in (dead, live):
-        got = KERNELS[kernel][1](cfg, M, tau, U, sampler._Buffers())
-        assert np.array_equal(got, _dense_mask(cfg, M, tau, U))
-    assert KERNELS[kernel][1](cfg, dead, tau, U, sampler._Buffers())[:, 5].all()  # U == 0 beats P ~ 1e-44
+    dead[1:] = D[0]
+    live[:] = D[1]
+    U[:, :8] = 0.0
+    top = cfg.d if kernel == "regularized" else 0
+    draws = _preloaded(U)
+    got = KERNELS[kernel][1](cfg, dead, tau, draws, sampler._Buffers())
+    assert np.array_equal(got, _live_mask(cfg, dead, tau, U))
+    assert got[:, :top].all() and not got[:, top:].any()
+    assert (draws.cursor == top).all()
+    draws = _preloaded(U)
+    got = KERNELS[kernel][1](cfg, live, tau, draws, sampler._Buffers())
+    assert np.array_equal(got, _dense_mask(cfg, live, tau, U))
+    assert (draws.cursor == D.shape[1]).all()
 
 
 @pytest.mark.parametrize("kernel", ["regularized", "ld"])
 def test_sparse_flip_mask_stays_exact_when_tau_underflows_the_cutoff(kernel, monkeypatch):
     # tau so small that a - 80 tau rounds back to the threshold a: an entry
-    # equal to a has z = 0 yet fails the live test, so the dense mask is used
+    # equal to a has z = 0 yet fails the live test. The live test defines
+    # the rule, so that entry is dead: it takes no uniform and never flips,
+    # and the sigmoid runs on the regularized rule's top entry alone.
     tau = 1e-20
     if kernel == "regularized":
         cfg = SamplerConfig(tau0=1.0, steps=1, chains=3, d=1)
@@ -399,42 +450,45 @@ def test_sparse_flip_mask_stays_exact_when_tau_underflows_the_cutoff(kernel, mon
         D[:, 0] = 5.0
     U = np.full(D.shape, 0.25)
     sizes = _recording_rules(monkeypatch)
-    got = KERNELS[kernel][1](cfg, D, tau, U, sampler._Buffers())
-    assert got[:, -4:].all()  # P = 1/2 there
-    assert np.array_equal(got, _dense_mask(cfg, D, tau, U))
-    assert sizes == [D.size]
+    got = KERNELS[kernel][1](cfg, D, tau, _preloaded(U), sampler._Buffers())
+    assert not got[:, 1:].any()
+    assert got[:, 0].all() == (kernel == "regularized")
+    assert np.array_equal(got, _live_mask(cfg, D, tau, U))
+    assert sizes == [3 * (kernel == "regularized")]
 
 
 def test_sparse_flip_mask_gathers_a_strided_u_without_copying_it(monkeypatch):
-    # blocks side by side hand the rule each step's U as a (K, N) view of
-    # their (K, S * N) draws; the sparse mask reads the entries it needs by
-    # row and column, so on that view it allocates about what it does on a
-    # contiguous U, not another copy of all K * N uniforms
+    # A float Delta's mask gathers each live entry's uniform from its
+    # chain's row of the reservoir, which holds one step of uniforms (a
+    # lone block) or several (blocks side by side). Either way each chain
+    # takes the same uniforms, its stream's next ones, and the mask
+    # allocates about what its live entries need, never a (K, N) block of
+    # uniforms.
     rng = np.random.default_rng(21)
-    k, n, depth, tau = 100, 800, 5, 0.5
+    k, n, tau = 100, 800, 0.5
     cfg = SamplerConfig(tau0=1.0, steps=1, chains=k, kernel="ld", alpha=0.05)
     a = _threshold(cfg, tau)
     D = np.where(rng.random((k, n)) < 0.05, a, a - 50.0)  # z = 0 or -50
-    draws = rng.random((k, depth * n))
-    draws[:, 2 * n:3 * n:50] = 0.0  # dead entries that U == 0 still flips
-    strided = draws[:, 2 * n:3 * n]
-    contiguous = strided.copy()
     paths = _recording_paths(monkeypatch)
     masks, peaks = [], []
-    for U in (contiguous, strided):
+    for depth in (1, 5):
+        draws = sampler._Reservoir([chain_rng(4, c) for c in range(k)], depth * n, n, 2)
         buf = sampler._Buffers()
-        KERNELS["ld"][1](cfg, D, tau, U, buf)  # makes the reused arrays
+        KERNELS["ld"][1](cfg, D, tau, draws, buf)  # fills the rows, makes the reused arrays
         tracemalloc.start()
         try:
-            masks.append(KERNELS["ld"][1](cfg, D, tau, U, buf).copy())
+            masks.append(KERNELS["ld"][1](cfg, D, tau, draws, buf).copy())
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert paths == ["sparse"] * 4
     assert np.array_equal(masks[1], masks[0])
-    assert np.array_equal(masks[0], _dense_mask(cfg, D, tau, contiguous))
-    assert masks[0][:, ::50].all()
-    assert peaks[1] < peaks[0] + strided.nbytes / 4, (peaks, strided.nbytes)
+    # the second step's uniforms follow the first step's in each stream
+    live = np.count_nonzero(D == a, axis=1)
+    U = np.array([chain_rng(4, c).random(n) for c in range(k)])
+    later = np.stack([np.roll(row, -c) for row, c in zip(U, live)])
+    assert np.array_equal(masks[0], _live_mask(cfg, D, tau, later))
+    assert max(peaks) < D.nbytes / 2, (peaks, D.nbytes)
 
 
 def _live_cut(cfg, D, tau):
@@ -471,7 +525,7 @@ def test_table_mask_equals_the_dense_mask_on_integer_delta(kernel, monkeypatch):
         pick = rng.random(D.shape)
         U[pick < 0.1] = ULP * rng.integers(1, 9, D.shape)[pick < 0.1]
         U[pick < 0.03] = 0.0
-        got = KERNELS[kernel][1](cfg, D, tau, U, sampler._Buffers())
+        got = KERNELS[kernel][1](cfg, D, tau, _preloaded(U), sampler._Buffers())
         assert got.dtype == bool and got.shape == D.shape
         assert np.array_equal(got, _dense_mask(cfg, D.astype(np.float64), tau, U))
         assert got[U == 0].any() and got[(U > 0) & (U <= 8 * ULP)].any()
@@ -501,7 +555,7 @@ def test_table_mask_equals_the_dense_mask_on_integer_delta(kernel, monkeypatch):
         U = rng.random(D.shape)
         U[:, 8:52:3] = 0.0
         buf = sampler._Buffers()
-        got = KERNELS[kernel][1](c, D, tau, U, buf)
+        got = KERNELS[kernel][1](c, D, tau, _preloaded(U), buf)
         assert np.array_equal(got, _dense_mask(c, D.astype(np.float64), tau, U))
         live = np.zeros(D.shape, bool)
         live[:, :5] = live[:, 30:50] = True
@@ -693,33 +747,69 @@ def _oracle_models():
 DEPTHS = (1, 2, 3, 25, 28)
 
 
+def _by_chain(chain_ids, outputs):
+    """A block's outputs per chain id: (best_x, best energy, energy per
+    step, best energy per step, bits flipped per step), as reference_chain
+    gives them."""
+    best_X, best_E, energy_traj, best_traj, flips_traj = outputs
+    return {int(c): (best_X[j], best_E[j], energy_traj[:, j], best_traj[1:, j], flips_traj[:, j])
+            for j, c in enumerate(chain_ids)}
+
+
+def _engine_chains(monkeypatch, model, cfg):
+    """Each chain's outputs from run_block at every depth of DEPTHS and
+    from run_rlsa's blocks at 1, 2 and 3 workers, by (run, chain id)."""
+    runs = {("depth", depth): _by_chain(range(cfg.chains), run_block(model, cfg, range(cfg.chains), depth=depth))
+            for depth in DEPTHS}
+    for workers in (1, 2, 3):
+        chains = runs["workers", workers] = {}
+
+        def recording(m, c, ids, *args, chains=chains):
+            out = _run_chain_block(m, c, ids, *args)
+            chains.update(_by_chain(ids, out))
+            return out
+
+        monkeypatch.setattr(sampler, "_run_chain_block", recording)
+        run_rlsa(model, cfg, workers=workers)
+    return runs
+
+
+def _assert_chains_match_the_reference(monkeypatch, model, cfg):
+    want = [reference_chain(model, cfg, k) for k in range(cfg.chains)]
+    for run, chains in _engine_chains(monkeypatch, model, cfg).items():
+        assert sorted(chains) == list(range(cfg.chains))
+        for k, (x, e, energies, bests, flips) in enumerate(want):
+            got = chains[k]
+            assert np.array_equal(got[0], x), (model.kind, run, k)
+            assert got[1] == e
+            assert np.array_equal(got[2], energies)
+            assert np.array_equal(got[3], bests)
+            assert np.array_equal(got[4], flips)
+
+
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_engine_matches_reference_chain(kernel):
+def test_engine_matches_reference_chain(kernel, monkeypatch):
     # every chain of a jointly run block equals the plain single-vector loop,
-    # at every draw depth: T = 25 is a multiple of none of 2, 3 and T + 3
+    # at every draw depth (T = 25 is a multiple of none of 2, 3 and T + 3)
+    # and in the blocks that run_rlsa runs at 1, 2 and 3 workers
     rate = dict(alpha=0.05) if kernel == "ld" else dict(d=3)
     for m in _oracle_models():
         tau0 = 0.5 if m.kind in ("mcut", "qubo") else 0.05
         cfg = SamplerConfig(tau0=tau0, steps=25, chains=5, seed=13, kernel=kernel, **rate)
-        want = [reference_chain(m, cfg, k) for k in range(5)]
-        for depth in DEPTHS:
-            best_X, best_E, energy_traj, best_traj, flips_traj = run_block(m, cfg, range(5), depth=depth)
-            for k, (x, e, energies, bests, flips) in enumerate(want):
-                assert np.array_equal(best_X[k], x), (m.kind, depth, k)
-                assert best_E[k] == e
-                assert np.array_equal(energy_traj[:, k], energies)
-                assert np.array_equal(best_traj[1:, k], bests)
-                assert np.array_equal(flips_traj[:, k], flips)
+        _assert_chains_match_the_reference(monkeypatch, m, cfg)
 
 
 @pytest.mark.parametrize("kernel", ["regularized", "ld"])
 def test_engine_matches_reference_chain_on_the_sparse_path(kernel, monkeypatch):
-    # at a small tau0 most sigmoid arguments are far below -40, so the rules
-    # often take their sparse masks. The integer-Delta models (mcut, mis at
-    # beta 2, integer qubo) take the table on every step whose table fits,
-    # and only such a step: under the regularized rule the 16-node integer
-    # qubo's table, one row per distinct threshold, often outgrows its
-    # Delta. Every chain still equals the plain loop, at every draw depth.
+    # at a small tau0 most sigmoid arguments are far below -40. A float
+    # Delta takes the sparse mask, one uniform per live entry, on every
+    # step. The integer-Delta models (mcut, mis at beta 2, integer qubo)
+    # take the table on every step whose table fits, and only such a step:
+    # the 16-node integer qubo's table often outgrows its Delta (under the
+    # regularized rule it has one row per distinct threshold), and those
+    # steps take the integer sparse or dense mask with N uniforms per
+    # chain. Every chain still equals the plain loop, at every draw depth
+    # and worker count.
     calls = _recording_paths(monkeypatch)
     misses = []
     table = sampler._table_probabilities
@@ -731,40 +821,40 @@ def test_engine_matches_reference_chain_on_the_sparse_path(kernel, monkeypatch):
 
     monkeypatch.setattr(sampler, "_table_probabilities", counting)
     rate = dict(alpha=0.05) if kernel == "ld" else dict(d=3)
-    paths = {"sparse": 0, "dense": 0, "table": 0}
+    paths = {}
     for m in _oracle_models():
         cfg = SamplerConfig(tau0=1e-3, steps=25, chains=5, seed=13, kernel=kernel, **rate)
-        want = [reference_chain(m, cfg, k) for k in range(5)]
-        for depth in DEPTHS:
-            best_X, best_E, energy_traj, best_traj, flips_traj = run_block(m, cfg, range(5), depth=depth)
-            for k, (x, e, energies, bests, flips) in enumerate(want):
-                assert np.array_equal(best_X[k], x), (m.kind, depth, k)
-                assert best_E[k] == e
-                assert np.array_equal(energy_traj[:, k], energies)
-                assert np.array_equal(best_traj[1:, k], bests)
-                assert np.array_equal(flips_traj[:, k], flips)
-            assert len(calls) == cfg.steps
-            if m._delta_bound is None:
-                assert "table" not in calls and not misses
-            else:
-                assert len(misses) == cfg.steps
-                assert calls.count("table") == cfg.steps - sum(misses)
-            for c in calls:
-                paths[c] += 1
-            calls.clear()
-            misses.clear()
-    assert min(paths.values()) >= 20 * len(DEPTHS), paths
+        _assert_chains_match_the_reference(monkeypatch, m, cfg)
+        # one mask per step of each block: a block per depth, then 1, 2
+        # and 3 blocks at 1, 2 and 3 workers
+        steps = cfg.steps * (len(DEPTHS) + 1 + 2 + 3)
+        assert len(calls) == steps
+        if m._delta_bound is None:
+            assert calls == ["sparse"] * steps and not misses
+        else:
+            assert len(misses) == steps
+            assert calls.count("table") == steps - sum(misses)
+        kind = "float" if m._delta_bound is None else "int"
+        for c in calls:
+            paths[c, kind] = paths.get((c, kind), 0) + 1
+        calls.clear()
+        misses.clear()
+    want = [("sparse", "float"), ("table", "int"), ("sparse", "int")]
+    assert min(paths.get(path, 0) for path in want) >= 10 * len(DEPTHS), paths
 
 
 class _CountingRng:
-    """A chain's generator that counts its ``random`` calls."""
+    """A chain's generator that counts its ``random`` calls and, in
+    ``drawn``, the uniforms they return into ``out``."""
 
     def __init__(self, rng):
         self._rng = rng
         self.calls = 0
+        self.drawn = 0
 
     def random(self, *args, **kwargs):
         self.calls += 1
+        self.drawn += kwargs["out"].size if "out" in kwargs else 0
         return self._rng.random(*args, **kwargs)
 
     def __getattr__(self, name):
@@ -793,16 +883,71 @@ def test_blocks_side_by_side_draw_several_steps_per_generator_call(n, monkeypatc
         assert {c: r.calls for c, r in rngs.items()} == dict.fromkeys(range(6), calls)
 
 
+@pytest.mark.parametrize("n", [1000, 40])
+def test_float_delta_chains_draw_fewer_generator_calls_than_steps(n, monkeypatch):
+    # On a float Delta each chain takes one uniform per live entry, so its
+    # row of the reservoir, one step of N uniforms in a lone block and
+    # _DRAW_ENTRIES // N steps in blocks side by side, lasts several steps:
+    # every chain makes fewer generator calls than steps, at one worker and
+    # at several. A lone block's chains also draw fewer uniforms than N per
+    # step; side by side, a row of all the steps' N (ER(40)) is drawn whole.
+    rngs = {}
+
+    def counting(seed, chain_id):
+        rngs[chain_id] = _CountingRng(chain_rng(seed, chain_id))
+        return rngs[chain_id]
+
+    monkeypatch.setattr(sampler, "chain_rng", counting)
+    m = EnergyModel("mis", generate_er(n, 0.15, seed=3), beta=1.001)
+    cfg = SamplerConfig(tau0=0.01, d=5, steps=23, chains=6, seed=2)
+    for workers in (1, 2, 3):
+        rngs.clear()
+        run_rlsa(m, cfg, workers=workers)
+        assert sorted(rngs) == list(range(6))
+        for r in rngs.values():
+            assert 1 <= r.calls < cfg.steps, (workers, r.calls)
+            assert r.drawn < cfg.steps * n or workers > 1, r.drawn
+
+
+def test_reservoir_hands_each_chain_its_stream_in_order():
+    # chains take uneven counts per step, at times a whole row, so rows
+    # refill at different steps and carry their unread uniforms over; each
+    # chain still receives its own stream in order, and no generator draws
+    # more than the steps left could consume
+    rng = np.random.default_rng(5)
+    k, n, steps = 4, 10, 30
+    for depth in (1, 3):
+        rngs = [_CountingRng(chain_rng(9, c)) for c in range(k)]
+        draws = sampler._Reservoir(rngs, depth * n, n, steps)
+        got = [[] for _ in range(k)]
+        for t in range(steps):
+            counts = rng.integers(0, n + 1, k)
+            counts[t % k] = n
+            rows = np.repeat(np.arange(k), counts)
+            u = draws.take(rows)
+            for c in range(k):
+                got[c].extend(u[rows == c])
+        for c in range(k):
+            assert np.array_equal(got[c], chain_rng(9, c).random(len(got[c])))
+            assert rngs[c].drawn <= steps * n
+            assert rngs[c].calls > 1
+
+
 def test_engine_makes_one_sparse_product_per_step(monkeypatch):
-    # Per block: the initial energy, then one product or update per step,
-    # because the next step's delta(X_t) reuses the product that
-    # energy(X_t) computed. Decode takes one more, and scoring its result
-    # none: decode leaves the memo holding the decoded row's product. Each
-    # chain flips about d of the graph's nodes per step. On ER(25) a full
-    # product costs less than an update; on ER(600) the steps take the flip
-    # list through the dense rows; ER(1500) is above the dense-row cap, and
-    # its steps take the flip list through A's CSR rows, whose flipped rows
-    # hold a few percent of its 340k nonzeros.
+    # Per block: the initial energy, then one product or update per step
+    # in which any of its chains flips, because the next step's delta(X_t)
+    # reuses the product that energy(X_t) computed, and a step with no flip
+    # leaves the batch as the memo holds it. Decode takes one more, and
+    # scoring its result none: decode leaves the memo holding the decoded
+    # row's product. Each chain flips about d of the graph's nodes per
+    # step. On ER(25) a full product costs less than an update; on ER(600)
+    # the steps take the flip list through the dense rows; ER(1500) is
+    # above the dense-row cap, and its steps take the flip list through A's
+    # CSR rows, whose flipped rows hold a few percent of its 340k nonzeros.
+    blocks = []
+    run = sampler._run_chain_block
+    monkeypatch.setattr(sampler, "_run_chain_block",
+                        lambda *a: blocks.append(run(*a)) or blocks[-1])
     for g, d, path in ((generate_er(25, 0.2, seed=15), 2, "full"),
                        (generate_er(600, 0.15, seed=17), 20, "flips"),
                        (generate_er(1500, 0.15, seed=16), 20, "csr")):
@@ -810,8 +955,11 @@ def test_engine_makes_one_sparse_product_per_step(monkeypatch):
         for workers in (1, 2):
             m = EnergyModel("mis", g, beta=1.02)
             m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
+            blocks.clear()
             run_rlsa(m, cfg, workers=workers)
-            assert counter.total == workers * (cfg.steps + 1) + 1
+            assert len(blocks) == workers
+            moved = sum(np.count_nonzero(flips.any(axis=1)) for *_, flips in blocks)
+            assert counter.total == workers + moved + 1
             assert (counter.flips > 0, counter.csr > 0) == (path == "flips", path == "csr")
 
 
@@ -1026,8 +1174,8 @@ def _run_digest(case):
     # workers: best_x, each Trajectory array with its dtype and shape, the
     # best energy, objective and what decode changed. The short hot runs
     # end away from a local optimum, so decode flips bits in most of them.
-    # Two or three workers run blocks side by side, which draw several
-    # steps per call and hand the rule a strided U.
+    # Two or three workers run blocks side by side, whose reservoirs hold
+    # several steps of uniforms per chain.
     m = _golden_model(case)
     h = hashlib.sha256()
     for kernel in sorted(KERNELS):
@@ -1051,17 +1199,17 @@ def _run_digest(case):
 # and the hashes remade on purpose, never skipped: it pins the results
 # that a refactor must keep bit for bit.
 GOLDEN_RUNS = {
-    "mis-beta-1.001": "979ff0312c2b05570d3741cfcd10ce33fdb776125ce5cfad7a78f92dfeaa4707",
-    "mis-beta-1.02": "27e397e18e03a0626861eb17b0b697276edbcf3375c9fb20e78e62cb45277b9a",
+    "mis-beta-1.001": "01d65810feaac1923e632c6b3de72fc5f33036e8bff6edfbffc5e8b31c301410",
+    "mis-beta-1.02": "1ebc24be8f518a5aecbea5881bc1f1aa7461194806c8e351ea30ce19b75a23da",
     "mis-beta-2": "acb565b14eed6389507be7cb68d81db18c949f424e89c5ce29f5cdfd0f496c56",
-    "mcl-beta-1.5": "6b7ec8099590d1ce4671c91cf2bf5f5222c1efe42372f3370a1dc58736d3a123",
+    "mcl-beta-1.5": "608cfbe42f34236dca8966048171968d4a718ee2af69072ab8cff686da1b91e0",
     "mcl-beta-2": "18bc140cb094b9d04a404ad8b203c482257402ef3b993c1777c74a4d6f9628e5",
     "mcut": "2291ee288bed403ea1d49fe1260b2bf9465c4c0736d19cadf98ac5e4e788b459",
     "qubo-integer": "eefe558cf72ad77af686de2a26706dbf7391c52182e2f1cd64c8b3a9e09b3ea4",
-    "qubo-float": "4805823314f71e498af46c7f24b4f7270323aef6cb3327c4d57acb1a7f6a57ad",
-    "qubo-normal-weights": "dd3212813a26851bc801a1c5c3e9a30c1490db191d3ee4cefc43308eaa565802",
-    "mis-flips": "21d9deb91026ef845fab033a3117ffc31da712b01d756c374650e9b0396fe289",
-    "mis-csr": "e4bb6450830f760f993436ed098e0c6e0dc7bfcf12f9d41b0f2c1d5546cefd84",
+    "qubo-float": "5b116d5a2a7be8f5afc0ce842795440cc7330d299e7acfb8ce36649d5864b35f",
+    "qubo-normal-weights": "ded9746bad17ebc65349aa0c56ae6b5dc430ec832891e00aa2cd4e1c8a02db43",
+    "mis-flips": "48ed6f3bf25c22ce2d97d107228dd98c69cc6a8dcb2917bc2fde025c01289581",
+    "mis-csr": "771a05dbd2c763f4dfe1d3af175887f48e4dc99670fc20a2a80ca2a198f66066",
 }
 
 
@@ -1072,24 +1220,24 @@ def test_run_matches_its_golden_hashes(case):
 
 def test_golden_settings_reach_every_flip_mask_path(monkeypatch):
     # together the golden solves take the table mask, the dense mask, and
-    # the sparse mask with a contiguous U (a lone block) and with a strided
-    # one (blocks side by side, several steps per draw). Blocks run on
-    # threads, so each mask keeps its U's layout in a thread-local that the
-    # same call's flip_probabilities reads.
+    # the sparse mask of a float Delta from a reservoir of one step of
+    # uniforms per chain (a lone block) and of several (blocks side by
+    # side). Blocks run on threads, so each mask keeps its reservoir's
+    # depth in a thread-local that the same call's flip_probabilities reads.
     local = threading.local()
     reached = set()
     mask, fn = sampler._flip_mask, sampler.flip_probabilities
 
-    def recording_mask(D, U, *args):
-        local.strided = not U.flags.c_contiguous
+    def recording_mask(D, dth, epsilon, tau, draws, buf):
+        local.deep = draws.draws.shape[1] > draws.n
         try:
-            return mask(D, U, *args)
+            return mask(D, dth, epsilon, tau, draws, buf)
         finally:
-            del local.strided
+            del local.deep
 
     def recording(delta, dth, *a):
         path = _mask_path(delta, dth)
-        reached.add((path, local.strided) if path == "sparse" else path)
+        reached.add((path, local.deep) if path == "sparse" else path)
         return fn(delta, dth, *a)
 
     monkeypatch.setattr(sampler, "_flip_mask", recording_mask)
