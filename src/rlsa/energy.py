@@ -83,22 +83,24 @@ m = W x - r (s - x) (``_m``), which is the product itself when r = 0 and
 is made in the Delta dtype otherwise; mis and mcl decode codes read the
 same m in intp.
 
-Each thread's last product is remembered. An annealing step needs the
-energy of the new state and, at the start of the next step, its Delta;
-both come from the same ``A @ X``, so the second call reuses the first's
-product and a step costs one sparse product or update (below), not two
-products. The memo is keyed on the batch's content, not its identity: a
-bool copy of the last batch is compared entry by entry, so a batch changed
-in place, or of another shape, gets a new product, and a hit returns
-exactly the product a fresh model would compute. It is per thread
-(``threading.local``) because worker threads run chain blocks on one
-shared model. The stored product is read-only; callers that update it
-copy it first, in its own dtype.
+Each thread's last product is remembered. The memo serves the public
+API, decode's scoring and the steps of the engine's public walk (mcut and
+qubo, below): a step there needs the energy of the new state and, at the
+start of the next step, its Delta; both come from the same ``A @ X``, so
+the second call reuses the first's product and a step costs one sparse
+product or update (below), not two products. The memo is keyed on the
+batch's content, not its identity: a bool copy of the last batch is
+compared entry by entry, so a batch changed in place, or of another shape,
+gets a new product, and a hit returns exactly the product a fresh model
+would compute. It is per thread (``threading.local``) because worker
+threads run chain blocks on one shared model. The stored product is
+read-only; callers that update it copy it first, in its own dtype.
 
-A miss on a batch of the same shape may bring an int16 stored product up
-to date through the flip list: to each row k of a copy of ax it adds
-+-(row j of A) for every node j that chain k flipped (+ where it set j, -
-where it cleared it). That is exact: every partial sum it makes is a sum
+A miss on a batch of the same shape, and each step of a coded walk
+(below), may bring an int16 product up to date through the flip list: to
+each row k of ax (of a copy, for the memo's read-only one) it adds +-(row
+j of A) for every node j that chain k flipped (+ where it set j, - where
+it cleared it). That is exact: every partial sum it makes is a sum
 of w_ij over a subset of row i's neighbours, which the row-sum bound keeps
 below 2**15, so the result equals the full product bit for bit. It pays
 when each chain flips few nodes, however many columns the chains flip
@@ -156,6 +158,21 @@ there. ``_descent`` hands decode the codes as each row's state and their
 ranks as its key (``_flip_code``); the product the memo keeps after decode
 follows from the codes, W x = m + r (s - x) with m = (code >> 1) + m_lo
 (``_code_product``).
+
+The annealing engine reads the model through one more private contract,
+``_walk``, a block's state from one product. mis and mcl over an int16
+product walk on codes: the walk carries the int16 product, the codes,
+their ranks as the step's keys, and each row's s and x^T W x. A step
+hands it the flip list, the flat indices of the flipped entries. The
+walk flips X by scatter and updates the product in place through that
+list (``_add_flips``, with no compare of batches) or makes the full
+product, as the cost rule picks. It moves s and x^T W x by the flipped
+entries alone, in exact int64, and remakes the codes and ranks from the
+product. Its energies are the float expression of ``_energy`` on the same
+exact integers, so they are bit-identical to a fresh ``energy``. The rules
+read Delta back through the tables at the entries they need, so no float
+Delta is made. Every other model walks through the public ``delta`` and
+``energy``, once each per step, behind the memo.
 """
 
 from __future__ import annotations
@@ -298,6 +315,10 @@ class EnergyModel:
             x = np.tile([False, True], m.size // 2)
             self._code_delta = _signed(self._slope(m, c), x)
             self._code_rank = _rank_table(self._code_delta)
+            # Delta at each rank r, as _rank_delta[r - _rank_lo]: the walk
+            # reads thresholds and live cuts between ranks and Delta with it
+            self._rank_delta = np.unique(self._code_delta)
+            self._rank_lo = int(self._code_rank.min())
 
     @property
     def num_nodes(self) -> int:
@@ -380,12 +401,10 @@ class EnergyModel:
 
     def _ax(self, X):
         # (B, N) bool -> (B, N) in the matrix's dtype, C-ordered and
-        # read-only; per-column CSR accumulation keeps each row's result
-        # independent of the batch size. Callers read an int16 product
-        # through exact arithmetic only (see the module docstring).
-        # A batch equal to this thread's last one returns the stored
-        # product; one of the same shape may update it through the flip
-        # list (see the module docstring).
+        # read-only. Callers read an int16 product through exact arithmetic
+        # only (see the module docstring). A batch equal to this thread's
+        # last one returns the stored product; one of the same shape may
+        # update it through the flip list (see the module docstring).
         memo = self._memo
         key = getattr(memo, "key", None)
         ax = None
@@ -396,29 +415,40 @@ class EnergyModel:
             if self._A.dtype == np.int16:
                 ax = self._add_flips(memo.ax, X, changed)
         if ax is None:
-            A = self._A
-            # transpose in bool, then cast: casting a strided bool transpose
-            # directly is several times slower
-            P = A @ np.ascontiguousarray(X.T).astype(A.dtype, copy=False)
-            ax = np.ascontiguousarray(P.T)
+            ax = self._product(X)
         self._remember(X, ax)
         return ax
 
-    def _add_flips(self, ax, X, changed):
-        # ax + S @ A, with S the sparse (K, N) matrix of +1 where a chain
-        # set node j and -1 where it cleared it (A is symmetric): row k
-        # gains +-(row j of A) for each node j that chain k flipped, added
-        # into a copy of ax; None where the full product costs less
-        # (_flips_pay). Exact: each partial sum of entry (k, i) is a sum of
+    def _product(self, X):
+        # the full product of the bool batch X as a new C-ordered array in
+        # A's dtype; per-column CSR accumulation keeps each row's result
+        # independent of the batch size
+        A = self._A
+        # transpose in bool, then cast: casting a strided bool transpose
+        # directly is several times slower
+        P = A @ np.ascontiguousarray(X.T).astype(A.dtype, copy=False)
+        return np.ascontiguousarray(P.T)
+
+    def _add_flips(self, ax, X, flips, out=None):
+        # ax + S @ A for the bool batch X, with S the sparse (K, N) matrix
+        # of +1 where a chain set node j and -1 where it cleared it (A is
+        # symmetric): row k gains +-(row j of A) for each node j that chain
+        # k flipped, added into ``out`` (a copy of ax when None); None where
+        # the full product costs less (_flips_pay). ``flips`` marks the
+        # flipped entries: a bool (K, N) mask, made into a list only once
+        # the dense rows' cost test passes, or the list itself as sorted
+        # flat indices. Exact: each partial sum of entry (k, i) is a sum of
         # w_ij over a subset of i's neighbours, which the row-sum bound
         # keeps below 2**15. A block reads the rows from the dense int16 A
         # where it fits under the cap, and everywhere else from A's CSR rows.
         A = self._A
         K, N = X.shape
         dense = K > 1 and 2 * N * N <= _DENSE_ROWS_BYTES
-        if dense and not _flips_pay(np.count_nonzero(changed) * N, A.nnz, K, N, True):
+        mask = flips.dtype == bool
+        count = np.count_nonzero(flips) if mask else flips.size
+        if dense and not _flips_pay(count * N, A.nnz, K, N, True):
             return None
-        at = np.flatnonzero(changed)
+        at = np.flatnonzero(flips) if mask else flips
         # chain k's flips are at[start[k]:start[k + 1]]: at is sorted, and
         # row k of the batch holds the flat indices k N up to (k + 1) N
         start = np.searchsorted(at, np.arange(K + 1) * N)
@@ -432,7 +462,8 @@ class EnergyModel:
             ends = np.cumsum(deg, dtype=np.int64)
             if ends[-1] > np.iinfo(idx).max or not _flips_pay(ends[-1], A.nnz, K, N, False):
                 return None
-        out = ax.copy()
+        if out is None:
+            out = ax.copy()
         if dense:
             with self._rows_made:  # made once, then shared read-only by every thread
                 if self._rows is None:
@@ -446,6 +477,22 @@ class EnergyModel:
             # adds into out, and sums a column that two rows of one chain share
             _csr_todense(K, N, np.concatenate(([0], ends))[start].astype(idx), cols, vals, out)
         return out
+
+    def _walk(self, X):
+        """The annealing engine's state of the bool block ``X``, which it
+        takes over and flips in place: ``energy``, the block's energies;
+        ``keys()``, the step's keys, which the flip rules read; and
+        ``advance(flip)``, which applies a step's flips and returns the new
+        energies and the flips per chain (see the module docstring).
+
+        mis and mcl with an int16 product walk on codes (``coded``): the
+        keys are the codes' ranks and a flip is a flat flip list. Every
+        other model walks through the public ``delta`` and ``energy``: the
+        keys are Delta and a flip is a bool mask.
+        """
+        if self._penalized and self._A.dtype == np.int16:
+            return _CodeWalk(self, X)
+        return _PublicWalk(self, X)
 
     def _descent(self, X):
         """``(states, keys, flip, keep)`` for greedy decode of the bool
@@ -528,7 +575,7 @@ class EnergyModel:
         ax = np.right_shift(codes, 1)
         ax += self._m_lo
         if self._r:
-            ax += X.sum(axis=1)[:, None]
+            ax += _row_counts(X)[:, None]
             ax -= X
         return ax.astype(self._A.dtype)
 
@@ -565,9 +612,8 @@ class EnergyModel:
 
     def _energy(self, X):
         c = self._c
-        if not np.ndim(c):
-            s = X.sum(axis=1, dtype=np.int64)  # uniform c: integer row sums, no float pass
-            return c * s + self._q * self._pairs(X, s)
+        if not np.ndim(c):  # uniform c: integer row sums, no float pass
+            return self._uniform_energy(_row_counts(X), self._quad(X))
         if self._c_matvec:
             cx = X @ c  # exact: an integer c with sum |c| below 2**53
             zero = cx == 0
@@ -575,18 +621,22 @@ class EnergyModel:
                 cx[zero] = (X[zero] * c).sum(axis=1)
         else:
             cx = (X * c).sum(axis=1)
-        return cx + self._q * self._pairs(X)
+        return cx + self._q * self._quad(X)  # r = 0: the pairs are x^T W x
 
-    def _pairs(self, X, s=None):
-        # x^T W x - r (s^2 - s) per row; ``s`` is X's integer row sums, if known.
-        # An integer product sums exactly in int64, any other in float64.
+    def _uniform_energy(self, s, quad):
+        # H = c s + q (x^T W x - r (s^2 - s)) of mis and mcl from each row's
+        # integer s and x^T W x
+        return self._c * s + self._q * self._pairs(s, quad)
+
+    def _pairs(self, s, quad):
+        # x^T W x - r (s^2 - s) per row, from each row's s and x^T W x
+        return quad - (s * s - s) if self._r else quad
+
+    def _quad(self, X):
+        # x^T W x per row: an integer product sums exactly in int64, any
+        # other in float64
         ax = self._ax(X)
-        quad = (X * ax).sum(axis=1, dtype=np.int64 if ax.dtype.kind == "i" else np.float64)
-        if self._r:
-            if s is None:
-                s = X.sum(axis=1, dtype=np.int64)
-            quad = quad - (s * s - s)
-        return quad
+        return (X * ax).sum(axis=1, dtype=np.int64 if ax.dtype.kind == "i" else np.float64)
 
     def _delta(self, X, ax=None):
         return _signed(self._gradient(X, ax), X)
@@ -606,7 +656,7 @@ class EnergyModel:
         # holds it exactly (the Delta dtype, or intp for the codes)
         if not self._r:
             return ax
-        m = np.subtract(X.sum(axis=1)[:, None], X, dtype=dtype)
+        m = np.subtract(_row_counts(X)[:, None], X, dtype=dtype)
         return np.subtract(ax, m, out=m, dtype=dtype, casting="unsafe")
 
     def _slope(self, m, c, out=None):
@@ -625,7 +675,7 @@ class EnergyModel:
         if not self._penalized:
             return np.zeros(X.shape[0], dtype=np.int64)
         # every violated pair is counted twice; the count is an exact integer
-        return (np.abs(self._pairs(X)) / 2).astype(np.int64)
+        return (np.abs(self._pairs(_row_counts(X), self._quad(X))) / 2).astype(np.int64)
 
     def __repr__(self) -> str:
         return f"EnergyModel(kind={self.kind!r}, graph={self.graph!r}, beta={self.beta})"
@@ -657,6 +707,125 @@ def _flips_pay(work, nnz, K, N, dense) -> bool:
     f0, f1, f2, f3 = _FULL_NS
     g0, g1, g2 = _FLIPS_NS if dense else _CSR_NS
     return g0 + g1 * work + g2 * K * N < f0 + nnz * (f1 + f2 * K) + f3 * K * N
+
+
+def _row_counts(X):
+    """The count of True entries in each row of the bool batch ``X``, as
+    int64. Summed through a uint8 view into int32, which holds any row's
+    count, at about twice the speed of a bool sum into int64."""
+    return X.view(np.uint8).sum(axis=1, dtype=np.int32).astype(np.int64)
+
+
+class _PublicWalk:
+    """A block's walk through the public ``delta`` and ``energy`` (mcut,
+    qubo, and mis and mcl over a float64 product): each step calls each of
+    them once on the whole block, which the product memo serves."""
+
+    coded = False
+
+    def __init__(self, model, X):
+        self.model, self.X = model, X
+        self.energy = model.energy(X)
+
+    def keys(self):
+        """This step's Delta."""
+        return self.model.delta(self.X)
+
+    def advance(self, flip):
+        """Flip the block where the bool mask ``flip`` is set; the new
+        energies and the flips per chain."""
+        self.X ^= flip
+        return self.model.energy(self.X), _row_counts(flip)
+
+
+class _CodeWalk:
+    """A mis or mcl block's walk on codes, from one product: its int16
+    product ``ax``, the codes 2 (m - m_lo) + x (``EnergyModel._codes``),
+    their ranks (the keys), and per row s and x^T W x (``quad``), each
+    equal, bit for bit, to a fresh computation of the current ``X``.
+
+    ``advance`` takes a step's flip list, flat indices in ascending order.
+    It flips X by scatter and brings the product up to date through the
+    flip list or the full product, as ``EnergyModel._add_flips`` picks. s
+    and x^T W x move by the flipped entries alone, in int64: setting or
+    clearing node j (sign +-1) moves s by that sign, and flipping a row's
+    set F moves x^T W x by sum over j in F of sign_j ((W x)_j + (W x')_j),
+    the product before and after. The codes and ranks are remade from the
+    product, and the energies are the float expression of
+    ``EnergyModel._energy``, c s + q (x^T W x - r (s^2 - s)).
+    """
+
+    coded = True
+
+    def __init__(self, model, X):
+        self.model, self.X = model, X
+        self.integer = model._delta_bound is not None  # int16 Delta: the table mask
+        self.ax = model._product(X)
+        self.s = _row_counts(X)
+        self.quad = (X * self.ax).sum(axis=1, dtype=np.int64)
+        self.codes = np.empty(X.shape, np.intp)
+        self.ranks = np.empty(X.shape, model._code_rank.dtype)
+        self._recode()
+        self.energy = model._uniform_energy(self.s, self.quad)
+
+    def keys(self):
+        """The ranks of the block's codes: ordered and tied as Delta is."""
+        return self.ranks
+
+    def value(self, ranks):
+        """Delta at each of ``ranks``, in the model's Delta dtype."""
+        return self.model._rank_delta.take(ranks - self.model._rank_lo)
+
+    def cut(self, cut):
+        """For a (K, 1) column of cuts in Delta units, the column of ranks
+        that Delta > cut means: Delta > cut[k] exactly where the rank
+        exceeds the result's k-th entry."""
+        m = self.model
+        above = np.searchsorted(m._rank_delta, cut[:, 0], side="right")
+        return (above + (m._rank_lo - 1)).astype(self.ranks.dtype)[:, None]
+
+    def delta(self, at=None):
+        """Delta of the whole block, or at the flat indices ``at``."""
+        codes = self.codes if at is None else self.codes.reshape(-1)[at]
+        return self.model._code_delta.take(codes)
+
+    def advance(self, at):
+        """Apply the step's flip list ``at``; the new energies and the
+        flips per chain."""
+        K, N = self.X.shape
+        start = np.searchsorted(at, np.arange(K + 1) * N)
+        if at.size:
+            flat = self.X.reshape(-1)
+            flat[at] ^= True
+            sign = flat[at].astype(np.int64) * 2 - 1
+            moved = self.ax.reshape(-1)[at].astype(np.int64)
+            ax = self.model._add_flips(self.ax, self.X, at, out=self.ax)
+            if ax is None:
+                ax = self.ax = self.model._product(self.X)
+            moved += ax.reshape(-1)[at]
+            moved *= sign
+            sums = np.zeros((2, at.size + 1), np.int64)
+            np.cumsum(sign, out=sums[0, 1:])
+            np.cumsum(moved, out=sums[1, 1:])
+            ds, dquad = sums[:, start[1:]] - sums[:, start[:-1]]
+            self.s += ds
+            self.quad += dquad
+            self._recode()
+            self.energy = self.model._uniform_energy(self.s, self.quad)
+        return self.energy, np.diff(start)
+
+    def _recode(self):
+        # codes = 2 (W x - r (s - x) - m_lo) + x, in intp, then their ranks
+        m, codes, X = self.model, self.codes, self.X
+        if m._r:
+            np.subtract(self.ax, (self.s + m._m_lo)[:, None], out=codes, casting="unsafe")
+            codes += X
+            codes *= 2
+        else:
+            np.multiply(self.ax, 2, out=codes, dtype=np.intp, casting="unsafe")
+        codes += X
+        # every code is in range; mode="clip" writes to ``ranks`` directly
+        m._code_rank.take(codes, out=self.ranks, mode="clip")
 
 
 def _signed(g, X):

@@ -10,7 +10,9 @@ Kernels. ``KERNELS`` maps each kernel name to the parameters it takes and
 its rule. A rule receives a (chains, N) Delta, the temperature tau, the
 block's reservoir of uniforms and its buffers, and returns the flip mask,
 ``U < P`` for its probabilities P and the uniforms U it takes (see "Sparse
-flip masks" for which entries take one):
+flip masks" for which entries take one). Given a coded walk, it receives
+the walk's rank keys in place of Delta and returns the same flips as a
+flip list (see "Rank keys"):
 
 * ``"regularized"`` (``d``, ``epsilon``), the paper's rule, thresholds Delta
   at its d-th largest entry,
@@ -68,7 +70,9 @@ is always dense and takes N uniforms per chain.
 Integer Delta. When the energy model bounds every Delta by an integer
 below 2**15 (mcut, qubo with integer coefficients, mis and mcl at an
 integer beta), ``model.delta`` returns it as int16, with the values a
-float64 Delta would hold, and the engine uses it as it comes. The d-th
+float64 Delta would hold, and the public walk's steps use it as it comes
+(mis and mcl read the same values through their keys, see "Rank keys").
+The d-th
 largest is then taken by an int16 partition, and the mask takes its
 probabilities from a table:
 ``flip_probabilities`` runs once, on the values D.min()..D.max() at each
@@ -81,19 +85,45 @@ would cost more sigmoids than the dense mask, so such a step goes on to
 the live test and the sparse or dense mask. No setting chooses this path:
 the model's bound and the table size do.
 
-Chain state. The engine holds a block's states as a bool (K, N) array and
-applies a step's flips in place as ``X ^= flip``. A bool batch is binary by
-type, and the energy model works on bool batches only, so it uses the
-states without a per-entry check or a copy.
+Rank keys. mis and mcl over an int16 product anneal on rank keys
+(``EnergyModel._walk``, see ``rlsa.energy``): each entry's key is the rank
+of its Delta among the values Delta can take, int16, ordered and tied
+exactly as Delta is. The regularized rule partitions the keys and reads
+each row's Delta_(d) back from the sorted distinct Deltas. The live test
+Delta > a - 80 tau becomes key > rcut, with each row's rank cut rcut from
+one ``searchsorted`` of its cut among those Deltas, and the sigmoid runs
+on the Delta of the live entries alone, gathered from the code table. A
+float Delta still takes one uniform per live entry; an integer one
+(integer beta) takes N per chain and its table is built over the range of
+the keys, with each key's Delta as the table's value; the normalized rule
+reads the whole Delta from the code table. The rule returns the step's
+flips as sorted flat indices, the live entries where u < P (or the True
+entries of an integer Delta's mask). Since the ranks order and tie as
+Delta does, the partition, the live set and every probability are those
+of the float Delta, bit for bit, and no float Delta is built.
+
+Chain state. The engine holds a block's states as a bool (K, N) array,
+which it hands to the model's walk (``EnergyModel._walk``) and which the
+walk flips in place at every step. A coded walk (mis and mcl) takes the
+rule's flip list: it flips X by scatter, hands the list to the product's
+update, and brings each row's s and x^T W x, and with them the energies,
+up to date from the flipped entries alone. The public walk (mcut, qubo)
+takes the bool mask: each step calls ``model.delta`` and then
+``model.energy`` once on the whole block, as a tracer that wraps those
+two methods sees, and applies the mask as ``X ^= flip``; the model's
+product memo serves the second call's product to the next step's first.
+A bool batch is binary by type, so the model uses the states without a
+per-entry check or a copy.
 
 Block buffers. A block allocates the arrays of its steps once and reuses
-them at every step: its reservoir of uniforms, and for the regularized and
-ld rules the (K, N) live test, table index and probabilities, and flip
-mask. A fresh array of that size can cost a page fault per page on first
-touch; on max-cut those faults ate all of the time the table saves. Delta
-comes fresh from ``model.delta`` each step, in its own dtype (int16 on
-max-cut), and the d-th largest is taken on a fresh partition copy. The
-reservoir is one (K, S * N) array for a draw depth of S steps, with a
+them at every step: its reservoir of uniforms, the (K, N) live test, table
+index and probabilities, and flip mask of the regularized and ld rules,
+and a coded walk's codes and keys. A fresh array of that size can cost a
+page fault per page on first touch; on max-cut those faults ate all of the
+time the table saves. On the public walk Delta comes fresh from
+``model.delta`` each step, in its own dtype (int16 on max-cut), and the
+d-th largest of Delta or of the keys is taken on a fresh partition copy.
+The reservoir is one (K, S * N) array for a draw depth of S steps, with a
 cursor per chain: row k holds chain k's next uniforms, and a step takes
 what it consumes from the cursor on. A row that holds too few for a step
 moves its unread uniforms to its front and fills the rest in one generator
@@ -300,10 +330,11 @@ class _Buffers(dict):
         return out
 
 
-def _flip_mask(D, dth, epsilon, tau, draws, buf):
+def _flip_mask(D, dth, epsilon, tau, draws, buf, walk=None):
     """The regularized rule's flip mask at a (K, 1) column ``dth`` of
     per-row thresholds, written into ``buf``, with its uniforms from the
-    reservoir ``draws``.
+    reservoir ``draws``. Given a coded walk, D holds the walk's keys, and
+    the result is ``_walk_flips``'s flip list.
 
     A float64 D takes one uniform per live entry, where z > -40 (see
     "Sparse flip masks" in the module docstring), and passes
@@ -314,6 +345,8 @@ def _flip_mask(D, dth, epsilon, tau, draws, buf):
     and otherwise with the sigmoid evaluated only where a flip can happen,
     bit-identical to the dense mask.
     """
+    if walk is not None:
+        return _walk_flips(walk, D, dth, epsilon, tau, draws, buf)
     flip = buf("flip", D.shape, bool)
     U = None if D.dtype.kind == "f" else draws.step()
     if U is not None:
@@ -339,11 +372,37 @@ def _flip_mask(D, dth, epsilon, tau, draws, buf):
     return flip
 
 
-def _table_probabilities(D, dth, epsilon, tau, buf):
+def _walk_flips(walk, R, dth, epsilon, tau, draws, buf):
+    """The flips, as sorted flat indices, of the mask that ``_flip_mask``
+    makes of a coded walk's Delta, read from its rank keys ``R`` (see
+    "Rank keys" in the module docstring).
+
+    An integer Delta takes N uniforms per row and flips where U < P, P
+    from a table over the range of the keys or, where that table does not
+    fit, from the walk's whole Delta. A float64 one takes one uniform per
+    live entry: the live test Delta > cut is the test that a rank exceeds
+    the rank cut of its row, and the sigmoid runs on the live entries'
+    Delta alone.
+    """
+    if walk.integer:
+        U = draws.step()
+        P = _table_probabilities(R, dth, epsilon, tau, buf, walk.value)
+        if P is None:
+            P = flip_probabilities(walk.delta(), dth, epsilon, tau)
+        return np.flatnonzero(np.less(U, P, out=buf("flip", R.shape, bool)))
+    cut = walk.cut(dth - epsilon + 2.0 * tau * _LIVE_Z)
+    idx = np.flatnonzero(np.greater(R, cut, out=buf("live", R.shape, bool)))
+    rows = idx // R.shape[1]
+    u = draws.take(rows)
+    return idx[u < flip_probabilities(walk.delta(idx), dth[rows, 0], epsilon, tau)]
+
+
+def _table_probabilities(D, dth, epsilon, tau, buf, value=None):
     """``flip_probabilities(D, dth, epsilon, tau)`` for an integer (K, N) D,
     gathered from one sigmoid table over the values D.min()..D.max() at
     each distinct threshold of the (K, 1) column ``dth``, or None when that
-    table would have more entries than D.
+    table would have more entries than D. When D holds keys, not Delta,
+    ``value`` maps an array of keys to their Delta.
 
     A table entry is the same float64 expression of the same float64 value
     as the dense probability it stands for, so the two are bit-identical.
@@ -353,7 +412,8 @@ def _table_probabilities(D, dth, epsilon, tau, buf):
     width = hi - lo + 1
     if ths.size * width > D.size:
         return None
-    table = flip_probabilities(np.arange(lo, hi + 1), ths[:, None], epsilon, tau)
+    v = np.arange(lo, hi + 1)
+    table = flip_probabilities(v if value is None else value(v), ths[:, None], epsilon, tau)
     # the flat index of D[k, j] in row inv[k]: below table.size <= D.size,
     # which int32 holds for any D of fewer than 2**31 entries
     idx = np.add(D, (inv * width - lo).astype(np.int32)[:, None],
@@ -363,30 +423,38 @@ def _table_probabilities(D, dth, epsilon, tau, buf):
     return table.ravel().take(idx, out=buf("p", D.shape, np.float64), mode="clip")
 
 
-# _flip_mask resolves flip_probabilities through this module at call time,
-# so a tracer can swap it. ld is the regularized rule at threshold
-# tau / alpha with epsilon = 0, so the benchmark's sampler.flip_rule_s
-# times the sigmoid of both rules: on a float64 Delta's live entries
-# alone; on an integer Delta on its table, on its live entries or on the
-# whole of it. The live test, the uniforms' gather and the table's gather
-# and compare fall outside it.
+# _flip_mask and _walk_flips resolve flip_probabilities through this
+# module at call time, so a tracer can swap it. ld is the regularized rule
+# at threshold tau / alpha with epsilon = 0, so the benchmark's
+# sampler.flip_rule_s times the sigmoid of both rules: on a float64
+# Delta's live entries alone; on an integer Delta on its table, on its
+# live entries or on the whole of it. The live test, the uniforms' gather
+# and the table's gather and compare fall outside it. Each rule takes a
+# coded walk as its last argument, ``walk``, and then reads D as the
+# walk's keys and returns a flip list.
 
-def _regularized(cfg, D, tau, draws, buf):
-    return _flip_mask(D, kth_largest(D, cfg.d)[:, None], cfg.epsilon, tau, draws, buf)
+def _regularized(cfg, D, tau, draws, buf, walk=None):
+    top = kth_largest(D, cfg.d)[:, None]
+    return _flip_mask(D, top if walk is None else walk.value(top), cfg.epsilon, tau,
+                      draws, buf, walk)
 
 
-def _normalized(cfg, D, tau, draws, buf):
-    return draws.step() < normalized_flip_probabilities(D, tau, cfg.d)
+def _normalized(cfg, D, tau, draws, buf, walk=None):
+    flip = draws.step() < normalized_flip_probabilities(D if walk is None else walk.delta(),
+                                                        tau, cfg.d)
+    return flip if walk is None else np.flatnonzero(flip)
 
 
-def _ld(cfg, D, tau, draws, buf):
-    return _flip_mask(D, np.full((len(D), 1), tau / cfg.alpha), 0.0, tau, draws, buf)
+def _ld(cfg, D, tau, draws, buf, walk=None):
+    return _flip_mask(D, np.full((len(D), 1), tau / cfg.alpha), 0.0, tau, draws, buf, walk)
 
 
 # kernel -> (the SamplerConfig fields its rule reads,
-#            rule(cfg, Delta, tau, draws, buf) -> flip mask, U < P for the
-#            uniforms U it takes from the reservoir ``draws``; the mask may
-#            live in the reused arrays ``buf``).
+#            rule(cfg, Delta, tau, draws, buf, walk=None) -> flip mask,
+#            U < P for the uniforms U it takes from the reservoir
+#            ``draws``; the mask may live in the reused arrays ``buf``.
+#            Given a coded walk, Delta is the walk's keys and the flips
+#            come as a flip list).
 # The regularized and ld masks take a table or go sparse, and on a float64
 # Delta take uniforms for the live entries alone: see the module docstring.
 KERNELS = {
@@ -469,32 +537,32 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
     ``taus``; per-chain results are identical to running each chain alone
     with its derived stream.
 
-    Each step makes one ``model.delta`` and one ``model.energy`` call on the
-    whole block. Its uniforms come from the block's reservoir, one
-    (K, depth * N) array with a cursor per chain, which each chain refills
-    in one generator call when it holds too few: a step consumes N per
-    chain on an integer Delta and under the normalized rule, and one per
-    live entry under the regularized and ld rules on a float64 Delta. The
-    results are the same for every depth (see "Block buffers" and
-    "Reproducibility" in the module docstring). Delta is taken as
-    ``model.delta`` returns it: int16 for a model whose Deltas are
-    integers below 2**15, float64 otherwise. The rule,
-    ``rule(cfg, Delta, tau, draws, buf)``, returns the flip mask in the
-    block's reused arrays ``buf``; the regularized and ld rules take their
-    sigmoid from a table of the integer values, or evaluate it only where
-    a flip can happen (see the module docstring). The block costs one
-    product or update per step in which any of its chains flips:
-    ``model.energy`` on the new state brings ``A @ X`` up to date, through
-    each chain's flip list when that is cheaper than the full product (see
-    ``rlsa.energy``), and the next step's ``model.delta`` on the same
-    state reuses it through the model's per-thread memo, so a block makes
-    at most ``steps + 1`` products or updates. The states are a bool (K, N)
-    array flipped in place with ``X ^= flip``; the memo keeps a copy of
-    the batch it saw, so it notices the change. Returns the best states
-    (bool) and energies, per step and chain the energy and the number of
-    bits flipped, and the running best, whose first row is the initial
-    energies: a chain's best improved at step t exactly where
-    ``best_traj[t] < best_traj[t - 1]``.
+    The block's bool states go to the model's walk (``model._walk``),
+    which holds them, and the one step loop runs on it for every kind: a
+    step passes the walk's keys to the rule, ``rule(cfg, keys, tau,
+    draws, buf, walk)``, and hands the flips it returns to
+    ``walk.advance``, which flips the states in place and returns the new
+    energies and the flips per chain. On a coded walk (mis and mcl over an
+    int16 product) the keys are the ranks of Delta and the flips a flat
+    flip list; the walk updates its product through that list, or makes
+    the full product where that costs less (see ``rlsa.energy``), and
+    never calls the public ``delta`` or ``energy``. On the public walk
+    (mcut, qubo) the keys are ``model.delta`` and the flips a bool mask,
+    followed by one ``model.energy`` call, whose product the per-thread
+    memo hands to the next step's ``model.delta``. Either way the block
+    makes one product and then one product or update per step in which
+    any of its chains flips, so at most ``steps + 1``.
+
+    Its uniforms come from the block's reservoir, one (K, depth * N) array
+    with a cursor per chain, which each chain refills in one generator call
+    when it holds too few: a step consumes N per chain on an integer Delta
+    and under the normalized rule, and one per live entry under the
+    regularized and ld rules on a float64 Delta. The results are the same
+    for every depth (see "Block buffers" and "Reproducibility" in the
+    module docstring). Returns the best states (bool) and energies, per
+    step and chain the energy and the number of bits flipped, and the
+    running best, whose first row is the initial energies: a chain's best
+    improved at step t exactly where ``best_traj[t] < best_traj[t - 1]``.
     """
     rule = KERNELS[cfg.kernel][1]
     k = len(chain_ids)
@@ -504,7 +572,9 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
         X = np.stack([rng.integers(0, 2, size=n) for rng in rngs]).astype(bool)
     else:
         X = np.tile(np.asarray(init).astype(bool), (k, 1))
-    E = model.energy(X)
+    walk = model._walk(X)
+    coded = walk if walk.coded else None
+    E = walk.energy
     best_X = X.copy()
     best_E = E.copy()
     energy_traj = np.empty((len(taus), k))
@@ -514,16 +584,12 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
     draws = _Reservoir(rngs, depth * n, n, len(taus))
     buf = _Buffers()
     for t, tau in enumerate(taus):
-        D = model.delta(X)
-        flip = rule(cfg, D, tau, draws, buf)
-        X ^= flip
-        E = model.energy(X)
+        E, flips_traj[t] = walk.advance(rule(cfg, walk.keys(), tau, draws, buf, coded))
         better = E < best_E
         best_X[better] = X[better]
         best_E[better] = E[better]
         energy_traj[t] = E
         best_traj[t + 1] = best_E
-        flips_traj[t] = np.count_nonzero(flip, axis=1)
     return best_X, best_E, energy_traj, best_traj, flips_traj
 
 

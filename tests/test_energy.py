@@ -22,6 +22,8 @@ from oracles import (
     per_kind_energy,
     random_small_graph,
     reference_decode,
+    reference_ba,
+    reference_er,
     reference_product,
     selected_adjacent_pairs,
     selected_non_adjacent_pairs,
@@ -508,6 +510,84 @@ def test_descent_state_stays_fresh():
                     for got, new in ((state, fresh_states[0]), (key, fresh_keys[0])):
                         assert got.dtype == new.dtype and got.tobytes() == new.tobytes(), m
                     assert key.argmax() == m.delta(row).argmax(), m
+
+
+def _assert_walk_is_fresh(walk, fresh, graph):
+    # the walk's carried state equals, bit for bit and in dtype, a fresh
+    # product, _descent and energy of its current X on a model that shares
+    # none of it
+    X = walk.X
+    ref = reference_product(graph, X)
+    assert walk.ax.dtype == np.int16 and walk.ax.flags.c_contiguous
+    assert np.array_equal(walk.ax, ref)
+    codes, keys, _, _ = fresh._descent(X.copy())
+    for got, want in ((walk.codes, codes), (walk.keys(), keys),
+                      (walk.s, X.sum(axis=1)), (walk.quad, (X * ref).sum(axis=1).astype(np.int64)),
+                      (walk.energy, fresh.energy(X)), (walk.delta(), fresh.delta(X))):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), fresh
+
+
+def test_coded_walk_equals_a_fresh_computation_at_every_step(monkeypatch):
+    # A mis or mcl walk at a float and an integer beta, handed flip lists
+    # of none, one, a few or a third of the nodes per chain, carries its
+    # product, codes, ranks, s, x^T W x and energies equal to a fresh
+    # computation of the current X after every step, and flips exactly the
+    # listed entries. On ER and BA graphs from the plain generators, at
+    # K = 1 and K = 4, each step that flips makes one product or update:
+    # through the dense rows (K > 1 below the cap), through A's CSR rows
+    # (K = 1, and every K above the cap) or the full product.
+    rng = np.random.default_rng(70)
+    graphs = [reference_er(300, 0.1, 70), reference_ba(300, 6, 71)[0],
+              reference_er(1100, 0.03, 72)]
+    paths = set()
+    for g in graphs:
+        n = g.num_nodes
+        for kind, beta in (("mis", 1.001), ("mis", 2.0), ("mcl", 1.02), ("mcl", 3.0)):
+            fresh = EnergyModel(kind, g, beta=beta)
+            for rows in (1, 4):
+                m = EnergyModel(kind, g, beta=beta)
+                m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
+                X = rng.random((rows, n)) < rng.random((rows, 1))
+                walk = m._walk(X)
+                assert walk.coded and walk.X is X and walk.integer == beta.is_integer()
+                _assert_walk_is_fresh(walk, fresh, g)
+                for step in range(8):
+                    flips = (0, 1, 3, n // 3)[step % 4]
+                    at = np.sort(np.concatenate(
+                        [k * n + rng.choice(n, flips, replace=False) for k in range(rows)]))
+                    want = X.copy()
+                    want.reshape(-1)[at] ^= True
+                    before = counter.total, counter.flips, counter.csr
+                    E, counts = walk.advance(at.astype(np.intp))
+                    made, dense, csr = (a - b for a, b in
+                                        zip((counter.total, counter.flips, counter.csr), before))
+                    assert made == (flips > 0) and dense + csr <= made
+                    if made:
+                        paths.add("dense rows" if dense else "csr rows" if csr else "full")
+                    assert np.array_equal(X, want) and E is walk.energy
+                    assert counts.dtype == np.int64 and counts.tolist() == [flips] * rows
+                    _assert_walk_is_fresh(walk, fresh, g)
+    assert paths == {"dense rows", "csr rows", "full"}
+
+
+def test_models_walk_on_codes_only_with_mis_and_mcl_over_an_int16_product():
+    # mcut, qubo, and mis over a float64 product (a star of 2**15 leaves)
+    # walk through the public delta and energy, on the bool mask of a step
+    g = generate_er(30, 0.2, seed=73)
+    n = 2 ** 15 + 1
+    star = EnergyModel("mis", from_edge_list(n, [(0, i) for i in range(1, n)]), beta=1.5)
+    rng = np.random.default_rng(73)
+    for m in (EnergyModel("mcut", g), star,
+              EnergyModel("qubo", g, linear=rng.normal(size=30), quad_scale=0.7)):
+        X = rng.random((3, m.num_nodes)) < 0.5
+        walk = m._walk(X)
+        assert not walk.coded and np.array_equal(walk.energy, m.energy(X))
+        assert np.array_equal(walk.keys(), m.delta(X))
+        flip = rng.random(X.shape) < 0.1
+        want = X ^ flip
+        E, counts = walk.advance(flip)
+        assert np.array_equal(X, want) and np.array_equal(E, m.energy(want))
+        assert counts.dtype == np.int64 and np.array_equal(counts, flip.sum(axis=1))
 
 
 def test_delta_bound_marks_the_models_whose_deltas_int16_holds():

@@ -22,6 +22,7 @@ from rlsa import (
     normalized_flip_probabilities,
     run_rlsa,
 )
+import rlsa.energy as energy
 import rlsa.sampler as sampler
 from rlsa.sampler import KERNELS, _mean_energy, _run_chain_block, linear_temperature
 
@@ -46,23 +47,24 @@ def run_block(model, cfg, chain_ids, init=None, depth=1):
 def one_engine_step(model, cfg, chain_id, init=None):
     """One engine step on a block of one chain at tau = cfg.tau0.
 
-    Returns (state before, state after, block outputs); the states are the
-    rows the engine passes to ``model.energy``.
+    Returns (state before, state after, block outputs): the row that the
+    engine hands its walk (``model._walk``), and that row once the step
+    has flipped it in place.
     """
-    states = []
-    energy = model.energy
+    blocks = []
+    walk = model._walk
 
     def recording(X):
-        states.append(np.array(X[0], copy=True))
-        return energy(X)
+        blocks.append((np.array(X[0], copy=True), X))
+        return walk(X)
 
-    model.energy = recording
+    model._walk = recording
     try:
         out = run_block(model, replace(cfg, steps=1), [chain_id], init)
     finally:
-        del model.energy
-    before, after = states
-    return before, after, out
+        del model._walk
+    ((before, X),) = blocks
+    return before, np.array(X[0], copy=True), out
 
 
 # -- temperature schedule ------------------------------------------------------
@@ -934,33 +936,79 @@ def test_reservoir_hands_each_chain_its_stream_in_order():
 
 
 def test_engine_makes_one_sparse_product_per_step(monkeypatch):
-    # Per block: the initial energy, then one product or update per step
-    # in which any of its chains flips, because the next step's delta(X_t)
-    # reuses the product that energy(X_t) computed, and a step with no flip
-    # leaves the batch as the memo holds it. Decode takes one more, and
-    # scoring its result none: decode leaves the memo holding the decoded
-    # row's product. Each chain flips about d of the graph's nodes per
-    # step. On ER(25) a full product costs less than an update; on ER(600)
-    # the steps take the flip list through the dense rows; ER(1500) is
-    # above the dense-row cap, and its steps take the flip list through A's
-    # CSR rows, whose flipped rows hold a few percent of its 340k nonzeros.
+    # A mis or mcl block walks on codes: its walk makes one product of the
+    # initial states, then one product or update per step in which any of
+    # its chains flips, handed the step's flip list, and a step with no
+    # flip makes none. It never calls the public delta or energy, and
+    # never the product memo, whose miss compares the stored batch with the
+    # new one (``key != X``). Decode takes one more product, and scoring
+    # its result none: decode leaves the memo holding the decoded row's
+    # product. Each chain flips about d of the graph's nodes per step. On
+    # ER(25) a full product costs less than an update; on ER(600) the
+    # steps take the flip list through the dense rows; ER(1500) is above
+    # the dense-row cap, and its steps take the flip list through A's CSR
+    # rows, whose flipped rows hold a few percent of its 340k nonzeros.
     blocks = []
+    inside = threading.local()
     run = sampler._run_chain_block
-    monkeypatch.setattr(sampler, "_run_chain_block",
-                        lambda *a: blocks.append(run(*a)) or blocks[-1])
+
+    def block(*args):
+        inside.block = True
+        try:
+            blocks.append(run(*args))
+        finally:
+            inside.block = False
+        return blocks[-1]
+
+    monkeypatch.setattr(sampler, "_run_chain_block", block)
     for g, d, path in ((generate_er(25, 0.2, seed=15), 2, "full"),
                        (generate_er(600, 0.15, seed=17), 20, "flips"),
                        (generate_er(1500, 0.15, seed=16), 20, "csr")):
         cfg = small_cfg(steps=30, chains=6, d=d)
-        for workers in (1, 2):
-            m = EnergyModel("mis", g, beta=1.02)
+        for kind, workers in (("mis", 1), ("mis", 2), ("mcl", 1)):
+            m = EnergyModel(kind, g, beta=1.02)
             m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
+            public = []
+            for name in ("delta", "energy", "_ax"):
+                def called(*args, method=getattr(m, name), name=name):
+                    if getattr(inside, "block", False):
+                        public.append(name)
+                    return method(*args)
+                setattr(m, name, called)
             blocks.clear()
             run_rlsa(m, cfg, workers=workers)
-            assert len(blocks) == workers
+            assert len(blocks) == workers and not public, (kind, public)
             moved = sum(np.count_nonzero(flips.any(axis=1)) for *_, flips in blocks)
             assert counter.total == workers + moved + 1
             assert (counter.flips > 0, counter.csr > 0) == (path == "flips", path == "csr")
+
+
+def test_public_walk_calls_delta_then_energy_once_per_step():
+    # mcut and qubo blocks walk through the public delta and energy, which
+    # a tracer can wrap: after the block's first energy, each step calls
+    # delta and then energy exactly once each, on the whole block, at one
+    # worker and in each of two blocks side by side
+    rng = np.random.default_rng(22)
+    g = generate_ba(60, 3, seed=22)
+    for m in (EnergyModel("mcut", g),
+              EnergyModel("qubo", g, linear=rng.normal(size=60), quad_scale=0.7)):
+        cfg = small_cfg(tau0=0.5, steps=12, chains=6, d=3)
+        for workers in (1, 2):
+            calls = {}
+            for name in ("delta", "energy"):
+                def called(x, method=getattr(m, name), name=name):
+                    if np.ndim(x) == 2:  # the blocks' calls, not decode's scoring
+                        calls.setdefault(threading.get_ident(), []).append(name)
+                    return method(x)
+                setattr(m, name, called)
+            run_rlsa(m, cfg, workers=workers)
+            del m.delta, m.energy
+            assert 1 <= len(calls) <= workers
+            per_block = ["energy"] + ["delta", "energy"] * cfg.steps
+            assert sorted(map(len, calls.values())) == sorted(
+                len(per_block) * n for n in ([workers] if len(calls) == 1 else [1] * workers))
+            for seq in calls.values():
+                assert seq == per_block * (len(seq) // len(per_block))
 
 
 def test_no_product_follows_decode(monkeypatch):
@@ -1219,32 +1267,70 @@ def test_run_matches_its_golden_hashes(case):
 
 
 def test_golden_settings_reach_every_flip_mask_path(monkeypatch):
-    # together the golden solves take the table mask, the dense mask, and
-    # the sparse mask of a float Delta from a reservoir of one step of
+    # Together the golden solves take, at one worker and at three, every
+    # path of a step. On the coded walk of mis and mcl: the update of the
+    # product through the dense rows and through A's CSR rows, the table
+    # mask of an integer beta and the sparse mask of a float one. On the
+    # public walk of mcut and qubo: the table mask, the dense mask, and the
+    # sparse mask of a float Delta from a reservoir of one step of
     # uniforms per chain (a lone block) and of several (blocks side by
     # side). Blocks run on threads, so each mask keeps its reservoir's
-    # depth in a thread-local that the same call's flip_probabilities reads.
+    # depth, and each update its walk, in a thread-local that the calls
+    # it makes read.
     local = threading.local()
     reached = set()
-    mask, fn = sampler._flip_mask, sampler.flip_probabilities
+    now = {}
+    solve, mask, fn = run_rlsa, sampler._flip_mask, sampler.flip_probabilities
+    advance, matvecs, row_index = (energy._CodeWalk.advance, energy._csr_matvecs,
+                                   energy._csr_row_index)
 
-    def recording_mask(D, dth, epsilon, tau, draws, buf):
-        local.deep = draws.draws.shape[1] > draws.n
+    def recording_solve(model, cfg, workers=1):
+        now["workers"] = workers
+        return solve(model, cfg, workers=workers)
+
+    def recording_mask(D, dth, epsilon, tau, draws, buf, walk=None):
+        local.deep, local.coded = draws.draws.shape[1] > draws.n, walk is not None
         try:
-            return mask(D, dth, epsilon, tau, draws, buf)
+            return mask(D, dth, epsilon, tau, draws, buf, walk)
         finally:
-            del local.deep
+            del local.deep, local.coded
 
     def recording(delta, dth, *a):
         path = _mask_path(delta, dth)
-        reached.add((path, local.deep) if path == "sparse" else path)
+        if local.coded:
+            reached.add(("coded", path, now["workers"]))
+        else:
+            reached.add((path, local.deep) if path == "sparse" else path)
+            reached.add(("public", now["workers"]))
         return fn(delta, dth, *a)
 
+    def recording_advance(walk, at):
+        local.update = True
+        try:
+            return advance(walk, at)
+        finally:
+            del local.update
+
+    def update(path, kernel):
+        def recording_kernel(*args):
+            if getattr(local, "update", False):
+                reached.add(("coded", path, now["workers"]))
+            return kernel(*args)
+        return recording_kernel
+
+    monkeypatch.setitem(globals(), "run_rlsa", recording_solve)
     monkeypatch.setattr(sampler, "_flip_mask", recording_mask)
     monkeypatch.setattr(sampler, "flip_probabilities", recording)
+    monkeypatch.setattr(energy._CodeWalk, "advance", recording_advance)
+    monkeypatch.setattr(energy, "_csr_matvecs", update("dense rows", matvecs))
+    monkeypatch.setattr(energy, "_csr_row_index", update("csr rows", row_index))
     for case in GOLDEN_RUNS:
         _run_digest(case)
     assert {"table", "dense", ("sparse", False), ("sparse", True)} <= reached
+    for workers in (1, 3):
+        assert {("coded", "dense rows", workers), ("coded", "csr rows", workers),
+                ("coded", "table", workers), ("coded", "sparse", workers),
+                ("public", workers)} <= reached, (workers, reached)
 
 
 @pytest.mark.parametrize("case", list(_GOLDEN_UPDATES))
