@@ -281,6 +281,8 @@ def _result_record(cfg, name, source, model, result, traj_path) -> dict:
         "wall_time_s": result.wall_time,
         "decode_flips": result.decode_flips,
         "decode_gain": result.decode_gain,
+        "best_step": result.best_step,
+        "best_chains": result.best_chains,
         # sibling file name, so a results directory can be relocated wholesale
         "trajectory_path": Path(traj_path).name if traj_path else None,
     }
@@ -312,12 +314,18 @@ _RECORD_FIELDS = {
 }
 
 
+# the fields of a solve's record that verify_record checks where they are
+# present: name -> (its least value, the config field that bounds it)
+_RUN_FIELDS = {"best_step": (0, "steps"), "best_chains": (1, "chains")}
+
+
 def verify_record(record: dict, graph: Graph) -> None:
     """Recompute objective and violation from a stored best_x; raises
     ValueError on a mismatch (a NaN energy matches nothing), on a record
-    without a field it checks or with a field of the wrong type, or on a
-    qubo record without the ``qubo_linear_values`` its model used. Reads no
-    file: the record and the graph define the model."""
+    without a field it checks or with a field of the wrong type, on a
+    ``best_step`` or ``best_chains`` outside 0..steps or 1..chains of its
+    config, or on a qubo record without the ``qubo_linear_values`` its
+    model used. Reads no file: the record and the graph define the model."""
     for name, (ok, what) in _RECORD_FIELDS.items():
         if name not in record:
             raise ValueError(f"record lacks {name}")
@@ -325,6 +333,11 @@ def verify_record(record: dict, graph: Graph) -> None:
             raise ValueError(f"record field {name} must be {what}, got {record[name]!r}")
     problem, echo, best_x, want_violation, want_objective, want_energy = (
         record[name] for name in _RECORD_FIELDS)
+    for name, (least, bound) in _RUN_FIELDS.items():
+        value, most = record.get(name, least), echo.get(bound)
+        if not (_is_count(value) and least <= value and (most is None or value <= most)):
+            raise ValueError(f"record field {name} must be an integer in {least}.."
+                             f"{'' if most is None else most}, got {value!r}")
     model = EnergyModel(problem, graph, beta=echo.get("beta", ExperimentConfig.beta),
                         linear=record.get("qubo_linear_values"), quad_scale=echo.get("qubo_scale"))
     x = np.asarray(best_x, dtype=np.int8)

@@ -80,8 +80,8 @@ would, in a quarter of the bytes, and the sampler takes its flip mask from
 a table (see ``rlsa.sampler``). The gradient and Delta are computed in
 place on the one array that each call returns. r enters them through one
 m = W x - r (s - x) (``_m``), which is the product itself when r = 0 and
-is made in the Delta dtype otherwise; mis and mcl decode codes read the
-same m in intp.
+is made in the Delta dtype otherwise; the codes of mis and mcl read the
+same m in their own dtype.
 
 Each thread's last product is remembered. The memo serves the public
 API, decode's scoring and the steps of the engine's public walk (mcut and
@@ -96,13 +96,14 @@ would compute. It is per thread (``threading.local``) because worker
 threads run chain blocks on one shared model. The stored product is
 read-only; callers that update it copy it first, in its own dtype.
 
-A miss on a batch of the same shape, and each step of a coded walk
-(below), may bring an int16 product up to date through the flip list: to
-each row k of ax (of a copy, for the memo's read-only one) it adds +-(row
-j of A) for every node j that chain k flipped (+ where it set j, - where
-it cleared it). That is exact: every partial sum it makes is a sum
-of w_ij over a subset of row i's neighbours, which the row-sum bound keeps
-below 2**15, so the result equals the full product bit for bit. It pays
+A miss on a batch of the same shape may bring an int16 product up to
+date through the flip list, and each step of a coded walk (below) brings
+its codes up to date the same way: to each row k of ax (of a copy, for
+the memo's read-only one) it adds +-(row j of A) for every node j that
+chain k flipped (+ where it set j, - where it cleared it), or +-2 (row j)
+to the codes. That is exact: every partial sum it makes of a product is a
+sum of w_ij over a subset of row i's neighbours, which the row-sum bound
+keeps below 2**15, so the result equals the full product bit for bit. It pays
 when each chain flips few nodes, however many columns the chains flip
 together, as in an annealing step that flips about d bits per chain. It
 reads the rows one of two ways, each in compiled code:
@@ -154,25 +155,39 @@ Delta it stands for, and ranks order and tie exactly as Delta does: the
 argmax of the ranks, lowest index on ties, is the argmax of Delta. The
 table has O(largest degree) entries for mis and O(N) for mcl, so its
 ranks are int16 while it has fewer than 2**15 entries and int32 from
-there. ``_descent`` hands decode the codes as each row's state and their
+there; the codes take the dtype of the walk's update (below), and
+decode, which indexes the tables with them a row at a time, intp.
+``_descent`` hands decode the codes as each row's state and their
 ranks as its key (``_flip_code``); the product the memo keeps after decode
 follows from the codes, W x = m + r (s - x) with m = (code >> 1) + m_lo
 (``_code_product``).
 
 The annealing engine reads the model through one more private contract,
 ``_walk``, a block's state from one product. mis and mcl over an int16
-product walk on codes: the walk carries the int16 product, the codes,
-their ranks as the step's keys, and each row's s and x^T W x. A step
-hands it the flip list, the flat indices of the flipped entries. The
-walk flips X by scatter and updates the product in place through that
-list (``_add_flips``, with no compare of batches) or makes the full
-product, as the cost rule picks. It moves s and x^T W x by the flipped
-entries alone, in exact int64, and remakes the codes and ranks from the
-product. Its energies are the float expression of ``_energy`` on the same
-exact integers, so they are bit-identical to a fresh ``energy``. The rules
-read Delta back through the tables at the entries they need, so no float
-Delta is made. Every other model walks through the public ``delta`` and
-``energy``, once each per step, behind the memo.
+product walk on codes: the walk carries one (K, N) state, the codes,
+with their ranks as the step's keys and each row's s and x^T W x; it
+keeps no product. A step hands it the flip list, the flat indices of the
+flipped entries. The walk flips X by scatter and writes the update
+straight into the codes (``_add_flips``, with no compare of batches):
++-2 (row j of A) for each flipped node j, where +-(row j) moves W x, then
++-1 at the flipped entries for mis, the flipped bit; for mcl, whose m
+also falls by the row's change of s outside i, -2 (that change) across
+the row and +-3 at the flipped entries, where m_j keeps its value. Where
+the cost rule picks the full product, the codes are remade from it. The
+codes are int16 while they hold every partial sum the update makes, and
+int32 beyond. Each lies in [-2, 2 (R - m_lo) + 3]: the rows move m by
+partial sums of a product, in [-r (N - 1), R], and the shift and the bit
+move a code by at most 2 and 3 beyond them. For mis (m_lo = 0, no shift)
+every partial sum stays in [0, 2 R + 1], the table's range, so mis codes
+are int16 exactly while the tables have fewer than 2**15 entries. The
+keys are one take of ``_code_rank``. s and x^T W x move by the flipped
+entries alone, in exact int64, with the products before and after read
+back from the codes at the flipped entries, as ``_code_product`` reads
+them. Its energies are the float expression of ``_energy`` on the
+same exact integers, so they are bit-identical to a fresh ``energy``. The
+rules read Delta back through the tables at the entries they need, so no
+float Delta is made. Every other model walks through the public ``delta``
+and ``energy``, once each per step, behind the memo.
 """
 
 from __future__ import annotations
@@ -315,6 +330,9 @@ class EnergyModel:
             x = np.tile([False, True], m.size // 2)
             self._code_delta = _signed(self._slope(m, c), x)
             self._code_rank = _rank_table(self._code_delta)
+            # the codes' dtype: int16 while it holds every partial sum of
+            # a walk's update, which lies in [-2, 2 (R - m_lo) + 3]
+            self._code_dtype = np.int16 if 2 * (R - self._m_lo) + 3 < _EXACT_INT16 else np.int32
             # Delta at each rank r, as _rank_delta[r - _rank_lo]: the walk
             # reads thresholds and live cuts between ranks and Delta with it
             self._rank_delta = np.unique(self._code_delta)
@@ -429,7 +447,7 @@ class EnergyModel:
         P = A @ np.ascontiguousarray(X.T).astype(A.dtype, copy=False)
         return np.ascontiguousarray(P.T)
 
-    def _add_flips(self, ax, X, flips, out=None):
+    def _add_flips(self, ax, X, flips, out=None, sign=None, start=None):
         # ax + S @ A for the bool batch X, with S the sparse (K, N) matrix
         # of +1 where a chain set node j and -1 where it cleared it (A is
         # symmetric): row k gains +-(row j of A) for each node j that chain
@@ -437,10 +455,14 @@ class EnergyModel:
         # the full product costs less (_flips_pay). ``flips`` marks the
         # flipped entries: a bool (K, N) mask, made into a list only once
         # the dense rows' cost test passes, or the list itself as sorted
-        # flat indices. Exact: each partial sum of entry (k, i) is a sum of
-        # w_ij over a subset of i's neighbours, which the row-sum bound
-        # keeps below 2**15. A block reads the rows from the dense int16 A
-        # where it fits under the cap, and everywhere else from A's CSR rows.
+        # flat indices; ``sign``, if given, is S's value at each entry of
+        # the list, in ax's dtype, in place of +-1 from X, and ``start``
+        # the list's chain starts (below). Exact while each partial sum of
+        # an entry stays in ax's dtype: for a product, a sum of w_ij over a
+        # subset of i's neighbours, which the row-sum bound keeps below
+        # 2**15 (see the module docstring for codes). A block reads the
+        # rows from the dense int16 A where it fits under the cap, and
+        # everywhere else from A's CSR rows.
         A = self._A
         K, N = X.shape
         dense = K > 1 and 2 * N * N <= _DENSE_ROWS_BYTES
@@ -451,10 +473,14 @@ class EnergyModel:
         at = np.flatnonzero(flips) if mask else flips
         # chain k's flips are at[start[k]:start[k + 1]]: at is sorted, and
         # row k of the batch holds the flat indices k N up to (k + 1) N
-        start = np.searchsorted(at, np.arange(K + 1) * N)
-        sign = X.ravel()[at].astype(np.int16) * 2 - 1
+        if start is None:
+            start = np.searchsorted(at, np.arange(K + 1) * N)
+        if sign is None:
+            sign = X.ravel()[at].astype(ax.dtype) * 2 - 1
         idx = A.indices.dtype
-        nodes = (at % N).astype(idx)
+        # at less its chain's row start, k N
+        row_start = np.repeat(np.arange(0, K * N, N), start[1:] - start[:-1])
+        nodes = np.subtract(at, row_start, dtype=idx)
         if not dense:
             # the flipped nodes' CSR rows, chain by chain in flat order:
             # chain k's run ends at its and earlier chains' flipped degrees
@@ -473,6 +499,7 @@ class EnergyModel:
         else:
             cols, vals = np.empty(ends[-1], dtype=idx), np.empty(ends[-1], dtype=np.int16)
             _csr_row_index(at.size, nodes, A.indptr, A.indices, A.data, cols, vals)
+            vals = vals.astype(out.dtype, copy=False)
             vals *= np.repeat(sign, deg)
             # adds into out, and sums a column that two rows of one chain share
             _csr_todense(K, N, np.concatenate(([0], ends))[start].astype(idx), cols, vals, out)
@@ -509,7 +536,8 @@ class EnergyModel:
         """
         ax = self._ax(X)
         if self._penalized:
-            codes = self._codes(X, ax)
+            # intp: _flip_code indexes the tables with them, one row at a time
+            codes = self._codes(X, ax).astype(np.intp)
             return (codes, self._code_rank.take(codes), self._flip_code,
                     lambda: self._remember(X, self._code_product(X, codes)))
         ax = ax.copy()
@@ -560,10 +588,11 @@ class EnergyModel:
         D[nbrs] = _signed(self._slope(part, c), x[nbrs])
 
     def _codes(self, X, ax):
-        """The intp codes 2 (m - m_lo) + x of a bool batch of a mis or mcl
-        model and its product ``ax``: each entry indexes its Delta in
-        ``_code_delta`` and its rank in ``_code_rank``."""
-        code = np.subtract(self._m(X, ax, np.intp), self._m_lo, dtype=np.intp, casting="unsafe")
+        """The codes 2 (m - m_lo) + x of a bool batch of a mis or mcl model
+        and its product ``ax``, in ``_code_dtype``: each entry indexes its
+        Delta in ``_code_delta`` and its rank in ``_code_rank``."""
+        dt = self._code_dtype
+        code = np.subtract(self._m(X, ax, dt), self._m_lo, dtype=dt, casting="unsafe")
         code *= 2
         code += X
         return code
@@ -653,7 +682,7 @@ class EnergyModel:
     def _m(self, X, ax, dtype):
         # m = W x - r (s - x) of the bool batch X and its product ax: ax
         # itself when r = 0, and otherwise a new array in ``dtype``, which
-        # holds it exactly (the Delta dtype, or intp for the codes)
+        # holds it exactly (the Delta dtype, or the codes' dtype)
         if not self._r:
             return ax
         m = np.subtract(_row_counts(X)[:, None], X, dtype=dtype)
@@ -739,20 +768,25 @@ class _PublicWalk:
 
 
 class _CodeWalk:
-    """A mis or mcl block's walk on codes, from one product: its int16
-    product ``ax``, the codes 2 (m - m_lo) + x (``EnergyModel._codes``),
-    their ranks (the keys), and per row s and x^T W x (``quad``), each
-    equal, bit for bit, to a fresh computation of the current ``X``.
+    """A mis or mcl block's walk on codes, from one product: the codes 2 (m
+    - m_lo) + x (``EnergyModel._codes``), their ranks (the keys), and per
+    row s and x^T W x (``quad``), each equal, bit for bit and in dtype, to
+    a fresh computation of the current ``X``.
 
     ``advance`` takes a step's flip list, flat indices in ascending order.
-    It flips X by scatter and brings the product up to date through the
-    flip list or the full product, as ``EnergyModel._add_flips`` picks. s
-    and x^T W x move by the flipped entries alone, in int64: setting or
-    clearing node j (sign +-1) moves s by that sign, and flipping a row's
-    set F moves x^T W x by sum over j in F of sign_j ((W x)_j + (W x')_j),
-    the product before and after. The codes and ranks are remade from the
-    product, and the energies are the float expression of
-    ``EnergyModel._energy``, c s + q (x^T W x - r (s^2 - s)).
+    It flips X by scatter and writes the update straight into the codes
+    (see the module docstring): +-2 (row j of A) for each flipped node j
+    through ``EnergyModel._add_flips``, then +-1 at the flipped entries
+    for mis, or -2 (the row's change of s) across the row and +-3 at the
+    flipped entries for mcl; or it remakes the codes from the full
+    product, where ``_add_flips`` finds that cheaper. The sign of a flip is
+    the old code's low bit. s and x^T W x move by the flipped entries
+    alone, in int64: setting or clearing node j (sign +-1) moves s by that
+    sign, and flipping a row's set F moves x^T W x by sum over j in F of
+    sign_j ((W x)_j + (W x')_j), the product before and after, which the
+    codes give back at j as (code >> 1) + m_lo + r (s - x_j). The ranks
+    are one take of the codes, and the energies are the float expression
+    of ``EnergyModel._energy``, c s + q (x^T W x - r (s^2 - s)).
     """
 
     coded = True
@@ -760,12 +794,11 @@ class _CodeWalk:
     def __init__(self, model, X):
         self.model, self.X = model, X
         self.integer = model._delta_bound is not None  # int16 Delta: the table mask
-        self.ax = model._product(X)
+        ax = model._product(X)
         self.s = _row_counts(X)
-        self.quad = (X * self.ax).sum(axis=1, dtype=np.int64)
-        self.codes = np.empty(X.shape, np.intp)
-        self.ranks = np.empty(X.shape, model._code_rank.dtype)
-        self._recode()
+        self.quad = (X * ax).sum(axis=1, dtype=np.int64)
+        self.codes = model._codes(X, ax)
+        self.ranks = model._code_rank.take(self.codes)
         self.energy = model._uniform_energy(self.s, self.quad)
 
     def keys(self):
@@ -784,10 +817,9 @@ class _CodeWalk:
         above = np.searchsorted(m._rank_delta, cut[:, 0], side="right")
         return (above + (m._rank_lo - 1)).astype(self.ranks.dtype)[:, None]
 
-    def delta(self, at=None):
-        """Delta of the whole block, or at the flat indices ``at``."""
-        codes = self.codes if at is None else self.codes.reshape(-1)[at]
-        return self.model._code_delta.take(codes)
+    def delta(self):
+        """Delta of the whole block."""
+        return self.model._code_delta.take(self.codes)
 
     def advance(self, at):
         """Apply the step's flip list ``at``; the new energies and the
@@ -795,37 +827,42 @@ class _CodeWalk:
         K, N = self.X.shape
         start = np.searchsorted(at, np.arange(K + 1) * N)
         if at.size:
-            flat = self.X.reshape(-1)
-            flat[at] ^= True
-            sign = flat[at].astype(np.int64) * 2 - 1
-            moved = self.ax.reshape(-1)[at].astype(np.int64)
-            ax = self.model._add_flips(self.ax, self.X, at, out=self.ax)
-            if ax is None:
-                ax = self.ax = self.model._product(self.X)
-            moved += ax.reshape(-1)[at]
+            m, X, codes = self.model, self.X, self.codes
+            X.reshape(-1)[at] ^= True
+            old = codes.reshape(-1)[at]
+            sign = 1 - ((old & 1) << 1)  # +1 where the step sets x_j
+            ds = _chain_sums(sign, start)
+            if m._add_flips(codes, X, at, out=codes, sign=sign * 2, start=start) is None:
+                codes = self.codes = m._codes(X, m._product(X))
+                new = codes.reshape(-1)[at]
+            else:
+                if m._r:
+                    codes -= (2 * ds).astype(codes.dtype)[:, None]
+                new = codes.reshape(-1)[at]
+                new += sign * 3 if m._r else sign
+                codes.reshape(-1)[at] = new
+            moved = np.add(old >> 1, new >> 1, dtype=np.int64)
             moved *= sign
-            sums = np.zeros((2, at.size + 1), np.int64)
-            np.cumsum(sign, out=sums[0, 1:])
-            np.cumsum(moved, out=sums[1, 1:])
-            ds, dquad = sums[:, start[1:]] - sums[:, start[:-1]]
+            dquad = _chain_sums(moved, start)
+            if m._r:  # the r (s - x_j) of both products: x_j + x'_j = 1
+                dquad += (2 * (m._m_lo + self.s) + ds - 1) * ds
             self.s += ds
             self.quad += dquad
-            self._recode()
-            self.energy = self.model._uniform_energy(self.s, self.quad)
-        return self.energy, np.diff(start)
+            # every code is in range; mode="clip" writes to ``ranks`` directly
+            m._code_rank.take(codes, out=self.ranks, mode="clip")
+            self.energy = m._uniform_energy(self.s, self.quad)
+        return self.energy, start[1:] - start[:-1]
 
-    def _recode(self):
-        # codes = 2 (W x - r (s - x) - m_lo) + x, in intp, then their ranks
-        m, codes, X = self.model, self.codes, self.X
-        if m._r:
-            np.subtract(self.ax, (self.s + m._m_lo)[:, None], out=codes, casting="unsafe")
-            codes += X
-            codes *= 2
-        else:
-            np.multiply(self.ax, 2, out=codes, dtype=np.intp, casting="unsafe")
-        codes += X
-        # every code is in range; mode="clip" writes to ``ranks`` directly
-        m._code_rank.take(codes, out=self.ranks, mode="clip")
+
+def _chain_sums(values, start):
+    """Each chain's sum of ``values`` in int64, chain k's at ``start[k]``
+    up to ``start[k + 1]``; one reduceat over the values and a zero, which
+    a chain whose entries are all at the end of the list starts at."""
+    padded = np.zeros(values.size + 1, np.int64)
+    padded[:-1] = values
+    sums = np.add.reduceat(padded, start[:-1])
+    sums[start[:-1] == start[1:]] = 0  # reduceat's value of an empty chain is its next entry
+    return sums
 
 
 def _signed(g, X):

@@ -19,6 +19,9 @@ file's format from its content alone: DIMACS when the header opens with
 
 from __future__ import annotations
 
+import itertools
+import re
+
 import numpy as np
 
 from ._checks import finite_float, integer
@@ -324,9 +327,7 @@ def parse_instance(text: str, fmt: str) -> Graph:
     """
     header, lead, base = _format(fmt)
     usage = " ".join(header + ("N", "M"))
-    raw = text.splitlines()
-    lines = _content(raw)
-    lineno, words = next(lines, (None, None))
+    lineno, words, body = _header(text)
     if words is None:
         raise ValueError(f"missing header {usage!r}")
     k = len(header)
@@ -336,7 +337,7 @@ def parse_instance(text: str, fmt: str) -> Graph:
     m = _int64(words[k + 1], lineno, "edge count")
     if n < 0 or m < 0:
         raise ValueError(f"line {lineno}: header counts must be nonnegative")
-    found = _edge_lines(raw[lineno:], lead)
+    found = None if body is None else _edge_lines(body, lead)
     if found is not None:
         pairs, at = found
         linenos = at + lineno + 1  # the line of each edge, for the messages below
@@ -344,7 +345,7 @@ def parse_instance(text: str, fmt: str) -> Graph:
         k, lead = len(lead), list(lead)
         linenos = []
         tokens = []
-        for lineno, words in lines:
+        for lineno, words in _content(text.splitlines()[lineno:], lineno + 1):
             if len(words) != k + 2 or words[:k] != lead:
                 raise ValueError(f"line {lineno}: expected edge {' '.join(lead + ['u', 'v'])!r}")
             linenos.append(lineno)
@@ -374,7 +375,7 @@ def write_instance(graph: Graph, fmt: str) -> str:
 def detect_format(text: str) -> str:
     """The format whose header word opens the first non-comment line of
     ``text`` (``p``: DIMACS), else the edge list, whose header has no word."""
-    _, words = next(_content(text.splitlines()), (None, [""]))
+    words = _header(text)[1] or [""]
     for fmt, (header, _, _) in _FORMATS.items():
         if header[:1] == (words[0],):
             return fmt
@@ -396,42 +397,83 @@ def _format(fmt: str):
         raise ValueError(f"unknown instance format {fmt!r}") from None
 
 
-def _content(lines):
-    """(line number, words) of each of ``lines`` that is not all comment."""
-    for lineno, raw in enumerate(lines, 1):
-        words = raw.split("#", 1)[0].split()
-        if words and words[0] != "c":
+def _content(lines, start=1):
+    """(line number, words) of each of ``lines`` that is not all comment,
+    numbering the first ``start``."""
+    for lineno, raw in enumerate(lines, start):
+        words = _words(raw)
+        if words:
             yield lineno, words
 
 
-# the control bytes that str.split takes for whitespace, as do all bytes
-# 28..32; the place values of an integer of at most 18 digits, which int64
-# holds
+def _words(line):
+    """The words of ``line`` up to its first '#'; none for a line whose
+    first word is 'c', a comment."""
+    words = line.split("#", 1)[0].split()
+    return words if words and words[0] != "c" else []
+
+
+# the line breaks of str.splitlines other than '\n' and '\r\n'
+_BREAKS = re.compile("\r(?!\n)|[\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _header(text):
+    """(line number, words, body): the first line of ``text`` that is not
+    all comment, numbered as ``str.splitlines`` numbers it, its words, and
+    the text after it; (None, None, None) without such a line. Lines are
+    found one at a time from the start, at each '\n'; where one up to the
+    header holds another break of ``str.splitlines``, the lines are those
+    of ``str.splitlines`` and the body is None."""
+    pos = 0
+    for lineno in itertools.count(1):
+        if pos == len(text):
+            return None, None, None
+        end = text.find("\n", pos) + 1 or len(text)
+        line = text[pos:end]
+        if _BREAKS.search(line):
+            lineno, words = next(_content(text.splitlines()), (None, None))
+            return lineno, words, None
+        words = _words(line)
+        if words:
+            return lineno, words, text[end:]
+        pos = end
+
+
+# the control bytes that the vectorized pass reads as whitespace: those
+# that str.split takes for whitespace and str.splitlines takes for no line
+# break, with '\n', and '\r' before a '\n' (the bytes 28..30, '\v' and
+# '\f' break lines too); the place values of an integer of at most 18
+# digits, which int64 holds
 _SPACE = np.zeros(33, dtype=bool)
-_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_SPACE[[9, 10, 13, 31, 32]] = True
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 
 
-def _edge_lines(lines, lead):
-    """(pairs, at): the (E, 2) int64 node pairs of the edge lines among
-    ``lines`` and each one's index in ``lines``, read in one vectorized
-    pass over their bytes; None when a line that is not all comment is not
-    an edge line of the ``lead`` words and two integers of at most 18 ASCII
-    digits, so that the per-line parse must look at it.
+def _edge_lines(body, lead):
+    """(pairs, at): the (E, 2) int64 node pairs of the edge lines of the
+    text ``body`` and each one's line index in it (from 0), read in one
+    vectorized pass over its bytes; None when a line that is not all
+    comment is not an edge line of the ``lead`` words and two integers of
+    at most 18 ASCII digits, or when the body holds a line break of
+    ``str.splitlines`` other than '\n' and '\r\n', so that the per-line
+    parse must look at it.
 
     Comments are those of ``_content``: a line is cut at its first '#', and
     a line whose first word is 'c' is skipped.
     """
-    body = "\n".join(lines) + "\n"
-    if not body.isascii():
+    if not body.isascii():  # a word that is not ASCII, or '\x85', '\u2028' or '\u2029'
         return None
-    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    b = np.frombuffer(body.encode("ascii") + b"\n", dtype=np.uint8)
     space = b <= 32
-    if not _SPACE[b[b < 32]].all():  # a control byte inside a word
+    ctrl = np.flatnonzero(b < 32)
+    if not _SPACE[b[ctrl]].all():  # a control byte inside a word, or a line break
+        return None
+    cr = ctrl[b[ctrl] == 13]
+    if (b[cr + 1] != 10).any():  # a '\r' that breaks a line on its own
         return None
     line = np.cumsum(b == 10, dtype=np.int32)  # the line of each byte
     if "#" in body:  # blank each line from its first '#' on
-        cut = np.full(len(lines) + 1, b.size)
+        cut = np.full(int(line[-1]) + 1, b.size)
         hashes = np.flatnonzero(b == 35)
         np.minimum.at(cut, line[hashes], hashes)
         space |= np.arange(b.size) >= cut[line]

@@ -91,9 +91,15 @@ of its Delta among the values Delta can take, int16, ordered and tied
 exactly as Delta is. The regularized rule partitions the keys and reads
 each row's Delta_(d) back from the sorted distinct Deltas. The live test
 Delta > a - 80 tau becomes key > rcut, with each row's rank cut rcut from
-one ``searchsorted`` of its cut among those Deltas, and the sigmoid runs
-on the Delta of the live entries alone, gathered from the code table. A
-float Delta still takes one uniform per live entry; an integer one
+one ``searchsorted`` of its cut among those Deltas. A float Delta still
+takes one uniform per live entry, and the live entries' probabilities
+come from one sigmoid table over the range of their keys, a row per
+threshold rank from the lowest row's Delta_(d) to the highest (one row
+under ld, whose threshold every row shares), in one gather indexed by
+(the row's threshold rank, the live key); a table entry is the same
+float64 expression of the same Delta and threshold as the probability it
+stands for. Where that table would have more entries than there are live
+ones, the sigmoid runs on the live entries' Delta instead. An integer one
 (integer beta) takes N per chain and its table is built over the range of
 the keys, with each key's Delta as the table's value; the normalized rule
 reads the whole Delta from the code table. The rule returns the step's
@@ -105,12 +111,16 @@ of the float Delta, bit for bit, and no float Delta is built.
 Chain state. The engine holds a block's states as a bool (K, N) array,
 which it hands to the model's walk (``EnergyModel._walk``) and which the
 walk flips in place at every step. A coded walk (mis and mcl) takes the
-rule's flip list: it flips X by scatter, hands the list to the product's
-update, and brings each row's s and x^T W x, and with them the energies,
-up to date from the flipped entries alone. The public walk (mcut, qubo)
-takes the bool mask: each step calls ``model.delta`` and then
-``model.energy`` once on the whole block, as a tracer that wraps those
-two methods sees, and applies the mask as ``X ^= flip``; the model's
+rule's flip list: it flips X by scatter, writes the update of the list
+straight into its int16 codes, takes the keys from the codes in one
+gather, and brings each row's s and x^T W x, and with them the energies,
+up to date from the flipped entries alone; apart from that update, the
+keys, the partition, the live test and its ``flatnonzero``, a step
+touches only the flip list, the live entries and per-row values. The
+public walk (mcut, qubo) takes the bool mask: each step calls
+``model.delta`` and then ``model.energy`` once on the whole block, as a
+tracer that wraps those two methods sees, and applies the mask as
+``X ^= flip``; the model's
 product memo serves the second call's product to the next step's first.
 A bool batch is binary by type, so the model uses the states without a
 per-entry check or a copy.
@@ -118,11 +128,12 @@ per-entry check or a copy.
 Block buffers. A block allocates the arrays of its steps once and reuses
 them at every step: its reservoir of uniforms, the (K, N) live test, table
 index and probabilities, and flip mask of the regularized and ld rules,
-and a coded walk's codes and keys. A fresh array of that size can cost a
-page fault per page on first touch; on max-cut those faults ate all of the
-time the table saves. On the public walk Delta comes fresh from
-``model.delta`` each step, in its own dtype (int16 on max-cut), and the
-d-th largest of Delta or of the keys is taken on a fresh partition copy.
+and a coded walk's int16 codes and keys (it holds no product and no intp
+(K, N) array). A fresh array of that size can cost a page fault per page
+on first touch; on max-cut those faults ate all of the time the table
+saves. On the public walk Delta comes fresh from ``model.delta`` each
+step, in its own dtype (int16 on max-cut), and the d-th largest of Delta
+or of the keys is taken on a fresh partition copy.
 The reservoir is one (K, S * N) array for a draw depth of S steps, with a
 cursor per chain: row k holds chain k's next uniforms, and a step takes
 what it consumes from the cursor on. A row that holds too few for a step
@@ -306,17 +317,17 @@ class _Reservoir:
         self.cursor += self.n
         return self.draws[:, at:at + self.n]
 
-    def take(self, rows):
-        """Chain k's next uniforms, one for each entry of ``rows`` (chain
-        ids, ascending) equal to k, in order, in one gather."""
-        counts = np.bincount(rows, minlength=len(self.rngs))
+    def take(self, start):
+        """For entries of ascending chains, chain k's at ``start[k]`` up to
+        ``start[k + 1]``, each chain's next uniforms, one per entry, in
+        order, in one gather."""
+        counts = start[1:] - start[:-1]
         self._refill(np.flatnonzero(self.end - self.cursor < counts))
         self.steps -= 1
-        # entry i is its row's (i - first[row])-th, at column cursor[row] + that
-        first = np.cumsum(counts) - counts
-        base = np.arange(len(counts)) * self.draws.shape[1] + self.cursor - first
+        # entry i of chain k is its (i - start[k])-th, at column cursor[k] + that
+        base = np.arange(len(counts)) * self.draws.shape[1] + self.cursor - start[:-1]
         self.cursor += counts
-        return self.draws.ravel().take(base[rows] + np.arange(rows.size))
+        return self.draws.ravel().take(np.repeat(base, counts) + np.arange(start[-1]))
 
 
 class _Buffers(dict):
@@ -330,11 +341,12 @@ class _Buffers(dict):
         return out
 
 
-def _flip_mask(D, dth, epsilon, tau, draws, buf, walk=None):
+def _flip_mask(D, dth, epsilon, tau, draws, buf, walk=None, top=None):
     """The regularized rule's flip mask at a (K, 1) column ``dth`` of
     per-row thresholds, written into ``buf``, with its uniforms from the
     reservoir ``draws``. Given a coded walk, D holds the walk's keys, and
-    the result is ``_walk_flips``'s flip list.
+    the result is ``_walk_flips``'s flip list, with ``top`` the column of
+    the thresholds' ranks (None where every row has one threshold).
 
     A float64 D takes one uniform per live entry, where z > -40 (see
     "Sparse flip masks" in the module docstring), and passes
@@ -346,7 +358,7 @@ def _flip_mask(D, dth, epsilon, tau, draws, buf, walk=None):
     bit-identical to the dense mask.
     """
     if walk is not None:
-        return _walk_flips(walk, D, dth, epsilon, tau, draws, buf)
+        return _walk_flips(walk, D, dth, epsilon, tau, draws, buf, top)
     flip = buf("flip", D.shape, bool)
     U = None if D.dtype.kind == "f" else draws.step()
     if U is not None:
@@ -365,14 +377,18 @@ def _flip_mask(D, dth, epsilon, tau, draws, buf, walk=None):
         if not U.all():
             live |= U == 0
     idx = np.flatnonzero(live)
-    rows = idx // D.shape[1]
-    u = draws.take(rows) if U is None else U[rows, idx - rows * D.shape[1]]
+    K, N = D.shape
+    rows = idx // N
+    if U is None:
+        u = draws.take(np.searchsorted(idx, np.arange(K + 1) * N))
+    else:
+        u = U[rows, idx - rows * N]
     flip.fill(False)
     flip.ravel()[idx] = u < flip_probabilities(D.ravel()[idx], dth[rows, 0], epsilon, tau)
     return flip
 
 
-def _walk_flips(walk, R, dth, epsilon, tau, draws, buf):
+def _walk_flips(walk, R, dth, epsilon, tau, draws, buf, top=None):
     """The flips, as sorted flat indices, of the mask that ``_flip_mask``
     makes of a coded walk's Delta, read from its rank keys ``R`` (see
     "Rank keys" in the module docstring).
@@ -381,8 +397,8 @@ def _walk_flips(walk, R, dth, epsilon, tau, draws, buf):
     from a table over the range of the keys or, where that table does not
     fit, from the walk's whole Delta. A float64 one takes one uniform per
     live entry: the live test Delta > cut is the test that a rank exceeds
-    the rank cut of its row, and the sigmoid runs on the live entries'
-    Delta alone.
+    the rank cut of its row, and the live entries' probabilities come from
+    ``_live_probabilities``.
     """
     if walk.integer:
         U = draws.step()
@@ -390,11 +406,45 @@ def _walk_flips(walk, R, dth, epsilon, tau, draws, buf):
         if P is None:
             P = flip_probabilities(walk.delta(), dth, epsilon, tau)
         return np.flatnonzero(np.less(U, P, out=buf("flip", R.shape, bool)))
+    K, N = R.shape
     cut = walk.cut(dth - epsilon + 2.0 * tau * _LIVE_Z)
     idx = np.flatnonzero(np.greater(R, cut, out=buf("live", R.shape, bool)))
-    rows = idx // R.shape[1]
-    u = draws.take(rows)
-    return idx[u < flip_probabilities(walk.delta(idx), dth[rows, 0], epsilon, tau)]
+    start = np.searchsorted(idx, np.arange(K + 1) * N)
+    u = draws.take(start)
+    P = _live_probabilities(walk, R.ravel()[idx], start, dth, top, epsilon, tau)
+    return idx[u < P]
+
+
+def _live_probabilities(walk, keys, start, dth, top, epsilon, tau):
+    """``flip_probabilities`` of the live entries of a coded walk, given
+    by their rank keys, chain k's at ``start[k]`` up to ``start[k + 1]``:
+    Delta at each key against its chain's threshold in the (K, 1) column
+    ``dth``, whose ranks are ``top`` (None when every chain has the same
+    threshold).
+
+    When it has no more entries than there are live ones, one sigmoid
+    table over the keys' range at each threshold rank from the lowest to
+    the highest of ``top`` gives them in one gather. A table entry is the
+    same float64 expression of the same Delta and threshold as the
+    probability it stands for, so the two are bit-identical.
+    """
+    if not keys.size:
+        return np.empty(0)
+    counts = start[1:] - start[:-1]
+    lo, hi = int(keys.min()), int(keys.max())
+    width = hi - lo + 1
+    if top is None:
+        ths = dth[:1, 0]
+    else:
+        t_lo = int(top.min())
+        ths = walk.value(np.arange(t_lo, int(top.max()) + 1))
+    if ths.size * width > keys.size:
+        return flip_probabilities(walk.value(keys), np.repeat(dth[:, 0], counts), epsilon, tau)
+    table = flip_probabilities(walk.value(np.arange(lo, hi + 1)), ths[:, None], epsilon, tau)
+    at = np.subtract(keys, lo, dtype=np.intp)
+    if top is not None:  # the first entry of each chain's row of the table
+        at += np.repeat(np.subtract(top[:, 0], t_lo, dtype=np.intp) * width, counts)
+    return table.ravel().take(at)
 
 
 def _table_probabilities(D, dth, epsilon, tau, buf, value=None):
@@ -423,11 +473,12 @@ def _table_probabilities(D, dth, epsilon, tau, buf, value=None):
     return table.ravel().take(idx, out=buf("p", D.shape, np.float64), mode="clip")
 
 
-# _flip_mask and _walk_flips resolve flip_probabilities through this
-# module at call time, so a tracer can swap it. ld is the regularized rule
-# at threshold tau / alpha with epsilon = 0, so the benchmark's
-# sampler.flip_rule_s times the sigmoid of both rules: on a float64
-# Delta's live entries alone; on an integer Delta on its table, on its
+# _flip_mask, _walk_flips and _live_probabilities resolve
+# flip_probabilities through this module at call time, so a tracer can
+# swap it. ld is the regularized rule at threshold tau / alpha with
+# epsilon = 0, so the benchmark's sampler.flip_rule_s times the sigmoid of
+# both rules: on a float64 Delta's live entries alone, or on a coded
+# walk's sigmoid table of them; on an integer Delta on its table, on its
 # live entries or on the whole of it. The live test, the uniforms' gather
 # and the table's gather and compare fall outside it. Each rule takes a
 # coded walk as its last argument, ``walk``, and then reads D as the
@@ -435,8 +486,9 @@ def _table_probabilities(D, dth, epsilon, tau, buf, value=None):
 
 def _regularized(cfg, D, tau, draws, buf, walk=None):
     top = kth_largest(D, cfg.d)[:, None]
-    return _flip_mask(D, top if walk is None else walk.value(top), cfg.epsilon, tau,
-                      draws, buf, walk)
+    if walk is None:
+        return _flip_mask(D, top, cfg.epsilon, tau, draws, buf)
+    return _flip_mask(D, walk.value(top), cfg.epsilon, tau, draws, buf, walk, top)
 
 
 def _normalized(cfg, D, tau, draws, buf, walk=None):
@@ -520,7 +572,9 @@ class RunResult:
 
     ``decode_flips`` and ``decode_gain`` say how much greedy decode changed
     the sampler's best solution: the bits it flipped and the energy it
-    removed (nonnegative).
+    removed (nonnegative). ``best_step`` is the first step at which the
+    sampler's final best energy appeared (0 for the initial states), and
+    ``best_chains`` how many chains reached it.
     """
 
     best_x: np.ndarray
@@ -530,6 +584,8 @@ class RunResult:
     wall_time: float
     decode_flips: int
     decode_gain: float
+    best_step: int
+    best_chains: int
 
 
 def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
@@ -544,12 +600,13 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
     ``walk.advance``, which flips the states in place and returns the new
     energies and the flips per chain. On a coded walk (mis and mcl over an
     int16 product) the keys are the ranks of Delta and the flips a flat
-    flip list; the walk updates its product through that list, or makes
-    the full product where that costs less (see ``rlsa.energy``), and
-    never calls the public ``delta`` or ``energy``. On the public walk
-    (mcut, qubo) the keys are ``model.delta`` and the flips a bool mask,
-    followed by one ``model.energy`` call, whose product the per-thread
-    memo hands to the next step's ``model.delta``. Either way the block
+    flip list; the walk writes the update of that list into its codes, or
+    remakes them from the full product where that costs less (see
+    ``rlsa.energy``), and never calls the public ``delta`` or ``energy``.
+    On the public walk (mcut, qubo) the keys are ``model.delta`` and the
+    flips a bool mask, followed by one ``model.energy`` call, whose
+    product the per-thread memo hands to the next step's ``model.delta``.
+    Either way the block
     makes one product and then one product or update per step in which
     any of its chains flips, so at most ``steps + 1``.
 
@@ -609,7 +666,7 @@ def _mean_energy(energy_traj):
     return mean
 
 
-def _empty_result(model) -> RunResult:
+def _empty_result(model, chains) -> RunResult:
     x = np.zeros(0, dtype=np.int8)
     empty = np.empty(0)
     traj = Trajectory(step=np.empty(0, dtype=np.int64), tau=empty,
@@ -618,7 +675,7 @@ def _empty_result(model) -> RunResult:
     objective = None if model.kind == "qubo" else model.objective(x)
     return RunResult(best_x=x, best_energy=float(model.energy(x)),
                      objective=objective, trajectory=traj, wall_time=0.0,
-                     decode_flips=0, decode_gain=0.0)
+                     decode_flips=0, decode_gain=0.0, best_step=0, best_chains=chains)
 
 
 def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResult:
@@ -645,7 +702,7 @@ def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResul
             )
         model._as_batch(init)  # validates length and binary entries
     if model.num_nodes == 0:
-        return _empty_result(model)
+        return _empty_result(model, cfg.chains)
     start = time.perf_counter()
     taus = np.array([linear_temperature(t, cfg.tau0, cfg.steps) for t in range(1, cfg.steps + 1)])
     blocks = np.array_split(np.arange(cfg.chains), min(workers, cfg.chains))
@@ -671,6 +728,7 @@ def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResul
     )
 
     winner = int(np.argmin(best_E))  # lowest chain id on ties
+    final = best_E[winner]
     sampled = best_X[winner].astype(np.int8)
     decoded = greedy_decode(model, sampled)
     best_energy = float(model.energy(decoded))
@@ -682,5 +740,7 @@ def run_rlsa(model, cfg: SamplerConfig, init=None, workers: int = 1) -> RunResul
         trajectory=trajectory,
         wall_time=time.perf_counter() - start,
         decode_flips=int(np.count_nonzero(sampled != decoded)),
-        decode_gain=float(best_E[winner]) - best_energy,
+        decode_gain=float(final) - best_energy,
+        best_step=int(np.argmax((best_traj == final).any(axis=1))),
+        best_chains=int(np.count_nonzero(best_E == final)),
     )

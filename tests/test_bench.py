@@ -173,6 +173,24 @@ def test_result_record_validates_against_model(tmp_path):
     verify_record(record, read_instance(instance))
     assert isinstance(record["decode_flips"], int) and record["decode_flips"] >= 0
     assert record["decode_gain"] >= 0.0
+    assert 0 <= record["best_step"] <= 50 and 1 <= record["best_chains"] <= 8
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("best_step", -1), ("best_step", 51), ("best_step", 3.0), ("best_step", True),
+    ("best_chains", 0), ("best_chains", 9), ("best_chains", "1"),
+])
+def test_verify_record_checks_where_the_best_appeared(field, bad):
+    # best_step and best_chains are checked where present, within the
+    # config's steps and chains; a record without them, as the benchmark
+    # builds it, still verifies
+    record = {"problem": "mis", "config": {"steps": 50, "chains": 8}, "best_x": [1, 0, 0],
+              "violation": 0, "objective": 1, "best_energy": -1.0,
+              "best_step": 50, "best_chains": 8}
+    verify_record(record, triangle())
+    record[field] = bad
+    with pytest.raises(ValueError, match=f"record field {field} must be an integer in"):
+        verify_record(record, triangle())
 
 
 def test_trajectory_csv(tmp_path):

@@ -416,7 +416,8 @@ def test_code_tables_hold_delta_at_every_code():
             X = rng.random((40, 150)) < rng.random((40, 1))
             X[0], X[1] = False, True
             code = m._codes(X, m._ax(X))
-            assert code.dtype == np.intp and 0 <= code.min() and code.max() < values.size
+            assert code.dtype == m._code_dtype == np.int16
+            assert 0 <= code.min() and code.max() < values.size
             assert np.array_equal(code & 1, X)
             D = m._delta(X)
             assert values[code].dtype == D.dtype and values[code].tobytes() == D.tobytes()
@@ -512,15 +513,15 @@ def test_descent_state_stays_fresh():
                     assert key.argmax() == m.delta(row).argmax(), m
 
 
-def _assert_walk_is_fresh(walk, fresh, graph):
+def _assert_walk_is_fresh(walk, fresh, ref):
     # the walk's carried state equals, bit for bit and in dtype, a fresh
-    # product, _descent and energy of its current X on a model that shares
-    # none of it
+    # _descent and energy of its current X on a model that shares none of
+    # it, and its codes give back ``ref``, the product of X
     X = walk.X
-    ref = reference_product(graph, X)
-    assert walk.ax.dtype == np.int16 and walk.ax.flags.c_contiguous
-    assert np.array_equal(walk.ax, ref)
-    codes, keys, _, _ = fresh._descent(X.copy())
+    assert walk.codes.dtype == fresh._code_dtype and walk.codes.flags.c_contiguous
+    assert np.array_equal(fresh._code_product(X, walk.codes), ref)
+    _, keys, _, _ = fresh._descent(X.copy())
+    codes = fresh._codes(X, fresh._product(X))
     for got, want in ((walk.codes, codes), (walk.keys(), keys),
                       (walk.s, X.sum(axis=1)), (walk.quad, (X * ref).sum(axis=1).astype(np.int64)),
                       (walk.energy, fresh.energy(X)), (walk.delta(), fresh.delta(X))):
@@ -530,7 +531,7 @@ def _assert_walk_is_fresh(walk, fresh, graph):
 def test_coded_walk_equals_a_fresh_computation_at_every_step(monkeypatch):
     # A mis or mcl walk at a float and an integer beta, handed flip lists
     # of none, one, a few or a third of the nodes per chain, carries its
-    # product, codes, ranks, s, x^T W x and energies equal to a fresh
+    # codes, ranks, s, x^T W x and energies equal to a fresh
     # computation of the current X after every step, and flips exactly the
     # listed entries. On ER and BA graphs from the plain generators, at
     # K = 1 and K = 4, each step that flips makes one product or update:
@@ -550,7 +551,7 @@ def test_coded_walk_equals_a_fresh_computation_at_every_step(monkeypatch):
                 X = rng.random((rows, n)) < rng.random((rows, 1))
                 walk = m._walk(X)
                 assert walk.coded and walk.X is X and walk.integer == beta.is_integer()
-                _assert_walk_is_fresh(walk, fresh, g)
+                _assert_walk_is_fresh(walk, fresh, reference_product(g, X))
                 for step in range(8):
                     flips = (0, 1, 3, n // 3)[step % 4]
                     at = np.sort(np.concatenate(
@@ -566,8 +567,33 @@ def test_coded_walk_equals_a_fresh_computation_at_every_step(monkeypatch):
                         paths.add("dense rows" if dense else "csr rows" if csr else "full")
                     assert np.array_equal(X, want) and E is walk.energy
                     assert counts.dtype == np.int64 and counts.tolist() == [flips] * rows
-                    _assert_walk_is_fresh(walk, fresh, g)
+                    _assert_walk_is_fresh(walk, fresh, reference_product(g, X))
     assert paths == {"dense rows", "csr rows", "full"}
+
+
+def test_coded_walk_widens_its_codes_where_int16_cannot_hold_the_update():
+    # a star of 16400 leaves: its int16 product holds every row sum, but
+    # its codes reach 2 R + 1 = 32801, so they are int32 (and the ranks of
+    # its 32802 codes too); with nearly every leaf set, the hub's code is
+    # above 2**15, flip lists that flip the hub move every leaf's code
+    # through A's CSR rows, and the walk stays equal to a fresh one
+    n = 16401
+    g = from_edge_list(n, [(0, i) for i in range(1, n)])
+    fresh = EnergyModel("mis", g, beta=1.5)
+    m = EnergyModel("mis", g, beta=1.5)
+    assert m._A.dtype == np.int16 and m._code_dtype == np.int32
+    assert m._code_rank.dtype == np.int32
+    rng = np.random.default_rng(74)
+    X = rng.random((2, n)) < 0.9995  # the hub's code near 2 n, above 2**15
+    walk = m._walk(X)
+    for step in range(4):
+        at = np.sort(np.concatenate([k * n + np.r_[0, rng.choice(np.arange(1, n), 5 * step,
+                                                                 replace=False)]
+                                     for k in range(2)]))
+        walk.advance(at)
+        # the hub counts its selected leaves, and a leaf sees the hub
+        ref = np.where(np.arange(n) == 0, X[:, 1:].sum(axis=1)[:, None], X[:, :1])
+        _assert_walk_is_fresh(walk, fresh, ref)
 
 
 def test_models_walk_on_codes_only_with_mis_and_mcl_over_an_int16_product():

@@ -629,6 +629,25 @@ def test_vectorized_edge_lines_match_the_per_line_parse(monkeypatch):
     assert sum(r and not p for r, p in zip(read, parsed)) > 10  # a bad range or count
 
 
+@pytest.mark.parametrize("brk", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                 "\u2029"])
+def test_parse_breaks_lines_where_splitlines_does(brk):
+    # a line break of str.splitlines other than \n and \r\n, in place of
+    # a \n before the header or between two edge lines: the lines parse as
+    # str.splitlines splits them, and an error names the line as it
+    # numbers them
+    for fmt in ("edge-list", "dimacs"):
+        comment, header, first, second = instance_text(fmt, ("3", "2"), [(0, 1), (1, 2)]).split("\n")[:4]
+        want = from_edge_list(3, [(0, 1), (1, 2)])
+        before = comment + brk + "\n".join([header, first, second]) + "\n"
+        assert detect_format(before) == fmt
+        assert parse_instance(before, fmt) == want
+        assert parse_instance("\n".join([comment, header, first]) + brk + second + "\n", fmt) == want
+        bad = "\n".join([comment, header, first]) + brk + second + brk + "1\n"
+        with pytest.raises(ValueError, match="^line 5: expected edge"):
+            parse_instance(bad, fmt)
+
+
 def test_edge_list_opening_with_a_c_comment_is_an_edge_list(tmp_path):
     text = "c an edge list after all\n3 2\n0 1\n1 2\n"
     assert detect_format(text) == "edge-list"

@@ -290,8 +290,9 @@ def _recording_rules(monkeypatch):
 def _recording_paths(monkeypatch):
     """The path of each ``flip_probabilities`` call of the regularized and ld
     rules, in call order: "dense" on the whole (K, N) Delta, "table" on the
-    values of an integer Delta, one row per distinct threshold, "sparse" on
-    gathered entries."""
+    values of an integer Delta, one row per distinct threshold, "live
+    table" on a coded walk's float Delta over its live keys' range, one row
+    per threshold rank, "sparse" on gathered entries."""
     paths = []
     fn = sampler.flip_probabilities
 
@@ -305,7 +306,11 @@ def _recording_paths(monkeypatch):
 
 def _mask_path(delta, dth):
     """The path of a ``flip_probabilities`` call, as ``_recording_paths`` names it."""
-    return "dense" if np.ndim(delta) == 2 else "table" if np.ndim(dth) == 2 else "sparse"
+    if np.ndim(delta) == 2:
+        return "dense"
+    if np.ndim(dth) == 2:
+        return "table" if np.asarray(delta).dtype.kind == "i" else "live table"
+    return "sparse"
 
 
 def _probabilities(cfg, D, tau):
@@ -805,8 +810,11 @@ def test_engine_matches_reference_chain(kernel, monkeypatch):
 def test_engine_matches_reference_chain_on_the_sparse_path(kernel, monkeypatch):
     # at a small tau0 most sigmoid arguments are far below -40. A float
     # Delta takes the sparse mask, one uniform per live entry, on every
-    # step. The integer-Delta models (mcut, mis at beta 2, integer qubo)
-    # take the table on every step whose table fits, and only such a step:
+    # step; a coded walk (mis and mcl) reads its live entries'
+    # probabilities from a sigmoid table over their keys wherever that
+    # table is no larger than the live set. The integer-Delta models
+    # (mcut, mis at beta 2, integer qubo) take the table on every step
+    # whose table fits, and only such a step:
     # the 16-node integer qubo's table often outgrows its Delta (under the
     # regularized rule it has one row per distinct threshold), and those
     # steps take the integer sparse or dense mask with N uniforms per
@@ -832,7 +840,7 @@ def test_engine_matches_reference_chain_on_the_sparse_path(kernel, monkeypatch):
         steps = cfg.steps * (len(DEPTHS) + 1 + 2 + 3)
         assert len(calls) == steps
         if m._delta_bound is None:
-            assert calls == ["sparse"] * steps and not misses
+            assert set(calls) <= {"sparse", "live table"} and not misses
         else:
             assert len(misses) == steps
             assert calls.count("table") == steps - sum(misses)
@@ -841,7 +849,7 @@ def test_engine_matches_reference_chain_on_the_sparse_path(kernel, monkeypatch):
             paths[c, kind] = paths.get((c, kind), 0) + 1
         calls.clear()
         misses.clear()
-    want = [("sparse", "float"), ("table", "int"), ("sparse", "int")]
+    want = [("sparse", "float"), ("live table", "float"), ("table", "int"), ("sparse", "int")]
     assert min(paths.get(path, 0) for path in want) >= 10 * len(DEPTHS), paths
 
 
@@ -926,7 +934,7 @@ def test_reservoir_hands_each_chain_its_stream_in_order():
             counts = rng.integers(0, n + 1, k)
             counts[t % k] = n
             rows = np.repeat(np.arange(k), counts)
-            u = draws.take(rows)
+            u = draws.take(np.concatenate(([0], np.cumsum(counts))))
             for c in range(k):
                 got[c].extend(u[rows == c])
         for c in range(k):
@@ -1187,12 +1195,37 @@ def test_run_result_reports_what_decode_changed(monkeypatch):
     assert res.decode_gain > 0
 
 
+def test_result_reports_where_the_sampled_best_appeared():
+    # best_step and best_chains against a hand count over each chain's
+    # plain loop: the first step (0 for the initial states) at which any
+    # chain's running best equals the final best, and the chains whose
+    # best equals it; the same at 1 and 3 workers
+    seen = set()
+    runs = [(m, 0.5 if m.kind in ("mcut", "qubo") else 0.05, 25) for m in _oracle_models()]
+    # a short hot run, whose best is one chain's
+    runs.append((EnergyModel("mis", generate_er(60, 0.2, seed=8), beta=1.02), 0.5, 3))
+    for m, tau0, steps in runs:
+        cfg = SamplerConfig(tau0=tau0, steps=steps, chains=5, seed=13, d=3)
+        bests = [np.r_[m.energy(chain_rng(cfg.seed, k).integers(0, 2, size=m.num_nodes)),
+                       reference_chain(m, cfg, k)[3]] for k in range(cfg.chains)]
+        final = min(b[-1] for b in bests)
+        step = min(int(np.argmax(b == final)) for b in bests if b[-1] == final)
+        count = sum(b[-1] == final for b in bests)
+        for workers in (1, 3):
+            res = run_rlsa(m, cfg, workers=workers)
+            assert (res.best_step, res.best_chains) == (step, count), (m.kind, workers)
+        seen.add((step > 0, bool(count > 1)))
+    assert {(True, True), (True, False)} <= seen, seen
+
+
 def _golden_model(case):
-    # mis on graphs where the steps take the flip list: through the dense
-    # rows below the dense-row cap and through A's CSR rows above it
+    # mis and mcl on graphs where the steps take the flip list: through the
+    # dense rows below the dense-row cap and through A's CSR rows above it,
+    # where mcl's codes also shift across each row by its change of s
     # (test_golden_update_settings_take_their_path)
     if case in _GOLDEN_UPDATES:
-        return EnergyModel("mis", generate_er(_GOLDEN_UPDATES[case], 0.2, seed=61), beta=1.001)
+        kind, n = _GOLDEN_UPDATES[case]
+        return EnergyModel(kind, generate_er(n, 0.2, seed=61), beta=1.001 if kind == "mis" else 1.5)
     # mcl on a dense graph, where cliques are larger; the rest on a sparse one
     kind, _, beta = case.partition("-beta-")
     if kind in ("mis", "mcl"):
@@ -1213,8 +1246,9 @@ def _golden_model(case):
                        edge_weights=rng.normal(size=e))
 
 
-# the update path each setting's steps take -> the nodes of its ER(n, 0.2)
-_GOLDEN_UPDATES = {"mis-flips": 600, "mis-csr": 1100}
+# the update path each setting's steps take -> its kind and the nodes of
+# its ER(n, 0.2)
+_GOLDEN_UPDATES = {"mis-flips": ("mis", 600), "mis-csr": ("mis", 1100), "mcl-csr": ("mcl", 1100)}
 
 
 def _run_digest(case):
@@ -1258,6 +1292,7 @@ GOLDEN_RUNS = {
     "qubo-normal-weights": "ded9746bad17ebc65349aa0c56ae6b5dc430ec832891e00aa2cd4e1c8a02db43",
     "mis-flips": "48ed6f3bf25c22ce2d97d107228dd98c69cc6a8dcb2917bc2fde025c01289581",
     "mis-csr": "771a05dbd2c763f4dfe1d3af175887f48e4dc99670fc20a2a80ca2a198f66066",
+    "mcl-csr": "734743260f48dcf97e50e39604db8e55fc44fa5d0f9e82172233fdfd1817dbdd",
 }
 
 
@@ -1270,7 +1305,9 @@ def test_golden_settings_reach_every_flip_mask_path(monkeypatch):
     # Together the golden solves take, at one worker and at three, every
     # path of a step. On the coded walk of mis and mcl: the update of the
     # product through the dense rows and through A's CSR rows, the table
-    # mask of an integer beta and the sparse mask of a float one. On the
+    # mask of an integer beta and, at a float one, the live entries'
+    # probabilities from the sigmoid table and straight from the
+    # sigmoid, where that table would be the larger. On the
     # public walk of mcut and qubo: the table mask, the dense mask, and the
     # sparse mask of a float Delta from a reservoir of one step of
     # uniforms per chain (a lone block) and of several (blocks side by
@@ -1288,10 +1325,10 @@ def test_golden_settings_reach_every_flip_mask_path(monkeypatch):
         now["workers"] = workers
         return solve(model, cfg, workers=workers)
 
-    def recording_mask(D, dth, epsilon, tau, draws, buf, walk=None):
+    def recording_mask(D, dth, epsilon, tau, draws, buf, walk=None, top=None):
         local.deep, local.coded = draws.draws.shape[1] > draws.n, walk is not None
         try:
-            return mask(D, dth, epsilon, tau, draws, buf, walk)
+            return mask(D, dth, epsilon, tau, draws, buf, walk, top)
         finally:
             del local.deep, local.coded
 
@@ -1329,8 +1366,8 @@ def test_golden_settings_reach_every_flip_mask_path(monkeypatch):
     assert {"table", "dense", ("sparse", False), ("sparse", True)} <= reached
     for workers in (1, 3):
         assert {("coded", "dense rows", workers), ("coded", "csr rows", workers),
-                ("coded", "table", workers), ("coded", "sparse", workers),
-                ("public", workers)} <= reached, (workers, reached)
+                ("coded", "table", workers), ("coded", "live table", workers),
+                ("coded", "sparse", workers), ("public", workers)} <= reached, (workers, reached)
 
 
 @pytest.mark.parametrize("case", list(_GOLDEN_UPDATES))
@@ -1344,7 +1381,7 @@ def test_golden_update_settings_take_their_path(case, monkeypatch):
         m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
         run_rlsa(m, SamplerConfig(tau0=0.5, steps=15, chains=5, seed=63, d=3), workers=workers)
         assert (counter.flips > 0, counter.csr > 0) == (case == "mis-flips",
-                                                        case == "mis-csr" or workers == 3)
+                                                        case.endswith("-csr") or workers == 3)
 
 
 def _overflow_qubo(linear):
