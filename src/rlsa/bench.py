@@ -324,8 +324,9 @@ def verify_record(record: dict, graph: Graph) -> None:
     ValueError on a mismatch (a NaN energy matches nothing), on a record
     without a field it checks or with a field of the wrong type, on a
     ``best_step`` or ``best_chains`` outside 0..steps or 1..chains of its
-    config, or on a qubo record without the ``qubo_linear_values`` its
-    model used. Reads no file: the record and the graph define the model."""
+    config or beside a non-integer steps or chains there, or on a qubo
+    record without the ``qubo_linear_values`` its model used. Reads no
+    file: the record and the graph define the model."""
     for name, (ok, what) in _RECORD_FIELDS.items():
         if name not in record:
             raise ValueError(f"record lacks {name}")
@@ -334,7 +335,11 @@ def verify_record(record: dict, graph: Graph) -> None:
     problem, echo, best_x, want_violation, want_objective, want_energy = (
         record[name] for name in _RECORD_FIELDS)
     for name, (least, bound) in _RUN_FIELDS.items():
-        value, most = record.get(name, least), echo.get(bound)
+        if name not in record:
+            continue
+        value, most = record[name], echo.get(bound)
+        if not (most is None or _is_count(most)):
+            raise ValueError(f"config field {bound} must be an integer, got {most!r}")
         if not (_is_count(value) and least <= value and (most is None or value <= most)):
             raise ValueError(f"record field {name} must be an integer in {least}.."
                              f"{'' if most is None else most}, got {value!r}")

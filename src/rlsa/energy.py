@@ -478,9 +478,7 @@ class EnergyModel:
         if sign is None:
             sign = X.ravel()[at].astype(ax.dtype) * 2 - 1
         idx = A.indices.dtype
-        # at less its chain's row start, k N
-        row_start = np.repeat(np.arange(0, K * N, N), start[1:] - start[:-1])
-        nodes = np.subtract(at, row_start, dtype=idx)
+        nodes = (at % N).astype(idx)
         if not dense:
             # the flipped nodes' CSR rows, chain by chain in flat order:
             # chain k's run ends at its and earlier chains' flipped degrees

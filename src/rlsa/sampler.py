@@ -76,8 +76,10 @@ The d-th
 largest is then taken by an int16 partition, and the mask takes its
 probabilities from a table:
 ``flip_probabilities`` runs once, on the values D.min()..D.max() at each
-distinct threshold of the step (one for ld), and every entry of the mask
-gathers its probability from that table, whatever the live share. A table
+threshold from the step's lowest Delta_(d) to its highest (one for ld),
+and every entry of the mask gathers its probability from that table,
+indexed by (the row's threshold less the lowest, the entry's value less
+D.min()), whatever the live share. A table
 entry is the same float64 expression expit((v - (threshold - epsilon)) /
 (2 tau)) of the same float64 v as the dense probability of an entry equal
 to v, so ``U < P`` is bit-identical. A table with more entries than D
@@ -93,13 +95,13 @@ each row's Delta_(d) back from the sorted distinct Deltas. The live test
 Delta > a - 80 tau becomes key > rcut, with each row's rank cut rcut from
 one ``searchsorted`` of its cut among those Deltas. A float Delta still
 takes one uniform per live entry, and the live entries' probabilities
-come from one sigmoid table over the range of their keys, a row per
-threshold rank from the lowest row's Delta_(d) to the highest (one row
-under ld, whose threshold every row shares), in one gather indexed by
-(the row's threshold rank, the live key); a table entry is the same
-float64 expression of the same Delta and threshold as the probability it
-stands for. Where that table would have more entries than there are live
-ones, the sigmoid runs on the live entries' Delta instead. An integer one
+come from the integer Delta's table, made by the same function
+(``_table_probabilities``) over the range of their keys, a row per
+threshold rank from the lowest row's Delta_(d) to the highest, in one
+gather indexed by (the row's threshold rank, the live key). Where that
+table would have more entries than there are live ones, the sigmoid runs
+on the live entries' Delta instead; no benchmark workload has such a
+step. An integer one
 (integer beta) takes N per chain and its table is built over the range of
 the keys, with each key's Delta as the table's value; the normalized rule
 reads the whole Delta from the code table. The rule returns the step's
@@ -344,16 +346,16 @@ class _Buffers(dict):
 def _flip_mask(D, dth, epsilon, tau, draws, buf, walk=None, top=None):
     """The regularized rule's flip mask at a (K, 1) column ``dth`` of
     per-row thresholds, written into ``buf``, with its uniforms from the
-    reservoir ``draws``. Given a coded walk, D holds the walk's keys, and
-    the result is ``_walk_flips``'s flip list, with ``top`` the column of
-    the thresholds' ranks (None where every row has one threshold).
+    reservoir ``draws``. ``top`` is the column of the thresholds' keys
+    (None where every row has one threshold); given a coded walk, D holds
+    the walk's keys, and the result is ``_walk_flips``'s flip list.
 
     A float64 D takes one uniform per live entry, where z > -40 (see
     "Sparse flip masks" in the module docstring), and passes
     ``flip_probabilities`` the live entries of D and of ``dth``; every
     other entry stays False. An integer D takes N uniforms per row, the
     (K, N) U, and returns ``U < flip_probabilities(D, dth, epsilon,
-    tau)``: from a table of its distinct values whenever that table fits,
+    tau)``: from ``_table_probabilities`` whenever its table fits,
     and otherwise with the sigmoid evaluated only where a flip can happen,
     bit-identical to the dense mask.
     """
@@ -362,7 +364,7 @@ def _flip_mask(D, dth, epsilon, tau, draws, buf, walk=None, top=None):
     flip = buf("flip", D.shape, bool)
     U = None if D.dtype.kind == "f" else draws.step()
     if U is not None:
-        P = _table_probabilities(D, dth, epsilon, tau, buf)
+        P = _table_probabilities(D, top, dth, epsilon, tau, buf=buf)
         if P is not None:
             return np.less(U, P, out=flip)
     a = dth - epsilon
@@ -398,11 +400,12 @@ def _walk_flips(walk, R, dth, epsilon, tau, draws, buf, top=None):
     fit, from the walk's whole Delta. A float64 one takes one uniform per
     live entry: the live test Delta > cut is the test that a rank exceeds
     the rank cut of its row, and the live entries' probabilities come from
-    ``_live_probabilities``.
+    the same table over the live keys or, where it does not fit, from
+    their Delta.
     """
     if walk.integer:
         U = draws.step()
-        P = _table_probabilities(R, dth, epsilon, tau, buf, walk.value)
+        P = _table_probabilities(R, top, dth, epsilon, tau, walk.value, buf=buf)
         if P is None:
             P = flip_probabilities(walk.delta(), dth, epsilon, tau)
         return np.flatnonzero(np.less(U, P, out=buf("flip", R.shape, bool)))
@@ -410,70 +413,58 @@ def _walk_flips(walk, R, dth, epsilon, tau, draws, buf, top=None):
     cut = walk.cut(dth - epsilon + 2.0 * tau * _LIVE_Z)
     idx = np.flatnonzero(np.greater(R, cut, out=buf("live", R.shape, bool)))
     start = np.searchsorted(idx, np.arange(K + 1) * N)
+    counts = start[1:] - start[:-1]
     u = draws.take(start)
-    P = _live_probabilities(walk, R.ravel()[idx], start, dth, top, epsilon, tau)
+    keys = R.ravel()[idx]
+    P = _table_probabilities(keys, top, dth, epsilon, tau, walk.value, counts)
+    if P is None:
+        P = flip_probabilities(walk.value(keys), np.repeat(dth[:, 0], counts), epsilon, tau)
     return idx[u < P]
 
 
-def _live_probabilities(walk, keys, start, dth, top, epsilon, tau):
-    """``flip_probabilities`` of the live entries of a coded walk, given
-    by their rank keys, chain k's at ``start[k]`` up to ``start[k + 1]``:
-    Delta at each key against its chain's threshold in the (K, 1) column
-    ``dth``, whose ranks are ``top`` (None when every chain has the same
-    threshold).
+def _table_probabilities(keys, top, dth, epsilon, tau, value=None, counts=None, buf=None):
+    """``flip_probabilities`` of integer ``keys`` against their chains'
+    thresholds, the (K, 1) column ``dth``, gathered from one sigmoid table,
+    or None when that table would have more entries than there are keys.
+    The keys are a (K, N) array, or a flat one holding chain k's
+    ``counts[k]`` entries in order; they are Delta itself, or the ranks of
+    a coded walk, which ``value`` maps to Delta.
 
-    When it has no more entries than there are live ones, one sigmoid
-    table over the keys' range at each threshold rank from the lowest to
-    the highest of ``top`` gives them in one gather. A table entry is the
-    same float64 expression of the same Delta and threshold as the
-    probability it stands for, so the two are bit-identical.
+    The table spans the keys' range, with a row per threshold key from the
+    lowest of the integer column ``top`` to the highest (Delta_(d) or its
+    rank; one row, dth's first, when ``top`` is None, as under ld). A
+    table entry is the same float64 expression of the same Delta and
+    threshold as the probability it stands for, so the two are
+    bit-identical.
     """
     if not keys.size:
-        return np.empty(0)
-    counts = start[1:] - start[:-1]
+        return np.empty(keys.shape)
+    value = value or np.asarray  # keys that are Delta itself
     lo, hi = int(keys.min()), int(keys.max())
     width = hi - lo + 1
     if top is None:
-        ths = dth[:1, 0]
+        ths, row = dth[:1, 0], np.zeros(len(dth), np.int32)
     else:
         t_lo = int(top.min())
-        ths = walk.value(np.arange(t_lo, int(top.max()) + 1))
+        ths, row = value(np.arange(t_lo, int(top.max()) + 1)), top[:, 0].astype(np.int32) - t_lo
     if ths.size * width > keys.size:
-        return flip_probabilities(walk.value(keys), np.repeat(dth[:, 0], counts), epsilon, tau)
-    table = flip_probabilities(walk.value(np.arange(lo, hi + 1)), ths[:, None], epsilon, tau)
-    at = np.subtract(keys, lo, dtype=np.intp)
-    if top is not None:  # the first entry of each chain's row of the table
-        at += np.repeat(np.subtract(top[:, 0], t_lo, dtype=np.intp) * width, counts)
-    return table.ravel().take(at)
-
-
-def _table_probabilities(D, dth, epsilon, tau, buf, value=None):
-    """``flip_probabilities(D, dth, epsilon, tau)`` for an integer (K, N) D,
-    gathered from one sigmoid table over the values D.min()..D.max() at
-    each distinct threshold of the (K, 1) column ``dth``, or None when that
-    table would have more entries than D. When D holds keys, not Delta,
-    ``value`` maps an array of keys to their Delta.
-
-    A table entry is the same float64 expression of the same float64 value
-    as the dense probability it stands for, so the two are bit-identical.
-    """
-    lo, hi = int(D.min()), int(D.max())
-    ths, inv = np.unique(dth[:, 0], return_inverse=True)
-    width = hi - lo + 1
-    if ths.size * width > D.size:
         return None
-    v = np.arange(lo, hi + 1)
-    table = flip_probabilities(v if value is None else value(v), ths[:, None], epsilon, tau)
-    # the flat index of D[k, j] in row inv[k]: below table.size <= D.size,
-    # which int32 holds for any D of fewer than 2**31 entries
-    idx = np.add(D, (inv * width - lo).astype(np.int32)[:, None],
-                 out=buf("index", D.shape, np.int32))
+    table = flip_probabilities(value(np.arange(lo, hi + 1)), ths[:, None], epsilon, tau)
+    # each chain's row of the table, less lo: the flat index of a key is
+    # the key plus its chain's offset, below table.size <= keys.size,
+    # which int32 holds for fewer than 2**31 keys
+    offset = row * width - lo
+    if counts is not None:
+        index = np.repeat(offset, counts)
+        index += keys
+        return table.ravel().take(index, mode="clip")
+    index = np.add(keys, offset[:, None], out=buf("index", keys.shape, np.int32))
     # every index is in range; mode="clip" writes to ``out`` directly, where
     # the default "raise" would fill a hidden copy
-    return table.ravel().take(idx, out=buf("p", D.shape, np.float64), mode="clip")
+    return table.ravel().take(index, out=buf("p", keys.shape, np.float64), mode="clip")
 
 
-# _flip_mask, _walk_flips and _live_probabilities resolve
+# _flip_mask, _walk_flips and _table_probabilities resolve
 # flip_probabilities through this module at call time, so a tracer can
 # swap it. ld is the regularized rule at threshold tau / alpha with
 # epsilon = 0, so the benchmark's sampler.flip_rule_s times the sigmoid of
@@ -486,9 +477,8 @@ def _table_probabilities(D, dth, epsilon, tau, buf, value=None):
 
 def _regularized(cfg, D, tau, draws, buf, walk=None):
     top = kth_largest(D, cfg.d)[:, None]
-    if walk is None:
-        return _flip_mask(D, top, cfg.epsilon, tau, draws, buf)
-    return _flip_mask(D, walk.value(top), cfg.epsilon, tau, draws, buf, walk, top)
+    dth = top if walk is None else walk.value(top)
+    return _flip_mask(D, dth, cfg.epsilon, tau, draws, buf, walk, top)
 
 
 def _normalized(cfg, D, tau, draws, buf, walk=None):

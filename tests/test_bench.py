@@ -179,17 +179,23 @@ def test_result_record_validates_against_model(tmp_path):
 @pytest.mark.parametrize("field, bad", [
     ("best_step", -1), ("best_step", 51), ("best_step", 3.0), ("best_step", True),
     ("best_chains", 0), ("best_chains", 9), ("best_chains", "1"),
+    ("steps", "50"), ("steps", 50.0), ("chains", [8]),
 ])
 def test_verify_record_checks_where_the_best_appeared(field, bad):
     # best_step and best_chains are checked where present, within the
-    # config's steps and chains; a record without them, as the benchmark
-    # builds it, still verifies
+    # config's steps and chains, which must be integers; a record without
+    # them, as the benchmark builds it, still verifies
     record = {"problem": "mis", "config": {"steps": 50, "chains": 8}, "best_x": [1, 0, 0],
               "violation": 0, "objective": 1, "best_energy": -1.0,
               "best_step": 50, "best_chains": 8}
     verify_record(record, triangle())
-    record[field] = bad
-    with pytest.raises(ValueError, match=f"record field {field} must be an integer in"):
+    if field in record["config"]:
+        record["config"][field] = bad
+        match = f"config field {field} must be an integer"
+    else:
+        record[field] = bad
+        match = f"record field {field} must be an integer in"
+    with pytest.raises(ValueError, match=match):
         verify_record(record, triangle())
 
 
