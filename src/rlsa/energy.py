@@ -167,8 +167,9 @@ The annealing engine reads the model through one more private contract,
 product walk on codes: the walk carries one (K, N) state, the codes,
 with their ranks as the step's keys and each row's s and x^T W x; it
 keeps no product. A step hands it the flip list, the flat indices of the
-flipped entries. The walk flips X by scatter and writes the update
-straight into the codes (``_add_flips``, with no compare of batches):
+flipped entries, or a bool mask, which it makes into one. The walk flips
+X by scatter and writes the update straight into the codes
+(``_add_flips``, with no compare of batches):
 +-2 (row j of A) for each flipped node j, where +-(row j) moves W x, then
 +-1 at the flipped entries for mis, the flipped bit; for mcl, whose m
 also falls by the row's change of s outside i, -2 (that change) across
@@ -187,7 +188,8 @@ them. Its energies are the float expression of ``_energy`` on the
 same exact integers, so they are bit-identical to a fresh ``energy``. The
 rules read Delta back through the tables at the entries they need, so no
 float Delta is made. Every other model walks through the public ``delta``
-and ``energy``, once each per step, behind the memo.
+and ``energy``, once each per step, behind the memo, with Delta itself as
+its keys.
 """
 
 from __future__ import annotations
@@ -505,15 +507,20 @@ class EnergyModel:
 
     def _walk(self, X):
         """The annealing engine's state of the bool block ``X``, which it
-        takes over and flips in place: ``energy``, the block's energies;
-        ``keys()``, the step's keys, which the flip rules read; and
-        ``advance(flip)``, which applies a step's flips and returns the new
-        energies and the flips per chain (see the module docstring).
+        takes over and flips in place (see the module docstring). The flip
+        rules read it through ``keys()``, the step's keys, which order and
+        tie as Delta does; ``integer``, whether every Delta is an integer
+        that int16 holds; ``value(keys)``, Delta at each key; and
+        ``cut(c)``, for a (K, 1) column of cuts in Delta units, the column
+        of keys that Delta > c means. ``energy`` holds the block's
+        energies, and ``advance(flips)`` applies a step's flips, a bool
+        mask or a sorted flat flip list, and returns the new energies and
+        the flips per chain.
 
-        mis and mcl with an int16 product walk on codes (``coded``): the
-        keys are the codes' ranks and a flip is a flat flip list. Every
-        other model walks through the public ``delta`` and ``energy``: the
-        keys are Delta and a flip is a bool mask.
+        mis and mcl with an int16 product walk on codes (``_CodeWalk``):
+        the keys are the codes' ranks. Every other model walks through the
+        public ``delta`` and ``energy`` (``_PublicWalk``): the keys are
+        Delta itself.
         """
         if self._penalized and self._A.dtype == np.int16:
             return _CodeWalk(self, X)
@@ -746,23 +753,34 @@ def _row_counts(X):
 class _PublicWalk:
     """A block's walk through the public ``delta`` and ``energy`` (mcut,
     qubo, and mis and mcl over a float64 product): each step calls each of
-    them once on the whole block, which the product memo serves."""
-
-    coded = False
+    them once on the whole block, which the product memo serves. Its keys
+    are Delta itself, so ``value`` and ``cut`` return them as they are."""
 
     def __init__(self, model, X):
         self.model, self.X = model, X
+        self.integer = model._delta_bound is not None  # int16 Delta: the table mask
         self.energy = model.energy(X)
 
     def keys(self):
         """This step's Delta."""
         return self.model.delta(self.X)
 
-    def advance(self, flip):
-        """Flip the block where the bool mask ``flip`` is set; the new
-        energies and the flips per chain."""
-        self.X ^= flip
-        return self.model.energy(self.X), _row_counts(flip)
+    def value(self, keys):
+        return keys
+
+    cut = value
+
+    def advance(self, flips):
+        """Flip the block at ``flips``, a bool mask or a sorted flat flip
+        list; the new energies and the flips per chain."""
+        if flips.dtype == bool:
+            self.X ^= flips
+            counts = _row_counts(flips)
+        else:
+            K, N = self.X.shape
+            self.X.reshape(-1)[flips] ^= True
+            counts = np.diff(np.searchsorted(flips, np.arange(K + 1) * N))
+        return self.model.energy(self.X), counts
 
 
 class _CodeWalk:
@@ -771,23 +789,22 @@ class _CodeWalk:
     row s and x^T W x (``quad``), each equal, bit for bit and in dtype, to
     a fresh computation of the current ``X``.
 
-    ``advance`` takes a step's flip list, flat indices in ascending order.
-    It flips X by scatter and writes the update straight into the codes
-    (see the module docstring): +-2 (row j of A) for each flipped node j
-    through ``EnergyModel._add_flips``, then +-1 at the flipped entries
-    for mis, or -2 (the row's change of s) across the row and +-3 at the
-    flipped entries for mcl; or it remakes the codes from the full
-    product, where ``_add_flips`` finds that cheaper. The sign of a flip is
-    the old code's low bit. s and x^T W x move by the flipped entries
-    alone, in int64: setting or clearing node j (sign +-1) moves s by that
-    sign, and flipping a row's set F moves x^T W x by sum over j in F of
-    sign_j ((W x)_j + (W x')_j), the product before and after, which the
-    codes give back at j as (code >> 1) + m_lo + r (s - x_j). The ranks
-    are one take of the codes, and the energies are the float expression
-    of ``EnergyModel._energy``, c s + q (x^T W x - r (s^2 - s)).
+    ``advance`` takes a step's flip list, flat indices in ascending order,
+    or a bool mask, which it makes into one. It flips X by scatter and
+    writes the update straight into the codes (see the module docstring):
+    +-2 (row j of A) for each flipped node j through
+    ``EnergyModel._add_flips``, then +-1 at the flipped entries for mis,
+    or -2 (the row's change of s) across the row and +-3 at the flipped
+    entries for mcl; or it remakes the codes from the full product, where
+    ``_add_flips`` finds that cheaper. The sign of a flip is the old
+    code's low bit. s and x^T W x move by the flipped entries alone, in
+    int64: setting or clearing node j (sign +-1) moves s by that sign, and
+    flipping a row's set F moves x^T W x by sum over j in F of sign_j ((W
+    x)_j + (W x')_j), the product before and after, which the codes give
+    back at j as (code >> 1) + m_lo + r (s - x_j). The ranks are one take
+    of the codes, and the energies are the float expression of
+    ``EnergyModel._energy``, c s + q (x^T W x - r (s^2 - s)).
     """
-
-    coded = True
 
     def __init__(self, model, X):
         self.model, self.X = model, X
@@ -815,13 +832,11 @@ class _CodeWalk:
         above = np.searchsorted(m._rank_delta, cut[:, 0], side="right")
         return (above + (m._rank_lo - 1)).astype(self.ranks.dtype)[:, None]
 
-    def delta(self):
-        """Delta of the whole block."""
-        return self.model._code_delta.take(self.codes)
-
     def advance(self, at):
-        """Apply the step's flip list ``at``; the new energies and the
-        flips per chain."""
+        """Apply the step's flip list ``at``, or the flip list of a bool
+        mask; the new energies and the flips per chain."""
+        if at.dtype == bool:
+            at = np.flatnonzero(at)
         K, N = self.X.shape
         start = np.searchsorted(at, np.arange(K + 1) * N)
         if at.size:

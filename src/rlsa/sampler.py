@@ -7,12 +7,12 @@ in parallel. The temperature decays linearly from tau0 to tau0/T, and each
 chain tracks the best (lowest-energy) solution it has visited.
 
 Kernels. ``KERNELS`` maps each kernel name to the parameters it takes and
-its rule. A rule receives a (chains, N) Delta, the temperature tau, the
-block's reservoir of uniforms and its buffers, and returns the flip mask,
-``U < P`` for its probabilities P and the uniforms U it takes (see "Sparse
-flip masks" for which entries take one). Given a coded walk, it receives
-the walk's rank keys in place of Delta and returns the same flips as a
-flip list (see "Rank keys"):
+its rule. A rule receives the block's walk (``EnergyModel._walk``), the
+temperature tau, the block's reservoir of uniforms and its buffers. It
+reads the step's keys from the walk and returns the step's flips, ``U <
+P`` for its probabilities P and the uniforms U it takes (see "Flips" for
+which entries take one), as a bool (K, N) mask or a sorted flat flip
+list; the walk's ``advance`` takes either:
 
 * ``"regularized"`` (``d``, ``epsilon``), the paper's rule, thresholds Delta
   at its d-th largest entry,
@@ -40,92 +40,66 @@ flip list (see "Rank keys"):
   alpha drives all flip probabilities to zero as tau decays, so this kernel
   tends to stall where the regularized one escapes.
 
-Sparse flip masks. The regularized and ld rules share one mask function,
-which calls ``flip_probabilities`` with a (K, 1) column of thresholds:
-Delta_(d) per row with epsilon, or tau / alpha in every row with
-epsilon = 0. An entry is live when its argument z = (Delta - a) / (2 tau)
-exceeds -40 (a = threshold - epsilon, Delta_(d) - epsilon or tau / alpha),
-a test made in Delta units as Delta > a - 80 tau, with no division over
-the matrix. A dead entry's probability is below expit(-40), about 4e-18.
-On a float64 Delta the live test defines the rule: each live entry takes
-one uniform, the chain's next one in coordinate order, and flips where it
-is below its P; a dead entry takes none and never flips. The uniforms come
-in one gather over the live entries, and the sigmoid runs on them alone.
-On mis-er800 about 4% of the entries are live, so a step takes about 30
-uniforms per chain, not 800.
-An integer Delta takes N uniforms per chain, the (K, N) U, and its mask is
-bit-identical to ``U < P``: from a table (next paragraph) or, where the
-table does not fit, with the sigmoid evaluated only where a flip can
-happen. ``Generator.random`` returns multiples of 2**-53, and
-expit(z) < 2**-53 for every z <= -37, so on a dead entry ``U < P`` can hold
-only when U == 0. The live test is one comparison for any dtype: an int16
-Delta converts to float64 exactly. The three units of margin cover its
-rounding, and a per-row check falls back to the dense mask should rounding
-ever eat that margin. The sigmoid runs on the live entries and on those
-with U == 0, and every other entry of the mask is False. When more than a
-quarter of the entries are live, the dense ``U < P`` is cheaper and is used
-instead. The normalized rule needs every sigmoid for its row sums, so it
-is always dense and takes N uniforms per chain.
+Flips. The regularized and ld rules share one function, which reads the
+step's keys through the walk: ``integer``, whether every Delta is an
+integer below 2**15 (the model's bound: mcut, qubo with integer
+coefficients, mis and mcl at an integer beta); ``value(keys)``, the
+Delta at each key; and ``cut(c)``, the keys that Delta > c means. The
+public walk's keys are Delta itself, int16 where it is integer, and both
+maps are the identity. A coded walk's keys (mis and mcl, see
+``rlsa.energy``) are the ranks of Delta among the values it can take,
+int16, ordered and tied exactly as Delta is, so its thresholds, cuts and
+probabilities read back through ``value`` are those of the float Delta,
+bit for bit, and no float Delta is built. The function takes a (K, 1)
+column of thresholds: Delta_(d) per row, read at the d-th largest key by
+an integer partition, with epsilon, or tau / alpha in every row with
+epsilon = 0.
 
-Integer Delta. When the energy model bounds every Delta by an integer
-below 2**15 (mcut, qubo with integer coefficients, mis and mcl at an
-integer beta), ``model.delta`` returns it as int16, with the values a
-float64 Delta would hold, and the public walk's steps use it as it comes
-(mis and mcl read the same values through their keys, see "Rank keys").
-The d-th
-largest is then taken by an int16 partition, and the mask takes its
-probabilities from a table:
-``flip_probabilities`` runs once, on the values D.min()..D.max() at each
-threshold from the step's lowest Delta_(d) to its highest (one for ld),
-and every entry of the mask gathers its probability from that table,
-indexed by (the row's threshold less the lowest, the entry's value less
-D.min()), whatever the live share. A table
-entry is the same float64 expression expit((v - (threshold - epsilon)) /
-(2 tau)) of the same float64 v as the dense probability of an entry equal
-to v, so ``U < P`` is bit-identical. A table with more entries than D
-would cost more sigmoids than the dense mask, so such a step goes on to
-the live test and the sparse or dense mask. No setting chooses this path:
-the model's bound and the table size do.
+An integer Delta takes N uniforms per chain, the (K, N) U, and returns
+the mask ``U < P``. P comes from a table: ``flip_probabilities`` runs
+once, on the values of the keys' range at each threshold key from the
+step's lowest to its highest (one row under ld), and every entry gathers
+its probability by (the row's threshold key less the lowest, its key less
+the lowest key). A table entry is the same float64 expression
+expit((v - (threshold - epsilon)) / (2 tau)) of the same float64 v as the
+probability it stands for, so ``U < P`` is bit-identical. A table with
+more entries than the keys would cost more sigmoids than the whole block,
+so such a step runs ``flip_probabilities`` on the whole Delta.
 
-Rank keys. mis and mcl over an int16 product anneal on rank keys
-(``EnergyModel._walk``, see ``rlsa.energy``): each entry's key is the rank
-of its Delta among the values Delta can take, int16, ordered and tied
-exactly as Delta is. The regularized rule partitions the keys and reads
-each row's Delta_(d) back from the sorted distinct Deltas. The live test
-Delta > a - 80 tau becomes key > rcut, with each row's rank cut rcut from
-one ``searchsorted`` of its cut among those Deltas. A float Delta still
-takes one uniform per live entry, and the live entries' probabilities
-come from the integer Delta's table, made by the same function
-(``_table_probabilities``) over the range of their keys, a row per
-threshold rank from the lowest row's Delta_(d) to the highest, in one
-gather indexed by (the row's threshold rank, the live key). Where that
-table would have more entries than there are live ones, the sigmoid runs
-on the live entries' Delta instead; no benchmark workload has such a
-step. An integer one
-(integer beta) takes N per chain and its table is built over the range of
-the keys, with each key's Delta as the table's value; the normalized rule
-reads the whole Delta from the code table. The rule returns the step's
-flips as sorted flat indices, the live entries where u < P (or the True
-entries of an integer Delta's mask). Since the ranks order and tie as
-Delta does, the partition, the live set and every probability are those
-of the float Delta, bit for bit, and no float Delta is built.
+A float64 Delta takes one uniform per live entry. An entry is live when
+its argument z = (Delta - a) / (2 tau) exceeds -40 (a = threshold -
+epsilon), a test made in Delta units as Delta > a - 80 tau, with no
+division over the matrix, and on a coded walk as a key above its row's
+rank cut. A dead entry's probability is below expit(-40), about 4e-18.
+The live test defines the rule: each live entry takes one uniform, the
+chain's next one in coordinate order, and flips where it is below its P;
+a dead entry takes none and never flips. The uniforms come in one gather
+over the live entries, and P from the table over the live keys where the
+keys are integers and it fits, and otherwise from the sigmoid on the live
+entries alone. The flips are the sorted flat indices of the live entries
+where u < P. On mis-er800 about 4% of the entries are live, so a step
+takes about 30 uniforms per chain, not 800.
+
+The normalized rule needs every sigmoid for its row sums, so it reads the
+whole Delta through ``value``, takes N uniforms per chain and returns a
+mask. No setting chooses among these paths: the model's bound, the keys'
+dtype and the table's size do.
 
 Chain state. The engine holds a block's states as a bool (K, N) array,
 which it hands to the model's walk (``EnergyModel._walk``) and which the
 walk flips in place at every step. A coded walk (mis and mcl) takes the
-rule's flip list: it flips X by scatter, writes the update of the list
-straight into its int16 codes, takes the keys from the codes in one
-gather, and brings each row's s and x^T W x, and with them the energies,
-up to date from the flipped entries alone; apart from that update, the
-keys, the partition, the live test and its ``flatnonzero``, a step
-touches only the flip list, the live entries and per-row values. The
-public walk (mcut, qubo) takes the bool mask: each step calls
-``model.delta`` and then ``model.energy`` once on the whole block, as a
-tracer that wraps those two methods sees, and applies the mask as
-``X ^= flip``; the model's
-product memo serves the second call's product to the next step's first.
-A bool batch is binary by type, so the model uses the states without a
-per-entry check or a copy.
+rule's flip list, or the flip list of its mask: it flips X by scatter,
+writes the update of the list straight into its int16 codes, takes the
+keys from the codes in one gather, and brings each row's s and x^T W x,
+and with them the energies, up to date from the flipped entries alone;
+apart from that update, the keys, the partition, the live test and its
+``flatnonzero``, a step touches only the flip list, the live entries and
+per-row values. The public walk (mcut, qubo) applies a mask as ``X ^=
+flip`` and scatters a flip list into X: each step calls ``model.delta``
+and then ``model.energy`` once on the whole block, as a tracer that
+wraps those two methods sees; the model's product memo serves the second
+call's product to the next step's first. A bool batch is binary by type,
+so the model uses the states without a per-entry check or a copy.
 
 Block buffers. A block allocates the arrays of its steps once and reuses
 them at every step: its reservoir of uniforms, the (K, N) live test, table
@@ -160,10 +134,7 @@ and under the normalized rule, and one per live coordinate in coordinate
 order under the regularized and ld rules on a float64 Delta. Draws of any
 size return the stream's values in order, so results do not depend on how
 chains are scheduled across workers, on how many chains run alongside, or
-on the draw depth. Taking uniforms for the live entries alone changed the
-results of the float64 Delta runs (mis and mcl at a non-integer beta,
-float qubo) from those of the earlier N per step; the integer runs kept
-theirs bit for bit.
+on the draw depth.
 """
 
 from __future__ import annotations
@@ -263,12 +234,8 @@ def ld_flip_probabilities(delta, alpha: float, tau: float):
     return flip_probabilities(delta, tau / alpha, 0.0, tau)
 
 
-# expit(z) < 2**-53, the smallest positive uniform, for every z <= _DEAD_Z
-_DEAD_Z = -37.0
 # entries whose sigmoid argument exceeds this are live (see the module docstring)
 _LIVE_Z = -40.0
-# above this share of live entries the dense mask is the cheaper one
-_DENSE_SHARE = 0.25
 # uniforms per generator call when blocks run side by side (see "Block
 # buffers"). Two 100-chain max-cut blocks at 1000 nodes on a 2-vCPU box,
 # medians of 7 solves: 0.97 s at 1000 per call, 0.78 at 2000, 0.72 at 3000,
@@ -309,11 +276,8 @@ class _Reservoir:
         steps leave every chain's cursor at the same place, a multiple of
         N below its end, so the step's uniforms are one view of the reused
         array, and the rows run out together."""
-        if self.cursor[0] == self.end[0]:  # every row empty: nothing to carry over
-            fill = min(self.draws.shape[1], self.steps * self.n)
-            for rng, row in zip(self.rngs, self.draws):
-                rng.random(out=row[:fill])
-            self.cursor[:], self.end[:] = 0, fill
+        if self.cursor[0] == self.end[0]:
+            self._refill(range(len(self.rngs)))
         self.steps -= 1
         at = self.cursor[0]
         self.cursor += self.n
@@ -343,92 +307,51 @@ class _Buffers(dict):
         return out
 
 
-def _flip_mask(D, dth, epsilon, tau, draws, buf, walk=None, top=None):
-    """The regularized rule's flip mask at a (K, 1) column ``dth`` of
-    per-row thresholds, written into ``buf``, with its uniforms from the
-    reservoir ``draws``. ``top`` is the column of the thresholds' keys
-    (None where every row has one threshold); given a coded walk, D holds
-    the walk's keys, and the result is ``_walk_flips``'s flip list.
+def _flips(walk, keys, dth, epsilon, tau, draws, buf, top=None):
+    """The regularized rule's flips on ``walk``, whose step's keys are
+    ``keys``, at a (K, 1) column ``dth`` of per-row thresholds in Delta
+    units, with the uniforms from the reservoir ``draws`` (see "Flips" in
+    the module docstring). ``top`` is the column of the thresholds' keys
+    (None where every row has one threshold, as under ld).
 
-    A float64 D takes one uniform per live entry, where z > -40 (see
-    "Sparse flip masks" in the module docstring), and passes
-    ``flip_probabilities`` the live entries of D and of ``dth``; every
-    other entry stays False. An integer D takes N uniforms per row, the
-    (K, N) U, and returns ``U < flip_probabilities(D, dth, epsilon,
-    tau)``: from ``_table_probabilities`` whenever its table fits,
-    and otherwise with the sigmoid evaluated only where a flip can happen,
-    bit-identical to the dense mask.
-    """
-    if walk is not None:
-        return _walk_flips(walk, D, dth, epsilon, tau, draws, buf, top)
-    flip = buf("flip", D.shape, bool)
-    U = None if D.dtype.kind == "f" else draws.step()
-    if U is not None:
-        P = _table_probabilities(D, top, dth, epsilon, tau, buf=buf)
-        if P is not None:
-            return np.less(U, P, out=flip)
-    a = dth - epsilon
-    cut = a + 2.0 * tau * _LIVE_Z
-    live = np.greater(D, cut, out=buf("live", D.shape, bool))
-    if U is not None:
-        # Dead entries have D - a <= cut - a; rounding is monotone, so their
-        # z is at most (cut - a) / (2 tau) computed the rule's way.
-        if (np.count_nonzero(live) > _DENSE_SHARE * D.size
-                or not np.all((cut - a) / (2.0 * tau) <= _DEAD_Z)):
-            return np.less(U, flip_probabilities(D, dth, epsilon, tau), out=flip)
-        if not U.all():
-            live |= U == 0
-    idx = np.flatnonzero(live)
-    K, N = D.shape
-    rows = idx // N
-    if U is None:
-        u = draws.take(np.searchsorted(idx, np.arange(K + 1) * N))
-    else:
-        u = U[rows, idx - rows * N]
-    flip.fill(False)
-    flip.ravel()[idx] = u < flip_probabilities(D.ravel()[idx], dth[rows, 0], epsilon, tau)
-    return flip
-
-
-def _walk_flips(walk, R, dth, epsilon, tau, draws, buf, top=None):
-    """The flips, as sorted flat indices, of the mask that ``_flip_mask``
-    makes of a coded walk's Delta, read from its rank keys ``R`` (see
-    "Rank keys" in the module docstring).
-
-    An integer Delta takes N uniforms per row and flips where U < P, P
-    from a table over the range of the keys or, where that table does not
-    fit, from the walk's whole Delta. A float64 one takes one uniform per
-    live entry: the live test Delta > cut is the test that a rank exceeds
-    the rank cut of its row, and the live entries' probabilities come from
-    the same table over the live keys or, where it does not fit, from
-    their Delta.
+    An integer Delta takes N uniforms per row, the (K, N) U, and returns
+    the mask ``U < P``, written into ``buf``: P from
+    ``_table_probabilities`` whenever its table fits, and otherwise
+    ``flip_probabilities`` of the whole Delta. A float64 one takes one
+    uniform per live entry, where z > -40, and returns the sorted flat
+    indices of the live entries where u < P: the live test Delta > cut is
+    the test that a key exceeds its row's ``walk.cut``, and the live
+    entries' probabilities come from the table over their keys where the
+    keys are integers and it fits, and otherwise from their Delta.
     """
     if walk.integer:
         U = draws.step()
-        P = _table_probabilities(R, top, dth, epsilon, tau, walk.value, buf=buf)
+        P = _table_probabilities(keys, top, dth, epsilon, tau, walk.value, buf=buf)
         if P is None:
-            P = flip_probabilities(walk.delta(), dth, epsilon, tau)
-        return np.flatnonzero(np.less(U, P, out=buf("flip", R.shape, bool)))
-    K, N = R.shape
+            P = flip_probabilities(walk.value(keys), dth, epsilon, tau)
+        return np.less(U, P, out=buf("flip", keys.shape, bool))
+    K, N = keys.shape
     cut = walk.cut(dth - epsilon + 2.0 * tau * _LIVE_Z)
-    idx = np.flatnonzero(np.greater(R, cut, out=buf("live", R.shape, bool)))
+    idx = np.flatnonzero(np.greater(keys, cut, out=buf("live", keys.shape, bool)))
     start = np.searchsorted(idx, np.arange(K + 1) * N)
     counts = start[1:] - start[:-1]
     u = draws.take(start)
-    keys = R.ravel()[idx]
-    P = _table_probabilities(keys, top, dth, epsilon, tau, walk.value, counts)
+    live = keys.ravel()[idx]
+    P = None
+    if live.dtype.kind != "f":
+        P = _table_probabilities(live, top, dth, epsilon, tau, walk.value, counts)
     if P is None:
-        P = flip_probabilities(walk.value(keys), np.repeat(dth[:, 0], counts), epsilon, tau)
+        P = flip_probabilities(walk.value(live), np.repeat(dth[:, 0], counts), epsilon, tau)
     return idx[u < P]
 
 
-def _table_probabilities(keys, top, dth, epsilon, tau, value=None, counts=None, buf=None):
+def _table_probabilities(keys, top, dth, epsilon, tau, value, counts=None, buf=None):
     """``flip_probabilities`` of integer ``keys`` against their chains'
     thresholds, the (K, 1) column ``dth``, gathered from one sigmoid table,
     or None when that table would have more entries than there are keys.
     The keys are a (K, N) array, or a flat one holding chain k's
-    ``counts[k]`` entries in order; they are Delta itself, or the ranks of
-    a coded walk, which ``value`` maps to Delta.
+    ``counts[k]`` entries in order, and ``value`` maps them to Delta: a
+    walk's ``value``, the identity where they are Delta itself.
 
     The table spans the keys' range, with a row per threshold key from the
     lowest of the integer column ``top`` to the highest (Delta_(d) or its
@@ -439,7 +362,6 @@ def _table_probabilities(keys, top, dth, epsilon, tau, value=None, counts=None, 
     """
     if not keys.size:
         return np.empty(keys.shape)
-    value = value or np.asarray  # keys that are Delta itself
     lo, hi = int(keys.min()), int(keys.max())
     width = hi - lo + 1
     if top is None:
@@ -464,40 +386,35 @@ def _table_probabilities(keys, top, dth, epsilon, tau, value=None, counts=None, 
     return table.ravel().take(index, out=buf("p", keys.shape, np.float64), mode="clip")
 
 
-# _flip_mask, _walk_flips and _table_probabilities resolve
-# flip_probabilities through this module at call time, so a tracer can
-# swap it. ld is the regularized rule at threshold tau / alpha with
-# epsilon = 0, so the benchmark's sampler.flip_rule_s times the sigmoid of
-# both rules: on a float64 Delta's live entries alone, or on a coded
-# walk's sigmoid table of them; on an integer Delta on its table, on its
-# live entries or on the whole of it. The live test, the uniforms' gather
-# and the table's gather and compare fall outside it. Each rule takes a
-# coded walk as its last argument, ``walk``, and then reads D as the
-# walk's keys and returns a flip list.
+# _flips and _table_probabilities resolve flip_probabilities through this
+# module at call time, so a tracer can swap it. ld is the regularized rule
+# at threshold tau / alpha with epsilon = 0, so the benchmark's
+# sampler.flip_rule_s times the sigmoid of both rules: on an integer
+# Delta's table or on the whole of it, and on a float64 Delta's table of
+# its live keys or on its live entries alone. The live test, the uniforms'
+# gather and the table's gather and compare fall outside it.
 
-def _regularized(cfg, D, tau, draws, buf, walk=None):
-    top = kth_largest(D, cfg.d)[:, None]
-    dth = top if walk is None else walk.value(top)
-    return _flip_mask(D, dth, cfg.epsilon, tau, draws, buf, walk, top)
+def _regularized(cfg, walk, tau, draws, buf):
+    keys = walk.keys()
+    top = kth_largest(keys, cfg.d)[:, None]
+    return _flips(walk, keys, walk.value(top), cfg.epsilon, tau, draws, buf, top)
 
 
-def _normalized(cfg, D, tau, draws, buf, walk=None):
-    flip = draws.step() < normalized_flip_probabilities(D if walk is None else walk.delta(),
-                                                        tau, cfg.d)
-    return flip if walk is None else np.flatnonzero(flip)
+def _normalized(cfg, walk, tau, draws, buf):
+    return draws.step() < normalized_flip_probabilities(walk.value(walk.keys()), tau, cfg.d)
 
 
-def _ld(cfg, D, tau, draws, buf, walk=None):
-    return _flip_mask(D, np.full((len(D), 1), tau / cfg.alpha), 0.0, tau, draws, buf, walk)
+def _ld(cfg, walk, tau, draws, buf):
+    keys = walk.keys()
+    return _flips(walk, keys, np.full((len(keys), 1), tau / cfg.alpha), 0.0, tau, draws, buf)
 
 
 # kernel -> (the SamplerConfig fields its rule reads,
-#            rule(cfg, Delta, tau, draws, buf, walk=None) -> flip mask,
-#            U < P for the uniforms U it takes from the reservoir
-#            ``draws``; the mask may live in the reused arrays ``buf``.
-#            Given a coded walk, Delta is the walk's keys and the flips
-#            come as a flip list).
-# The regularized and ld masks take a table or go sparse, and on a float64
+#            rule(cfg, walk, tau, draws, buf) -> the step's flips, U < P
+#            for the uniforms U it takes from the reservoir ``draws``, as
+#            a bool mask, which may live in the reused arrays ``buf``, or
+#            a sorted flat flip list; ``walk.advance`` takes either).
+# The regularized and ld rules take a table where it fits, and on a float64
 # Delta take uniforms for the live entries alone: see the module docstring.
 KERNELS = {
     "regularized": (("d", "epsilon"), _regularized),
@@ -585,20 +502,20 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
 
     The block's bool states go to the model's walk (``model._walk``),
     which holds them, and the one step loop runs on it for every kind: a
-    step passes the walk's keys to the rule, ``rule(cfg, keys, tau,
-    draws, buf, walk)``, and hands the flips it returns to
-    ``walk.advance``, which flips the states in place and returns the new
-    energies and the flips per chain. On a coded walk (mis and mcl over an
-    int16 product) the keys are the ranks of Delta and the flips a flat
-    flip list; the walk writes the update of that list into its codes, or
-    remakes them from the full product where that costs less (see
-    ``rlsa.energy``), and never calls the public ``delta`` or ``energy``.
-    On the public walk (mcut, qubo) the keys are ``model.delta`` and the
-    flips a bool mask, followed by one ``model.energy`` call, whose
-    product the per-thread memo hands to the next step's ``model.delta``.
-    Either way the block
-    makes one product and then one product or update per step in which
-    any of its chains flips, so at most ``steps + 1``.
+    step passes the walk to the rule, ``rule(cfg, walk, tau, draws,
+    buf)``, which reads the step's keys from it, and hands the flips it
+    returns, a bool mask or a flat flip list, to ``walk.advance``, which
+    flips the states in place and returns the new energies and the flips
+    per chain. On a coded walk (mis and mcl over an int16 product) the
+    keys are the ranks of Delta; the walk writes the update of the flip
+    list into its codes, or remakes them from the full product where that
+    costs less (see ``rlsa.energy``), and never calls the public ``delta``
+    or ``energy``. On the public walk (mcut, qubo) the keys are
+    ``model.delta``, and the flips are followed by one ``model.energy``
+    call, whose product the per-thread memo hands to the next step's
+    ``model.delta``. Either way the block makes one product and then one
+    product or update per step in which any of its chains flips, so at
+    most ``steps + 1``.
 
     Its uniforms come from the block's reservoir, one (K, depth * N) array
     with a cursor per chain, which each chain refills in one generator call
@@ -620,7 +537,6 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
     else:
         X = np.tile(np.asarray(init).astype(bool), (k, 1))
     walk = model._walk(X)
-    coded = walk if walk.coded else None
     E = walk.energy
     best_X = X.copy()
     best_E = E.copy()
@@ -631,7 +547,7 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
     draws = _Reservoir(rngs, depth * n, n, len(taus))
     buf = _Buffers()
     for t, tau in enumerate(taus):
-        E, flips_traj[t] = walk.advance(rule(cfg, walk.keys(), tau, draws, buf, coded))
+        E, flips_traj[t] = walk.advance(rule(cfg, walk, tau, draws, buf))
         better = E < best_E
         best_X[better] = X[better]
         best_E[better] = E[better]

@@ -524,13 +524,14 @@ def _assert_walk_is_fresh(walk, fresh, ref):
     codes = fresh._codes(X, fresh._product(X))
     for got, want in ((walk.codes, codes), (walk.keys(), keys),
                       (walk.s, X.sum(axis=1)), (walk.quad, (X * ref).sum(axis=1).astype(np.int64)),
-                      (walk.energy, fresh.energy(X)), (walk.delta(), fresh.delta(X))):
+                      (walk.energy, fresh.energy(X)), (walk.value(walk.keys()), fresh.delta(X))):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), fresh
 
 
 def test_coded_walk_equals_a_fresh_computation_at_every_step(monkeypatch):
     # A mis or mcl walk at a float and an integer beta, handed flip lists
-    # of none, one, a few or a third of the nodes per chain, carries its
+    # of none, one, a few or a third of the nodes per chain, and then the
+    # bool masks of such flips, which it makes into flip lists, carries its
     # codes, ranks, s, x^T W x and energies equal to a fresh
     # computation of the current X after every step, and flips exactly the
     # listed entries. On ER and BA graphs from the plain generators, at
@@ -550,7 +551,8 @@ def test_coded_walk_equals_a_fresh_computation_at_every_step(monkeypatch):
                 m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
                 X = rng.random((rows, n)) < rng.random((rows, 1))
                 walk = m._walk(X)
-                assert walk.coded and walk.X is X and walk.integer == beta.is_integer()
+                assert isinstance(walk, energy._CodeWalk) and walk.X is X
+                assert walk.integer == beta.is_integer()
                 _assert_walk_is_fresh(walk, fresh, reference_product(g, X))
                 for step in range(8):
                     flips = (0, 1, 3, n // 3)[step % 4]
@@ -559,7 +561,7 @@ def test_coded_walk_equals_a_fresh_computation_at_every_step(monkeypatch):
                     want = X.copy()
                     want.reshape(-1)[at] ^= True
                     before = counter.total, counter.flips, counter.csr
-                    E, counts = walk.advance(at.astype(np.intp))
+                    E, counts = walk.advance(at.astype(np.intp) if step < 4 else want ^ X)
                     made, dense, csr = (a - b for a, b in
                                         zip((counter.total, counter.flips, counter.csr), before))
                     assert made == (flips > 0) and dense + csr <= made
@@ -598,7 +600,9 @@ def test_coded_walk_widens_its_codes_where_int16_cannot_hold_the_update():
 
 def test_models_walk_on_codes_only_with_mis_and_mcl_over_an_int16_product():
     # mcut, qubo, and mis over a float64 product (a star of 2**15 leaves)
-    # walk through the public delta and energy, on the bool mask of a step
+    # walk through the public delta and energy. Their keys are Delta, which
+    # ``value`` and ``cut`` return as they are, and a step's flips come as
+    # a bool mask or as a flip list, sorted flat indices
     g = generate_er(30, 0.2, seed=73)
     n = 2 ** 15 + 1
     star = EnergyModel("mis", from_edge_list(n, [(0, i) for i in range(1, n)]), beta=1.5)
@@ -607,13 +611,16 @@ def test_models_walk_on_codes_only_with_mis_and_mcl_over_an_int16_product():
               EnergyModel("qubo", g, linear=rng.normal(size=30), quad_scale=0.7)):
         X = rng.random((3, m.num_nodes)) < 0.5
         walk = m._walk(X)
-        assert not walk.coded and np.array_equal(walk.energy, m.energy(X))
-        assert np.array_equal(walk.keys(), m.delta(X))
-        flip = rng.random(X.shape) < 0.1
-        want = X ^ flip
-        E, counts = walk.advance(flip)
-        assert np.array_equal(X, want) and np.array_equal(E, m.energy(want))
-        assert counts.dtype == np.int64 and np.array_equal(counts, flip.sum(axis=1))
+        assert isinstance(walk, energy._PublicWalk) and np.array_equal(walk.energy, m.energy(X))
+        D = walk.keys()
+        assert np.array_equal(D, m.delta(X)) and walk.integer == (D.dtype == np.int16)
+        assert walk.value(D) is D and walk.cut(D) is D
+        for step in range(2):
+            flip = rng.random(X.shape) < 0.1
+            want = X ^ flip
+            E, counts = walk.advance(flip if step == 0 else np.flatnonzero(flip))
+            assert np.array_equal(X, want) and np.array_equal(E, m.energy(want))
+            assert counts.dtype == np.int64 and np.array_equal(counts, flip.sum(axis=1))
 
 
 def test_delta_bound_marks_the_models_whose_deltas_int16_holds():

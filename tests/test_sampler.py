@@ -258,14 +258,15 @@ def test_normalized_kernel_matches_engine_form():
     assert np.allclose(normalized_flip_probabilities(m.delta(x), tau, 3), score_p, atol=1e-12)
 
 
-# -- sparse flip masks -----------------------------------------------------------
+# -- flip rules -------------------------------------------------------------------
 
 ULP = 2.0 ** -53  # spacing of Generator.random's outputs
 
 
 def test_uniforms_are_multiples_of_2_to_the_minus_53():
-    # the premise of the sparse masks: a nonzero U is at least 2**-53, and
-    # expit(z) is below that for every z <= -37
+    # the premise of the hand-built masks below: a nonzero U is at least
+    # 2**-53, and expit(z) is below that for every z <= -37, so such an
+    # entry flips only where U == 0
     buf = np.empty(4096)
     for c in range(4):
         chain_rng(c, 7).random(out=buf)
@@ -311,6 +312,39 @@ def _mask_path(delta, dth):
     if np.ndim(dth) == 2:
         return "table" if np.asarray(delta).dtype.kind == "i" else "live table"
     return "sparse"
+
+
+class _DeltaWalk(energy._PublicWalk):
+    """The public walk as the flip rules read it, over a given Delta and
+    with no model: the keys are Delta, and ``value`` and ``cut`` return
+    them as they are."""
+
+    def __init__(self, D):
+        self.D, self.integer = D, D.dtype.kind != "f"
+
+    def keys(self):
+        return self.D
+
+
+def _rule_mask(cfg, D, tau, draws, buf=None):
+    """The flips of ``cfg``'s rule on a walk whose keys are the Delta ``D``,
+    as a bool mask: an integer D's as the rule returns it, and a float D's
+    flip list scattered into one."""
+    got = KERNELS[cfg.kernel][1](cfg, _DeltaWalk(D), tau, draws, buf or sampler._Buffers())
+    assert (got.dtype == bool) == (D.dtype.kind != "f")
+    return _as_mask(got, D.shape)
+
+
+def _as_mask(flips, shape):
+    """A rule's flips as a new bool mask of ``shape``: a copy of a mask,
+    or a flip list, sorted flat indices each named once, scattered."""
+    if flips.dtype == bool:
+        assert flips.shape == shape
+        return flips.copy()
+    assert np.array_equal(flips, np.unique(flips))
+    mask = np.zeros(shape, bool)
+    mask.ravel()[flips] = True
+    return mask
 
 
 def _probabilities(cfg, D, tau):
@@ -382,35 +416,36 @@ def _hand_built(kernel, live_share, rng, tau=0.5, shape=(12, 64)):
 
 
 @pytest.mark.parametrize("kernel", ["regularized", "ld"])
-@pytest.mark.parametrize("live_share, path", [(0.02, "sparse"), (0.1, "sparse"), (0.6, "dense")])
-def test_sparse_flip_mask_equals_the_dense_mask(kernel, live_share, path, monkeypatch):
+@pytest.mark.parametrize("live_share, live_set", [(0.02, "sparse"), (0.1, "sparse"),
+                                                   (0.6, "dense")])
+def test_sparse_flip_mask_equals_the_dense_mask(kernel, live_share, live_set, monkeypatch):
     # A float Delta takes one uniform per live entry at any live share, the
     # row's next ones in coordinate order, and runs the sigmoid on its live
-    # entries alone. Its integer twin, floored and given one entry per row
-    # far below the rest so that its table does not fit, takes N uniforms
-    # per chain and returns U < P bit for bit: through the sparse mask up
-    # to a quarter of its entries live (``path``), the dense one above.
+    # entries alone: under a quarter of the dense mask's uniforms where the
+    # live set is sparse (``live_set``), more where it is dense. Its
+    # integer twin, floored and given one entry per row far below the rest
+    # so that its table does not fit, takes N uniforms per chain and
+    # returns U < P bit for bit from the sigmoid of the whole Delta.
     rng = np.random.default_rng(17)
     calls = _recording_rules(monkeypatch)
-    rule = KERNELS[kernel][1]
     for _ in range(20):
         cfg, D, tau, U = _hand_built(kernel, live_share, rng)
         live = D > _live_cut(cfg, D, tau)
         draws = _preloaded(U)
-        got = rule(cfg, D, tau, draws, sampler._Buffers())
-        assert got.dtype == bool and got.shape == D.shape
+        got = _rule_mask(cfg, D, tau, draws)
         assert np.array_equal(got, _live_mask(cfg, D, tau, U))
         assert not got[~live].any()
         assert np.array_equal(draws.cursor, np.count_nonzero(live, axis=1))
+        assert (draws.cursor.sum() < U.size / 4) == (live_set == "sparse")
         assert calls.pop() == np.count_nonzero(live)
 
         Di = np.maximum(np.floor(D), -30000).astype(np.int16)
         Di[:, -1] = -30000
-        got = rule(cfg, Di, tau, _preloaded(U), sampler._Buffers())
+        got = _rule_mask(cfg, Di, tau, _preloaded(U))
         assert np.array_equal(got, _dense_mask(cfg, Di.astype(np.float64), tau, U))
         # the hand-built entries that the zero and the smallest uniforms flip
         assert got[U == 0].any() and got[(U > 0) & (U <= 8 * ULP)].any()
-        assert (calls.pop() == Di.size) == (path == "dense")
+        assert calls.pop() == Di.size
     # the rule's calls; the references call flip_probabilities directly
     assert not calls
 
@@ -428,12 +463,12 @@ def test_sparse_flip_mask_on_all_dead_and_all_live_matrices(kernel):
     U[:, :8] = 0.0
     top = cfg.d if kernel == "regularized" else 0
     draws = _preloaded(U)
-    got = KERNELS[kernel][1](cfg, dead, tau, draws, sampler._Buffers())
+    got = _rule_mask(cfg, dead, tau, draws)
     assert np.array_equal(got, _live_mask(cfg, dead, tau, U))
     assert got[:, :top].all() and not got[:, top:].any()
     assert (draws.cursor == top).all()
     draws = _preloaded(U)
-    got = KERNELS[kernel][1](cfg, live, tau, draws, sampler._Buffers())
+    got = _rule_mask(cfg, live, tau, draws)
     assert np.array_equal(got, _dense_mask(cfg, live, tau, U))
     assert (draws.cursor == D.shape[1]).all()
 
@@ -457,7 +492,7 @@ def test_sparse_flip_mask_stays_exact_when_tau_underflows_the_cutoff(kernel, mon
         D[:, 0] = 5.0
     U = np.full(D.shape, 0.25)
     sizes = _recording_rules(monkeypatch)
-    got = KERNELS[kernel][1](cfg, D, tau, _preloaded(U), sampler._Buffers())
+    got = _rule_mask(cfg, D, tau, _preloaded(U))
     assert not got[:, 1:].any()
     assert got[:, 0].all() == (kernel == "regularized")
     assert np.array_equal(got, _live_mask(cfg, D, tau, U))
@@ -465,10 +500,10 @@ def test_sparse_flip_mask_stays_exact_when_tau_underflows_the_cutoff(kernel, mon
 
 
 def test_sparse_flip_mask_gathers_a_strided_u_without_copying_it(monkeypatch):
-    # A float Delta's mask gathers each live entry's uniform from its
+    # A float Delta's rule gathers each live entry's uniform from its
     # chain's row of the reservoir, which holds one step of uniforms (a
     # lone block) or several (blocks side by side). Either way each chain
-    # takes the same uniforms, its stream's next ones, and the mask
+    # takes the same uniforms, its stream's next ones, and the rule
     # allocates about what its live entries need, never a (K, N) block of
     # uniforms.
     rng = np.random.default_rng(21)
@@ -481,13 +516,15 @@ def test_sparse_flip_mask_gathers_a_strided_u_without_copying_it(monkeypatch):
     for depth in (1, 5):
         draws = sampler._Reservoir([chain_rng(4, c) for c in range(k)], depth * n, n, 2)
         buf = sampler._Buffers()
-        KERNELS["ld"][1](cfg, D, tau, draws, buf)  # fills the rows, makes the reused arrays
+        walk = _DeltaWalk(D)
+        KERNELS["ld"][1](cfg, walk, tau, draws, buf)  # fills the rows, makes the reused arrays
         tracemalloc.start()
         try:
-            masks.append(KERNELS["ld"][1](cfg, D, tau, draws, buf).copy())
+            got = KERNELS["ld"][1](cfg, walk, tau, draws, buf)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+        masks.append(_as_mask(got, D.shape))
     assert paths == ["sparse"] * 4
     assert np.array_equal(masks[1], masks[0])
     # the second step's uniforms follow the first step's in each stream
@@ -511,10 +548,9 @@ def _live_cut(cfg, D, tau):
 def test_table_mask_equals_the_dense_mask_on_integer_delta(kernel, monkeypatch):
     # Integer Deltas in a few values, some so far below that the sigmoid
     # underflows to 0; rows shifted by 0..2, so the regularized rule sees
-    # several thresholds. At alpha = 1/80 the ld rule's live cut a - 80 tau
-    # sits at 0. Most entries tie at the top, except in the last draw: there
-    # under a quarter of the entries are live, and the table still serves. U
-    # holds zeros, the smallest uniforms and plain draws.
+    # several thresholds. Most entries tie at the top, except in the last
+    # draw, and the table serves at every share. U holds zeros, the
+    # smallest uniforms and plain draws.
     rng = np.random.default_rng(19)
     paths = _recording_paths(monkeypatch)
     k, n = 12, 200
@@ -525,24 +561,20 @@ def test_table_mask_equals_the_dense_mask_on_integer_delta(kernel, monkeypatch):
     values = np.array([-40, -20, -13, -6, 0, 1, 2, 6])
     tied = np.array([1, 1, 1, 1, 1, 1, 6, 8]) / 20
     few = np.array([8, 6, 1, 1, 1, 1, 1, 1]) / 20
-    shares = []
     for tau, share in ((0.01, tied), (0.1, tied), (1.0, tied), (0.01, few)):
         D = (rng.choice(values, size=(k, n), p=share) + np.arange(k)[:, None] % 3).astype(np.int16)
         U = rng.random(D.shape)
         pick = rng.random(D.shape)
         U[pick < 0.1] = ULP * rng.integers(1, 9, D.shape)[pick < 0.1]
         U[pick < 0.03] = 0.0
-        got = KERNELS[kernel][1](cfg, D, tau, _preloaded(U), sampler._Buffers())
-        assert got.dtype == bool and got.shape == D.shape
+        got = _rule_mask(cfg, D, tau, _preloaded(U))
         assert np.array_equal(got, _dense_mask(cfg, D.astype(np.float64), tau, U))
         assert got[U == 0].any() and got[(U > 0) & (U <= 8 * ULP)].any()
-        shares.append(np.count_nonzero(D > _live_cut(cfg, D, tau)) / D.size)
-    assert shares[-1] < sampler._DENSE_SHARE < min(shares[:-1])
     assert paths == ["table"] * 4
 
     # An int16 D whose range (-30000 up to 12) makes the table outgrow D
-    # takes the live test, D > cut against the float64 cut. Each row holds
-    # entries at floor(cut), dead, and at floor(cut) + 1, live, under a cut
+    # takes the sigmoid of the whole of it. Each row holds entries at
+    # floor(cut) and floor(cut) + 1 of the live cut a - 80 tau, under a cut
     # that is an integer (epsilon = 0, or tau / alpha = 1) and one that is
     # not.
     paths.clear()
@@ -561,16 +593,12 @@ def test_table_mask_equals_the_dense_mask_on_integer_delta(kernel, monkeypatch):
         D[:, 30:50] = np.floor(cut) + 1
         U = rng.random(D.shape)
         U[:, 8:52:3] = 0.0
-        buf = sampler._Buffers()
-        got = KERNELS[kernel][1](c, D, tau, _preloaded(U), buf)
+        got = _rule_mask(c, D, tau, _preloaded(U))
         assert np.array_equal(got, _dense_mask(c, D.astype(np.float64), tau, U))
-        live = np.zeros(D.shape, bool)
-        live[:, :5] = live[:, 30:50] = True
-        assert np.array_equal(buf["live"], live | (U == 0))
         # 0 < P < 2**-53 at and just above the cut: only U == 0 flips there
         assert np.array_equal(got[:, 10:50], U[:, 10:50] == 0)
     assert whole == [True, False]
-    assert paths == ["sparse"] * 2
+    assert paths == ["dense"] * 2
 
 
 # -- config validation -----------------------------------------------------------
@@ -809,18 +837,16 @@ def test_engine_matches_reference_chain(kernel, monkeypatch):
 @pytest.mark.parametrize("kernel", ["regularized", "ld"])
 def test_engine_matches_reference_chain_on_the_sparse_path(kernel, monkeypatch):
     # at a small tau0 most sigmoid arguments are far below -40. A float
-    # Delta takes the sparse mask, one uniform per live entry, on every
-    # step; a coded walk (mis and mcl) reads its live entries'
-    # probabilities from a sigmoid table over their keys wherever that
-    # table is no larger than the live set. The integer-Delta models
-    # (mcut, mis at beta 2, integer qubo) take the table on every step
-    # whose table fits, and only such a step:
+    # Delta takes one uniform per live entry on every step; a coded walk
+    # (mis and mcl) reads its live entries' probabilities from a sigmoid
+    # table over their keys wherever that table is no larger than the live
+    # set. The integer-Delta models (mcut, mis at beta 2, integer qubo)
+    # take the table on every step whose table fits, and only such a step:
     # the 16-node integer qubo's table often outgrows its Delta (under the
     # regularized rule it has one row per threshold from the step's lowest
-    # to its highest), and those
-    # steps take the integer sparse or dense mask with N uniforms per
-    # chain. Every chain still equals the plain loop, at every draw depth
-    # and worker count.
+    # to its highest), and those steps take the sigmoid of the whole Delta.
+    # Every chain still equals the plain loop, at every draw depth and
+    # worker count.
     calls = _recording_paths(monkeypatch)
     misses = []
     table = sampler._table_probabilities
@@ -853,8 +879,41 @@ def test_engine_matches_reference_chain_on_the_sparse_path(kernel, monkeypatch):
             paths[c, kind] = paths.get((c, kind), 0) + 1
         calls.clear()
         misses.clear()
-    want = [("sparse", "float"), ("live table", "float"), ("table", "int"), ("sparse", "int")]
+    want = [("sparse", "float"), ("live table", "float"), ("table", "int")]
     assert min(paths.get(path, 0) for path in want) >= 10 * len(DEPTHS), paths
+
+
+@pytest.mark.parametrize("kind, beta", [("mis", 2.0), ("mis", 1.02), ("mcl", 1.5)])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_flip_rules_do_not_depend_on_the_walk(kind, beta, kernel):
+    # The rules read a coded walk's rank keys and the public walk's Delta
+    # through one contract, and ranks stand for Delta exactly: from one X
+    # and one set of chain streams, an anneal on each walk of one model
+    # makes the same flips, takes the same uniforms and reaches the same
+    # energies at every step, at an integer beta (the table mask) and at a
+    # float one (the live entries), under every kernel.
+    m = EnergyModel(kind, generate_er(60, 0.5 if kind == "mcl" else 0.2, seed=64), beta=beta)
+    rate = dict(alpha=0.05) if kernel == "ld" else dict(d=3)
+    cfg = SamplerConfig(tau0=0.05, steps=20, chains=6, seed=64, kernel=kernel, **rate)
+    X = np.random.default_rng(64).random((cfg.chains, m.num_nodes)) < 0.3
+    walks = [energy._CodeWalk(m, X), energy._PublicWalk(m, X.copy())]
+    draws = [sampler._Reservoir([chain_rng(cfg.seed, c) for c in range(cfg.chains)],
+                                m.num_nodes, m.num_nodes, cfg.steps) for _ in walks]
+    bufs = [sampler._Buffers() for _ in walks]
+    rule = KERNELS[kernel][1]
+    flipped = 0
+    for tau in schedule(cfg):
+        steps = []
+        for walk, d, buf in zip(walks, draws, bufs):
+            got = rule(cfg, walk, tau, d, buf)
+            mask = _as_mask(got, X.shape)
+            E, counts = walk.advance(got)
+            steps.append((mask, d.cursor.copy(), E.copy(), counts, walk.X.copy()))
+        for want, got in zip(*steps):
+            assert want.dtype == got.dtype and want.tobytes() == got.tobytes()
+        flipped += np.count_nonzero(steps[0][0])
+    assert flipped > 0
+    assert walks[0].integer == walks[1].integer == (beta == int(beta))
 
 
 class _CountingRng:
@@ -1311,17 +1370,17 @@ def test_golden_settings_reach_every_flip_mask_path(monkeypatch):
     # product through the dense rows and through A's CSR rows, the table
     # mask of an integer beta and, at a float one, the live entries'
     # probabilities from the sigmoid table and straight from the
-    # sigmoid, where that table would be the larger. On the
-    # public walk of mcut and qubo: the table mask, the dense mask, and the
-    # sparse mask of a float Delta from a reservoir of one step of
-    # uniforms per chain (a lone block) and of several (blocks side by
-    # side). Blocks run on threads, so each mask keeps its reservoir's
-    # depth, and each update its walk, in a thread-local that the calls
-    # it makes read.
+    # sigmoid, where that table would be the larger. On the public walk of
+    # mcut and qubo: the table mask, the dense mask where an integer
+    # Delta's table does not fit, and a float Delta's live entries from a
+    # reservoir of one step of uniforms per chain (a lone block) and of
+    # several (blocks side by side). Blocks run on threads, so each call of
+    # the rules' flip function keeps its reservoir's depth, and each update
+    # its walk, in a thread-local that the calls it makes read.
     local = threading.local()
     reached = set()
     now = {}
-    solve, mask, fn = run_rlsa, sampler._flip_mask, sampler.flip_probabilities
+    solve, flips, fn = run_rlsa, sampler._flips, sampler.flip_probabilities
     advance, matvecs, row_index = (energy._CodeWalk.advance, energy._csr_matvecs,
                                    energy._csr_row_index)
 
@@ -1329,10 +1388,11 @@ def test_golden_settings_reach_every_flip_mask_path(monkeypatch):
         now["workers"] = workers
         return solve(model, cfg, workers=workers)
 
-    def recording_mask(D, dth, epsilon, tau, draws, buf, walk=None, top=None):
-        local.deep, local.coded = draws.draws.shape[1] > draws.n, walk is not None
+    def recording_flips(walk, keys, dth, epsilon, tau, draws, *rest):
+        local.deep = draws.draws.shape[1] > draws.n
+        local.coded = isinstance(walk, energy._CodeWalk)
         try:
-            return mask(D, dth, epsilon, tau, draws, buf, walk, top)
+            return flips(walk, keys, dth, epsilon, tau, draws, *rest)
         finally:
             del local.deep, local.coded
 
@@ -1360,7 +1420,7 @@ def test_golden_settings_reach_every_flip_mask_path(monkeypatch):
         return recording_kernel
 
     monkeypatch.setitem(globals(), "run_rlsa", recording_solve)
-    monkeypatch.setattr(sampler, "_flip_mask", recording_mask)
+    monkeypatch.setattr(sampler, "_flips", recording_flips)
     monkeypatch.setattr(sampler, "flip_probabilities", recording)
     monkeypatch.setattr(energy._CodeWalk, "advance", recording_advance)
     monkeypatch.setattr(energy, "_csr_matvecs", update("dense rows", matvecs))
