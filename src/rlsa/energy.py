@@ -83,50 +83,49 @@ m = W x - r (s - x) (``_m``), which is the product itself when r = 0 and
 is made in the Delta dtype otherwise; the codes of mis and mcl read the
 same m in their own dtype.
 
-Each thread's last product is remembered. The memo serves the public
-API, decode's scoring and the steps of the engine's public walk (mcut and
-qubo, below): a step there needs the energy of the new state and, at the
-start of the next step, its Delta; both come from the same ``A @ X``, so
-the second call reuses the first's product and a step costs one sparse
-product or update (below), not two products. The memo is keyed on the
-batch's content, not its identity: a bool copy of the last batch is
-compared entry by entry, so a batch changed in place, or of another shape,
-gets a new product, and a hit returns exactly the product a fresh model
-would compute. It is per thread (``threading.local``) because worker
-threads run chain blocks on one shared model. The stored product is
-read-only; callers that update it copy it first, in its own dtype.
+Each thread's last product is remembered, as a plain cache. It serves the
+public API, decode's scoring and the steps of the engine's public walk
+(mcut and qubo, below): a step there needs the energy of the new state
+and, at the start of the next step, its Delta; both come from the same
+``A @ X``, so the second call reuses the first's product and a step costs
+one sparse product, not two. The memo is keyed on the batch's content, not
+its identity: a bool copy of the last batch is compared entry by entry, so
+a batch changed in place, or of another shape, gets a new product, and a
+hit returns exactly the product a fresh model would compute. A miss always
+makes the full product: max-cut's integer Deltas tie at Delta_(d), so its
+steps flip far more than d bits per chain, and a flip list would cost more
+than it saves (``BENCH_cache.json``). The memo is per thread
+(``threading.local``) because worker threads run chain blocks on one
+shared model. The stored product is read-only; callers that change it copy
+it first, in its own dtype.
 
-A miss on a batch of the same shape may bring an int16 product up to
-date through the flip list, and each step of a coded walk (below) brings
-its codes up to date the same way: to each row k of ax (of a copy, for
-the memo's read-only one) it adds +-(row j of A) for every node j that
-chain k flipped (+ where it set j, - where it cleared it), or +-2 (row j)
-to the codes. That is exact: every partial sum it makes of a product is a
-sum of w_ij over a subset of row i's neighbours, which the row-sum bound
-keeps below 2**15, so the result equals the full product bit for bit. It pays
-when each chain flips few nodes, however many columns the chains flip
-together, as in an annealing step that flips about d bits per chain. It
-reads the rows one of two ways, each in compiled code:
+Each step of a coded walk (below) brings its codes up to date through the
+flip list: to each row k it adds +-2 (row j of A) for every node j that
+chain k flipped (+ where it set j, - where it cleared it). That is exact:
+every partial sum it makes is a code plus twice a sum of w_ij over a
+subset of row i's neighbours, which the codes' dtype holds (below), so the
+result equals the codes of the full product bit for bit. It pays when each
+chain flips few nodes, however many columns the chains flip together, as
+in an annealing step that flips about d bits per chain. It reads the rows
+one of two ways, each in compiled code:
 
 * A block of chains reads them from a dense int16 copy of A, in one pass
   of a sparse (K, N) matrix of signs times the copy, flips * N adds in
   all. The copy is made on the first such update and shared by every
   thread, and only while its 2 N**2 bytes fit under a cap of 2 MiB
   (N <= 1024).
-* Everywhere else, a single row and every graph above the cap, it
-  gathers the flipped nodes' CSR rows, chain by chain, signs them and adds
-  them into the copy: sum deg(flipped) adds, which never makes the dense
-  copy, so a solution decoded or scored once per solve pays nothing for
-  it.
+* Everywhere else, a single chain and every graph above the cap, it
+  gathers the flipped nodes' CSR rows, chain by chain, in A's dtype, casts
+  them exactly into the codes', signs them and adds them into the codes:
+  sum deg(flipped) adds, which never makes the dense copy.
 
-A cost rule picks the flip list or the full product: a linear model of
-each one's time in 1, nnz (times K), the entries the flip list reads
-(flips * N, or sum deg(flipped)) and K * N, fitted on sweeps of batches
-over ER and BA graphs, K and flips per chain (``BENCH_flips.json``,
-``BENCH_update.json``). The flip list's fixed part keeps the rule on the
-full product where that is cheap: on a small or sparse graph, or when
-every chain flips many nodes, as on max-cut. A float64 product never takes
-the flip list, because its sums would round in another order.
+A cost rule picks the flip list or the full product, from which the codes
+are then remade: a linear model of each one's time in 1, nnz (times K),
+the entries the flip list reads (flips * N, or sum deg(flipped)) and
+K * N, fitted on sweeps of batches over ER and BA graphs, K and flips per
+chain (``BENCH_flips.json``, ``BENCH_update.json``). The flip list's fixed
+part keeps the rule on the full product where that is cheap: on a small or
+sparse graph, or when every chain flips many nodes.
 
 Greedy decode (``rlsa.postprocess.greedy_decode``) reads the model
 through one contract, ``_descent``: from one product of the batch it
@@ -163,13 +162,13 @@ follows from the codes, W x = m + r (s - x) with m = (code >> 1) + m_lo
 (``_code_product``).
 
 The annealing engine reads the model through one more private contract,
-``_walk``, a block's state from one product. mis and mcl over an int16
-product walk on codes: the walk carries one (K, N) state, the codes,
-with their ranks as the step's keys and each row's s and x^T W x; it
-keeps no product. A step hands it the flip list, the flat indices of the
-flipped entries, or a bool mask, which it makes into one. The walk flips
-X by scatter and writes the update straight into the codes
-(``_add_flips``, with no compare of batches):
+``_walk``, a block's state from one product. mis and mcl walk on codes,
+over an int16 or a float64 product alike: the walk carries one (K, N)
+state, the codes, with their ranks as the step's keys and each row's s
+and x^T W x; it keeps no product. A step hands it the flip list, the flat
+indices of the flipped entries, or a bool mask, which it makes into one.
+The walk flips X by scatter and writes the update straight into the
+codes (``_add_flips``, with no compare of batches):
 +-2 (row j of A) for each flipped node j, where +-(row j) moves W x, then
 +-1 at the flipped entries for mis, the flipped bit; for mcl, whose m
 also falls by the row's change of s outside i, -2 (that change) across
@@ -187,9 +186,9 @@ back from the codes at the flipped entries, as ``_code_product`` reads
 them. Its energies are the float expression of ``_energy`` on the
 same exact integers, so they are bit-identical to a fresh ``energy``. The
 rules read Delta back through the tables at the entries they need, so no
-float Delta is made. Every other model walks through the public ``delta``
-and ``energy``, once each per step, behind the memo, with Delta itself as
-its keys.
+float Delta is made. mcut and qubo walk through the public ``delta`` and
+``energy``, once each per step, behind the memo, with Delta itself as
+their keys.
 """
 
 from __future__ import annotations
@@ -200,8 +199,8 @@ import threading
 import numpy as np
 # scipy's compiled kernels behind csr_matrix @ ndarray (Y += A X), A[rows]
 # (gathers CSR rows) and toarray(out=) (adds a CSR matrix into a dense
-# one): the flip list adds into a copy of the stored product with them,
-# which saves the public paths' checked matrices and zeroed results
+# one): the flip list adds into a coded walk's codes with them, which
+# saves the public paths' checked matrices and zeroed results
 # (BENCH_flips.json, BENCH_update.json)
 from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 from scipy.sparse._sparsetools import csr_row_index as _csr_row_index
@@ -311,10 +310,10 @@ class EnergyModel:
         # an integer per-node c takes c . x as one matvec
         self._c_matvec = isinstance(c, np.ndarray) and c_int and c_sum < _EXACT_FLOAT64
         # integer weights with R below 2**15 give an int16 product, and with
-        # it how _ax and _flip update a product
+        # it how _flip updates a product
         self._A = A.astype(np.int16 if w_int and R < _EXACT_INT16 else np.float64, copy=False)
-        # the dense int16 rows of A that a block's flip list reads where
-        # they fit under the cap, made on the first such update
+        # the dense int16 rows of A that a coded walk's flip list reads
+        # where they fit under the cap, made on the first such update
         self._rows = None
         self._rows_made = threading.Lock()
         # B is kept when int16 holds every term of Delta, and with it the
@@ -423,19 +422,13 @@ class EnergyModel:
         # (B, N) bool -> (B, N) in the matrix's dtype, C-ordered and
         # read-only. Callers read an int16 product through exact arithmetic
         # only (see the module docstring). A batch equal to this thread's
-        # last one returns the stored product; one of the same shape may
-        # update it through the flip list (see the module docstring).
+        # last one returns the stored product; any other gets a new one,
+        # which the memo then keeps.
         memo = self._memo
         key = getattr(memo, "key", None)
-        ax = None
-        if key is not None and key.shape == X.shape:
-            changed = key != X
-            if not changed.any():
-                return memo.ax
-            if self._A.dtype == np.int16:
-                ax = self._add_flips(memo.ax, X, changed)
-        if ax is None:
-            ax = self._product(X)
+        if key is not None and np.array_equal(key, X):
+            return memo.ax
+        ax = self._product(X)
         self._remember(X, ax)
         return ax
 
@@ -449,36 +442,22 @@ class EnergyModel:
         P = A @ np.ascontiguousarray(X.T).astype(A.dtype, copy=False)
         return np.ascontiguousarray(P.T)
 
-    def _add_flips(self, ax, X, flips, out=None, sign=None, start=None):
-        # ax + S @ A for the bool batch X, with S the sparse (K, N) matrix
-        # of +1 where a chain set node j and -1 where it cleared it (A is
-        # symmetric): row k gains +-(row j of A) for each node j that chain
-        # k flipped, added into ``out`` (a copy of ax when None); None where
-        # the full product costs less (_flips_pay). ``flips`` marks the
-        # flipped entries: a bool (K, N) mask, made into a list only once
-        # the dense rows' cost test passes, or the list itself as sorted
-        # flat indices; ``sign``, if given, is S's value at each entry of
-        # the list, in ax's dtype, in place of +-1 from X, and ``start``
-        # the list's chain starts (below). Exact while each partial sum of
-        # an entry stays in ax's dtype: for a product, a sum of w_ij over a
-        # subset of i's neighbours, which the row-sum bound keeps below
-        # 2**15 (see the module docstring for codes). A block reads the
-        # rows from the dense int16 A where it fits under the cap, and
-        # everywhere else from A's CSR rows.
+    def _add_flips(self, out, at, sign, start):
+        # out += S @ A in place on the (K, N) codes ``out``, with S the
+        # sparse (K, N) matrix that holds sign[e], in out's dtype, at the
+        # flat index at[e] of the sorted flip list (A is symmetric): row k
+        # gains sign * (row j of A) for each node j that chain k flipped,
+        # chain k's flips being at[start[k]:start[k + 1]]. False, with out
+        # untouched, where the full product costs less (_flips_pay). Exact
+        # while each partial sum of an entry stays in out's dtype (see the
+        # module docstring). A block reads the rows from the dense int16 A
+        # where it fits under the cap, and everywhere else from A's CSR
+        # rows.
         A = self._A
-        K, N = X.shape
+        K, N = out.shape
         dense = K > 1 and 2 * N * N <= _DENSE_ROWS_BYTES
-        mask = flips.dtype == bool
-        count = np.count_nonzero(flips) if mask else flips.size
-        if dense and not _flips_pay(count * N, A.nnz, K, N, True):
-            return None
-        at = np.flatnonzero(flips) if mask else flips
-        # chain k's flips are at[start[k]:start[k + 1]]: at is sorted, and
-        # row k of the batch holds the flat indices k N up to (k + 1) N
-        if start is None:
-            start = np.searchsorted(at, np.arange(K + 1) * N)
-        if sign is None:
-            sign = X.ravel()[at].astype(ax.dtype) * 2 - 1
+        if dense and not _flips_pay(at.size * N, A.nnz, K, N, True):
+            return False
         idx = A.indices.dtype
         nodes = (at % N).astype(idx)
         if not dense:
@@ -487,9 +466,7 @@ class EnergyModel:
             deg = A.indptr[nodes + 1] - A.indptr[nodes]
             ends = np.cumsum(deg, dtype=np.int64)
             if ends[-1] > np.iinfo(idx).max or not _flips_pay(ends[-1], A.nnz, K, N, False):
-                return None
-        if out is None:
-            out = ax.copy()
+                return False
         if dense:
             with self._rows_made:  # made once, then shared read-only by every thread
                 if self._rows is None:
@@ -497,13 +474,13 @@ class EnergyModel:
                     self._rows.flags.writeable = False
             _csr_matvecs(K, N, N, start, nodes, sign, self._rows, out)
         else:
-            cols, vals = np.empty(ends[-1], dtype=idx), np.empty(ends[-1], dtype=np.int16)
+            cols, vals = np.empty(ends[-1], dtype=idx), np.empty(ends[-1], dtype=A.dtype)
             _csr_row_index(at.size, nodes, A.indptr, A.indices, A.data, cols, vals)
             vals = vals.astype(out.dtype, copy=False)
             vals *= np.repeat(sign, deg)
             # adds into out, and sums a column that two rows of one chain share
             _csr_todense(K, N, np.concatenate(([0], ends))[start].astype(idx), cols, vals, out)
-        return out
+        return True
 
     def _walk(self, X):
         """The annealing engine's state of the bool block ``X``, which it
@@ -517,12 +494,11 @@ class EnergyModel:
         mask or a sorted flat flip list, and returns the new energies and
         the flips per chain.
 
-        mis and mcl with an int16 product walk on codes (``_CodeWalk``):
-        the keys are the codes' ranks. Every other model walks through the
-        public ``delta`` and ``energy`` (``_PublicWalk``): the keys are
-        Delta itself.
+        mis and mcl walk on codes (``_CodeWalk``): the keys are the codes'
+        ranks. mcut and qubo walk through the public ``delta`` and
+        ``energy`` (``_PublicWalk``): the keys are Delta itself.
         """
-        if self._penalized and self._A.dtype == np.int16:
+        if self._penalized:
             return _CodeWalk(self, X)
         return _PublicWalk(self, X)
 
@@ -722,20 +698,21 @@ _EXACT_FLOAT64 = 2.0 ** 53
 # The dense int16 rows of A that a block's flip list reads take 2 N**2
 # bytes; they are made only while that stays under this cap (N <= 1024)
 _DENSE_ROWS_BYTES = 2 ** 21
-# The cost in ns of bringing an int16 product of a (K, N) batch up to date
-# on an _ax miss: as coefficients of (1, nnz, nnz * K, K * N) for the full
+# The cost in ns of bringing a (K, N) block up to date in a step of the
+# coded walk: as coefficients of (1, nnz, nnz * K, K * N) for the full
 # product, and of (1, entries read, K * N) for the flip list, which reads
 # flips * N entries through the dense rows and the sum of the flipped
 # nodes' degrees through the CSR rows. Fitted on sweeps of K, N and flips
-# per chain over ER and BA graphs (BENCH_flips.json, BENCH_update.json).
+# per chain over ER and BA graphs, for an int16 product, which the flip
+# list reads as it reads the codes (BENCH_flips.json, BENCH_update.json).
 _FULL_NS = (37e3, 0.77, 0.13, 2.2)
 _FLIPS_NS = (39e3, 0.18, 1.3)
 _CSR_NS = (36e3, 2.4, 0.71)
 
 
 def _flips_pay(work, nnz, K, N, dense) -> bool:
-    """Whether the flip list brings an int16 product of a (K, N) batch up
-    to date for less than the full product over A's ``nnz`` nonzeros: it
+    """Whether the flip list brings the codes of a (K, N) block up to
+    date for less than the full product over A's ``nnz`` nonzeros: it
     reads ``work`` entries, through the dense rows if ``dense`` and A's
     CSR rows otherwise."""
     f0, f1, f2, f3 = _FULL_NS
@@ -751,10 +728,11 @@ def _row_counts(X):
 
 
 class _PublicWalk:
-    """A block's walk through the public ``delta`` and ``energy`` (mcut,
-    qubo, and mis and mcl over a float64 product): each step calls each of
-    them once on the whole block, which the product memo serves. Its keys
-    are Delta itself, so ``value`` and ``cut`` return them as they are."""
+    """An mcut or qubo block's walk through the public ``delta`` and
+    ``energy``: each step calls each of them once on the whole block, and
+    ``delta`` reuses the product that the last ``energy`` left in the memo.
+    Its keys are Delta itself, so ``value`` and ``cut`` return them as they
+    are."""
 
     def __init__(self, model, X):
         self.model, self.X = model, X
@@ -845,7 +823,7 @@ class _CodeWalk:
             old = codes.reshape(-1)[at]
             sign = 1 - ((old & 1) << 1)  # +1 where the step sets x_j
             ds = _chain_sums(sign, start)
-            if m._add_flips(codes, X, at, out=codes, sign=sign * 2, start=start) is None:
+            if not m._add_flips(codes, at, sign * 2, start):
                 codes = self.codes = m._codes(X, m._product(X))
                 new = codes.reshape(-1)[at]
             else:

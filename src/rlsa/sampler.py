@@ -89,8 +89,8 @@ Chain state. The engine holds a block's states as a bool (K, N) array,
 which it hands to the model's walk (``EnergyModel._walk``) and which the
 walk flips in place at every step. A coded walk (mis and mcl) takes the
 rule's flip list, or the flip list of its mask: it flips X by scatter,
-writes the update of the list straight into its int16 codes, takes the
-keys from the codes in one gather, and brings each row's s and x^T W x,
+writes the update of the list straight into its codes, takes the keys
+from the codes in one gather, and brings each row's s and x^T W x,
 and with them the energies, up to date from the flipped entries alone;
 apart from that update, the keys, the partition, the live test and its
 ``flatnonzero``, a step touches only the flip list, the live entries and
@@ -506,16 +506,15 @@ def _run_chain_block(model, cfg: SamplerConfig, chain_ids, init, taus, depth=1):
     buf)``, which reads the step's keys from it, and hands the flips it
     returns, a bool mask or a flat flip list, to ``walk.advance``, which
     flips the states in place and returns the new energies and the flips
-    per chain. On a coded walk (mis and mcl over an int16 product) the
-    keys are the ranks of Delta; the walk writes the update of the flip
-    list into its codes, or remakes them from the full product where that
-    costs less (see ``rlsa.energy``), and never calls the public ``delta``
-    or ``energy``. On the public walk (mcut, qubo) the keys are
-    ``model.delta``, and the flips are followed by one ``model.energy``
-    call, whose product the per-thread memo hands to the next step's
-    ``model.delta``. Either way the block makes one product and then one
-    product or update per step in which any of its chains flips, so at
-    most ``steps + 1``.
+    per chain. On a coded walk (mis and mcl) the keys are the ranks of
+    Delta; the walk writes the update of the flip list into its codes, or
+    remakes them from the full product where that costs less (see
+    ``rlsa.energy``), and never calls the public ``delta`` or ``energy``.
+    On the public walk (mcut, qubo) the keys are ``model.delta``, and the
+    flips are followed by one ``model.energy`` call, whose product the
+    per-thread memo hands to the next step's ``model.delta``. Either way
+    the block makes one product and then one product or update per step
+    in which any of its chains flips, so at most ``steps + 1``.
 
     Its uniforms come from the block's reservoir, one (K, depth * N) array
     with a cursor per chain, which each chain refills in one generator call

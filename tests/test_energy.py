@@ -350,10 +350,9 @@ def test_large_finite_coefficients_are_still_accepted():
 def test_exact_update_rule_follows_the_weights(monkeypatch):
     # _flip adds columns of A exactly when the product is int16, and
     # recomputes the neighbour rows (A[rows] @ x) otherwise; either way the
-    # flipped solution, its product and its Delta equal fresh ones. _ax
-    # brings its memo up to date through the flip list for an int16
-    # product only. mcl decodes on codes (_flip_code) only, so _flip takes
-    # the models whose r is 0.
+    # flipped solution, its product and its Delta equal fresh ones. mcl
+    # decodes on codes (_flip_code) only, so _flip takes the models whose
+    # r is 0.
     g = triangle()
     lin = np.zeros(3)
     cases = [(EnergyModel(kind, g, beta=1.02), np.int16) for kind in ("mis", "mcut")]
@@ -385,12 +384,8 @@ def test_exact_update_rule_follows_the_weights(monkeypatch):
                 want = m.delta(y)
                 assert D.dtype == want.dtype and np.array_equal(D, want)
         assert (flip_rows == 0) == (dtype == np.int16), (m, flip_rows)
-        # each miss is one row with one flip, whose two neighbours' CSR
-        # rows an int16 product reads where the rule finds them cheaper
-        # than the triangle's full product; a single row never reads the
-        # dense rows
+        # a single row never reads the dense rows
         assert spy.flips == 0 and not spy.dense
-        assert (spy.csr > 0) == (dtype == np.int16 and _flips_pay(2, 6, 1, 3, False)), m
 
 
 def _code_models(g):
@@ -598,16 +593,14 @@ def test_coded_walk_widens_its_codes_where_int16_cannot_hold_the_update():
         _assert_walk_is_fresh(walk, fresh, ref)
 
 
-def test_models_walk_on_codes_only_with_mis_and_mcl_over_an_int16_product():
-    # mcut, qubo, and mis over a float64 product (a star of 2**15 leaves)
-    # walk through the public delta and energy. Their keys are Delta, which
-    # ``value`` and ``cut`` return as they are, and a step's flips come as
-    # a bool mask or as a flip list, sorted flat indices
+def test_models_walk_on_codes_by_kind_alone():
+    # mcut and qubo walk through the public delta and energy. Their keys
+    # are Delta, which ``value`` and ``cut`` return as they are, and a
+    # step's flips come as a bool mask or as a flip list, sorted flat
+    # indices
     g = generate_er(30, 0.2, seed=73)
-    n = 2 ** 15 + 1
-    star = EnergyModel("mis", from_edge_list(n, [(0, i) for i in range(1, n)]), beta=1.5)
     rng = np.random.default_rng(73)
-    for m in (EnergyModel("mcut", g), star,
+    for m in (EnergyModel("mcut", g),
               EnergyModel("qubo", g, linear=rng.normal(size=30), quad_scale=0.7)):
         X = rng.random((3, m.num_nodes)) < 0.5
         walk = m._walk(X)
@@ -621,6 +614,43 @@ def test_models_walk_on_codes_only_with_mis_and_mcl_over_an_int16_product():
             E, counts = walk.advance(flip if step == 0 else np.flatnonzero(flip))
             assert np.array_equal(X, want) and np.array_equal(E, m.energy(want))
             assert counts.dtype == np.int64 and np.array_equal(counts, flip.sum(axis=1))
+
+
+def test_coded_walk_over_a_float64_product_equals_the_public_walk(monkeypatch):
+    # mis and mcl walk on codes whatever their product's dtype: on a star
+    # of 2**15 leaves, whose hub's degree int16 cannot hold, the product is
+    # float64 and the codes int32, and at every step the coded walk gives
+    # the X, energies, flip counts and Delta of a public walk of the same
+    # block. The steps flip a few leaves, the hub in one chain, whose row
+    # the update reads from A's float64 CSR rows, and the hub in every
+    # chain, which remakes the codes from the full product.
+    n = 2 ** 15 + 1
+    star = from_edge_list(n, [(0, i) for i in range(1, n)])
+    rng = np.random.default_rng(75)
+    paths = set()
+    for kind, beta in (("mis", 1.5), ("mis", 2.0), ("mcl", 1.5)):
+        m = EnergyModel(kind, star, beta=beta)
+        assert m._A.dtype == np.float64 and m._code_dtype == np.int32
+        m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
+        X = rng.random((3, n)) < 0.5
+        coded, public = m._walk(X), energy._PublicWalk(m, X.copy())
+        assert isinstance(coded, energy._CodeWalk) and coded.codes.dtype == np.int32
+        assert coded.integer == public.integer
+        E, want_E = coded.energy, public.energy
+        for hubs in ([], [0], [0, 1, 2], [1], []):
+            for got, want in ((E, want_E), (coded.value(coded.keys()), public.keys())):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), kind
+            at = np.sort(np.concatenate([k * n + np.r_[[0] if k in hubs else [],
+                                                       rng.choice(np.arange(1, n), 5,
+                                                                  replace=False)]
+                                         for k in range(3)]).astype(np.intp))
+            csr = counter.csr
+            (E, counts), (want_E, want_counts) = coded.advance(at), public.advance(at)
+            paths.add("csr rows" if counter.csr > csr else "full")
+            assert np.array_equal(coded.X, public.X) and np.array_equal(counts, want_counts)
+        assert E.tobytes() == want_E.tobytes()
+        assert np.array_equal(coded.codes, m._codes(X, m._product(X)))
+    assert paths == {"csr rows", "full"}
 
 
 def test_delta_bound_marks_the_models_whose_deltas_int16_holds():
@@ -1030,128 +1060,120 @@ def test_memo_is_kept_per_thread():
                 assert np.array_equal(results[who][2 * r + 1], make().delta(X))
 
 
-def _update_models(g, rng):
-    # int16 products: unit weights, and integer weights of both signs; then
-    # a float64 product, which never takes the flip list
+def _update_models(g):
+    # the coded walk's flip list moves mis codes by +-2 (row j) and mcl
+    # codes by the rows and the change of s too
     yield EnergyModel("mis", g, beta=1.02)
-    yield EnergyModel("mcut", g)
-    w = rng.integers(-9, 10, size=g.num_edges).astype(np.float64)
-    yield EnergyModel("qubo", g, linear=rng.normal(size=g.num_nodes), quad_scale=0.7,
-                      edge_weights=w)
-    yield EnergyModel("qubo", g, linear=rng.normal(size=g.num_nodes), quad_scale=0.7,
-                      edge_weights=rng.normal(size=g.num_edges))
+    yield EnergyModel("mcl", g, beta=1.5)
 
 
-def _walk_memo(m, rng, steps=12, rows=5):
-    """Flip random bits of one bool batch in place, a few or many per row
-    as the walk goes on, and check after each step that the memo's product
-    equals a fresh ``A @ X^T`` bit for bit and that it was brought up to
-    date along the path the cost rule picks for the flips: the full
-    product, or the flip list through the dense rows (``"flips"``) or
-    through A's CSR rows (``"csr"``), each counted by the watched
-    CountingMatrix that the caller installed. Returns the paths taken, in
-    order."""
+def _walk_codes(m, rng, steps=12, rows=5):
+    """Walk a coded block of random rows, flipping a few or many random
+    nodes per row as the walk goes on, and check after each step that its
+    codes equal those of a fresh ``A @ X^T`` bit for bit and that they
+    were brought up to date along the path the cost rule picks for the
+    flips: the full product, or the flip list through the dense rows
+    (``"flips"``) or through A's CSR rows (``"csr"``), each counted by the
+    watched CountingMatrix that the caller installed. Returns the paths
+    taken, in order."""
     counter = m._A
     A = counter.A
     deg = np.diff(A.indptr)
     n = m.num_nodes
     dense = rows > 1 and 2 * n * n <= _DENSE_ROWS_BYTES
     X = rng.integers(0, 2, size=(rows, n)).astype(bool)
-    m._ax(X)
+    walk = m._walk(X)
     me = threading.get_ident()
     counts = (counter.calls, counter.dense_updates, counter.csr_updates)
     paths = []
     for step in range(steps):
         flips = (1, 2, 8, n // 3)[step % 4]
-        old = X.copy()
-        for row in X:
-            row[rng.choice(n, flips, replace=False)] ^= True
-        changed = old != X
+        at = np.sort(np.concatenate(
+            [k * n + rng.choice(n, flips, replace=False) for k in range(rows)]))
         before = [c.get(me, 0) for c in counts]
-        ax = m._ax(X)
+        walk.advance(at)
         made, dense_list, csr_list = (c.get(me, 0) - b for c, b in zip(counts, before))
         assert made == 1 and dense_list + csr_list <= 1
         paths.append("flips" if dense_list else "csr" if csr_list else "full")
-        fresh = np.ascontiguousarray((A @ np.ascontiguousarray(X.T).astype(A.dtype)).T)
-        assert ax.dtype == fresh.dtype and ax.flags.c_contiguous and not ax.flags.writeable
-        assert np.array_equal(ax, fresh), (m, step)
+        fresh = m._codes(X, (A @ np.ascontiguousarray(X.T).astype(A.dtype)).T)
+        assert walk.codes.dtype == fresh.dtype and walk.codes.flags.c_contiguous
+        assert np.array_equal(walk.codes, fresh), (m, step)
+        work = at.size * n if dense else deg[at % n].sum()
         expected = "full"
-        work = changed.sum() * n if dense else deg[np.nonzero(changed)[1]].sum()
-        if A.dtype == np.int16 and _flips_pay(work, A.nnz, rows, n, dense):
+        if _flips_pay(work, A.nnz, rows, n, dense):
             expected = "flips" if dense else "csr"
         assert paths[-1] == expected, (m, step, work)
     return paths
 
 
-def test_memo_update_equals_a_fresh_product(monkeypatch):
-    # With few changed entries an int16 memo updates its product, with
-    # many it multiplies afresh; either way the product is the full one.
-    # Below the dense-row cap (N <= 1024) the updates read the dense rows;
-    # above it, A's CSR rows. The graphs are dense enough for an update to
-    # pay on a batch of 5.
+def test_coded_walk_update_equals_a_fresh_product(monkeypatch):
+    # With few flips per chain a coded walk updates its codes through the
+    # flip list, with many it remakes them from a full product; either way
+    # they are those of the full product. Below the dense-row cap
+    # (N <= 1024) the updates read the dense rows; above it, A's CSR rows.
+    # The graphs are dense enough for an update to pay on a block of 5.
     rng = np.random.default_rng(30)
     for g, update in ((generate_er(1000, 0.1, seed=30), "flips"),
                       (generate_ba(1000, 50, seed=31), "flips"),
                       (generate_er(1100, 0.1, seed=33), "csr")):
-        for m in _update_models(g, rng):
-            m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
-            paths = _walk_memo(m, rng)
-            if m._A.dtype == np.int16:
-                assert set(paths) == {"full", update}, paths
-                assert (m._rows is not None) == (update == "flips")
-            else:
-                assert set(paths) == {"full"} and counter.total == 13 and m._rows is None
+        for m in _update_models(g):
+            m._A = CountingMatrix(m._A).watch(monkeypatch)
+            paths = _walk_codes(m, rng)
+            assert set(paths) == {"full", update}, paths
+            assert (m._rows is not None) == (update == "flips")
 
 
 def test_single_rows_read_the_csr_rows_and_never_make_the_dense_rows(monkeypatch):
-    # A single row, such as a solution decoded or scored once per solve,
-    # takes the flip list through A's CSR rows even below the dense-row
-    # cap, so it never pays for the dense copy; a block of two rows on the
-    # same model makes it
+    # A walk of a single chain takes the flip list through A's CSR rows
+    # even below the dense-row cap, so it never pays for the dense copy; a
+    # block of two chains on the same model makes it
     rng = np.random.default_rng(36)
     for g in (generate_er(300, 0.5, seed=36), generate_er(1100, 0.1, seed=36)):
         m = EnergyModel("mis", g, beta=1.02)
         m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
-        paths = _walk_memo(m, rng, rows=1)
+        paths = _walk_codes(m, rng, rows=1)
         assert "csr" in paths and "flips" not in paths, paths
         assert counter.flips == 0 and not counter.dense and m._rows is None
         if g.num_nodes <= 1024:
-            assert "flips" in _walk_memo(m, rng, rows=2) and m._rows is not None
+            assert "flips" in _walk_codes(m, rng, rows=2) and m._rows is not None
 
 
 def test_csr_flip_list_never_overflows_its_row_pointer(monkeypatch):
-    # The CSR flip list builds its row pointer in A's index dtype and takes
-    # the full product when the flipped rows' nonzeros do not fit in it.
-    # Here A's indices pose as int16 and one row flips 250 nodes of
-    # ER(300, 0.5), whose 37k nonzeros pass 2**15 - 1, with the rule forced
-    # to the flip list: the product is still the full one.
+    # The CSR flip list builds its row pointer in A's index dtype, and a
+    # coded walk remakes its codes from the full product when the flipped
+    # rows' nonzeros do not fit in it. Here A's indices pose as int16 and
+    # one chain flips 250 nodes of ER(300, 0.5), whose 37k nonzeros pass
+    # 2**15 - 1, with the rule forced to the flip list: the codes are still
+    # those of the full product.
     m = EnergyModel("mis", generate_er(300, 0.5, seed=37), beta=1.02)
     m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
     counter.indices = counter.A.indices.astype(np.int16)
     monkeypatch.setattr(energy, "_flips_pay", lambda *args: True)
     rng = np.random.default_rng(37)
     X = rng.random((1, 300)) < 0.5
-    m._ax(X)
-    X[0, rng.choice(300, 250, replace=False)] ^= True
-    assert np.diff(counter.A.indptr)[X[0] != m._memo.key[0]].sum() > 2 ** 15
+    walk = m._walk(X)
+    at = np.sort(rng.choice(300, 250, replace=False))
+    assert np.diff(counter.A.indptr)[at].sum() > 2 ** 15
+    walk.advance(at)
     A = counter.A
-    assert np.array_equal(m._ax(X), (A @ X.T.astype(np.int16)).T)
+    assert np.array_equal(walk.codes, m._codes(X, (A @ X.T.astype(np.int16)).T))
     assert counter.csr == 0 and counter.total == 2
 
 
-def test_memo_update_on_worker_threads(monkeypatch):
-    # three threads walk their own batches on one shared model at once,
-    # below and above the dense-row cap
+def test_coded_walk_update_on_worker_threads(monkeypatch):
+    # three threads walk their own blocks on one shared model at once,
+    # below and above the dense-row cap, and each updates its codes
+    # through the flip list
     rng = np.random.default_rng(32)
     for g in (generate_er(1000, 0.1, seed=32), generate_er(1100, 0.1, seed=34)):
-        for m in _update_models(g, rng):
+        for m in _update_models(g):
             m._A = CountingMatrix(m._A).watch(monkeypatch)
             seeds = rng.integers(0, 2 ** 31, size=3)
             errors, walks = [], []
 
             def walk(seed):
                 try:
-                    walks.append(_walk_memo(m, np.random.default_rng(seed), steps=16))
+                    walks.append(_walk_codes(m, np.random.default_rng(seed), steps=16))
                 except Exception as exc:
                     errors.append(exc)
 
@@ -1164,8 +1186,7 @@ def test_memo_update_on_worker_threads(monkeypatch):
             if errors:
                 raise errors[0]
             assert len(walks) == 3
-            updated = [set(w) != {"full"} for w in walks]
-            assert all(updated) == (m._A.dtype == np.int16), walks
+            assert all(set(w) != {"full"} for w in walks), walks
 
 
 def test_private_sparse_kernels_keep_their_contract():
@@ -1195,9 +1216,10 @@ def test_private_sparse_kernels_keep_their_contract():
 
 
 def test_dense_rows_are_made_once_by_racing_threads(monkeypatch):
-    # More threads than cores take their first flip-list update at once,
-    # switching every microsecond: the model makes one dense copy of A for
-    # all of them, and every updated product equals a fresh one.
+    # More threads than cores take their coded walk's first flip-list
+    # update at once, switching every microsecond: the model makes one
+    # dense copy of A for all of them, and every walk's codes equal those
+    # of a fresh product.
     m = EnergyModel("mis", generate_er(300, 0.5, seed=35), beta=1.02)
     m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
     rng = np.random.default_rng(35)
@@ -1206,13 +1228,14 @@ def test_dense_rows_are_made_once_by_racing_threads(monkeypatch):
     ends = starts.copy()
     ends[:, np.arange(3), rng.integers(0, 300, size=3)] ^= True  # one flip per row
     barrier = threading.Barrier(threads_n, timeout=60)
-    products, errors = {}, []
+    codes, errors = {}, []
 
     def update(t):
         try:
-            m._ax(starts[t])
+            walk = m._walk(starts[t].copy())
             barrier.wait()
-            products[t] = m._ax(ends[t])
+            walk.advance(np.flatnonzero(starts[t] != ends[t]))
+            codes[t] = walk.codes
         except Exception as exc:
             errors.append(exc)
 
@@ -1232,7 +1255,8 @@ def test_dense_rows_are_made_once_by_racing_threads(monkeypatch):
         raise errors[0]
     assert len(counter.dense) == 1 and counter.flips == threads_n
     for t in range(threads_n):
-        assert np.array_equal(products[t], reference_product(m.graph, ends[t])), t
+        want = m._codes(ends[t], reference_product(m.graph, ends[t]))
+        assert np.array_equal(codes[t], want), t
 
 
 def test_evaluation_does_not_depend_on_memory_layout():

@@ -1116,6 +1116,50 @@ def test_the_engine_never_makes_dense_rows_on_the_benchmark_mcut_and_mis_er2000(
     assert mcut._rows is None and mis._rows is None
 
 
+def test_mcut_blocks_above_the_dense_cap_make_one_full_product_per_step(monkeypatch):
+    # max-cut's integer Deltas tie at Delta_(d), so its steps flip far more
+    # than d nodes per chain, and its public walk makes the full product at
+    # every step, never a flip list. On BA(1100, 4), above the dense-row
+    # cap, at the mcut-ba-large preset's tau0, d and chains, each block
+    # makes its first product and one per step, at one worker and at two,
+    # and both give the same result.
+    g = generate_ba(1100, 4, seed=23)
+    cfg = SamplerConfig(tau0=5.0, d=20, steps=10, chains=200, seed=23)
+    made, added = [], []
+    run, add_flips = sampler._run_chain_block, energy.EnergyModel._add_flips
+
+    def block(model, *args):
+        me = threading.get_ident()
+        before = model._A.calls.get(me, 0)
+        try:
+            return run(model, *args)
+        finally:
+            made.append(model._A.calls.get(me, 0) - before)
+
+    def spy(*args):
+        added.append(args)
+        return add_flips(*args)
+
+    monkeypatch.setattr(sampler, "_run_chain_block", block)
+    monkeypatch.setattr(energy.EnergyModel, "_add_flips", spy)
+    results = []
+    for workers in (1, 2):
+        m = EnergyModel("mcut", g)
+        m._A = counter = CountingMatrix(m._A).watch(monkeypatch)
+        made.clear()
+        results.append(run_rlsa(m, cfg, workers=workers))
+        assert made == [cfg.steps + 1] * workers and len(added) == 0, (workers, made)
+        assert counter.flips == counter.csr == 0 and not counter.dense
+    one, two = results
+    for a, b in [(one.best_x, two.best_x)] + [(getattr(one.trajectory, f.name),
+                                               getattr(two.trajectory, f.name))
+                                              for f in fields(Trajectory)]:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for name in ("best_energy", "objective", "decode_flips", "decode_gain", "best_step",
+                 "best_chains"):
+        assert getattr(one, name) == getattr(two, name), name
+
+
 def test_trajectory_best_energy_non_increasing():
     g = generate_er(30, 0.25, seed=12)
     m = EnergyModel("mis", g, beta=1.02)
